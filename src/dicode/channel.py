@@ -27,7 +27,7 @@ class Awgn:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError("noise variance must be nonnegative")
 
     def to_config(self):
@@ -40,7 +40,7 @@ class SlowFading:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError("noise variance must be nonnegative")
 
     def to_config(self):
@@ -53,7 +53,7 @@ class FastFading:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError("noise variance must be nonnegative")
 
     def to_config(self):

@@ -20,6 +20,7 @@ import traceback
 
 from .bounds import min_distance_lower_bound, rate_report
 from .codebook import ConcatCodebook, export_codewords_csv, plan_params, write_params_json
+from .config import NUMBER, Key, epilog, resolve
 from .errors import DegenerateFadingError, InfeasibleError, ValidationFailure
 from .fading import parse_distribution
 from .harness import (
@@ -40,55 +41,57 @@ from .packing import (
 )
 
 CONSTRUCT_KEYS = {
-    "n": "block length",
-    "a": "distance exponent margin in (0, 1/8)",
-    "power_bound": "energy budget A per codeword",
-    "eps1": "inner code distance fraction",
-    "eps2": "outer code distance fraction",
-    "field_seed": "seed for the field modulus searches (--seed sets this)",
-    "export_codewords": "write the first k codewords to codewords.csv (0 = skip)",
+    "n": Key(int, "block length", min=1, required=True),
+    "a": Key(float, "distance exponent margin in (0, 1/8)", required=True),
+    "power_bound": Key(float, "energy budget A per codeword"),
+    "eps1": Key(float, "inner code distance fraction"),
+    "eps2": Key(float, "outer code distance fraction"),
+    "field_seed": Key(int, "seed for the field modulus searches (--seed sets this)", min=0),
+    "export_codewords": Key(int, "write the first k codewords to codewords.csv (0 = skip)",
+                            min=0, default=0),
 }
 
 BOUNDS_KEYS = {
-    "n": "block length",
-    "log2_size": "log2 of the codebook size",
-    "power_bound": "energy budget A",
-    "sigma2": "noise variance (used for the distance lower bound)",
-    "lambda1": "type-I error budget",
-    "lambda2": "type-II error budget",
-    "d_min": "minimum distance; derived from the error budgets if omitted",
-    "fading": "fading law record for the reference capacities (optional)",
-    "snr": "signal to noise ratio for the reference capacities (optional)",
-    "outage_eps": "outage probability for the outage capacity (optional)",
+    "n": Key(float, "block length", required=True),
+    "log2_size": Key(float, "log2 of the codebook size", required=True),
+    "power_bound": Key(float, "energy budget A", default=1.0),
+    "sigma2": Key(float, "noise variance (used for the distance lower bound)", default=1.0),
+    "lambda1": Key(float, "type-I error budget", default=0.0),
+    "lambda2": Key(float, "type-II error budget", default=0.0),
+    "d_min": Key(float, "minimum distance; derived from the error budgets if omitted"),
+    "fading": Key(dict, "fading law record for the reference capacities", default=None),
+    "snr": Key(float, "signal to noise ratio for the reference capacities", default=None),
+    "outage_eps": Key(float, "outage probability for the outage capacity", default=None),
 }
 
 MOMENTS_KEYS = {
-    "distributions": "list of fading law records to sweep",
-    "modes": "subset of [\"csi\", \"nocsi\"]",
-    "n": "vector length for the synthetic codewords",
-    "draws": "Monte Carlo draws per check",
-    "sigma2": "noise variance",
-    "pair_count": "codeword pairs per law and mode",
-    "vector_power": "per-coordinate variance of the synthetic codewords",
-    "seed": "master seed",
-    "chunk": "draws per batch",
-    "tolerance_sigmas": "allowed deviation in standard errors",
+    "distributions": Key(list, "list of fading law records to sweep", min=1, required=True),
+    "modes": Key(list, "subset of [\"csi\", \"nocsi\"]"),
+    "n": Key(int, "vector length for the synthetic codewords", min=1),
+    "draws": Key(int, "Monte Carlo draws per check", min=1),
+    "sigma2": Key(float, "noise variance"),
+    "pair_count": Key(int, "codeword pairs per law and mode", min=1),
+    "vector_power": Key(float, "per-coordinate variance of the synthetic codewords"),
+    "seed": Key(int, "master seed", min=0),
+    "chunk": Key(int, "draws per batch", min=1),
+    "tolerance_sigmas": Key(float, "allowed deviation in standard errors"),
 }
 
 PACKING_KEYS = {
-    "spec.n": "dimension",
-    "spec.target_size": "how many vectors to aim for",
-    "spec.power_bound": "hard energy cap A (power n*A)",
-    "spec.sampling_power": "sampling variance A' < A",
-    "spec.distance_exponent": "margin a; distance floor is n^(1/4 + a)",
-    "spec.seed": "sampling seed (--seed sets this)",
-    "spec.fourth_moment_bound": "fourth-power budget per coordinate (optional)",
-    "profile": " | ".join(PROFILES),
-    "check_projection": "also run the projected-distance check (bool)",
-    "projection.mu": "fraction of coordinates that survive projection",
-    "projection.alpha": "projected distances must reach n^alpha",
-    "projection.mode": "exhaustive | sampled",
-    "projection.sample_count": "subsets per pair in sampled mode",
+    "spec.n": Key(int, "dimension", min=1, required=True),
+    "spec.target_size": Key(int, "how many vectors to aim for", min=1, required=True),
+    "spec.power_bound": Key(float, "hard energy cap A (power n*A)", default=1.0),
+    "spec.sampling_power": Key(float, "sampling variance A' < A", default=0.5),
+    "spec.distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)",
+                                  required=True),
+    "spec.seed": Key(int, "sampling seed (--seed sets this)", min=0),
+    "spec.fourth_moment_bound": Key(NUMBER, "fourth-power budget per coordinate", default=None),
+    "profile": Key(str, " | ".join(PROFILES)),
+    "check_projection": Key(bool, "also run the projected-distance check", default=False),
+    "projection.mu": Key(float, "fraction of coordinates that survive projection", default=1.0),
+    "projection.alpha": Key(float, "projected distances must reach n^alpha", default=0.25),
+    "projection.mode": Key(str, "exhaustive | sampled", default="sampled"),
+    "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1),
 }
 
 
@@ -132,21 +135,14 @@ def _load_config(args) -> dict:
     return _deep_merge(cfg, _parse_set(args.set or []))
 
 
-def _resolve_seed(args, cfg: dict, key: str = "seed") -> dict:
+def _seed(args, seed):
+    """--seed beats the config; with neither, draw a seed and print it."""
     if args.seed is not None:
-        cfg[key] = int(args.seed)
-    if cfg.get(key) is None:
-        cfg[key] = secrets.randbelow(2**31)
-        print(f"seed: {cfg[key]} (drawn; pass --seed to reproduce)")
-    return cfg
-
-def _dig(cfg: dict, dotted: str, default=None):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
+        return args.seed
+    if seed is None:
+        seed = secrets.randbelow(2**31)
+        print(f"seed: {seed} (drawn; pass --seed to reproduce)")
+    return seed
 
 
 def _outdir(args) -> str:
@@ -159,29 +155,17 @@ def _echo_config(outdir: str, cfg: dict) -> None:
                       json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
 
-def _keys_epilog(keys: dict) -> str:
-    lines = ["config keys (settable via the JSON config or --set):"]
-    lines += [f"  {k:28s} {v}" for k, v in keys.items()]
-    return "\n".join(lines)
-
-
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
     if args.seed is not None:
         # construction is deterministic; the seed only steers modulus search
-        cfg["field_seed"] = int(args.seed)
+        cfg["field_seed"] = args.seed
+    kw = resolve(cfg, CONSTRUCT_KEYS)
+    limit = kw.pop("export_codewords")
     outdir = _outdir(args)
-    params = plan_params(
-        n=int(cfg["n"]),
-        a=float(cfg["a"]),
-        power_bound=float(cfg.get("power_bound", 1.0)),
-        eps1=float(cfg.get("eps1", 0.1)),
-        eps2=float(cfg.get("eps2", 0.1)),
-        field_seed=int(cfg.get("field_seed", 0)),
-    )
+    params = plan_params(**kw)
     _echo_config(outdir, cfg)
     write_params_json(os.path.join(outdir, "params.json"), params)
-    limit = int(cfg.get("export_codewords", 0))
     if limit > 0:
         book = ConcatCodebook(params)
         export_codewords_csv(os.path.join(outdir, "codewords.csv"), book, limit)
@@ -193,7 +177,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_seed(args, _load_config(args))
+    cfg = _load_config(args)
+    cfg["seed"] = _seed(args, cfg.get("seed"))
     outdir = _outdir(args)
     exp = ExperimentConfig.from_dict(cfg)
     _echo_config(outdir, exp.to_dict())
@@ -211,21 +196,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
+    kw = resolve(cfg, BOUNDS_KEYS)
     outdir = _outdir(args)
-    sigma2 = float(cfg.get("sigma2", 1.0))
-    lam = float(cfg.get("lambda1", 0.0)) + float(cfg.get("lambda2", 0.0))
-    derived_d = min_distance_lower_bound(lam, math.sqrt(sigma2)) if lam > 0 else 0.0
-    d_min = float(cfg.get("d_min", derived_d))
-    dist = parse_distribution(cfg["fading"]) if cfg.get("fading") else None
-    report = rate_report(
-        n=float(cfg["n"]),
-        log2_size=float(cfg["log2_size"]),
-        power_bound=float(cfg.get("power_bound", 1.0)),
-        d_min=d_min,
-        dist=dist,
-        snr=None if cfg.get("snr") is None else float(cfg["snr"]),
-        outage_eps=None if cfg.get("outage_eps") is None else float(cfg["outage_eps"]),
-    )
+    lam = kw.pop("lambda1") + kw.pop("lambda2")
+    sigma = math.sqrt(kw.pop("sigma2"))
+    derived_d = min_distance_lower_bound(lam, sigma) if lam > 0 else 0.0
+    kw.setdefault("d_min", derived_d)
+    fading = kw.pop("fading")
+    report = rate_report(dist=parse_distribution(fading) if fading else None, **kw)
     _echo_config(outdir, cfg)
     payload = {
         "n": report.n, "log2_size": report.log2_size, "rate": report.rate,
@@ -245,23 +223,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    cfg = _resolve_seed(args, _load_config(args))
+    cfg = _load_config(args)
+    cfg["seed"] = _seed(args, cfg.get("seed"))
+    kw = resolve(cfg, MOMENTS_KEYS)
     outdir = _outdir(args)
-    dists = tuple(parse_distribution(d) for d in cfg.get("distributions", []))
-    if not dists:
-        raise ValueError("moments needs at least one entry under 'distributions'")
-    grid = MomentGridConfig(
-        distributions=dists,
-        modes=tuple(cfg.get("modes", ("csi", "nocsi"))),
-        n=int(cfg.get("n", 64)),
-        draws=int(cfg.get("draws", 1_000_000)),
-        sigma2=float(cfg.get("sigma2", 1.0)),
-        pair_count=int(cfg.get("pair_count", 3)),
-        vector_power=float(cfg.get("vector_power", 1.0)),
-        seed=int(cfg["seed"]),
-        chunk=int(cfg.get("chunk", 20_000)),
-        tolerance_sigmas=float(cfg.get("tolerance_sigmas", 4.0)),
-    )
+    kw["distributions"] = tuple(parse_distribution(d) for d in kw["distributions"])
+    if "modes" in kw:
+        kw["modes"] = tuple(kw["modes"])
+    grid = MomentGridConfig(**kw)
     _echo_config(outdir, cfg)
     report = moment_validation(grid)
     write_text_atomic(os.path.join(outdir, "moments.json"), report.to_json() + "\n")
@@ -287,30 +256,21 @@ def cmd_moments(args) -> int:
 
 def cmd_packing(args) -> int:
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg.setdefault("spec", {})["seed"] = int(args.seed)
-    if _dig(cfg, "spec.seed") is None:
-        cfg.setdefault("spec", {})["seed"] = secrets.randbelow(2**31)
-        print(f"seed: {cfg['spec']['seed']} (drawn; pass --seed to reproduce)")
+    spec_cfg = cfg.setdefault("spec", {})
+    if isinstance(spec_cfg, dict):  # anything else is refused by resolve
+        spec_cfg["seed"] = _seed(args, spec_cfg.get("seed"))
+    kw = resolve(cfg, PACKING_KEYS)
+    projection, check_projection = kw.pop("projection"), kw.pop("check_projection")
     outdir = _outdir(args)
-    spec = PackingSpec(
-        n=int(_dig(cfg, "spec.n")),
-        target_size=int(_dig(cfg, "spec.target_size")),
-        power_bound=float(_dig(cfg, "spec.power_bound", 1.0)),
-        sampling_power=float(_dig(cfg, "spec.sampling_power", 0.5)),
-        distance_exponent=float(_dig(cfg, "spec.distance_exponent")),
-        seed=int(_dig(cfg, "spec.seed")),
-        fourth_moment_bound=_dig(cfg, "spec.fourth_moment_bound"),
-    )
-    profile = cfg.get("profile", "basic")
+    spec = PackingSpec(**kw.pop("spec"))
     _echo_config(outdir, cfg)
-    vectors, report = generate_expurgated(spec, profile)
-    problems = verify_packing(vectors, spec, profile)
+    vectors, report = generate_expurgated(spec, **kw)
+    problems = verify_packing(vectors, spec, report.profile)
     if problems:
         for p in problems[:10]:
             print(f"  VERIFY {p}", file=sys.stderr)
         raise ValidationFailure("independent packing verification failed")
-    export_csv(os.path.join(outdir, "vectors.csv"), vectors, spec, profile)
+    export_csv(os.path.join(outdir, "vectors.csv"), vectors, spec, report.profile)
     payload = {
         "profile": report.profile, "seed": report.seed, "sampled": report.sampled,
         "requested": report.requested, "survivors": report.survivors,
@@ -318,15 +278,8 @@ def cmd_packing(args) -> int:
         "removed": {"power": report.removed_power, "fourth": report.removed_fourth,
                     "band": report.removed_band, "distance": report.removed_distance},
     }
-    if cfg.get("check_projection"):
-        proj = check_projection_property(
-            vectors,
-            mu=float(_dig(cfg, "projection.mu", 1.0)),
-            alpha=float(_dig(cfg, "projection.alpha", 0.25)),
-            mode=_dig(cfg, "projection.mode", "sampled"),
-            sample_count=int(_dig(cfg, "projection.sample_count", 200)),
-            seed=spec.seed,
-        )
+    if check_projection:
+        proj = check_projection_property(vectors, seed=spec.seed, **projection)
         payload["projection"] = {
             "mode": proj.mode, "subset_size": proj.subset_size,
             "threshold": proj.threshold, "certified": proj.certified,
@@ -341,16 +294,25 @@ def cmd_packing(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "construct": (cmd_construct, "plan and build a concatenated codebook", CONSTRUCT_KEYS),
+    "simulate": (cmd_simulate, "run identification trials over a channel", CONFIG_KEYS),
+    "bounds": (cmd_bounds, "rate bounds and reference capacities", BOUNDS_KEYS),
+    "moments": (cmd_moments, "validate the closed-form statistic moments by Monte Carlo",
+                MOMENTS_KEYS),
+    "packing": (cmd_packing, "sample and expurgate a sphere packing", PACKING_KEYS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicode",
         description="Identification codebooks, fading channel trials, and rate bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, keys):
+    for name, (fn, help_text, keys) in COMMANDS.items():
         p = sub.add_parser(
-            name, help=help_text, epilog=_keys_epilog(keys),
+            name, help=help_text, epilog=epilog(keys),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", help="JSON config file")
@@ -361,18 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="also emit CSV tables when set to csv")
         p.set_defaults(fn=fn)
-        return p
-
-    add("construct", cmd_construct,
-        "plan and build a concatenated codebook", CONSTRUCT_KEYS)
-    add("simulate", cmd_simulate,
-        "run identification trials over a channel", CONFIG_KEYS)
-    add("bounds", cmd_bounds,
-        "rate bounds and reference capacities", BOUNDS_KEYS)
-    add("moments", cmd_moments,
-        "validate the closed-form statistic moments by Monte Carlo", MOMENTS_KEYS)
-    add("packing", cmd_packing,
-        "sample and expurgate a sphere packing", PACKING_KEYS)
     return parser
 
 

@@ -88,7 +88,7 @@ class ConcatParams:
     def __post_init__(self):
         if not 0 < self.a < 0.125:
             raise ValueError("a must lie in (0, 1/8)")
-        if self.power_bound <= 0:
+        if not self.power_bound > 0:
             raise ValueError("power bound must be positive")
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
             raise ValueError("distance fractions must lie in (0, 1)")
@@ -143,7 +143,7 @@ class AmplitudeAlphabet:
     def __init__(self, q1: int, power_bound: float):
         if q1 < 2:
             raise ValueError("need at least two amplitude levels")
-        if power_bound <= 0:
+        if not power_bound > 0:
             raise ValueError("power bound must be positive")
         root = math.sqrt(power_bound)
         self.q1 = q1
@@ -299,7 +299,7 @@ class ConcatCodebook:
         # poly as digit rows, little-endian in the coefficient index
         poly = ext.digit_rows([1])                      # the constant 1
         for i in range(k2 - 1):
-            neg_pt = ext.neg(self.outer_code.point(i))
+            neg_pt = ext.neg(i)  # the i-th evaluation point is element i
             shifted = np.vstack([ext.digit_rows([0]), poly])     # x * poly
             scaled = ext.vmul(poly, np.repeat(ext.digit_rows([neg_pt]), len(poly), axis=0))
             poly = ext.vadd(shifted, np.vstack([scaled, ext.digit_rows([0])]))
@@ -330,25 +330,6 @@ class ConcatCodebook:
         for row in partner_rows[::-1]:
             partner = partner * p.q2 + ext.from_digits(row)
         return partner
-
-
-_codebook_cache: dict[tuple, ConcatCodebook] = {}
-
-
-def encode_identity(params: ConcatParams, index: int) -> np.ndarray:
-    """Module-level encoder; caches the built codebook per parameter set."""
-    key = (params.q1, params.n, params.n1, params.k1, params.n2, params.k2,
-           params.power_bound, params.field_seed)
-    book = _codebook_cache.get(key)
-    if book is None:
-        book = _codebook_cache[key] = ConcatCodebook(params)
-    return book.encode(index)
-
-
-def codeword_stats(u: np.ndarray) -> tuple[float, float, float]:
-    """(sum of squares, sum of fourth powers, max |coordinate|)."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sum(u**2)), float(np.sum(u**4)), float(np.max(np.abs(u)))
 
 
 def write_params_json(path, params: ConcatParams) -> None:

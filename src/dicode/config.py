@@ -1,0 +1,109 @@
+"""Config key tables: one per subcommand, driving parsing, validation and help.
+
+A table maps each dotted key (``trials.identities``) to a ``Key``.
+Anything a table does not describe is refused, never dropped.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import math
+from dataclasses import dataclass
+
+NUMBER = (int, float)  # a number, kept as given rather than made a float
+_UNSET = object()
+_NAMES = {int: "an integer", float: "a number", NUMBER: "a number", bool: "true or false",
+          str: "a string", dict: "a record (JSON object)", list: "a list"}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key.
+
+    ``type`` is int, float, NUMBER, bool, str, dict (a record its own
+    parser checks) or list.  Integral floats pass as int and ints as
+    float; floats must be finite.  ``min`` bounds a number, or the
+    length of a list.  ``default`` is given only where no constructor
+    owns it; a default of None also admits an explicit null.
+    """
+
+    type: type | tuple
+    help: str
+    min: float | None = None
+    default: object = _UNSET
+    required: bool = False
+
+    def check(self, path: str, value):
+        """The value as its constructor takes it; ValueError naming path if it is wrong."""
+        if value is None and self.default is None:
+            return None
+        if self.type is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif self.type is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, bool) != (self.type is bool) or not isinstance(value, self.type):
+            raise ValueError(f"{path} must be {_NAMES[self.type]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path} must be finite, got {value!r}")
+        if self.min is not None:
+            if isinstance(value, list) and len(value) < self.min:
+                raise ValueError(f"{path} has {len(value)} entries, fewer than {self.min}")
+            if not isinstance(value, list) and value < self.min:
+                raise ValueError(f"{path} must be at least {self.min}, got {value!r}")
+        return value
+
+
+def resolve(cfg: dict, table: dict[str, Key], prefix: str = "") -> dict:
+    """Check cfg against the keys of table under prefix; return the typed values.
+
+    The result nests like cfg, with the prefix stripped and table
+    defaults filled in.  An unknown key, a missing required key or a
+    value of the wrong type raises ValueError naming the dotted key.
+    """
+    out: dict = {}
+    seen = set()
+
+    def put(path: str, value) -> None:
+        *groups, last = path[len(prefix):].split(".")
+        node = out
+        for g in groups:
+            node = node.setdefault(g, {})
+        node[last] = value
+        seen.add(path)
+
+    def walk(node: dict, base: str) -> None:
+        for name, value in node.items():
+            path = base + name
+            group = any(k.startswith(path + ".") for k in table)
+            if path in table:
+                put(path, table[path].check(path, value))
+            elif isinstance(value, dict) and (value or group):
+                walk(value, path + ".")
+            elif group:
+                raise ValueError(f"{path} must be {_NAMES[dict]}, got {value!r}")
+            else:
+                close = difflib.get_close_matches(path, table, n=1)
+                hint = f" (did you mean {close[0]!r}?)" if close else ""
+                raise ValueError(f"unknown config key {path!r}{hint}")
+
+    walk(cfg, prefix)
+    for path, key in table.items():
+        if not path.startswith(prefix) or path in seen:
+            continue
+        if key.required:
+            raise ValueError(f"missing required config key {path!r}")
+        if key.default is not _UNSET:
+            put(path, key.default)
+    return out
+
+
+def epilog(table: dict[str, Key]) -> str:
+    """The key table as --help prints it."""
+    lines = ["config keys (settable via the JSON config or --set):"]
+    for path, key in table.items():
+        facts = _NAMES[key.type] + ("" if key.min is None else f" >= {key.min}")
+        if key.required or key.default is not _UNSET:
+            facts += ", required" if key.required else f", default {json.dumps(key.default)}"
+        lines.append(f"  {path:28s} {key.help} [{facts}]")
+    return "\n".join(lines)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -90,6 +89,10 @@ class FadingDistribution:
 class Constant(FadingDistribution):
     value: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("constant fading value must be finite")
+
     def sample(self, rng, size=None):
         if size is None:
             return self.value
@@ -123,7 +126,7 @@ class Rayleigh(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("Rayleigh scale must be positive")
 
     def sample(self, rng, size=None):
@@ -161,7 +164,7 @@ class Rician(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.shape < 0 or self.scale <= 0:
+        if not (self.shape >= 0 and self.scale > 0):
             raise ValueError("Rician needs shape >= 0 and scale > 0")
 
     def _nu_s(self):
@@ -213,7 +216,7 @@ class Nakagami(FadingDistribution):
     spread: float = 1.0
 
     def __post_init__(self):
-        if self.shape < 0.5 or self.spread <= 0:
+        if not (self.shape >= 0.5 and self.spread > 0):
             raise ValueError("Nakagami needs shape >= 1/2 and spread > 0")
 
     def sample(self, rng, size=None):
@@ -266,10 +269,10 @@ class DiscreteMixture(FadingDistribution):
         for value, prob in self.atoms:
             if not math.isfinite(value):
                 raise ValueError("atom values must be finite")
-            if prob < 0:
+            if not prob >= 0:
                 raise ValueError("atom probabilities must be nonnegative")
             total += prob
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
     def _arrays(self):
@@ -300,19 +303,22 @@ class DiscreteMixture(FadingDistribution):
         return {"type": "discrete", "atoms": [[v, p] for v, p in self.atoms]}
 
 
+_LAWS = {"constant": Constant, "rayleigh": Rayleigh, "rician": Rician,
+         "nakagami": Nakagami, "discrete": DiscreteMixture}
+
+
 def parse_distribution(cfg: dict) -> FadingDistribution:
-    kind = cfg.get("type")
-    if kind == "constant":
-        return Constant(float(cfg["value"]))
-    if kind == "rayleigh":
-        return Rayleigh(float(cfg["scale"]))
-    if kind == "rician":
-        return Rician(float(cfg["shape"]), float(cfg["scale"]))
-    if kind == "nakagami":
-        return Nakagami(float(cfg["shape"]), float(cfg["spread"]))
-    if kind == "discrete":
-        return DiscreteMixture(tuple((float(v), float(p)) for v, p in cfg["atoms"]))
-    raise ValueError(f"unknown fading distribution type {kind!r}")
+    """Build a law from a record that names its type and exactly its parameters."""
+    law = _LAWS.get(cfg.get("type")) if isinstance(cfg, dict) else None
+    if law is None:
+        raise ValueError(f"unknown fading law record {cfg!r}")
+    params = list(law.__dataclass_fields__)
+    if set(cfg) != {"type", *params}:
+        raise ValueError(f"a {cfg['type']} fading record takes {params}, got "
+                         f"{sorted(set(cfg) - {'type'})}")
+    if law is DiscreteMixture:
+        return law(tuple((float(v), float(p)) for v, p in cfg["atoms"]))
+    return law(*(float(cfg[f]) for f in params))
 
 
 def quantile_abs(dist: FadingDistribution, eta: float) -> float:
@@ -353,11 +359,3 @@ def quantile_abs(dist: FadingDistribution, eta: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def sample(dist: FadingDistribution, rng: np.random.Generator, size=None):
-    return dist.sample(rng, size)
-
-
-def moments(dist: FadingDistribution) -> FadingMoments:
-    return dist.moments()

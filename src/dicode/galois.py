@@ -381,19 +381,6 @@ def make_field(p: int, m: int, seed: int = 0) -> FieldContext:
     return FieldContext(p, m, modulus, seed)
 
 
-def field_arith(ctx, op: str, a: int, b: int | None = None) -> int:
-    """Thin dispatcher over a field context: op in {add, mul, neg, inv}."""
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    if op == "neg":
-        return ctx.neg(a)
-    if op == "inv":
-        return ctx.inv(a)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 
 

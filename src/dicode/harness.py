@@ -24,12 +24,14 @@ import tempfile
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from .channel import ChannelModel, FastFading, SlowFading, parse_channel, transmit
 from .codebook import ConcatCodebook, plan_params
+from .config import Key, resolve
 from .decoder import OUTAGE, REJECT, CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, quantile_abs
@@ -41,34 +43,38 @@ _TAG_TYPE1 = 1
 _TAG_TYPE2 = 2
 _TAG_PAIRS = 3
 
-# Dotted config keys understood by experiment configs; the CLI help for
-# `simulate` is generated from this list and a test keeps them in sync.
+# the key table behind ExperimentConfig.from_dict and the `simulate` help
 CONFIG_KEYS = {
-    "seed": "master seed (drawn and echoed if omitted)",
-    "workers": "worker count; partitions trials, never changes results",
-    "channel.type": "awgn | slow-fading | fast-fading",
-    "channel.sigma2": "noise variance per coordinate",
-    "channel.fading": "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0}",
-    "codebook.type": "concat | packing | csv",
-    "codebook.n": "block length (concat)",
-    "codebook.a": "distance exponent margin in (0, 1/8) (concat)",
-    "codebook.power_bound": "energy budget A (concat)",
-    "codebook.eps1": "inner distance fraction (concat)",
-    "codebook.eps2": "outer distance fraction (concat)",
-    "codebook.field_seed": "seed for the modulus searches (concat)",
-    "codebook.profile": "basic | fourth-moment | norm-concentrated (packing)",
-    "codebook.spec": "packing spec record (packing)",
-    "codebook.path": "CSV path, one vector per row (csv)",
-    "verifier.mode": "csi-fast | csi-slow | no-csi",
-    "verifier.deviation_scale": "multiplier on the threshold deviation term",
-    "trials.identities": "distinct identities sampled for type-I trials",
-    "trials.per_identity": "genuine transmissions per identity",
-    "trials.pairs": "impostor pairs sampled (includes the close pairs)",
-    "trials.per_pair": "impostor transmissions per pair",
-    "trials.min_distance_pairs": "how many of the pairs differ in one outer symbol",
-    "outage_eta": "slow fading only: outage probability budget",
-    "allow_degenerate_outage": "admit laws with P(h=0) > eta by forcing radius 0",
+    "schema": Key(int, "config schema version (1)"),
+    "seed": Key(int, "master seed (drawn and echoed if omitted)", min=0),
+    "workers": Key(int, "worker count; partitions trials, never changes results", min=1),
+    "channel.type": Key(str, "awgn | slow-fading | fast-fading", required=True),
+    "channel.sigma2": Key(float, "noise variance per coordinate"),
+    "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0}"),
+    "codebook.type": Key(str, "concat | packing | csv", required=True),
+    "codebook.n": Key(int, "block length (concat)", min=1),
+    "codebook.a": Key(float, "distance exponent margin in (0, 1/8) (concat)"),
+    "codebook.power_bound": Key(float, "energy budget A (concat)"),
+    "codebook.eps1": Key(float, "inner distance fraction (concat)"),
+    "codebook.eps2": Key(float, "outer distance fraction (concat)"),
+    "codebook.field_seed": Key(int, "seed for the modulus searches (concat)", min=0),
+    "codebook.profile": Key(str, "basic | fourth-moment | norm-concentrated (packing)"),
+    "codebook.spec": Key(dict, "packing spec record (packing)"),
+    "codebook.path": Key(str, "CSV path, one vector per row (csv)"),
+    "verifier.mode": Key(str, "csi-fast | csi-slow | no-csi", default="csi-fast"),
+    "verifier.deviation_scale": Key(float, "multiplier on the threshold deviation term"),
+    "trials.identities": Key(int, "distinct identities sampled for type-I trials", min=1),
+    "trials.per_identity": Key(int, "genuine transmissions per identity", min=1),
+    "trials.pairs": Key(int, "impostor pairs sampled (includes the close pairs)", min=0),
+    "trials.per_pair": Key(int, "impostor transmissions per pair", min=1),
+    "trials.min_distance_pairs": Key(int, "pairs that differ in one outer symbol", min=0),
+    "outage_eta": Key(float, "slow fading only: outage probability budget", default=None),
+    "allow_degenerate_outage": Key(bool, "admit laws with P(h=0) > eta by forcing radius 0"),
 }
+
+# (required, optional) keys of each codebook type, below `codebook.`
+_CODEBOOK_KEYS = {"concat": (("n", "a"), ("power_bound", "eps1", "eps2", "field_seed")),
+                  "packing": (("spec",), ("profile",)), "csv": (("path",), ())}
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -176,28 +182,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        known = {"channel", "codebook", "verifier", "trials", "seed", "workers",
-                 "outage_eta", "allow_degenerate_outage", "schema"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        trials = cfg.get("trials", {})
-        verifier = cfg.get("verifier", {})
-        return cls(
-            channel=parse_channel(cfg["channel"]),
-            codebook=dict(cfg["codebook"]),
-            verifier_mode=verifier.get("mode", "csi-fast"),
-            identities=int(trials.get("identities", 50)),
-            per_identity=int(trials.get("per_identity", 20)),
-            pairs=int(trials.get("pairs", 100)),
-            per_pair=int(trials.get("per_pair", 10)),
-            min_distance_pairs=int(trials.get("min_distance_pairs", 10)),
-            seed=int(cfg.get("seed", 0)),
-            workers=int(cfg.get("workers", 1)),
-            deviation_scale=float(verifier.get("deviation_scale", 1.0)),
-            outage_eta=None if cfg.get("outage_eta") is None else float(cfg["outage_eta"]),
-            allow_degenerate_outage=bool(cfg.get("allow_degenerate_outage", False)),
-        )
+        """Check cfg against CONFIG_KEYS; the codebook record is kept as given."""
+        kw = resolve(cfg, CONFIG_KEYS)
+        if kw.pop("schema", _SCHEMA) != _SCHEMA:
+            raise ValueError(f"unsupported config schema {cfg['schema']!r}")
+        _codebook_args(kw.pop("codebook"))
+        verifier = kw.pop("verifier")
+        return cls(channel=parse_channel(kw.pop("channel")), codebook=dict(cfg["codebook"]),
+                   verifier_mode=verifier.pop("mode"), **verifier, **kw.pop("trials", {}), **kw)
 
     def to_dict(self) -> dict:
         return {
@@ -219,38 +211,46 @@ class ExperimentConfig:
         }
 
 
+def _codebook_args(cfg: dict) -> tuple[str, dict]:
+    """Check a codebook record; returns its type and the arguments it takes."""
+    kw = resolve(cfg, CONFIG_KEYS, "codebook.")
+    kind = kw.pop("type")
+    if kind not in _CODEBOOK_KEYS:
+        raise ValueError(f"unknown codebook type {kind!r}")
+    required, optional = _CODEBOOK_KEYS[kind]
+    missing = [k for k in required if k not in kw]
+    if missing:
+        raise ValueError(f"a {kind} codebook needs codebook.{missing[0]}")
+    extra = sorted(set(kw) - {*required, *optional})
+    if extra:
+        raise ValueError(f"a {kind} codebook takes no codebook.{extra[0]}")
+    if "profile" in kw.get("spec", {}):
+        raise ValueError("codebook.spec.profile is not a spec field; set codebook.profile")
+    return kind, kw
+
+
 def build_codebook(cfg: dict):
     """Materialize the codebook a config asks for; returns (book, summary)."""
-    kind = cfg.get("type")
+    kind, kw = _codebook_args(cfg)
     if kind == "concat":
-        params = plan_params(
-            n=int(cfg["n"]),
-            a=float(cfg["a"]),
-            power_bound=float(cfg.get("power_bound", 1.0)),
-            eps1=float(cfg.get("eps1", 0.1)),
-            eps2=float(cfg.get("eps2", 0.1)),
-            field_seed=int(cfg.get("field_seed", 0)),
-        )
+        params = plan_params(**kw)
         book = ConcatCodebook(params)
         summary = {"type": "concat", "params": params.to_json_dict(),
                    "size_log2": params.log2_size}
         return book, summary
     if kind == "packing":
-        spec = PackingSpec.from_json_dict({**cfg["spec"], "schema": 1})
-        profile = cfg.get("profile", "basic")
-        vectors, report = generate_expurgated(spec, profile)
+        spec = PackingSpec.from_json_dict({**kw.pop("spec"), "schema": 1})
+        vectors, report = generate_expurgated(spec, **kw)
         book = ArrayCodebook(vectors)
-        summary = {"type": "packing", "spec": spec.to_json_dict(), "profile": profile,
+        summary = {"type": "packing", "spec": spec.to_json_dict(), "profile": report.profile,
                    "survivors": report.survivors,
                    "removed": {"power": report.removed_power,
                                "fourth": report.removed_fourth,
                                "band": report.removed_band,
                                "distance": report.removed_distance}}
         return book, summary
-    if kind == "csv":
-        book = ArrayCodebook(load_csv(cfg["path"]))
-        return book, {"type": "csv", "path": str(cfg["path"]), "size": book.size}
-    raise ValueError(f"unknown codebook type {kind!r}")
+    book = ArrayCodebook(load_csv(kw["path"]))
+    return book, {"type": "csv", "path": kw["path"], "size": book.size}
 
 
 def _build_verifier(cfg: ExperimentConfig):
@@ -296,22 +296,19 @@ class TrialReport:
                           sort_keys=True, indent=1)
 
     def identities_csv(self) -> str:
-        head = "slot,identity,trials,errors,outages,error_rate,ci_lo,ci_hi"
-        rows = [head]
-        for r in self.results["type1"]["per_identity"]:
-            rows.append(",".join(str(r[k]) for k in
-                                 ("slot", "identity", "trials", "errors", "outages",
-                                  "error_rate", "ci_lo", "ci_hi")))
-        return "\n".join(rows) + "\n"
+        return _csv(self.results["type1"]["per_identity"],
+                    ("slot", "identity", "trials", "errors", "outages", "error_rate",
+                     "ci_lo", "ci_hi"))
 
     def pairs_csv(self) -> str:
-        head = "slot,sent,verified,kind,trials,accepts,outages,accept_rate,ci_lo,ci_hi"
-        rows = [head]
-        for r in self.results["type2"]["per_pair"]:
-            rows.append(",".join(str(r[k]) for k in
-                                 ("slot", "sent", "verified", "kind", "trials", "accepts",
-                                  "outages", "accept_rate", "ci_lo", "ci_hi")))
-        return "\n".join(rows) + "\n"
+        return _csv(self.results["type2"]["per_pair"],
+                    ("slot", "sent", "verified", "kind", "trials", "accepts", "outages",
+                     "accept_rate", "ci_lo", "ci_hi"))
+
+
+def _csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+    lines = [",".join(columns)] + [",".join(str(r[k]) for k in columns) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _rate(successes: int, trials: int):
@@ -413,7 +410,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         eff = cfg.per_identity - outages
         rate, lo, hi = _rate(errors, eff)
         per_identity.append({
-            "slot": slot, "identity": str(identity_ids[slot]),
+            # Decimal, as str() refuses the 4300+ digits concatenated identities reach
+            "slot": slot, "identity": str(Decimal(identity_ids[slot])),
             "trials": cfg.per_identity, "errors": errors, "outages": outages,
             "error_rate": rate, "ci_lo": lo, "ci_hi": hi,
         })
@@ -432,7 +430,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         eff = cfg.per_pair - outages
         rate, lo, hi = _rate(accepts, eff)
         per_pair.append({
-            "slot": slot, "sent": str(sent_idx), "verified": str(ver_idx), "kind": kind,
+            "slot": slot, "sent": str(Decimal(sent_idx)), "verified": str(Decimal(ver_idx)),
+            "kind": kind,
             "trials": cfg.per_pair, "accepts": accepts, "outages": outages,
             "accept_rate": rate, "ci_lo": lo, "ci_hi": hi,
         })
@@ -549,18 +548,10 @@ class MomentReport:
             "schema": _SCHEMA,
             "draws": self.draws,
             "elapsed_s": self.elapsed_s,
-            "rows": [asdict_row(r) for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "failures": len(self.failures),
         }
         return json.dumps(payload, sort_keys=True, indent=1)
-
-
-def asdict_row(r: MomentCheckRow) -> dict:
-    return {
-        "case": r.case, "statistic": r.statistic, "quantity": r.quantity,
-        "formula": r.formula, "estimate": r.estimate, "std_error": r.std_error,
-        "deviation": r.deviation, "ok": r.ok,
-    }
 
 
 def _mc_statistic_moments(dist, mode, u_center, u_sent, sigma2, draws, chunk, rng):

@@ -74,8 +74,12 @@ class PackingSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PackingSpec":
+        """Read a spec record; the ``profile`` an export sidecar adds is skipped."""
         if data.get("schema") != _SCHEMA:
             raise ValueError(f"unsupported packing schema {data.get('schema')!r}")
+        unknown = sorted(set(data) - {*cls.__dataclass_fields__, "schema", "profile"})
+        if unknown:
+            raise ValueError(f"unknown packing spec fields {unknown}")
         kwargs = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
         missing = {"n", "target_size", "power_bound", "sampling_power",
                    "distance_exponent"} - set(kwargs)

@@ -31,12 +31,6 @@ class RSCode:
     def min_distance(self) -> int:
         return self.length - self.dim + 1
 
-    def point(self, i: int) -> int:
-        """Element index of the i-th evaluation point (canonical order)."""
-        if not 0 <= i < self.length:
-            raise ValueError(f"point index {i} outside [0, {self.length})")
-        return i
-
     def __repr__(self) -> str:
         return f"RSCode(q={getattr(self.field, 'q', None)}, n={self.length}, k={self.dim})"
 
@@ -102,11 +96,3 @@ class RSCode:
                 digs[:, d] = rem
             cached = self._points_cache = digs
         return cached
-
-
-def rs_encode(code: RSCode, message: Sequence[int]) -> list[int]:
-    return code.encode(message)
-
-
-def rs_min_distance(code: RSCode) -> int:
-    return code.min_distance

@@ -1,17 +1,24 @@
 """Command line front end: exit codes, artifacts, and help/docs sync."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
 from dicode.cli import (
     BOUNDS_KEYS,
+    COMMANDS,
     CONSTRUCT_KEYS,
     MOMENTS_KEYS,
     PACKING_KEYS,
+    _deep_merge,
+    _parse_set,
     main,
 )
-from dicode.harness import CONFIG_KEYS
+from dicode.config import resolve
+from dicode.harness import CONFIG_KEYS, ExperimentConfig
 
 
 def run(argv):
@@ -260,3 +267,113 @@ def test_help_lists_every_config_key(command, keys, capsys):
         assert key in text, f"{command} --help is missing {key}"
     for flag in ("--config", "--set", "--seed", "--outdir", "--format"):
         assert flag in text
+
+
+# -- strict key tables -----------------------------------------------------
+
+
+VALID_ARGS = {
+    "construct": ["n=500", "a=0.02"],
+    "simulate": ["channel.type=awgn", "codebook.type=concat", "codebook.n=500",
+                 "codebook.a=0.02", "trials.identities=2", "trials.per_identity=2",
+                 "trials.pairs=2", "trials.per_pair=2", "trials.min_distance_pairs=1"],
+    "bounds": ["n=1024", "log2_size=512", "d_min=4.0"],
+    "moments": ['distributions=[{"type": "constant", "value": 1.0}]', "n=16", "draws=1000",
+                "pair_count=1"],
+    "packing": ["spec.n=32", "spec.target_size=20", "spec.distance_exponent=0.05"],
+}
+
+# (subcommand, one bad --set, what stderr must say); bounds has no counts
+# and only simulate and packing have bools
+BAD_SETTINGS = [
+    ("construct", "eps=0.5", ["'eps'", "did you mean 'eps"]),
+    ("construct", "a=NaN", ["a must be finite"]),
+    ("construct", "n=0", ["n must be at least 1"]),
+    ("construct", "export_codewords=2.7", ["export_codewords must be an integer"]),
+    ("construct", "field.seed=1", ["'field.seed'", "did you mean 'field_seed'"]),
+    ("simulate", "workerz=2", ["'workerz'", "did you mean 'workers'"]),
+    ("simulate", "channel.sigma2=NaN", ["channel.sigma2 must be finite"]),
+    ("simulate", "trials.per_pair=0", ["trials.per_pair must be at least 1"]),
+    ("simulate", "trials.identities=2.7", ["trials.identities must be an integer"]),
+    ("simulate", 'allow_degenerate_outage="no"', ["allow_degenerate_outage must be true or false"]),
+    ("simulate", "trials.type1_per_identity=5",
+     ["'trials.type1_per_identity'", "did you mean 'trials.per_identity'"]),
+    ("bounds", "sigm2=2", ["'sigm2'", "did you mean 'sigma2'"]),
+    ("bounds", "snr=NaN", ["snr must be finite"]),
+    ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
+    ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
+    ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
+    ("moments", "draws=0", ["draws must be at least 1"]),
+    ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
+    ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),
+    ("packing", "projecton.mu=0.5", ["'projecton.mu'", "did you mean 'projection.mu'"]),
+    ("packing", "spec.power_bound=NaN", ["spec.power_bound must be finite"]),
+    ("packing", "spec.target_size=0", ["spec.target_size must be at least 1"]),
+    ("packing", "projection.sample_count=2.7", ["projection.sample_count must be an integer"]),
+    ("packing", "check_projection=no", ["check_projection must be true or false"]),
+    ("packing", "spec.fourth=1", ["'spec.fourth'", "did you mean 'spec.fourth_moment_bound'"]),
+]
+
+
+@pytest.mark.parametrize("command,setting,says", BAD_SETTINGS,
+                         ids=[f"{c}:{s}" for c, s, _ in BAD_SETTINGS])
+def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, capsys):
+    sets = [arg for item in VALID_ARGS[command] + [setting] for arg in ("--set", item)]
+    assert run([command, "--outdir", str(tmp_path), "--seed", "1", *sets]) == 2
+    err = capsys.readouterr().err
+    for text in says:
+        assert text in err
+    assert list(tmp_path.iterdir()) == []  # refused before writing anything
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_bad_setting_bases_are_valid(command, tmp_path):
+    sets = [arg for item in VALID_ARGS[command] for arg in ("--set", item)]
+    assert run([command, "--outdir", str(tmp_path), "--seed", "1", *sets]) == 0
+
+
+def test_simulate_resolved_config_round_trips(tmp_path):
+    cfg = {"channel": {"type": "slow-fading", "sigma2": 0.25,
+                       "fading": {"type": "discrete", "atoms": [[0.0, 0.3], [1.0, 0.7]]}},
+           "codebook": {"type": "concat", "n": 500, "a": 0.02},
+           "verifier": {"mode": "csi-slow"}, "outage_eta": 0.4,
+           "trials": {"identities": 3, "per_identity": 4, "pairs": 3,
+                      "per_pair": 3, "min_distance_pairs": 1}}
+    first, second = tmp_path / "first", tmp_path / "second"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(tmp_path / "cfg.json"), "--seed", "4",
+                "--outdir", str(first)]) == 0
+    assert run(["simulate", "--config", str(first / "resolved_config.json"),
+                "--outdir", str(second)]) == 0
+    results = [json.dumps(json.loads((d / "report.json").read_text())["results"],
+                          sort_keys=True, indent=1) for d in (first, second)]
+    assert results[0] == results[1]
+    assert ((first / "resolved_config.json").read_text()
+            == (second / "resolved_config.json").read_text())
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_configs_pass_their_key_tables():
+    (sim_json,) = _readme_blocks("json")
+    ExperimentConfig.from_dict(json.loads(sim_json))
+    commands = [shlex.split(line) for block in _readme_blocks("sh")
+                for line in block.splitlines() if line.startswith("dicode ")]
+    assert sorted({words[1] for words in commands}) == sorted(COMMANDS)
+    for words in commands:
+        cfg = _parse_set([value for flag, value in zip(words, words[1:]) if flag == "--set"])
+        if "--config" in words:
+            cfg = _deep_merge(json.loads(sim_json), cfg)
+        resolve(cfg, COMMANDS[words[1]][2])
+
+
+def test_readme_library_example_runs(capsys):
+    (example,) = _readme_blocks("python")
+    exec(example, {})
+    rate = float(capsys.readouterr().out.strip())
+    assert 0.0 <= rate <= 1.0

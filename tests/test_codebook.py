@@ -18,8 +18,6 @@ from dicode.codebook import (
     AmplitudeAlphabet,
     ConcatCodebook,
     ConcatParams,
-    codeword_stats,
-    encode_identity,
     export_codewords_csv,
     guaranteed_distance,
     load_params_json,
@@ -217,18 +215,6 @@ def test_close_partner_is_the_global_minimum_for_the_tiny_book():
     global_min = np.min(d0[1:])
     partner_d = d0[book.close_partner(0)]
     assert partner_d <= global_min * 4 + 1e-9  # same bucket, not a far pair
-
-
-def test_module_level_encoder_caches_but_agrees():
-    p = tiny_params()
-    direct = ConcatCodebook(p).encode(17)
-    assert np.array_equal(encode_identity(p, 17), direct)
-    assert np.array_equal(encode_identity(p, 17), direct)  # cached path
-
-
-def test_codeword_stats():
-    s2, s4, linf = codeword_stats(np.array([1.0, -2.0, 0.0]))
-    assert (s2, s4, linf) == (5.0, 17.0, 2.0)
 
 
 def test_params_json_round_trip(tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from dicode.galois import (
     ExtensionContext,
     FieldContext,
-    field_arith,
     is_irreducible,
     is_prime,
     make_extension,
@@ -129,16 +128,6 @@ def test_multiplicative_group_is_cyclic():
         orders.add(k)
         assert 15 % k == 0
     assert 15 in orders  # a primitive element exists
-
-
-def test_field_arith_dispatcher():
-    ctx = make_field(7, 1, seed=0)
-    assert field_arith(ctx, "add", 3, 5) == 1
-    assert field_arith(ctx, "mul", 3, 5) == 1
-    assert field_arith(ctx, "neg", 3) == 4
-    assert field_arith(ctx, "inv", 3) == 5
-    with pytest.raises(ValueError):
-        field_arith(ctx, "sub", 1, 2)
 
 
 def test_prime_and_prime_power_classifiers():

@@ -306,3 +306,44 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(not r.ok for r in mean_rows)
     assert min(r.deviation for r in mean_rows) > 10.0   # not a borderline trip
     assert all(r.ok for r in var_rows)
+
+
+class _HugeBook:
+    """Stands in for a codebook whose identities pass 4300 decimal digits."""
+
+    size = 10**5000
+    n = 16
+
+    def __init__(self):
+        self.seen = set()
+
+    def codeword(self, index):
+        self.seen.add(index)
+        return np.random.default_rng(index % 2**32).choice([-1.0, 1.0], self.n)
+
+    def close_partner(self, index):
+        return index ^ 1
+
+
+def _from_digits(digits: str) -> int:
+    # int() refuses strings past 4300 digits, so rebuild in chunks
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
+def test_reports_write_identities_past_the_int_to_str_limit(monkeypatch):
+    import dicode.harness as harness_mod
+
+    book = _HugeBook()
+    monkeypatch.setattr(harness_mod, "build_codebook", lambda cfg: (book, {"type": "stub"}))
+    rep = run_experiment(small_config(trials={"identities": 3, "per_identity": 2, "pairs": 3,
+                                              "per_pair": 2, "min_distance_pairs": 1}))
+    written = [r["identity"] for r in rep.results["type1"]["per_identity"]]
+    written += [r[k] for r in rep.results["type2"]["per_pair"] for k in ("sent", "verified")]
+    assert max(len(w) for w in written) > 4300
+    assert all(w.isdigit() and not w.startswith("0") for w in written)
+    assert {_from_digits(w) for w in written} == book.seen
+    assert len(rep.identities_csv().splitlines()) == 4

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dicode.galois import make_extension, make_field
-from dicode.rs import RSCode, rs_encode, rs_min_distance
+from dicode.rs import RSCode
 
 
 def all_codewords(code):
@@ -61,7 +61,7 @@ def test_minimum_weight_meets_singleton_bound(p, m, length, dim):
         hamming(w, zero) for w in all_codewords(code) if tuple(w) != zero
     )
     assert wmin == length - dim + 1
-    assert rs_min_distance(code) == length - dim + 1
+    assert code.min_distance == length - dim + 1
 
 
 def test_encoding_is_linear():
@@ -100,11 +100,6 @@ def test_digit_encode_matches_scalar_encode_over_extension():
         got_digits = code.encode_digits(digits)
         got = [ext.from_digits(r) for r in got_digits]
         assert got == want
-
-
-def test_rs_encode_wrapper():
-    code = RSCode(make_field(5, 1), 4, 2)
-    assert rs_encode(code, (1, 1)) == [1, 2, 3, 4]
 
 
 def test_rejects_impossible_parameters():
