@@ -88,6 +88,9 @@ def parse_channel(cfg: dict) -> ChannelModel:
     kind = cfg.get("type")
     sigma2 = float(cfg.get("sigma2", 1.0))
     if kind == "awgn":
+        if "fading" in cfg:
+            raise ValueError("channel.fading is set, but an awgn channel has no fading; "
+                             "use slow-fading or fast-fading, or drop channel.fading")
         return Awgn(sigma2)
     if kind == "slow-fading":
         return SlowFading(parse_distribution(cfg["fading"]), sigma2)

@@ -86,11 +86,12 @@ PACKING_KEYS = {
                                   required=True),
     "spec.seed": Key(int, "sampling seed (--seed sets this)", min=0),
     "spec.fourth_moment_bound": Key(NUMBER, "fourth-power budget per coordinate", default=None),
-    "profile": Key(str, " | ".join(PROFILES)),
+    "profile": Key(str, "expurgation profile", choices=PROFILES),
     "check_projection": Key(bool, "also run the projected-distance check", default=False),
     "projection.mu": Key(float, "fraction of coordinates that survive projection", default=1.0),
     "projection.alpha": Key(float, "projected distances must reach n^alpha", default=0.25),
-    "projection.mode": Key(str, "exhaustive | sampled", default="sampled"),
+    "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
+                           default="sampled", choices=("exhaustive", "sampled")),
     "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1),
 }
 

@@ -10,6 +10,16 @@ Identities are integers below M = q2^k2.  Encoding walks down the tower:
            -sqrt(A) + 2 sqrt(A) j / (q1 - 1)
         -> n1*n2 coordinates plus zero padding up to n.
 
+The outer step is GF(p)-linear (Forney's concatenated structure): an
+identity's base-p digits are the coordinates of its k2 outer symbols
+over GF(p), ``RSCode.encode_coords`` evaluates them with per-point
+multiply matrices and one float32 matrix product per block of points,
+and the base-p digits of each outer symbol regroup into its k1 base-q1
+inner message digits.  The close partner's minimum-weight polynomial is
+built with the same matrices.  The digit-matrix path
+(``RSCode.encode_digits`` over ``ExtensionContext.vmul``/``vadd``) is
+kept as reference code only.
+
 Distinct identities differ in at least d2 outer symbols, each of which
 forces at least d1 inner coordinates apart by at least one amplitude
 step, so the Euclidean distance is at least
@@ -28,7 +38,14 @@ import numpy as np
 
 from .bounds import di_rate
 from .errors import InfeasibleError
-from .galois import make_extension, make_field, prime_power
+from .galois import (
+    digits_to_int,
+    int_to_digits,
+    make_extension,
+    make_field,
+    prime_power,
+    reduce_mod,
+)
 from .rs import RSCode
 
 _SCHEMA = 1
@@ -261,18 +278,20 @@ class ConcatCodebook:
     def size(self) -> int:
         return self.params.size
 
-    def encode(self, index: int) -> np.ndarray:
+    def _message_coords(self, index: int) -> np.ndarray:
+        """(k2, D) GF(p) coordinates of an identity's outer message symbols."""
         p = self.params
         if not 0 <= index < self.size:
             raise ValueError("identity index out of range")
-        digits = []
-        v = index
-        q2 = p.q2
-        for _ in range(p.k2):
-            v, r = divmod(v, q2)
-            digits.append(r)
-        msg = self.outer_field.digit_rows(digits)  # (k2, k1) inner-field indices
-        outer_symbols = self.outer_code.encode_digits(msg)  # (n2, k1)
+        D = self.outer_field.prime_degree
+        return int_to_digits(index, p.p, p.k2 * D).reshape(p.k2, D)
+
+    def encode(self, index: int) -> np.ndarray:
+        p = self.params
+        coords = self.outer_code.encode_coords(self._message_coords(index))  # (n2, D)
+        # regroup each outer symbol's base-p digits into k1 base-q1 digits
+        place = p.p ** np.arange(p.m)
+        outer_symbols = coords.reshape(p.n2, p.k1, p.m) @ place  # (n2, k1)
         inner_blocks = self.inner_code.encode_batch(outer_symbols)  # (n2, n1)
         amps = self.alphabet.levels[inner_blocks]
         if p.padding:
@@ -284,29 +303,30 @@ class ConcatCodebook:
         return self.encode(index)
 
     def _min_weight_delta(self) -> np.ndarray:
-        """Digit rows (k2, k1) of g(x) = prod_{i<k2-1} (x - point_i).
+        """GF(p) coordinates (k2, D) of g(x) = prod_{i<k2-1} (x - point_i).
 
         g is a message polynomial whose outer codeword vanishes on the
         first k2-1 evaluation points and nowhere else, so it has weight
         exactly d2 = n2 - k2 + 1: the minimum possible.  Adding it to
         any message yields a partner at the outer distance floor.
         """
-        cached = getattr(self, "_delta_digits", None)
+        cached = getattr(self, "_delta_coords", None)
         if cached is not None:
             return cached
         ext = self.outer_field
-        k1, k2 = self.params.k1, self.params.k2
-        # poly as digit rows, little-endian in the coefficient index
-        poly = ext.digit_rows([1])                      # the constant 1
+        k2, p, D = self.params.k2, self.params.p, ext.prime_degree
+        points = ext.coordinates(np.arange(k2 - 1))  # the i-th evaluation point is element i
+        poly = np.zeros((k2, D), dtype=np.float32)  # little-endian coefficient rows
+        poly[0, 0] = 1  # the constant 1
         for i in range(k2 - 1):
-            neg_pt = ext.neg(i)  # the i-th evaluation point is element i
-            shifted = np.vstack([ext.digit_rows([0]), poly])     # x * poly
-            scaled = ext.vmul(poly, np.repeat(ext.digit_rows([neg_pt]), len(poly), axis=0))
-            poly = ext.vadd(shifted, np.vstack([scaled, ext.digit_rows([0])]))
-        if len(poly) < k2:
-            poly = np.vstack([poly, np.zeros((k2 - len(poly), k1), dtype=poly.dtype)])
-        self._delta_digits = poly
-        return poly
+            # poly <- x * poly - point_i * poly, degree i -> i + 1
+            scaled = poly[: i + 1] @ ext.mul_matrices(points[i])[0].T.astype(np.float32)
+            poly[1 : i + 2] = poly[: i + 1]
+            poly[0] = 0
+            poly[: i + 1] -= scaled
+            reduce_mod(poly[: i + 2], p)
+        self._delta_coords = poly.astype(np.int8)
+        return self._delta_coords
 
     def close_partner(self, index: int) -> int:
         """An identity whose outer codeword differs in exactly d2 symbols.
@@ -315,21 +335,8 @@ class ConcatCodebook:
         pairs sit at the guaranteed distance floor; the harness uses them
         as worst-case impostors.
         """
-        p = self.params
-        if not 0 <= index < self.size:
-            raise ValueError("identity index out of range")
-        ext = self.outer_field
-        digits = []
-        v = index
-        for _ in range(p.k2):
-            v, r = divmod(v, p.q2)
-            digits.append(r)
-        msg = ext.digit_rows(digits)
-        partner_rows = ext.vadd(msg, self._min_weight_delta())
-        partner = 0
-        for row in partner_rows[::-1]:
-            partner = partner * p.q2 + ext.from_digits(row)
-        return partner
+        coords = self._message_coords(index) + self._min_weight_delta()
+        return digits_to_int(coords.ravel() % self.params.p, self.params.p)
 
 
 def write_params_json(path, params: ConcatParams) -> None:

@@ -24,8 +24,9 @@ class Key:
     ``type`` is int, float, NUMBER, bool, str, dict (a record its own
     parser checks) or list.  Integral floats pass as int and ints as
     float; floats must be finite.  ``min`` bounds a number, or the
-    length of a list.  ``default`` is given only where no constructor
-    owns it; a default of None also admits an explicit null.
+    length of a list.  ``choices`` lists every value a scalar may take.
+    ``default`` is given only where no constructor owns it; a default of
+    None also admits an explicit null.
     """
 
     type: type | tuple
@@ -33,6 +34,7 @@ class Key:
     min: float | None = None
     default: object = _UNSET
     required: bool = False
+    choices: tuple = ()
 
     def check(self, path: str, value):
         """The value as its constructor takes it; ValueError naming path if it is wrong."""
@@ -51,6 +53,11 @@ class Key:
                 raise ValueError(f"{path} has {len(value)} entries, fewer than {self.min}")
             if not isinstance(value, list) and value < self.min:
                 raise ValueError(f"{path} must be at least {self.min}, got {value!r}")
+        if self.choices and value not in self.choices:
+            close = difflib.get_close_matches(str(value), [str(c) for c in self.choices], n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ValueError(f"{path} must be one of {', '.join(map(json.dumps, self.choices))}, "
+                             f"got {value!r}{hint}")
         return value
 
 
@@ -103,6 +110,8 @@ def epilog(table: dict[str, Key]) -> str:
     lines = ["config keys (settable via the JSON config or --set):"]
     for path, key in table.items():
         facts = _NAMES[key.type] + ("" if key.min is None else f" >= {key.min}")
+        if key.choices:
+            facts = "one of " + ", ".join(map(json.dumps, key.choices))
         if key.required or key.default is not _UNSET:
             facts += ", required" if key.required else f", default {json.dumps(key.default)}"
         lines.append(f"  {path:28s} {key.help} [{facts}]")

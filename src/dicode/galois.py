@@ -9,10 +9,17 @@ Two element representations are used:
   numpy operation tables so batch encoders can run as table gathers.
 
 * ``ExtensionContext`` models GF(q^k) on top of a ``FieldContext`` with
-  order q.  Elements are integer indices whose base-q digits are the
-  coefficients over the base field.  Orders here grow with the code
-  length and are handled as arbitrary-precision integers; vectorised
-  arithmetic works on digit matrices instead of dense tables.
+  order q = p^m.  Elements are integer indices whose base-q digits are
+  the coefficients over the base field.  Orders here grow with the code
+  length and are handled as arbitrary-precision integers.
+
+The encoder works over the prime field: the D = k*m base-p digits of an
+extension element's index are its coordinates over GF(p), addition is
+coordinate-wise mod p, and multiplication by a fixed element is a fixed
+D x D matrix over GF(p).  ``ExtensionContext.mul_matrices`` builds those
+matrices for many elements at once from D basis matrices, which come
+from the scalar ``mul``.  The digit-matrix operations ``vadd``/``vmul``
+remain as tested reference code; the benchmark tracer wraps them by name.
 
 Both contexts pick their irreducible modulus by a deterministic seeded
 search, so the same (parameters, seed) always yields the same field.
@@ -31,6 +38,9 @@ TABLE_LIMIT = 512
 # count; beyond it the search draws candidates from the seeded stream.
 ENUM_LIMIT = 1 << 16
 _SEARCH_CAP = 200_000
+# float32 holds every integer below this exactly; GF(p) products of
+# coordinates run in float32 while their sums stay below it
+FLOAT32_EXACT = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -233,6 +243,68 @@ def _undigits(digits: Sequence[int], base: int) -> int:
     return value
 
 
+def _word_digits(base: int) -> int:
+    """How many base-`base` digits fit in one int64 word with room to spare."""
+    per = 1
+    while base ** (per + 1) < 2**62:
+        per += 1
+    return per
+
+
+def int_to_digits(value: int, base: int, width: int) -> np.ndarray:
+    """The low ``width`` base-``base`` digits of value, little-endian (int64).
+
+    The integer is halved recursively down to runs of machine words, so a
+    value with tens of thousands of digits costs balanced divisions
+    rather than one long chain of them.
+    """
+    per = _word_digits(base)
+    word = base**per
+    words: list[int] = []
+
+    def split(v: int, count: int) -> None:
+        if count > 16:
+            half = count // 2
+            hi, lo = divmod(v, word**half)
+            split(lo, half)
+            split(hi, count - half)
+            return
+        for _ in range(count):
+            v, rem = divmod(v, word)
+            words.append(rem)
+
+    split(value, -(-width // per))
+    place = base ** np.arange(per, dtype=np.int64)
+    return (np.array(words, dtype=np.int64)[:, None] // place % base).ravel()[:width]
+
+
+def digits_to_int(digits: np.ndarray, base: int) -> int:
+    """Inverse of ``int_to_digits``: little-endian base-``base`` digits to an int."""
+    per = _word_digits(base)
+    padded = np.zeros(-(-len(digits) // per) * per, dtype=np.int64)
+    padded[: len(digits)] = digits
+    words = padded.reshape(-1, per) @ base ** np.arange(per, dtype=np.int64)
+    value = 0
+    word = base**per
+    for w in words[::-1]:
+        value = value * word + int(w)
+    return value
+
+
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float32 array of integers below 2^24 in magnitude.
+
+    floor(x / p) is exact there because IEEE division rounds correctly (the
+    quotient stays more than half an ulp away from the next integer), and
+    it is much cheaper than ``np.mod`` on floats.
+    """
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -388,7 +460,8 @@ class ExtensionContext:
     """GF(q^k) over a base FieldContext of order q.
 
     Element indices are arbitrary-precision integers; the base-q digits of
-    an index are the element's coefficients over the base field.  Vector
+    an index are the element's coefficients over the base field, and its
+    base-p digits are its ``prime_degree`` coordinates over GF(p).  Vector
     operations act on (N, k) digit matrices of base-field indices and
     require the base field to carry dense tables.
     """
@@ -487,6 +560,46 @@ class ExtensionContext:
             acc = self.mul(acc, acc)
             e >>= 1
         return result
+
+    # -- GF(p)-linear algebra on coordinate vectors
+
+    @property
+    def prime_degree(self) -> int:
+        """D = degree * m: the dimension of this field over GF(p)."""
+        return self.degree * self.base.m
+
+    def _require_int8_coordinates(self) -> None:
+        D, p = self.prime_degree, self.base.p
+        if p > 127 or D * p * p >= FLOAT32_EXACT:
+            raise ValueError(f"GF({p}^{D}) coordinates exceed int8, or float32 products of them")
+
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        """(N, D) int8 GF(p) coordinates of element indices below 2^63."""
+        self._require_int8_coordinates()
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.empty((len(idx), self.prime_degree), dtype=np.int8)
+        for d in range(self.prime_degree):
+            idx, out[:, d] = np.divmod(idx, self.base.p)
+        return out
+
+    def mul_matrices(self, coords: np.ndarray) -> np.ndarray:
+        """(N, D, D) int8: the GF(p) matrix of multiplication by each element.
+
+        coords holds the elements' (N, D) coordinates.  The map a -> M_a
+        is GF(p)-linear, so M_a = sum_l a_l B_l over the D basis matrices
+        B_l, and all N matrices come from one product mod p.  Column j of
+        M_a holds the coordinates of a * p^j (the j-th basis element).
+        """
+        self._require_int8_coordinates()
+        D, p = self.prime_degree, self.base.p
+        basis = getattr(self, "_mul_basis", None)
+        if basis is None:
+            unit = [p**j for j in range(D)]
+            cols = [[int_to_digits(self.mul(b, c), p, D) for c in unit] for b in unit]
+            basis = np.ascontiguousarray(np.array(cols, dtype=np.float32).transpose(0, 2, 1))
+            self._mul_basis = basis
+        prod = np.asarray(coords, dtype=np.float32).reshape(-1, D) @ basis.reshape(D, D * D)
+        return reduce_mod(prod, p).astype(np.int8).reshape(-1, D, D)
 
     # -- vector arithmetic on (N, degree) digit matrices
 

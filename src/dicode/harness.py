@@ -35,7 +35,7 @@ from .config import Key, resolve
 from .decoder import OUTAGE, REJECT, CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, quantile_abs
-from .packing import PackingSpec, generate_expurgated, load_csv
+from .packing import PROFILES, PackingSpec, generate_expurgated, load_csv
 
 _SCHEMA = 1
 _TAG_IDENTITIES = 0
@@ -43,25 +43,32 @@ _TAG_TYPE1 = 1
 _TAG_TYPE2 = 2
 _TAG_PAIRS = 3
 
+# (required, optional) keys of each codebook type, below `codebook.`
+_CODEBOOK_KEYS = {"concat": (("n", "a"), ("power_bound", "eps1", "eps2", "field_seed")),
+                  "packing": (("spec",), ("profile",)), "csv": (("path",), ())}
+
 # the key table behind ExperimentConfig.from_dict and the `simulate` help
 CONFIG_KEYS = {
-    "schema": Key(int, "config schema version (1)"),
+    "schema": Key(int, "config schema version", choices=(_SCHEMA,)),
     "seed": Key(int, "master seed (drawn and echoed if omitted)", min=0),
     "workers": Key(int, "worker count; partitions trials, never changes results", min=1),
-    "channel.type": Key(str, "awgn | slow-fading | fast-fading", required=True),
+    "channel.type": Key(str, "channel model", required=True,
+                        choices=("awgn", "slow-fading", "fast-fading")),
     "channel.sigma2": Key(float, "noise variance per coordinate"),
-    "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0}"),
-    "codebook.type": Key(str, "concat | packing | csv", required=True),
+    "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
+                                "(fading channels only)"),
+    "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
     "codebook.n": Key(int, "block length (concat)", min=1),
     "codebook.a": Key(float, "distance exponent margin in (0, 1/8) (concat)"),
     "codebook.power_bound": Key(float, "energy budget A (concat)"),
     "codebook.eps1": Key(float, "inner distance fraction (concat)"),
     "codebook.eps2": Key(float, "outer distance fraction (concat)"),
     "codebook.field_seed": Key(int, "seed for the modulus searches (concat)", min=0),
-    "codebook.profile": Key(str, "basic | fourth-moment | norm-concentrated (packing)"),
+    "codebook.profile": Key(str, "expurgation profile (packing)", choices=PROFILES),
     "codebook.spec": Key(dict, "packing spec record (packing)"),
     "codebook.path": Key(str, "CSV path, one vector per row (csv)"),
-    "verifier.mode": Key(str, "csi-fast | csi-slow | no-csi", default="csi-fast"),
+    "verifier.mode": Key(str, "ball-threshold verifier", default="csi-fast",
+                         choices=("csi-fast", "csi-slow", "no-csi")),
     "verifier.deviation_scale": Key(float, "multiplier on the threshold deviation term"),
     "trials.identities": Key(int, "distinct identities sampled for type-I trials", min=1),
     "trials.per_identity": Key(int, "genuine transmissions per identity", min=1),
@@ -71,10 +78,6 @@ CONFIG_KEYS = {
     "outage_eta": Key(float, "slow fading only: outage probability budget", default=None),
     "allow_degenerate_outage": Key(bool, "admit laws with P(h=0) > eta by forcing radius 0"),
 }
-
-# (required, optional) keys of each codebook type, below `codebook.`
-_CODEBOOK_KEYS = {"concat": (("n", "a"), ("power_bound", "eps1", "eps2", "field_seed")),
-                  "packing": (("spec",), ("profile",)), "csv": (("path",), ())}
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -184,8 +187,7 @@ class ExperimentConfig:
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         """Check cfg against CONFIG_KEYS; the codebook record is kept as given."""
         kw = resolve(cfg, CONFIG_KEYS)
-        if kw.pop("schema", _SCHEMA) != _SCHEMA:
-            raise ValueError(f"unsupported config schema {cfg['schema']!r}")
+        kw.pop("schema", None)  # resolve admits only the current one
         _codebook_args(kw.pop("codebook"))
         verifier = kw.pop("verifier")
         return cls(channel=parse_channel(kw.pop("channel")), codebook=dict(cfg["codebook"]),

@@ -90,6 +90,9 @@ def test_parse_round_trips():
         assert parse_channel(m.to_config()) == m
     with pytest.raises(ValueError):
         parse_channel({"type": "quantum", "sigma2": 1.0})
+    # a fading law on an awgn channel would be dropped without a word
+    with pytest.raises(ValueError, match="channel.fading"):
+        parse_channel({"type": "awgn", "sigma2": 1.0, "fading": Rayleigh(1.0).to_config()})
 
 
 def test_rejects_negative_noise_but_allows_zero():

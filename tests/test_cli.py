@@ -265,6 +265,8 @@ def test_help_lists_every_config_key(command, keys, capsys):
     assert "config keys" in text
     for key in keys:
         assert key in text, f"{command} --help is missing {key}"
+        for choice in keys[key].choices:
+            assert json.dumps(choice) in text, f"{command} --help is missing {key}={choice}"
     for flag in ("--config", "--set", "--seed", "--outdir", "--format"):
         assert flag in text
 
@@ -298,6 +300,15 @@ BAD_SETTINGS = [
     ("simulate", 'allow_degenerate_outage="no"', ["allow_degenerate_outage must be true or false"]),
     ("simulate", "trials.type1_per_identity=5",
      ["'trials.type1_per_identity'", "did you mean 'trials.per_identity'"]),
+    ("simulate", 'channel.fading={"type": "rayleigh", "scale": 1.0}',
+     ["channel.fading", "awgn channel has no fading"]),
+    ("simulate", "channel.type=awgnn", ["channel.type must be one of", "did you mean 'awgn'"]),
+    ("simulate", "verifier.mode=csi_fast", ["verifier.mode must be one of",
+                                            "did you mean 'csi-fast'"]),
+    ("simulate", "codebook.type=concatenated", ["codebook.type must be one of",
+                                                "did you mean 'concat'"]),
+    ("simulate", "codebook.profile=fourth", ["codebook.profile must be one of"]),
+    ("simulate", "schema=2", ["schema must be one of 1, got 2"]),
     ("bounds", "sigm2=2", ["'sigm2'", "did you mean 'sigma2'"]),
     ("bounds", "snr=NaN", ["snr must be finite"]),
     ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
@@ -312,6 +323,10 @@ BAD_SETTINGS = [
     ("packing", "projection.sample_count=2.7", ["projection.sample_count must be an integer"]),
     ("packing", "check_projection=no", ["check_projection must be true or false"]),
     ("packing", "spec.fourth=1", ["'spec.fourth'", "did you mean 'spec.fourth_moment_bound'"]),
+    ("packing", "profile=norm-concentrate", ["profile must be one of",
+                                             "did you mean 'norm-concentrated'"]),
+    ("packing", "projection.mode=exhaustiv", ["projection.mode must be one of",
+                                              "did you mean 'exhaustive'"]),
 ]
 
 

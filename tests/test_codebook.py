@@ -25,7 +25,7 @@ from dicode.codebook import (
     write_params_json,
 )
 from dicode.errors import InfeasibleError
-from dicode.galois import prime_power
+from dicode.galois import digits_to_int, prime_power
 
 
 def brute_force_plan(n, a, eps1, eps2):
@@ -134,6 +134,52 @@ def tiny_params(**overrides):
     )
     base.update(overrides)
     return ConcatParams(**base)
+
+
+def tower_params(q1, n1, k1, n2, k2, padding):
+    """A hand-made book over a chosen tower; every distance target is 0.1."""
+    p, m = prime_power(q1)
+    n = n1 * n2 + padding
+    log2_size = k1 * k2 * math.log2(q1)
+    return ConcatParams(
+        n=n, a=0.1, b=0.25 - math.log(q1) / math.log(n), power_bound=2.0, eps1=0.1,
+        eps2=0.1, q1=q1, p=p, m=m, n1=n1, k1=k1, n2=n2, k2=k2, padding=padding,
+        field_seed=5, log2_size=log2_size, rate=di_rate(log2_size, n),
+        min_euclidean_distance=guaranteed_distance(n1 - k1 + 1, n2 - k2 + 1, 2.0, q1),
+        meets_asymptotic_rate=False)
+
+
+# q1 prime; p = 2 with m = 2 and 3 (the towers of n = 1000 and n = 15625);
+# odd p with m = 2, which no benchmark workload reaches
+TOWERS = {"q1=5": (5, 5, 3, 40, 30, 0), "q1=4": (4, 4, 3, 50, 40, 3),
+          "q1=8": (8, 5, 2, 60, 45, 1), "q1=9": (9, 6, 2, 70, 55, 0)}
+
+
+@pytest.mark.parametrize("shape", sorted(TOWERS))
+def test_encoder_matches_the_scalar_tower_on_every_field_shape(shape):
+    p = tower_params(*TOWERS[shape])
+    book = ConcatCodebook(p)
+    ext = book.outer_field
+    rng = np.random.default_rng(p.q1)
+    ids = [0, p.size - 1] + [int(rng.integers(0, 2**62)) % p.size for _ in range(3)]
+
+    def outer(index):
+        # scalar oracle: base-q2 digits, then Horner with scalar field ops
+        return book.outer_code.encode([(index // p.q2**j) % p.q2 for j in range(p.k2)])
+
+    for index in ids:
+        symbols = outer(index)
+        # the coordinate encoder, symbol by symbol
+        coords = book.outer_code.encode_coords(book._message_coords(index))
+        assert [digits_to_int(row, p.p) for row in coords] == symbols
+        # the whole codeword: inner RS over each symbol's base-q1 digits,
+        # then the amplitude map and zero padding
+        inner = book.inner_code.encode_batch(ext.digit_rows(symbols))
+        want = np.concatenate([book.alphabet.levels[inner].ravel(), np.zeros(p.padding)])
+        assert np.array_equal(book.encode(index), want)
+        # the close partner's outer codeword differs in exactly d2 symbols
+        partner = outer(book.close_partner(index))
+        assert sum(a != b for a, b in zip(symbols, partner)) == p.d2
 
 
 def test_exhaustive_distance_on_a_complete_tiny_codebook():

@@ -1,0 +1,67 @@
+"""Frozen outputs: codewords, close partners and a canonical report.
+
+The hashes were recorded with the digit-matrix encoder (vector Horner
+over ``ExtensionContext.vmul``/``vadd``) before the encoder moved to
+GF(p) linear algebra.  Any change to how identities are encoded shows
+up here first; these values must never be updated to make a change pass.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from dicode.codebook import ConcatCodebook, plan_params
+from dicode.harness import ExperimentConfig, run_experiment
+
+
+def _words_sha(words) -> str:
+    return hashlib.sha256(np.ascontiguousarray(words, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def flagship():
+    return ConcatCodebook(plan_params(n=3000, a=0.035, power_bound=1.0))
+
+
+def _flagship_ids(book):
+    picker = random.Random(2024)
+    return [0, 1, book.size - 1] + [picker.randrange(book.size) for _ in range(2)]
+
+
+def test_flagship_codewords_are_frozen(flagship):
+    words = np.stack([flagship.encode(i) for i in _flagship_ids(flagship)])
+    assert _words_sha(words) == "3601b5d736a2e657d36311f4f5ed985813a26ea6305e2b3ec3972840466735af"
+
+
+def test_ladder_codewords_are_frozen():
+    # n = 1000 plans q1 = 4: p = 2 and m = 2, the tower shape of large n
+    book = ConcatCodebook(plan_params(n=1000, a=0.04, power_bound=1.0))
+    assert (book.params.p, book.params.m) == (2, 2)
+    picker = random.Random(1000)
+    ids = [0, 5, book.size - 1] + [picker.randrange(book.size) for _ in range(2)]
+    words = np.stack([book.encode(i) for i in ids])
+    assert _words_sha(words) == "af3af9bf9a647f9fdec0126b133fddc15bc6e7a7c4d4040b6299b4b4fab31541"
+
+
+def test_flagship_close_partners_are_frozen(flagship):
+    partners = [flagship.close_partner(i) for i in _flagship_ids(flagship)[3:]]
+    text = ",".join(str(j) for j in partners)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c17e91434673d81693716723b40eb7f0439eb4fed56a11f68cc8c296cfb7543d")
+
+
+def test_criterion_9_canonical_report_is_frozen():
+    cfg = {
+        "channel": {"type": "slow-fading", "sigma2": 0.25,
+                    "fading": {"type": "discrete", "atoms": [[0.0, 0.3], [1.0, 0.7]]}},
+        "codebook": {"type": "concat", "n": 500, "a": 0.02},
+        "verifier": {"mode": "csi-slow"},
+        "trials": {"identities": 8, "per_identity": 10, "pairs": 12, "per_pair": 5,
+                   "min_distance_pairs": 3},
+        "outage_eta": 0.4, "seed": 909, "workers": 1,
+    }
+    text = run_experiment(ExperimentConfig.from_dict(cfg)).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "13c8a47f884edfe4e3f0101e29bada3cf577c103f8379c92805e201d4d427c38")

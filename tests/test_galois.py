@@ -12,6 +12,8 @@ import pytest
 from dicode.galois import (
     ExtensionContext,
     FieldContext,
+    digits_to_int,
+    int_to_digits,
     is_irreducible,
     is_prime,
     make_extension,
@@ -170,6 +172,28 @@ class TestExtensionTower:
         back = [ext.from_digits(r) for r in rows]
         assert back == list(range(25))
 
+    @pytest.mark.parametrize("p,m,k", [(5, 1, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+    def test_mul_matrices_agree_with_scalar_mul(self, p, m, k):
+        # coordinates are the base-p digits of an index; M_a c is a * c
+        ext = make_extension(make_field(p, m, seed=1), k, seed=1)
+        D = ext.prime_degree
+        assert D == m * k and ext.order == p**D
+        rng = np.random.default_rng(p * 10 + m)
+        a = [int(x) for x in rng.integers(0, ext.order, size=30)]
+        c = [int(x) for x in rng.integers(0, ext.order, size=30)]
+        assert [digits_to_int(row, p) for row in ext.coordinates(a)] == a
+        mats = ext.mul_matrices(ext.coordinates(a)).astype(np.int64)
+        prods = np.einsum("nij,nj->ni", mats, ext.coordinates(c).astype(np.int64)) % p
+        assert [digits_to_int(row, p) for row in prods] == [
+            ext.mul(x, y) for x, y in zip(a, c)]
+
+    def test_coordinates_refuse_characteristics_past_int8(self):
+        ext = make_extension(make_field(131, 1), 2)
+        with pytest.raises(ValueError, match="int8"):
+            ext.coordinates([5])
+        with pytest.raises(ValueError, match="int8"):
+            ext.mul_matrices(np.zeros((1, 2)))
+
     def test_inverse_round_trips_in_a_large_extension(self):
         base = make_field(7, 1, seed=0)
         ext = make_extension(base, 3, seed=0)  # GF(343)
@@ -193,3 +217,18 @@ def test_rejects_bad_parameters():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_extension(make_field(2, 1), 0)
+
+
+@pytest.mark.parametrize("base,width", [(2, 1), (2, 5000), (5, 61), (5, 3000), (9, 700)])
+def test_int_digits_round_trip(base, width):
+    rng = np.random.default_rng(width)
+    value = int("".join(str(d) for d in rng.integers(0, 10, size=width // 2 + 1))) % base**width
+    digits = int_to_digits(value, base, width)
+    assert digits.shape == (width,) and digits.min() >= 0 and digits.max() < base
+    assert digits_to_int(digits, base) == value
+    # the low digits agree with plain repeated division
+    v, low = value, []
+    for _ in range(min(width, 40)):
+        v, r = divmod(v, base)
+        low.append(r)
+    assert list(digits[: len(low)]) == low

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dicode.galois import make_extension, make_field
+from dicode import rs
+from dicode.galois import digits_to_int, int_to_digits, make_extension, make_field
 from dicode.rs import RSCode
 
 
@@ -100,6 +101,38 @@ def test_digit_encode_matches_scalar_encode_over_extension():
         got_digits = code.encode_digits(digits)
         got = [ext.from_digits(r) for r in got_digits]
         assert got == want
+
+
+# (baby steps s, BLOCK_BYTES); TABLE_BYTES is set to give that s.  None
+# keeps the defaults, under which these small codes take s = dim (one
+# giant step).  s = 1 is plain Horner: with one-byte blocks it runs one
+# point and one giant step per block; with a large block every giant
+# step runs in one block, long enough that skipping the reduction mod p
+# would leave float32's exact range.  s = 3 with small blocks cuts both
+# the points and the message into several blocks.
+SIZES = {"default": None, "plain-horner": (1, 1), "one-block-horner": (1, 1 << 20),
+         "small-blocks": (3, 4 * 8 * 8 * 3 * 2)}
+
+
+@pytest.mark.parametrize("sizes", sorted(SIZES))
+@pytest.mark.parametrize("p,m,k,length,dim", [
+    (5, 1, 3, 40, 30), (2, 2, 3, 50, 40), (2, 3, 2, 60, 45), (3, 2, 2, 70, 55)])
+def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, monkeypatch):
+    ext = make_extension(make_field(p, m, seed=3), k, seed=3)
+    D = ext.prime_degree
+    if SIZES[sizes] is not None:
+        steps, block = SIZES[sizes]
+        monkeypatch.setattr(rs, "TABLE_BYTES", steps * length * D)
+        monkeypatch.setattr(rs, "BLOCK_BYTES", block)
+    code = RSCode(ext, length=length, dim=dim)
+    rng = np.random.default_rng(length)
+    for _ in range(4):
+        msg = [int(x) for x in rng.integers(0, ext.order, size=dim)]
+        coords = np.stack([int_to_digits(c, p, D) for c in msg])
+        got = [digits_to_int(row, p) for row in code.encode_coords(coords)]
+        assert got == code.encode(msg)
+    s = code._horner_tables()[0].shape[2]
+    assert s == (dim if SIZES[sizes] is None else SIZES[sizes][0])
 
 
 def test_rejects_impossible_parameters():
