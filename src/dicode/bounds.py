@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .errors import QuadratureError
 from .fading import Constant, DiscreteMixture, FadingDistribution
 
@@ -156,6 +154,8 @@ def shannon_ergodic_capacity(dist: FadingDistribution, snr: float) -> float:
         return math.log2(1.0 + dist.value**2 * snr)
     if isinstance(dist, DiscreteMixture):
         return float(sum(p * math.log2(1.0 + v * v * snr) for v, p in dist.atoms))
+    from scipy import integrate
+
     val, err = integrate.quad(
         lambda x: dist.pdf(x) * math.log2(1.0 + x * x * snr) if x > 0 else 0.0,
         0,

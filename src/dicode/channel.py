@@ -6,8 +6,9 @@ Three variants share one entry point:
 * ``SlowFading``  one fading draw per block, constant across coordinates
 * ``FastFading``  iid fading draws per coordinate
 
-``transmit`` draws the fading realization first and the noise second,
-always through the supplied Generator; that ordering is part of the
+``transmit`` sends one word per supplied Generator: a single word, or
+the rows of one (rows, n) array.  Each Generator draws its fading realization
+first and its noise second; that ordering is part of the
 reproducibility contract.
 """
 
@@ -63,25 +64,47 @@ class FastFading:
 ChannelModel = Union[Awgn, SlowFading, FastFading]
 
 
-def transmit(model: ChannelModel, u: np.ndarray, rng: np.random.Generator):
-    """Send codeword u once; returns (y, h_realization).
+def transmit(model: ChannelModel, u: np.ndarray, rng):
+    """Send codeword u once per generator.
 
-    h_realization is None for AWGN, a float for slow fading and an
-    array of per-coordinate coefficients for fast fading.
+    With one Generator this returns (y, h): h is None for AWGN, a float
+    for slow fading and an array of per-coordinate coefficients for fast
+    fading.  With a sequence of Generators it returns the block form
+    (Y, H): row r of Y is the word received with generator r, and H is
+    None, a vector with one coefficient per row, or a (rows, n) block.
+    Either way each generator draws its fading first and its noise
+    second, so row r equals the single send with generator r.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("codeword must be one-dimensional")
-    sigma = math.sqrt(model.sigma2)
-    if isinstance(model, Awgn):
-        return u + sigma * rng.standard_normal(u.size), None
+    if isinstance(rng, np.random.Generator):
+        Y, H = _transmit_rows(model, u, (rng,))
+        return Y[0], None if H is None else (float(H[0]) if H.ndim == 1 else H[0])
+    return _transmit_rows(model, u, rng)
+
+
+def _transmit_rows(model, u, rngs):
+    if not isinstance(model, (Awgn, SlowFading, FastFading)):
+        raise TypeError(f"unknown channel model {model!r}")
+    n = u.size
+    Y = np.empty((len(rngs), n))
+    H = None
     if isinstance(model, SlowFading):
-        h = float(model.fading.sample(rng))
-        return h * u + sigma * rng.standard_normal(u.size), h
-    if isinstance(model, FastFading):
-        h = np.asarray(model.fading.sample(rng, u.size), dtype=float)
-        return h * u + sigma * rng.standard_normal(u.size), h
-    raise TypeError(f"unknown channel model {model!r}")
+        H = np.empty(len(rngs))
+    elif isinstance(model, FastFading):
+        H = np.empty((len(rngs), n))
+    for r, rng in enumerate(rngs):
+        if H is not None:
+            H[r] = model.fading.sample(rng, None if H.ndim == 1 else n)
+        rng.standard_normal(out=Y[r])
+    # sigma*z + h*u, elementwise as in y = h x + z
+    Y *= math.sqrt(model.sigma2)
+    if H is None:
+        Y += u
+    else:
+        Y += (H[:, None] if H.ndim == 1 else H) * u
+    return Y, H
 
 
 def parse_channel(cfg: dict) -> ChannelModel:

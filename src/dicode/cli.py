@@ -66,7 +66,7 @@ BOUNDS_KEYS = {
 
 MOMENTS_KEYS = {
     "distributions": Key(list, "list of fading law records to sweep", min=1, required=True),
-    "modes": Key(list, "subset of [\"csi\", \"nocsi\"]"),
+    "modes": Key(list, "verifier modes to check", choices=("csi", "nocsi")),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
     "sigma2": Key(float, "noise variance"),

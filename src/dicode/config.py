@@ -24,7 +24,8 @@ class Key:
     ``type`` is int, float, NUMBER, bool, str, dict (a record its own
     parser checks) or list.  Integral floats pass as int and ints as
     float; floats must be finite.  ``min`` bounds a number, or the
-    length of a list.  ``choices`` lists every value a scalar may take.
+    length of a list.  ``choices`` lists every value a scalar, or each
+    entry of a list, may take.
     ``default`` is given only where no constructor owns it; a default of
     None also admits an explicit null.
     """
@@ -53,11 +54,14 @@ class Key:
                 raise ValueError(f"{path} has {len(value)} entries, fewer than {self.min}")
             if not isinstance(value, list) and value < self.min:
                 raise ValueError(f"{path} must be at least {self.min}, got {value!r}")
-        if self.choices and value not in self.choices:
-            close = difflib.get_close_matches(str(value), [str(c) for c in self.choices], n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ValueError(f"{path} must be one of {', '.join(map(json.dumps, self.choices))}, "
-                             f"got {value!r}{hint}")
+        entries = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, entry in entries:
+            if self.choices and entry not in self.choices:
+                close = difflib.get_close_matches(str(entry), [str(c) for c in self.choices], n=1)
+                hint = f" (did you mean {close[0]!r}?)" if close else ""
+                where = path if i is None else f"{path}[{i}]"
+                raise ValueError(f"{where} must be one of "
+                                 f"{', '.join(map(json.dumps, self.choices))}, got {entry!r}{hint}")
         return value
 
 
@@ -111,7 +115,8 @@ def epilog(table: dict[str, Key]) -> str:
     for path, key in table.items():
         facts = _NAMES[key.type] + ("" if key.min is None else f" >= {key.min}")
         if key.choices:
-            facts = "one of " + ", ".join(map(json.dumps, key.choices))
+            facts = ("entries from " if key.type is list else "one of ") + ", ".join(
+                map(json.dumps, key.choices))
         if key.required or key.default is not _UNSET:
             facts += ", required" if key.required else f", default {json.dumps(key.default)}"
         lines.append(f"  {path:28s} {key.help} [{facts}]")

@@ -11,6 +11,21 @@ threshold.  Thresholds are always
 with xi the genuine squared distance statistic and ln the natural log;
 Chebyshev then caps the miss probability by 1/ln n.  Squared-radius
 units throughout, and the boundary point xi = tau accepts.
+
+The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
+
+* ``threshold(u)`` is tau for codeword u.  It depends on n and sigma^2
+  with CSI and on ||u||_2^2 and ||u||_4^4 without, never on the received
+  word, so a caller computes it once per codeword.
+* ``center(u, H)`` is the ball center: h*u, the block's h times u, or c*u.
+* ``verify(Y, u, H, tau)`` takes a (rows, n) block of received words
+  with the matching fading block H (None on AWGN, one coefficient per row
+  for slow fading, a (rows, n) block for fast fading) and returns the
+  accept and outage masks.  The statistic of a row is one row-sum,
+  sum_j (Y_j - center_j)^2.
+
+``verify_csi_fast``, ``verify_csi_slow`` and ``verify_nocsi`` run one
+received word through the same objects and also report its statistic.
 """
 
 from __future__ import annotations
@@ -35,10 +50,6 @@ class DecisionStatistic:
     verdict: str
 
 
-def _decide(stat: float, threshold: float) -> DecisionStatistic:
-    return DecisionStatistic(stat, threshold, ACCEPT if stat <= threshold else REJECT)
-
-
 def threshold_csi(n: int, sigma2: float, deviation_scale: float = 1.0) -> float:
     """Ball threshold with CSI: n sigma^2 + sqrt(2 n sigma^4 ln n).
 
@@ -51,47 +62,6 @@ def threshold_csi(n: int, sigma2: float, deviation_scale: float = 1.0) -> float:
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
     return n * sigma2 + deviation_scale * sigma2 * math.sqrt(2 * n * math.log(n))
-
-
-def verify_csi_fast(
-    y: np.ndarray,
-    u: np.ndarray,
-    h: np.ndarray,
-    sigma2: float,
-    deviation_scale: float = 1.0,
-) -> DecisionStatistic:
-    """Per-coordinate CSI: center the ball at h * u elementwise."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if y.shape != u.shape or h.shape != u.shape:
-        raise ValueError("y, u and h must share one shape")
-    stat = float(np.sum((y - h * u) ** 2))
-    return _decide(stat, threshold_csi(y.size, sigma2, deviation_scale))
-
-
-def verify_csi_slow(
-    y: np.ndarray,
-    u: np.ndarray,
-    h: float,
-    sigma2: float,
-    outage_threshold: float,
-    deviation_scale: float = 1.0,
-) -> DecisionStatistic:
-    """Block CSI with an outage rule: |h| below the radius means no verdict.
-
-    For non-outage states the ball center is h*u, which reduces the
-    statistic to the plain AWGN one, so the AWGN threshold applies
-    unchanged.
-    """
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.shape != u.shape:
-        raise ValueError("y and u must share one shape")
-    if abs(h) < outage_threshold:
-        return DecisionStatistic(math.nan, threshold_csi(y.size, sigma2, deviation_scale), OUTAGE)
-    stat = float(np.sum((y - h * u) ** 2))
-    return _decide(stat, threshold_csi(y.size, sigma2, deviation_scale))
 
 
 def impostor_moments(
@@ -157,69 +127,120 @@ def nocsi_threshold(
     return mean + deviation_scale * math.sqrt(var * math.log(u.size))
 
 
-def verify_nocsi(
-    y: np.ndarray,
-    u: np.ndarray,
-    sigma2: float,
-    m: FadingMoments,
-    deviation_scale: float = 1.0,
-) -> DecisionStatistic:
-    """CSI-free verifier: ball centered at (E h) * u.
+
+
+def _ball(Y: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of Y to center, one row-sum each."""
+    d = Y - center
+    np.square(d, out=d)
+    return d.sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class CsiFast:
+    """CSI per coordinate: the ball is centered at h * u (u on AWGN)."""
+
+    sigma2: float
+    deviation_scale: float = 1.0
+
+    def threshold(self, u) -> float:
+        return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
+
+    def center(self, u, H):
+        return u if H is None else H * u
+
+    def verify(self, Y, u, H, tau):
+        accept = _ball(Y, self.center(u, H)) <= tau
+        return accept, np.zeros_like(accept)
+
+
+@dataclass(frozen=True)
+class CsiSlow:
+    """Block CSI with an outage rule: |h| below the radius means no verdict.
+
+    For non-outage states the ball center is h*u, which reduces the
+    statistic to the plain AWGN one, so the AWGN threshold applies
+    unchanged.
+    """
+
+    sigma2: float
+    outage_threshold: float
+    deviation_scale: float = 1.0
+
+    def threshold(self, u) -> float:
+        return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
+
+    def center(self, u, H):
+        return np.multiply.outer(H, u)
+
+    def verify(self, Y, u, H, tau):
+        outage = np.abs(H) < self.outage_threshold
+        return (_ball(Y, self.center(u, H)) <= tau) & ~outage, outage
+
+
+@dataclass(frozen=True)
+class NoCsi:
+    """CSI-free verifier: ball centered at (E h) * u, whatever h was.
 
     Only meaningful when E h != 0; a zero-mean law collapses all centers
     to the origin and identities become indistinguishable, so that case
     warns.
     """
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.shape != u.shape:
-        raise ValueError("y and u must share one shape")
-    if m.c == 0.0:
-        warnings.warn(
-            "fading mean is zero: CSI-free centers coincide and identities "
-            "cannot be separated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    stat = float(np.sum((y - m.c * u) ** 2))
-    return _decide(stat, nocsi_threshold(u, sigma2, m, deviation_scale))
 
-
-# -- verifier specs: small dispatch objects the harness drives
-
-
-@dataclass(frozen=True)
-class CsiFast:
-    sigma2: float
-    deviation_scale: float = 1.0
-
-    def verify(self, y, u, h) -> DecisionStatistic:
-        if h is None:
-            h = np.ones_like(np.asarray(u, dtype=float))
-        elif np.ndim(h) == 0:
-            h = np.full(np.asarray(u).size, float(h))
-        return verify_csi_fast(y, u, h, self.sigma2, self.deviation_scale)
-
-
-@dataclass(frozen=True)
-class CsiSlow:
-    sigma2: float
-    outage_threshold: float
-    deviation_scale: float = 1.0
-
-    def verify(self, y, u, h) -> DecisionStatistic:
-        return verify_csi_slow(y, u, float(h), self.sigma2, self.outage_threshold, self.deviation_scale)
-
-
-@dataclass(frozen=True)
-class NoCsi:
     sigma2: float
     moments: FadingMoments
     deviation_scale: float = 1.0
 
-    def verify(self, y, u, h) -> DecisionStatistic:
-        # h is deliberately ignored: that is the point of this verifier
-        return verify_nocsi(y, u, self.sigma2, self.moments, self.deviation_scale)
+    def threshold(self, u) -> float:
+        if self.moments.c == 0.0:
+            warnings.warn(
+                "fading mean is zero: CSI-free centers coincide and identities "
+                "cannot be separated",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return nocsi_threshold(u, self.sigma2, self.moments, self.deviation_scale)
+
+    def center(self, u, H):
+        return self.moments.c * u
+
+    def verify(self, Y, u, H, tau):
+        accept = _ball(Y, self.center(u, H)) <= tau
+        return accept, np.zeros_like(accept)
 
 
 VerifierSpec = CsiFast | CsiSlow | NoCsi
+
+
+def _verify_one(spec: VerifierSpec, y, u, h) -> DecisionStatistic:
+    """One received word through spec, with its threshold computed afresh."""
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if y.shape != u.shape or y.ndim != 1:
+        raise ValueError("y and u must be vectors of one length")
+    tau = spec.threshold(u)
+    H = None if h is None else np.asarray(h, dtype=float)[None]
+    accept, outage = spec.verify(y[None], u, H, tau)
+    if outage[0]:
+        return DecisionStatistic(math.nan, tau, OUTAGE)
+    stat = float(_ball(y, spec.center(u, h)))
+    return DecisionStatistic(stat, tau, ACCEPT if accept[0] else REJECT)
+
+
+def verify_csi_fast(y, u, h, sigma2: float, deviation_scale: float = 1.0) -> DecisionStatistic:
+    """Per-coordinate CSI: center the ball at h * u elementwise."""
+    if np.shape(h) != np.shape(u):
+        raise ValueError("y, u and h must share one shape")
+    return _verify_one(CsiFast(sigma2, deviation_scale), y, u, h)
+
+
+def verify_csi_slow(y, u, h: float, sigma2: float, outage_threshold: float,
+                    deviation_scale: float = 1.0) -> DecisionStatistic:
+    """Block CSI: one coefficient h for the whole word, outage below the radius."""
+    return _verify_one(CsiSlow(sigma2, outage_threshold, deviation_scale), y, u, float(h))
+
+
+def verify_nocsi(y, u, sigma2: float, m: FadingMoments,
+                 deviation_scale: float = 1.0) -> DecisionStatistic:
+    """CSI-free verifier of one received word; see ``NoCsi``."""
+    return _verify_one(NoCsi(sigma2, m, deviation_scale), y, u, None)

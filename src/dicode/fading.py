@@ -5,6 +5,8 @@ central quantities to high accuracy.  Moments come from closed forms
 where available and from adaptive quadrature otherwise (the Rician case:
 Bessel-weighted integrands, no series expansions).  Sampling always goes
 through a caller-supplied numpy Generator so seeded runs reproduce.
+scipy is imported inside the few methods that call it (the Rician pdf,
+cdf and moments, the Nakagami cdf), so importing dicode does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from .errors import DegenerateFadingError, QuadratureError
 
@@ -179,6 +180,8 @@ class Rician(FadingDistribution):
 
     def pdf(self, x):
         # written so the Bessel factor never overflows: I0(z) = i0e(z) e^z
+        from scipy import special
+
         if x <= 0:
             return 0.0
         k, om = self.shape, self.scale
@@ -189,10 +192,14 @@ class Rician(FadingDistribution):
     def cdf(self, x):
         if x <= 0:
             return 0.0
+        from scipy import stats
+
         nu, s = self._nu_s()
         return float(stats.rice.cdf(x, nu / s, scale=s))
 
     def raw_moment(self, k):
+        from scipy import integrate
+
         val, err = integrate.quad(
             lambda x: x**k * self.pdf(x), 0, np.inf, epsrel=_QUAD_REL, epsabs=0, limit=300
         )
@@ -226,6 +233,8 @@ class Nakagami(FadingDistribution):
     def cdf(self, x):
         if x <= 0:
             return 0.0
+        from scipy import special
+
         m, om = self.shape, self.spread
         return float(special.gammainc(m, m * x * x / om))
 

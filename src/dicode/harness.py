@@ -2,10 +2,20 @@
 
 Every random draw comes from a Generator seeded by
 SeedSequence((master_seed, purpose_tag, slot, trial)), so trial t of
-identity k consumes exactly the same randomness no matter how trials
-are partitioned across workers.  Reports therefore depend only on the
+slot k consumes exactly the same randomness no matter how trials are
+partitioned across workers.  Reports therefore depend only on the
 configuration, and the canonical serialization (which excludes timing
 and worker count) is byte-identical across runs.
+
+Trials run in one engine.  A slot is one (sent, verified) pair of
+identities with its trial count; a genuine slot is the pair (i, i).
+Each verified codeword's threshold is computed once per run.  A slot
+sends its trials in blocks of rows: trial t's generator draws the
+fading, then the noise, into row t of the block (``channel.transmit``),
+and one ``verify`` call decides the whole block.  A block holds at most
+``BLOCK_BYTES`` of received words, so memory stays flat in the trial
+count and the block length; the verdicts are the ones a trial-by-trial
+loop gives.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -32,7 +42,7 @@ import numpy as np
 from .channel import ChannelModel, FastFading, SlowFading, parse_channel, transmit
 from .codebook import ConcatCodebook, plan_params
 from .config import Key, resolve
-from .decoder import OUTAGE, REJECT, CsiFast, CsiSlow, NoCsi, impostor_moments
+from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, quantile_abs
 from .packing import PROFILES, PackingSpec, generate_expurgated, load_csv
@@ -42,6 +52,10 @@ _TAG_IDENTITIES = 0
 _TAG_TYPE1 = 1
 _TAG_TYPE2 = 2
 _TAG_PAIRS = 3
+
+# cap on the float64 received words of one trial block: a slot sends
+# max(1, BLOCK_BYTES // (8 n)) trials at a time
+BLOCK_BYTES = 1 << 20
 
 # (required, optional) keys of each codebook type, below `codebook.`
 _CODEBOOK_KEYS = {"concat": (("n", "a"), ("power_bound", "eps1", "eps2", "field_seed")),
@@ -256,13 +270,13 @@ def build_codebook(cfg: dict):
 
 
 def _build_verifier(cfg: ExperimentConfig):
-    """Returns (verifier, outage_threshold, degenerate, fading_dist)."""
+    """Returns (verifier, outage_threshold, degenerate)."""
     model = cfg.channel
     mode = cfg.verifier_mode
     if mode == "csi-fast":
         if isinstance(model, SlowFading):
             raise ValueError("csi-fast expects awgn or fast-fading; use csi-slow")
-        return CsiFast(model.sigma2, cfg.deviation_scale), None, False, None
+        return CsiFast(model.sigma2, cfg.deviation_scale), None, False
     if mode == "csi-slow":
         if not isinstance(model, SlowFading):
             raise ValueError("csi-slow needs a slow-fading channel")
@@ -276,12 +290,12 @@ def _build_verifier(cfg: ExperimentConfig):
                 raise
             radius = 0.0
             degenerate = True
-        return CsiSlow(model.sigma2, radius, cfg.deviation_scale), radius, degenerate, None
+        return CsiSlow(model.sigma2, radius, cfg.deviation_scale), radius, degenerate
     if mode == "no-csi":
         if isinstance(model, SlowFading):
             raise ValueError("the CSI-free verifier targets fast fading (or awgn)")
         dist = model.fading if isinstance(model, FastFading) else Constant(1.0)
-        return NoCsi(model.sigma2, dist.moments(), cfg.deviation_scale), None, False, dist
+        return NoCsi(model.sigma2, dist.moments(), cfg.deviation_scale), None, False
     raise ValueError(f"unknown verifier mode {cfg.verifier_mode!r}")
 
 
@@ -327,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     if not 0 <= cfg.min_distance_pairs <= cfg.pairs:
         raise ValueError("min_distance_pairs cannot exceed pairs")
     book, book_summary = build_codebook(cfg.codebook)
-    verifier, radius, degenerate, nocsi_dist = _build_verifier(cfg)
+    verifier, radius, degenerate = _build_verifier(cfg)
     if cfg.verifier_mode == "no-csi" and cfg.codebook.get("type") == "concat":
         warnings.warn(
             "CSI-free thresholds were validated for expurgated random codebooks; "
@@ -365,89 +379,42 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
             if idx not in codewords:
                 codewords[idx] = np.asarray(book.codeword(idx), dtype=float)
 
-    model = cfg.channel
+    # one slot per (sent, verified) pair: the genuine slots (i, i) first
+    slots = [(i, i, _TAG_TYPE1, k, cfg.per_identity) for k, i in enumerate(identity_ids)]
+    slots += [(a, b, _TAG_TYPE2, k, cfg.per_pair) for k, (a, b, _) in enumerate(pair_list)]
+    taus: dict[int, float] = {}
+    for _, ver, *_ in slots:
+        if ver not in taus:
+            taus[ver] = verifier.threshold(codewords[ver])
+    rows = max(1, BLOCK_BYTES // (8 * book.n))
 
-    def type1_slot(slot: int):
-        u = codewords[identity_ids[slot]]
-        errors = outages = zero_trials = zero_errors = 0
-        for t in range(cfg.per_identity):
-            rng = _gen(cfg.seed, _TAG_TYPE1, slot, t)
-            y, h = transmit(model, u, rng)
-            res = verifier.verify(y, u, h)
-            if res.verdict == OUTAGE:
-                outages += 1
-                continue
-            bad = res.verdict == REJECT
-            errors += bad
-            if slow and h == 0.0:
-                zero_trials += 1
-                zero_errors += bad
-        return errors, outages, zero_trials, zero_errors
+    def run_slot(k: int):
+        """(hits, outages, h = 0 trials, h = 0 hits) of slot k; a hit is
+        a type-I error or a type-II accept."""
+        sent, ver, tag, slot, trials = slots[k]
+        u_sent, u = codewords[sent], codewords[ver]
+        out = np.zeros(4, dtype=np.int64)
+        for start in range(0, trials, rows):
+            rngs = [_gen(cfg.seed, tag, slot, t) for t in range(start, min(start + rows, trials))]
+            Y, H = transmit(cfg.channel, u_sent, rngs)
+            accept, outage = verifier.verify(Y, u, H, taus[ver])
+            hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
+            zero = (H == 0.0) & ~outage if slow else np.zeros_like(outage)
+            out += (hit.sum(), outage.sum(), zero.sum(), (hit & zero).sum())
+        return [int(c) for c in out]
 
-    def type2_slot(slot: int):
-        sent_idx, ver_idx, _kind = pair_list[slot]
-        u_sent = codewords[sent_idx]
-        u_ver = codewords[ver_idx]
-        accepts = outages = zero_trials = zero_accepts = 0
-        for t in range(cfg.per_pair):
-            rng = _gen(cfg.seed, _TAG_TYPE2, slot, t)
-            y, h = transmit(model, u_sent, rng)
-            res = verifier.verify(y, u_ver, h)
-            if res.verdict == OUTAGE:
-                outages += 1
-                continue
-            good = res.verdict != REJECT
-            accepts += good
-            if slow and h == 0.0:
-                zero_trials += 1
-                zero_accepts += good
-        return accepts, outages, zero_trials, zero_accepts
-
-    t1 = _map_slots(type1_slot, cfg.identities, cfg.workers)
-    t2 = _map_slots(type2_slot, len(pair_list), cfg.workers)
-
-    per_identity = []
-    tot_err = tot_out1 = tot_zero_t1 = tot_zero_err = 0
-    for slot, (errors, outages, zt, ze) in enumerate(t1):
-        eff = cfg.per_identity - outages
-        rate, lo, hi = _rate(errors, eff)
-        per_identity.append({
-            # Decimal, as str() refuses the 4300+ digits concatenated identities reach
-            "slot": slot, "identity": str(Decimal(identity_ids[slot])),
-            "trials": cfg.per_identity, "errors": errors, "outages": outages,
-            "error_rate": rate, "ci_lo": lo, "ci_hi": hi,
-        })
-        tot_err += errors
-        tot_out1 += outages
-        tot_zero_t1 += zt
-        tot_zero_err += ze
-    eff1 = cfg.identities * cfg.per_identity - tot_out1
-    rate1, lo1, hi1 = _rate(tot_err, eff1)
-
-    per_pair = []
-    tot_acc = tot_out2 = tot_zero_t2 = tot_zero_acc = 0
-    max_rate = None
-    for slot, (accepts, outages, zt, za) in enumerate(t2):
-        sent_idx, ver_idx, kind = pair_list[slot]
-        eff = cfg.per_pair - outages
-        rate, lo, hi = _rate(accepts, eff)
-        per_pair.append({
-            "slot": slot, "sent": str(Decimal(sent_idx)), "verified": str(Decimal(ver_idx)),
-            "kind": kind,
-            "trials": cfg.per_pair, "accepts": accepts, "outages": outages,
-            "accept_rate": rate, "ci_lo": lo, "ci_hi": hi,
-        })
-        if rate is not None and (max_rate is None or rate > max_rate):
-            max_rate = rate
-        tot_acc += accepts
-        tot_out2 += outages
-        tot_zero_t2 += zt
-        tot_zero_acc += za
-    eff2 = len(pair_list) * cfg.per_pair - tot_out2
-    rate2, lo2, hi2 = _rate(tot_acc, eff2)
-
-    all_trials = cfg.identities * cfg.per_identity + len(pair_list) * cfg.per_pair
-    all_outages = tot_out1 + tot_out2
+    counts = _map_slots(run_slot, len(slots), cfg.workers)
+    # Decimal, as str() refuses the 4300+ digits concatenated identities reach
+    per_identity, pooled1, zero1 = _tally(
+        [{"slot": k, "identity": str(Decimal(i))} for k, i in enumerate(identity_ids)],
+        counts[:cfg.identities], cfg.per_identity, "errors", "error_rate")
+    per_pair, pooled2, zero2 = _tally(
+        [{"slot": k, "sent": str(Decimal(a)), "verified": str(Decimal(b)), "kind": kind}
+         for k, (a, b, kind) in enumerate(pair_list)],
+        counts[cfg.identities:], cfg.per_pair, "accepts", "accept_rate")
+    rates = [r["accept_rate"] for r in per_pair if r["accept_rate"] is not None]
+    all_trials = pooled1["trials"] + pooled2["trials"]
+    all_outages = pooled1["outages"] + pooled2["outages"]
     out_rate, out_lo, out_hi = _rate(all_outages, all_trials)
 
     results = {
@@ -460,29 +427,19 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
             "outage_threshold": radius,
             "degenerate_outage": degenerate,
         },
-        "type1": {
-            "per_identity": per_identity,
-            "pooled": {"trials": cfg.identities * cfg.per_identity, "errors": tot_err,
-                       "outages": tot_out1, "error_rate": rate1, "ci_lo": lo1, "ci_hi": hi1},
-        },
-        "type2": {
-            "per_pair": per_pair,
-            "pooled": {"trials": len(pair_list) * cfg.per_pair, "accepts": tot_acc,
-                       "outages": tot_out2, "accept_rate": rate2, "ci_lo": lo2, "ci_hi": hi2},
-            "max_pair_rate": max_rate,
-        },
+        "type1": {"per_identity": per_identity, "pooled": pooled1},
+        "type2": {"per_pair": per_pair, "pooled": pooled2,
+                  "max_pair_rate": max(rates, default=None)},
         "outage": {"trials": all_trials, "outages": all_outages,
                    "fraction": out_rate, "ci_lo": out_lo, "ci_hi": out_hi},
     }
-    if slow and (tot_zero_t1 or tot_zero_t2):
-        z1 = tot_zero_err / tot_zero_t1 if tot_zero_t1 else None
-        z2 = tot_zero_acc / tot_zero_t2 if tot_zero_t2 else None
+    if slow and (zero1["trials"] or zero2["trials"]):
+        z1, z2 = zero1["error_rate"], zero2["accept_rate"]
         # conditioned on h = 0 the verifier sees pure noise either way:
         # accept probability p gives error rates 1-p (type I) and p
         # (type II), so their sum must straddle one
         results["zero_fading"] = {
-            "type1": {"trials": tot_zero_t1, "errors": tot_zero_err, "error_rate": z1},
-            "type2": {"trials": tot_zero_t2, "accepts": tot_zero_acc, "accept_rate": z2},
+            "type1": zero1, "type2": zero2,
             "error_sum": (z1 + z2) if (z1 is not None and z2 is not None) else None,
         }
     meta = {
@@ -490,6 +447,26 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         "workers": cfg.workers,
     }
     return TrialReport(results=results, meta=meta)
+
+
+def _tally(labels: list[dict], counts: list, trials: int, hit: str, rate: str):
+    """Per-slot rows, pooled totals and h = 0 totals of one trial kind.
+
+    counts holds each slot's (hits, outages, h = 0 trials, h = 0 hits);
+    hit and rate name the counted verdict and its rate in the report.
+    """
+    rows = []
+    for label, (hits, outages, _, _) in zip(labels, counts):
+        r, lo, hi = _rate(hits, trials - outages)
+        rows.append({**label, "trials": trials, hit: hits, "outages": outages,
+                     rate: r, "ci_lo": lo, "ci_hi": hi})
+    hits, outages, zero_trials, zero_hits = (sum(c[j] for c in counts) for j in range(4))
+    total = trials * len(rows)
+    r, lo, hi = _rate(hits, total - outages)
+    pooled = {"trials": total, hit: hits, "outages": outages, rate: r, "ci_lo": lo, "ci_hi": hi}
+    zero = {"trials": zero_trials, hit: zero_hits,
+            rate: zero_hits / zero_trials if zero_trials else None}
+    return rows, pooled, zero
 
 
 def _canonical_config(cfg: ExperimentConfig) -> dict:

@@ -101,3 +101,30 @@ def test_rejects_negative_noise_but_allows_zero():
         Awgn(-0.5)
     with pytest.raises(ValueError):
         FastFading(Rayleigh(1.0), -1.0)
+
+
+@pytest.mark.parametrize("model", [
+    Awgn(0.5),
+    SlowFading(DiscreteMixture(((0.0, 0.3), (1.0, 0.7))), 2.0),
+    FastFading(Rayleigh(1.0), 0.7),
+], ids=["awgn", "slow", "fast"])
+def test_block_rows_equal_single_sends_drawn_fading_first(model):
+    # row r of a block send is the word generator r gives alone, and each
+    # generator draws its fading before its noise
+    x = np.linspace(-1.0, 2.0, 40)
+    Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(5)])
+    assert Y.shape == (5, 40)
+    for r in range(5):
+        rng = np.random.default_rng(r)
+        h = None if isinstance(model, Awgn) else model.fading.sample(
+            rng, 40 if isinstance(model, FastFading) else None)
+        z = math.sqrt(model.sigma2) * rng.standard_normal(40)
+        assert np.array_equal(Y[r], (x if h is None else h * x) + z)
+        y1, h1 = transmit(model, x, np.random.default_rng(r))
+        assert np.array_equal(Y[r], y1)
+        if h is None:
+            assert H is None and h1 is None
+        else:
+            assert np.array_equal(H[r], h) and np.array_equal(h1, h)
+    if isinstance(model, SlowFading):
+        assert H.shape == (5,) and isinstance(h1, float)

@@ -230,28 +230,32 @@ def test_deviation_scale_widens_the_ball():
 
 
 def test_verifier_specs_drive_the_same_functions():
+    # one block verify decides every row as the one-word functions do
     rng = np.random.default_rng(3)
-    n, sigma2 = 32, 1.0
+    rows, n, sigma2 = 8, 32, 1.0
     u = rng.normal(0, 1, n)
-    y = u + rng.normal(0, 1, n)
-
-    spec = CsiFast(sigma2)
-    assert spec.verify(y, u, None).statistic == pytest.approx(
-        verify_csi_fast(y, u, np.ones(n), sigma2).statistic
-    )
-    assert spec.verify(y, u, 2.0).statistic == pytest.approx(
-        verify_csi_fast(y, u, np.full(n, 2.0), sigma2).statistic
-    )
-
-    slow = CsiSlow(sigma2, outage_threshold=0.1)
-    assert slow.verify(y, u, 1.0).statistic == pytest.approx(
-        verify_csi_slow(y, u, 1.0, sigma2, 0.1).statistic
-    )
-
+    sent = np.where(np.arange(rows)[:, None] % 2 == 0, u, u + 1.5)  # genuine and impostor rows
+    H = rng.rayleigh(1.0, (rows, n))
+    Y = H * sent + rng.normal(0, 1, (rows, n))
+    Y_awgn = sent + rng.normal(0, 1, (rows, n))
+    h_slow = np.array([0.05, 1.0, -1.0, 2.0, 0.0, 0.7, 1.2, -0.05])
+    Y_slow = h_slow[:, None] * sent + rng.normal(0, 1, (rows, n))
     m = Rayleigh(1.0).moments()
-    blind = NoCsi(sigma2, m)
-    # h is ignored on purpose
-    r1 = blind.verify(y, u, 123.0)
-    r2 = verify_nocsi(y, u, sigma2, m)
-    assert r1.statistic == pytest.approx(r2.statistic)
-    assert r1.threshold == pytest.approx(r2.threshold)
+    cases = [
+        (CsiFast(sigma2), Y, H, lambda y, h: verify_csi_fast(y, u, h, sigma2)),
+        (CsiFast(sigma2), Y_awgn, None, lambda y, h: verify_csi_fast(y, u, np.ones(n), sigma2)),
+        (CsiSlow(sigma2, 0.1), Y_slow, h_slow,
+         lambda y, h: verify_csi_slow(y, u, h, sigma2, 0.1)),
+        (NoCsi(sigma2, m), Y, H, lambda y, h: verify_nocsi(y, u, sigma2, m)),  # h ignored
+    ]
+    for spec, Yb, Hb, one in cases:
+        tau = spec.threshold(u)
+        accept, outage = spec.verify(Yb, u, Hb, tau)
+        assert accept.shape == outage.shape == (rows,)
+        assert accept.any() and not accept.all()
+        assert outage.sum() == (3 if isinstance(spec, CsiSlow) else 0)  # |h| < 0.1 thrice
+        for r in range(rows):
+            res = one(Yb[r], None if Hb is None else Hb[r])
+            assert res.threshold == tau
+            assert outage[r] == (res.verdict == OUTAGE)
+            assert accept[r] == (res.verdict == ACCEPT)

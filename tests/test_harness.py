@@ -347,3 +347,123 @@ def test_reports_write_identities_past_the_int_to_str_limit(monkeypatch):
     assert all(w.isdigit() and not w.startswith("0") for w in written)
     assert {_from_digits(w) for w in written} == book.seen
     assert len(rep.identities_csv().splitlines()) == 4
+
+
+# -- the batched trial engine against a trial-by-trial reference loop ------
+
+_SMALL_PACKING = {"type": "packing", "profile": "norm-concentrated",
+                  "spec": {"n": 64, "target_size": 16, "power_bound": 4.0,
+                           "sampling_power": 2.0, "distance_exponent": 0.05, "seed": 3}}
+_SKEWED = {"type": "discrete", "atoms": [[0.5, 0.6], [1.5, 0.2], [2.0, 0.2]]}
+_ATOM_AT_ZERO = {"type": "discrete", "atoms": [[0.0, 0.3], [0.2, 0.2], [1.0, 0.5]]}
+
+# name -> (config overrides, BLOCK_BYTES); 8 bytes per coordinate, so
+# 8 * 64 * 3 gives three-row blocks and a short last block.  Loud noise and
+# a narrow ball make every case reject some genuine and accept some
+# impostor trials.
+_LOUD = {"sigma2": 10.0}
+_NARROW = {"deviation_scale": 0.3}
+ENGINE_CASES = {
+    "awgn/csi-fast": ({"channel": {"type": "awgn", **_LOUD},
+                       "verifier": {"mode": "csi-fast", **_NARROW}}, 1),
+    "awgn/no-csi": ({"channel": {"type": "awgn", **_LOUD}, "codebook": _SMALL_PACKING,
+                     "verifier": {"mode": "no-csi", **_NARROW}}, 8 * 64 * 3),
+    "fast/csi-fast": ({"channel": {"type": "fast-fading", **_LOUD, "fading": _SKEWED},
+                       "codebook": _SMALL_PACKING, "verifier": {"mode": "csi-fast", **_NARROW}},
+                      8 * 64 * 3),
+    "fast/no-csi": ({"channel": {"type": "fast-fading", **_LOUD, "fading": _SKEWED},
+                     "codebook": _SMALL_PACKING, "verifier": {"mode": "no-csi", **_NARROW}}, 1),
+    "slow/csi-slow-degenerate": ({"channel": {"type": "slow-fading", **_LOUD,
+                                              "fading": _ATOM_AT_ZERO},
+                                  "codebook": _SMALL_PACKING,
+                                  "verifier": {"mode": "csi-slow", **_NARROW},
+                                  "outage_eta": 0.1, "allow_degenerate_outage": True},
+                                 8 * 64 * 3),
+    "slow/csi-slow-outage": ({"channel": {"type": "slow-fading", **_LOUD,
+                                          "fading": _ATOM_AT_ZERO},
+                              "codebook": _SMALL_PACKING,
+                              "verifier": {"mode": "csi-slow", **_NARROW},
+                              "outage_eta": 0.5}, 1),
+}
+
+
+def _reference_counts(cfg, results):
+    """Per-slot (hits, outages, h = 0 trials, h = 0 hits) from a plain loop:
+    one transmit and one one-row verify with a fresh threshold per trial."""
+    from dicode.channel import FastFading, SlowFading, transmit
+    from dicode.decoder import CsiFast, CsiSlow, NoCsi
+    from dicode.harness import build_codebook
+
+    book, _ = build_codebook(cfg.codebook)
+    sigma2 = cfg.channel.sigma2
+    if cfg.verifier_mode == "csi-fast":
+        spec = CsiFast(sigma2, cfg.deviation_scale)
+    elif cfg.verifier_mode == "csi-slow":
+        spec = CsiSlow(sigma2, results["verifier"]["outage_threshold"], cfg.deviation_scale)
+    else:
+        law = cfg.channel.fading if isinstance(cfg.channel, FastFading) else Constant(1.0)
+        spec = NoCsi(sigma2, law.moments(), cfg.deviation_scale)
+    slow = isinstance(cfg.channel, SlowFading)
+
+    def slot(tag, k, sent, verified, trials):
+        u_sent, u = book.codeword(int(sent)), book.codeword(int(verified))
+        out = [0, 0, 0, 0]
+        for t in range(trials):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag, k, t))))
+            y, h = transmit(cfg.channel, u_sent, rng)
+            accept, outage = spec.verify(y[None], u, None if h is None else np.asarray(h)[None],
+                                         spec.threshold(u))
+            if outage[0]:
+                out[1] += 1
+                continue
+            hit = bool(accept[0]) if tag == 2 else not accept[0]
+            out[0] += hit
+            if slow and h == 0.0:
+                out[2] += 1
+                out[3] += hit
+        return out
+
+    type1 = [slot(1, r["slot"], r["identity"], r["identity"], r["trials"])
+             for r in results["type1"]["per_identity"]]
+    type2 = [slot(2, r["slot"], r["sent"], r["verified"], r["trials"])
+             for r in results["type2"]["per_pair"]]
+    return type1, type2
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_engine_counts_match_a_trial_by_trial_loop(case, monkeypatch):
+    import dicode.harness as harness_mod
+
+    overrides, block_bytes = ENGINE_CASES[case]
+    monkeypatch.setattr(harness_mod, "BLOCK_BYTES", block_bytes)
+    trials = {"identities": 4, "per_identity": 10, "pairs": 5, "per_pair": 7,
+              "min_distance_pairs": 2}
+    reports = [run_experiment(small_config(**overrides, trials=trials, workers=w))
+               for w in (1, 3)]
+    assert reports[0].canonical_json() == reports[1].canonical_json()
+    res = reports[0].results
+    type1, type2 = _reference_counts(small_config(**overrides, trials=trials), res)
+    assert [[r["errors"], r["outages"]] for r in res["type1"]["per_identity"]] == \
+        [c[:2] for c in type1]
+    assert [[r["accepts"], r["outages"]] for r in res["type2"]["per_pair"]] == \
+        [c[:2] for c in type2]
+    zero = res.get("zero_fading")
+    if zero is None:
+        assert sum(c[2] for c in type1 + type2) == 0
+    else:
+        assert [zero["type1"]["trials"], zero["type1"]["errors"]] == \
+            [sum(c[2] for c in type1), sum(c[3] for c in type1)]
+        assert [zero["type2"]["trials"], zero["type2"]["accepts"]] == \
+            [sum(c[2] for c in type2), sum(c[3] for c in type2)]
+    # every case decides trials both ways, so the comparison has teeth
+    assert res["type1"]["pooled"]["errors"] > 0 and res["type2"]["pooled"]["accepts"] > 0
+    assert (zero is not None) == case.endswith("degenerate")
+    assert (res["outage"]["outages"] > 0) == case.endswith("outage")
+
+
+def test_zero_mean_law_warns_on_the_batched_path():
+    cfg = small_config(channel={"type": "fast-fading", "sigma2": 1.0,
+                                "fading": {"type": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}},
+                       codebook=_SMALL_PACKING, verifier={"mode": "no-csi"})
+    with pytest.warns(RuntimeWarning, match="fading mean is zero"):
+        run_experiment(cfg)
