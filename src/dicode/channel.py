@@ -9,7 +9,10 @@ Three variants share one entry point:
 ``transmit`` sends one word per supplied Generator: a single word, or
 the rows of one (rows, n) array.  Each Generator draws its fading realization
 first and its noise second; that ordering is part of the
-reproducibility contract.
+reproducibility contract.  A row is finished (scaled and shifted by the
+faded codeword) right after its draws, while it is still in cache, and
+a caller that sends many blocks can hand ``transmit`` the same buffers
+from ``block_buffers`` each time.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class FastFading:
 ChannelModel = Union[Awgn, SlowFading, FastFading]
 
 
-def transmit(model: ChannelModel, u: np.ndarray, rng):
+def transmit(model: ChannelModel, u: np.ndarray, rng, out=None):
     """Send codeword u once per generator.
 
     With one Generator this returns (y, h): h is None for AWGN, a float
@@ -74,36 +77,52 @@ def transmit(model: ChannelModel, u: np.ndarray, rng):
     None, a vector with one coefficient per row, or a (rows, n) block.
     Either way each generator draws its fading first and its noise
     second, so row r equals the single send with generator r.
+
+    ``out``, a (Y, H) pair from ``block_buffers`` with at least one row
+    per generator, makes the block form write into (and return the
+    leading rows of) those arrays instead of allocating new ones.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("codeword must be one-dimensional")
     if isinstance(rng, np.random.Generator):
-        Y, H = _transmit_rows(model, u, (rng,))
+        Y, H = _transmit_rows(model, u, (rng,), None)
         return Y[0], None if H is None else (float(H[0]) if H.ndim == 1 else H[0])
-    return _transmit_rows(model, u, rng)
+    return _transmit_rows(model, u, rng, out)
 
 
-def _transmit_rows(model, u, rngs):
-    if not isinstance(model, (Awgn, SlowFading, FastFading)):
-        raise TypeError(f"unknown channel model {model!r}")
-    n = u.size
-    Y = np.empty((len(rngs), n))
+def block_buffers(model: ChannelModel, rows: int, n: int):
+    """Uninitialised (Y, H) arrays for ``rows`` received words of length n."""
+    _check_model(model)
     H = None
     if isinstance(model, SlowFading):
-        H = np.empty(len(rngs))
+        H = np.empty(rows)
     elif isinstance(model, FastFading):
-        H = np.empty((len(rngs), n))
+        H = np.empty((rows, n))
+    return np.empty((rows, n)), H
+
+
+def _check_model(model):
+    if not isinstance(model, (Awgn, SlowFading, FastFading)):
+        raise TypeError(f"unknown channel model {model!r}")
+
+
+def _transmit_rows(model, u, rngs, out):
+    _check_model(model)
+    Y, H = block_buffers(model, len(rngs), u.size) if out is None else out
+    if Y.shape[0] < len(rngs) or Y.shape[1] != u.size:
+        raise ValueError(f"a ({len(rngs)}, {u.size}) block does not fit buffers of shape {Y.shape}")
+    Y = Y[:len(rngs)]
+    H = None if H is None else H[:len(rngs)]
+    scale = math.sqrt(model.sigma2)
     for r, rng in enumerate(rngs):
+        y = Y[r]
         if H is not None:
-            H[r] = model.fading.sample(rng, None if H.ndim == 1 else n)
-        rng.standard_normal(out=Y[r])
-    # sigma*z + h*u, elementwise as in y = h x + z
-    Y *= math.sqrt(model.sigma2)
-    if H is None:
-        Y += u
-    else:
-        Y += (H[:, None] if H.ndim == 1 else H) * u
+            H[r] = model.fading.sample(rng, None if H.ndim == 1 else u.size)
+        rng.standard_normal(out=y)
+        # sigma*z + h*u, elementwise as in y = h x + z
+        y *= scale
+        y += u if H is None else H[r] * u
     return Y, H
 
 

@@ -18,11 +18,14 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
   with CSI and on ||u||_2^2 and ||u||_4^4 without, never on the received
   word, so a caller computes it once per codeword.
 * ``center(u, H)`` is the ball center: h*u, the block's h times u, or c*u.
-* ``verify(Y, u, H, tau)`` takes a (rows, n) block of received words
-  with the matching fading block H (None on AWGN, one coefficient per row
-  for slow fading, a (rows, n) block for fast fading) and returns the
-  accept and outage masks.  The statistic of a row is one row-sum,
-  sum_j (Y_j - center_j)^2.
+* ``verify(Y, u, H, tau, out=None)`` takes a (rows, n) block of received
+  words with the matching fading block H (None on AWGN, one coefficient
+  per row for slow fading, a (rows, n) block for fast fading) and
+  returns the accept and outage masks.  The statistic of a row is one
+  row-sum, sum_j (Y_j - center_j)^2.  ``out``, an array shaped like Y,
+  takes the centers and the squared differences; a caller that decides
+  many blocks passes the same one each time, so no block-sized array
+  is allocated per call.
 
 ``verify_csi_fast``, ``verify_csi_slow`` and ``verify_nocsi`` run one
 received word through the same objects and also report its statistic.
@@ -129,9 +132,10 @@ def nocsi_threshold(
 
 
 
-def _ball(Y: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distance of every row of Y to center, one row-sum each."""
-    d = Y - center
+def _ball(Y: np.ndarray, center: np.ndarray, out=None) -> np.ndarray:
+    """Squared distance of every row of Y to center, one row-sum each;
+    out (shaped like Y, and may be center) holds the squared differences."""
+    d = np.subtract(Y, center, out=out)
     np.square(d, out=d)
     return d.sum(axis=-1)
 
@@ -146,11 +150,11 @@ class CsiFast:
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
 
-    def center(self, u, H):
-        return u if H is None else H * u
+    def center(self, u, H, out=None):
+        return u if H is None else np.multiply(H, u, out=out)
 
-    def verify(self, Y, u, H, tau):
-        accept = _ball(Y, self.center(u, H)) <= tau
+    def verify(self, Y, u, H, tau, out=None):
+        accept = _ball(Y, self.center(u, H, out), out) <= tau
         return accept, np.zeros_like(accept)
 
 
@@ -170,12 +174,12 @@ class CsiSlow:
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
 
-    def center(self, u, H):
-        return np.multiply.outer(H, u)
+    def center(self, u, H, out=None):
+        return np.multiply.outer(H, u, out=out)
 
-    def verify(self, Y, u, H, tau):
+    def verify(self, Y, u, H, tau, out=None):
         outage = np.abs(H) < self.outage_threshold
-        return (_ball(Y, self.center(u, H)) <= tau) & ~outage, outage
+        return (_ball(Y, self.center(u, H, out), out) <= tau) & ~outage, outage
 
 
 @dataclass(frozen=True)
@@ -201,11 +205,11 @@ class NoCsi:
             )
         return nocsi_threshold(u, self.sigma2, self.moments, self.deviation_scale)
 
-    def center(self, u, H):
-        return self.moments.c * u
+    def center(self, u, H, out=None):
+        return self.moments.c * u  # one row, broadcast over the block
 
-    def verify(self, Y, u, H, tau):
-        accept = _ball(Y, self.center(u, H)) <= tau
+    def verify(self, Y, u, H, tau, out=None):
+        accept = _ball(Y, self.center(u, H), out) <= tau
         return accept, np.zeros_like(accept)
 
 

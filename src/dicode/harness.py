@@ -15,7 +15,10 @@ fading, then the noise, into row t of the block (``channel.transmit``),
 and one ``verify`` call decides the whole block.  A block holds at most
 ``BLOCK_BYTES`` of received words, so memory stays flat in the trial
 count and the block length; the verdicts are the ones a trial-by-trial
-loop gives.
+loop gives.  Each worker thread allocates its block buffers once and
+reuses them for every block it sends, so the trial loop makes no
+block-sized allocation: no page-fault or unmap churn, and no thread
+waits on another's memory-map changes.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +43,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .channel import ChannelModel, FastFading, SlowFading, parse_channel, transmit
+from .channel import (ChannelModel, FastFading, SlowFading, block_buffers, parse_channel,
+                      transmit)
 from .codebook import ConcatCodebook, plan_params
 from .config import Key, resolve
 from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
@@ -386,18 +391,22 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     for _, ver, *_ in slots:
         if ver not in taus:
             taus[ver] = verifier.threshold(codewords[ver])
-    rows = max(1, BLOCK_BYTES // (8 * book.n))
+    rows = min(max(1, BLOCK_BYTES // (8 * book.n)), max(s[-1] for s in slots))
+    local = threading.local()
 
     def run_slot(k: int):
         """(hits, outages, h = 0 trials, h = 0 hits) of slot k; a hit is
         a type-I error or a type-II accept."""
         sent, ver, tag, slot, trials = slots[k]
         u_sent, u = codewords[sent], codewords[ver]
+        if not hasattr(local, "blocks"):  # this thread's received words, fading, scratch
+            local.blocks = block_buffers(cfg.channel, rows, book.n)
+            local.scratch = np.empty((rows, book.n))
         out = np.zeros(4, dtype=np.int64)
         for start in range(0, trials, rows):
             rngs = [_gen(cfg.seed, tag, slot, t) for t in range(start, min(start + rows, trials))]
-            Y, H = transmit(cfg.channel, u_sent, rngs)
-            accept, outage = verifier.verify(Y, u, H, taus[ver])
+            Y, H = transmit(cfg.channel, u_sent, rngs, out=local.blocks)
+            accept, outage = verifier.verify(Y, u, H, taus[ver], out=local.scratch[:len(rngs)])
             hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
             zero = (H == 0.0) & ~outage if slow else np.zeros_like(outage)
             out += (hit.sum(), outage.sum(), zero.sum(), (hit & zero).sum())

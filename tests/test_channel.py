@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dicode.channel import Awgn, FastFading, SlowFading, parse_channel, transmit
+from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_channel, transmit
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
 
 
@@ -128,3 +128,28 @@ def test_block_rows_equal_single_sends_drawn_fading_first(model):
             assert np.array_equal(H[r], h) and np.array_equal(h1, h)
     if isinstance(model, SlowFading):
         assert H.shape == (5,) and isinstance(h1, float)
+
+
+@pytest.mark.parametrize("model", [
+    Awgn(0.5),
+    SlowFading(DiscreteMixture(((0.0, 0.3), (1.0, 0.7))), 2.0),
+    FastFading(Rayleigh(1.0), 0.7),
+], ids=["awgn", "slow", "fast"])
+def test_block_send_into_reused_buffers_matches_a_fresh_block(model):
+    # a caller's buffers take any block of up to their row count, and
+    # stale rows from an earlier, longer block change nothing
+    x = np.linspace(-1.0, 2.0, 40)
+    bufs = block_buffers(model, 6, 40)
+    transmit(model, x, [np.random.default_rng(s) for s in range(10, 16)], out=bufs)
+    Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(4)], out=bufs)
+    Y0, H0 = transmit(model, x, [np.random.default_rng(s) for s in range(4)])
+    assert Y.shape == (4, 40) and np.shares_memory(Y, bufs[0])
+    assert np.array_equal(Y, Y0)
+    if H0 is None:
+        assert H is None and bufs[1] is None
+    else:
+        assert np.shares_memory(H, bufs[1]) and np.array_equal(H, H0)
+    with pytest.raises(ValueError, match="does not fit"):
+        transmit(model, x, [np.random.default_rng(s) for s in range(7)], out=bufs)
+    with pytest.raises(TypeError):
+        block_buffers("awgn", 2, 40)

@@ -259,3 +259,9 @@ def test_verifier_specs_drive_the_same_functions():
             assert res.threshold == tau
             assert outage[r] == (res.verdict == OUTAGE)
             assert accept[r] == (res.verdict == ACCEPT)
+        # a scratch block changes no verdict and leaves Y and H as they were
+        Y0, H0 = Yb.copy(), None if Hb is None else Hb.copy()
+        scratch = np.full((rows, n), np.nan)
+        accept2, outage2 = spec.verify(Yb, u, Hb, tau, out=scratch)
+        assert np.array_equal(accept2, accept) and np.array_equal(outage2, outage)
+        assert np.array_equal(Yb, Y0) and (Hb is None or np.array_equal(Hb, H0))

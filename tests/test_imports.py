@@ -30,6 +30,27 @@ def test_importing_dicode_leaves_scipy_unloaded(module):
     assert out.strip() == "False"
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_importing_dicode_defaults_openblas_to_one_thread_unless_set(preset):
+    # dicode's BLAS products are small and its trial loop has its own
+    # workers; an OpenBLAS pool's spinning threads only take their cores
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    if preset:
+        env[preset] = "2"
+    code = f"import json, os, dicode; print(json.dumps([os.environ.get(k) for k in {BLAS_THREADS}]))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = dict(zip(BLAS_THREADS, json.loads(done.stdout)))
+    want = {k: None for k in BLAS_THREADS}
+    want.update({preset: "2"} if preset else {"OPENBLAS_NUM_THREADS": "1"})
+    assert got == want
+
+
 TRACED_RUN = """
 import json
 from tracer import Tracer, install
