@@ -11,6 +11,7 @@ feasibility problems, 3 when a validation run finds formula violations,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -152,8 +153,14 @@ def _outdir(args) -> str:
 
 
 def _echo_config(outdir: str, cfg: dict) -> None:
+    """Write the values a run uses, defaults included, as a config that re-runs it."""
     write_text_atomic(os.path.join(outdir, "resolved_config.json"),
                       json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+
+
+def _default(fn, name: str):
+    """The default of one argument of fn, for keys whose default fn owns."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def cmd_construct(args) -> int:
@@ -165,7 +172,8 @@ def cmd_construct(args) -> int:
     limit = kw.pop("export_codewords")
     outdir = _outdir(args)
     params = plan_params(**kw)
-    _echo_config(outdir, cfg)
+    used = {k: getattr(params, k) for k in CONSTRUCT_KEYS.keys() - {"export_codewords"}}
+    _echo_config(outdir, {**used, "export_codewords": limit})
     write_params_json(os.path.join(outdir, "params.json"), params)
     if limit > 0:
         book = ConcatCodebook(params)
@@ -199,13 +207,13 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     kw = resolve(cfg, BOUNDS_KEYS)
     outdir = _outdir(args)
-    lam = kw.pop("lambda1") + kw.pop("lambda2")
-    sigma = math.sqrt(kw.pop("sigma2"))
-    derived_d = min_distance_lower_bound(lam, sigma) if lam > 0 else 0.0
+    lam = kw["lambda1"] + kw["lambda2"]
+    derived_d = min_distance_lower_bound(lam, math.sqrt(kw["sigma2"])) if lam > 0 else 0.0
     kw.setdefault("d_min", derived_d)
-    fading = kw.pop("fading")
-    report = rate_report(dist=parse_distribution(fading) if fading else None, **kw)
-    _echo_config(outdir, cfg)
+    dist = parse_distribution(kw["fading"]) if kw["fading"] else None
+    report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,
+                         kw["snr"], kw["outage_eps"])
+    _echo_config(outdir, {**kw, "fading": None if dist is None else dist.to_config()})
     payload = {
         "n": report.n, "log2_size": report.log2_size, "rate": report.rate,
         "upper_bound": report.upper_bound, "power_bound": report.power_bound,
@@ -232,7 +240,7 @@ def cmd_moments(args) -> int:
     if "modes" in kw:
         kw["modes"] = tuple(kw["modes"])
     grid = MomentGridConfig(**kw)
-    _echo_config(outdir, cfg)
+    _echo_config(outdir, grid.to_dict())
     report = moment_validation(grid)
     write_text_atomic(os.path.join(outdir, "moments.json"), report.to_json() + "\n")
     if args.format == "csv":
@@ -261,11 +269,13 @@ def cmd_packing(args) -> int:
     if isinstance(spec_cfg, dict):  # anything else is refused by resolve
         spec_cfg["seed"] = _seed(args, spec_cfg.get("seed"))
     kw = resolve(cfg, PACKING_KEYS)
-    projection, check_projection = kw.pop("projection"), kw.pop("check_projection")
+    kw.setdefault("profile", _default(generate_expurgated, "profile"))
+    kw["projection"].setdefault("sample_count", _default(check_projection_property,
+                                                         "sample_count"))
     outdir = _outdir(args)
-    spec = PackingSpec(**kw.pop("spec"))
-    _echo_config(outdir, cfg)
-    vectors, report = generate_expurgated(spec, **kw)
+    spec = PackingSpec(**kw["spec"])
+    _echo_config(outdir, kw)
+    vectors, report = generate_expurgated(spec, kw["profile"])
     problems = verify_packing(vectors, spec, report.profile)
     if problems:
         for p in problems[:10]:
@@ -279,8 +289,8 @@ def cmd_packing(args) -> int:
         "removed": {"power": report.removed_power, "fourth": report.removed_fourth,
                     "band": report.removed_band, "distance": report.removed_distance},
     }
-    if check_projection:
-        proj = check_projection_property(vectors, seed=spec.seed, **projection)
+    if kw["check_projection"]:
+        proj = check_projection_property(vectors, seed=spec.seed, **kw["projection"])
         payload["projection"] = {
             "mode": proj.mode, "subset_size": proj.subset_size,
             "threshold": proj.threshold, "certified": proj.certified,

@@ -4,7 +4,10 @@ The verifier thresholds need E h, E h^2, E h^3, E h^4 and the derived
 central quantities to high accuracy.  Moments come from closed forms
 where available and from adaptive quadrature otherwise (the Rician case:
 Bessel-weighted integrands, no series expansions).  Sampling always goes
-through a caller-supplied numpy Generator so seeded runs reproduce.
+through a caller-supplied numpy Generator so seeded runs reproduce.  A
+discrete mixture builds its sampling table (atom values and normalized
+cdf) once; a draw is a uniform and a right-side cdf lookup, the stream
+and the values ``Generator.choice`` with the same probabilities gives.
 scipy is imported inside the few methods that call it (the Rician pdf,
 cdf and moments, the Nakagami cdf), so importing dicode does not load it.
 """
@@ -283,16 +286,17 @@ class DiscreteMixture(FadingDistribution):
             total += prob
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-
-    def _arrays(self):
-        vals = np.array([v for v, _ in self.atoms])
+        # the sampling table, built once: atom values and the normalized cdf
         probs = np.array([p for _, p in self.atoms])
-        return vals, probs / probs.sum()
+        cdf = np.cumsum(probs / probs.sum())
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_values", np.array([v for v, _ in self.atoms]))
+        object.__setattr__(self, "_cdf", cdf)
 
     def sample(self, rng, size=None):
-        vals, probs = self._arrays()
-        idx = rng.choice(len(vals), size=size, p=probs)
-        return vals[idx]
+        # Generator.choice(len(atoms), size, p=probs) without its per-call
+        # checks of p: the same uniforms and the same right-side cdf lookup
+        return self._values[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def cdf(self, x):
         return float(sum(p for v, p in self.atoms if v <= x))

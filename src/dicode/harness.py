@@ -20,6 +20,15 @@ reuses them for every block it sends, so the trial loop makes no
 block-sized allocation: no page-fault or unmap churn, and no thread
 waits on another's memory-map changes.
 
+Moment validation checks the closed-form statistic moments by Monte
+Carlo over a grid of (law, mode, pair, statistic) cells.  Each law's
+moments are computed once; each cell draws from its own generator,
+seeded from its label, so the cells run on every core this process may
+use (``os.sched_getaffinity``) and the rows do not depend on how many.
+A cell draws a chunk's fading whole, then its noise in row blocks of at
+most ``BLOCK_BYTES`` into one reused buffer, where the statistic is
+formed in place; the rows equal those of whole-chunk draws bit for bit.
+
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
 from both denominators and reported separately.  On slow-fading trials
@@ -38,7 +47,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal
 
 import numpy as np
@@ -58,8 +67,8 @@ _TAG_TYPE1 = 1
 _TAG_TYPE2 = 2
 _TAG_PAIRS = 3
 
-# cap on the float64 received words of one trial block: a slot sends
-# max(1, BLOCK_BYTES // (8 n)) trials at a time
+# cap on the float64 rows of one block: a trial slot sends, and a
+# moment-grid cell draws noise for, max(1, BLOCK_BYTES // (8 n)) rows at a time
 BLOCK_BYTES = 1 << 20
 
 # (required, optional) keys of each codebook type, below `codebook.`
@@ -485,10 +494,16 @@ def _canonical_config(cfg: ExperimentConfig) -> dict:
 
 
 def _map_slots(fn, count: int, workers: int):
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as ex:
-        return list(ex.map(fn, range(count)))
+    # the whole trial phase as one call; perfbench/tracer.py times it by name
+    return _map_threads(fn, range(count), workers)
+
+
+def _map_threads(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on up to `threads` threads, in item order."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
+        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +523,13 @@ class MomentGridConfig:
     chunk: int = 20_000
     tolerance_sigmas: float = 4.0
 
+    def to_dict(self) -> dict:
+        """Every field as `dicode moments` reads it; laws as their records."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["distributions"] = [d.to_config() for d in self.distributions]
+        out["modes"] = list(self.modes)
+        return out
+
 
 @dataclass(frozen=True)
 class MomentCheckRow:
@@ -526,6 +548,7 @@ class MomentReport:
     rows: list[MomentCheckRow]
     draws: int
     elapsed_s: float
+    cell_s: list[float]  # seconds of each (law, mode, pair, statistic) cell, in row order
 
     @property
     def failures(self) -> list[MomentCheckRow]:
@@ -536,38 +559,48 @@ class MomentReport:
             "schema": _SCHEMA,
             "draws": self.draws,
             "elapsed_s": self.elapsed_s,
+            "cell_s": self.cell_s,
             "rows": [asdict(r) for r in self.rows],
             "failures": len(self.failures),
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _mc_statistic_moments(dist, mode, u_center, u_sent, sigma2, draws, chunk, rng):
+def _cell_moments(dist, m, mode, u_center, u_sent, sigma2, th_mean, draws, chunk, rng):
     """Empirical (mean, var, se_mean, se_var) of the verifier statistic.
 
-    Accumulation is centered on the closed-form mean so the fourth-power
-    sums stay small; th_mean is added back before returning.
+    A chunk draws its fading whole, then its noise block by block into
+    one reused buffer of at most BLOCK_BYTES, where the received word is
+    centered, squared and row-summed in place.  Standard normals fill the
+    buffer in stream order, so the statistic equals the one whole-chunk
+    draws give, bit for bit.  Accumulation is centered on the
+    closed-form mean th_mean so the fourth-power sums stay small; it is
+    added back before returning.
     """
     n = u_center.size
-    m = dist.moments()
-    th_mean, _ = impostor_moments(u_center, u_sent, sigma2, m, mode)
     sigma = math.sqrt(sigma2)
+    rows = min(max(1, BLOCK_BYTES // (8 * n)), chunk, draws)
+    block = np.empty((rows, n))  # noise, then the centered received word
+    scratch = np.empty((rows, n))  # h * u_sent, then h * u_center
+    nocsi_center = m.c * u_center
     s1 = s2 = s3 = s4 = 0.0
-    done = 0
-    while done < draws:
+    for done in range(0, draws, chunk):
         b = min(chunk, draws - done)
         h = np.asarray(dist.sample(rng, (b, n)), dtype=float)
-        z = sigma * rng.standard_normal((b, n))
-        y = h * u_sent + z
-        if mode == "csi":
-            w = np.sum((y - h * u_center) ** 2, axis=1) - th_mean
-        else:
-            w = np.sum((y - m.c * u_center) ** 2, axis=1) - th_mean
+        w = np.empty(b)
+        for r0 in range(0, b, rows):
+            r1 = min(r0 + rows, b)
+            y, hb, tmp = block[:r1 - r0], h[r0:r1], scratch[:r1 - r0]
+            rng.standard_normal(out=y)
+            y *= sigma
+            y += np.multiply(hb, u_sent, out=tmp)
+            y -= np.multiply(hb, u_center, out=tmp) if mode == "csi" else nocsi_center
+            np.sum(np.square(y, out=y), axis=1, out=w[r0:r1])
+        w -= th_mean
         s1 += float(w.sum())
         s2 += float((w * w).sum())
         s3 += float((w**3).sum())
         s4 += float((w**4).sum())
-        done += b
     N = draws
     mean_w = s1 / N
     var = s2 / N - mean_w**2
@@ -577,8 +610,20 @@ def _mc_statistic_moments(dist, mode, u_center, u_sent, sigma2, draws, chunk, rn
     return th_mean + mean_w, var, se_mean, se_var
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def moment_validation(cfg: MomentGridConfig) -> MomentReport:
-    """Monte Carlo check of every closed-form statistic moment in the grid."""
+    """Monte Carlo check of every closed-form statistic moment in the grid.
+
+    Each (law, mode, pair, statistic) cell draws from its own generator,
+    seeded from its label, so the cells run on as many threads as this
+    process may use and the rows do not depend on how many that is.
+    """
     t0 = time.perf_counter()
     rng_vectors = _gen(cfg.seed, 10)
     vecs = [
@@ -586,29 +631,36 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
         for _ in range(max(3, cfg.pair_count))
     ]
     pairs = [(vecs[i % len(vecs)], vecs[(i + 1) % len(vecs)]) for i in range(cfg.pair_count)]
-    rows: list[MomentCheckRow] = []
+    cells = []
     for dist in cfg.distributions:
         m = dist.moments()
         for mode in cfg.modes:
             for pi, (u_center, u_sent) in enumerate(pairs):
                 label = f"{dist.to_config()['type']}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
-                    th_mean, th_var = impostor_moments(u_center, sent, cfg.sigma2, m, mode)
-                    rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
-                    est_mean, est_var, se_mean, se_var = _mc_statistic_moments(
-                        dist, mode, u_center, sent, cfg.sigma2, cfg.draws, cfg.chunk, rng
-                    )
-                    for quantity, formula, est, se in (
-                        ("mean", th_mean, est_mean, se_mean),
-                        ("variance", th_var, est_var, se_var),
-                    ):
-                        dev = abs(est - formula) / se if se > 0 else 0.0
-                        rows.append(MomentCheckRow(
-                            case=label, statistic=stat_name, quantity=quantity,
-                            formula=formula, estimate=est, std_error=se,
-                            deviation=dev, ok=dev <= cfg.tolerance_sigmas,
-                        ))
-    return MomentReport(rows=rows, draws=cfg.draws, elapsed_s=time.perf_counter() - t0)
+                    cells.append((label, stat_name, dist, m, mode, u_center, sent,
+                                  impostor_moments(u_center, sent, cfg.sigma2, m, mode)))
+
+    def run_cell(cell) -> tuple[list[MomentCheckRow], float]:
+        t_cell = time.perf_counter()
+        label, stat_name, dist, m, mode, u_center, sent, (th_mean, th_var) = cell
+        rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
+        est_mean, est_var, se_mean, se_var = _cell_moments(
+            dist, m, mode, u_center, sent, cfg.sigma2, th_mean, cfg.draws, cfg.chunk, rng)
+        rows = []
+        for quantity, formula, est, se in (("mean", th_mean, est_mean, se_mean),
+                                           ("variance", th_var, est_var, se_var)):
+            dev = abs(est - formula) / se if se > 0 else 0.0
+            rows.append(MomentCheckRow(
+                case=label, statistic=stat_name, quantity=quantity,
+                formula=formula, estimate=est, std_error=se,
+                deviation=dev, ok=dev <= cfg.tolerance_sigmas,
+            ))
+        return rows, time.perf_counter() - t_cell
+
+    results = _map_threads(run_cell, cells, _usable_cores())
+    return MomentReport(rows=[r for rows, _ in results for r in rows], draws=cfg.draws,
+                        elapsed_s=time.perf_counter() - t0, cell_s=[s for _, s in results])
 
 
 def hash_label(label: str) -> int:

@@ -103,6 +103,7 @@ def ladder():
 # -- criteria --------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_moment_formulas_match_monte_carlo():
     cfg = MomentGridConfig(
         distributions=(
@@ -131,6 +132,7 @@ def test_criterion_1_moment_formulas_match_monte_carlo():
              f"{report.elapsed_s:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_flagship_awgn_identification():
     t0 = time.perf_counter()
     cfg = ExperimentConfig.from_dict({
@@ -173,6 +175,7 @@ def _slow_fading_config(eta, allow_degenerate):
     })
 
 
+@pytest.mark.slow
 def test_criterion_3_slow_fading_outage_dichotomy():
     # (a) eta above the zero-atom mass: outages absorb exactly the dead
     # blocks and the surviving trials behave like the flagship run
@@ -250,6 +253,7 @@ def test_criterion_5_csi_free_needs_nonzero_fading_mean():
              f"mean-0 law degrades to {t2_bad:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_construction_guarantees(flagship_pool, ladder):
     params, pool, pair_d2 = flagship_pool
     A, n = params.power_bound, params.n

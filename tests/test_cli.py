@@ -368,6 +368,70 @@ def test_simulate_resolved_config_round_trips(tmp_path):
             == (second / "resolved_config.json").read_text())
 
 
+def _dotted_keys(cfg: dict, table: dict, prefix: str = "") -> set:
+    """The table keys a config sets; a record-valued key counts as one."""
+    keys = set()
+    for name, value in cfg.items():
+        path = prefix + name
+        if isinstance(value, dict) and path not in table:
+            keys |= _dotted_keys(value, table, path + ".")
+        else:
+            keys.add(path)
+    return keys
+
+
+# subcommand -> (--set arguments that leave most keys at their defaults,
+# the output files a re-run must reproduce)
+ECHO_CASES = {
+    "construct": (["n=500", "a=0.02", "export_codewords=2"], ["params.json", "codewords.csv"]),
+    "bounds": (["n=1024", "log2_size=512", "lambda1=0.025", "lambda2=0.025",
+                'fading={"type": "rayleigh", "scale": 1.0}', "snr=10.0"], ["bounds.json"]),
+    "moments": (['distributions=[{"type": "constant", "value": 1.0}, '
+                 '{"type": "discrete", "atoms": [[0.0, 0.3], [1.0, 0.7]]}]', "n=8",
+                 "draws=3000", "chunk=700"], ["rows"]),
+    "packing": (["spec.n=32", "spec.target_size=20", "spec.power_bound=4.0",
+                 "spec.sampling_power=2.0", "spec.distance_exponent=0.05"],
+                ["report.json", "vectors.csv", "vectors.csv.spec.json"]),
+}
+
+
+def _outputs(outdir, names):
+    if names == ["rows"]:  # moments.json also holds timings
+        return json.loads((outdir / "moments.json").read_text())["rows"]
+    return [(outdir / name).read_text() for name in names]
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_CASES))
+def test_resolved_config_lists_every_key_and_reruns_the_same(command, tmp_path):
+    sets, outputs = ECHO_CASES[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run([command, "--outdir", str(first), "--seed", "6",
+                *[arg for item in sets for arg in ("--set", item)]]) == 0
+    echo = json.loads((first / "resolved_config.json").read_text())
+    table = COMMANDS[command][2]
+    assert _dotted_keys(echo, table) == set(table)
+    assert run([command, "--config", str(first / "resolved_config.json"),
+                "--outdir", str(second)]) == 0
+    assert _outputs(first, outputs) == _outputs(second, outputs)
+    assert ((first / "resolved_config.json").read_text()
+            == (second / "resolved_config.json").read_text())
+
+
+def test_resolved_config_holds_the_defaults_the_run_used(tmp_path):
+    assert run(["construct", "--outdir", str(tmp_path), "--set", "n=500", "--set", "a=0.02",
+                "--set", "export_codewords=2"]) == 0
+    echo = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert echo == {"n": 500, "a": 0.02, "export_codewords": 2, "power_bound": 1.0,
+                    "eps1": 0.1, "eps2": 0.1, "field_seed": 0}
+    assert run(["moments", "--outdir", str(tmp_path), "--seed", "2", "--set",
+                'distributions=[{"type": "rayleigh", "scale": 1.0}]', "--set", "draws=100"]) == 0
+    echo = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert echo == {"distributions": [{"type": "rayleigh", "scale": 1.0}],
+                    "modes": ["csi", "nocsi"], "n": 64, "draws": 100, "sigma2": 1.0,
+                    "pair_count": 3, "vector_power": 1.0, "seed": 2, "chunk": 20_000,
+                    "tolerance_sigmas": 4.0}
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

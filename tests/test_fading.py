@@ -186,3 +186,29 @@ def test_sampling_is_reproducible():
     a = law.sample(np.random.default_rng(9), 100)
     b = law.sample(np.random.default_rng(9), 100)
     assert np.array_equal(a, b)
+
+
+MIXTURES = {
+    "skewed": ((0.5, 0.6), (1.5, 0.2), (2.0, 0.2)),
+    "zero-probability atom": ((0.0, 0.3), (7.0, 0.0), (1.0, 0.7)),
+    "single atom": ((2.5, 1.0),),
+    "negative and unsorted": ((1.0, 0.25), (-2.0, 0.5), (0.0, 0.125), (-0.5, 0.125)),
+}
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000, (40, 7)], ids=repr)
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_discrete_sampler_draws_what_numpy_choice_draws(name, size):
+    atoms = MIXTURES[name]
+    law = DiscreteMixture(atoms)
+    vals = np.array([v for v, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(3):  # the table is built once and reused
+        got = law.sample(ours, size)
+        want = vals[theirs.choice(len(vals), size, p=probs / probs.sum())]
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+    # both generators stand at the same point of their streams
+    assert ours.random() == theirs.random()
+    assert ours.bit_generator.state == theirs.bit_generator.state

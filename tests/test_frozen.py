@@ -1,19 +1,29 @@
-"""Frozen outputs: codewords, close partners and a canonical report.
+"""Frozen outputs: codewords, close partners, canonical reports and
+moment-grid rows.
 
-The hashes were recorded with the digit-matrix encoder (vector Horner
-over ``ExtensionContext.vmul``/``vadd``) before the encoder moved to
-GF(p) linear algebra.  Any change to how identities are encoded shows
-up here first; these values must never be updated to make a change pass.
+The codeword, partner and criterion-9 hashes were recorded with the
+digit-matrix encoder (vector Horner over ``ExtensionContext.vmul``/
+``vadd``) before the encoder moved to GF(p) linear algebra.  The
+moment-grid and fast-fading hashes were recorded with the whole-chunk
+moment expression and ``Generator.choice`` sampling of discrete laws,
+before the blocked grid kernel and the table sampler.  Any change to how
+identities are encoded or how draws are consumed shows up here first;
+these values must never be updated to make a change pass.
 """
 
 import hashlib
+import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dicode.codebook import ConcatCodebook, plan_params
-from dicode.harness import ExperimentConfig, run_experiment
+from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh
+from dicode.harness import ExperimentConfig, MomentGridConfig, moment_validation, run_experiment
+
+SKEWED = ((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))
 
 
 def _words_sha(words) -> str:
@@ -65,3 +75,36 @@ def test_criterion_9_canonical_report_is_frozen():
     text = run_experiment(ExperimentConfig.from_dict(cfg)).canonical_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "13c8a47f884edfe4e3f0101e29bada3cf577c103f8379c92805e201d4d427c38")
+
+
+def test_moment_grid_rows_are_frozen():
+    # the criterion-1 laws; 7000 draws run as chunks of 3000, 3000 and 1000,
+    # and a 3000-draw chunk as blocks of 2048 and 952 rows
+    cfg = MomentGridConfig(
+        distributions=(Constant(1.0), Rayleigh(1.0), Nakagami(2.0, 1.0),
+                       DiscreteMixture(((0.0, 0.3), (1.0, 0.7))), DiscreteMixture(SKEWED)),
+        n=64, draws=7000, chunk=3000, pair_count=1, seed=101)
+    text = json.dumps([asdict(r) for r in moment_validation(cfg).rows], sort_keys=True, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8651fe5b5a918ae56c9c84069438e6cd38a2c6b230bcb3e1210692f19cf61d11")
+
+
+def test_fast_fading_nocsi_canonical_report_is_frozen():
+    # loud noise and a narrow ball: both error kinds occur, so the report
+    # depends on every fading and noise draw
+    cfg = {
+        "channel": {"type": "fast-fading", "sigma2": 10.0,
+                    "fading": {"type": "discrete", "atoms": [list(a) for a in SKEWED]}},
+        "codebook": {"type": "packing", "profile": "norm-concentrated",
+                     "spec": {"n": 64, "target_size": 16, "power_bound": 4.0,
+                              "sampling_power": 2.0, "distance_exponent": 0.05, "seed": 5}},
+        "verifier": {"mode": "no-csi", "deviation_scale": 0.3},
+        "trials": {"identities": 6, "per_identity": 20, "pairs": 8, "per_pair": 15,
+                   "min_distance_pairs": 2},
+        "seed": 77, "workers": 1,
+    }
+    report = run_experiment(ExperimentConfig.from_dict(cfg))
+    assert report.results["type1"]["pooled"]["errors"] > 0
+    assert report.results["type2"]["pooled"]["accepts"] > 0
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == (
+        "58318b6421a20b9ef1f3b2001351b2411c827588a4cefd6160a4891a530d1c24")

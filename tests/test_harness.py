@@ -8,6 +8,7 @@ trade-off (conditional error rates on h = 0 trials sum to one).
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,7 @@ def test_moment_grid_confirms_formulas_on_a_small_budget():
     payload = json.loads(report.to_json())
     assert payload["failures"] == 0
     assert payload["draws"] == 60_000
+    assert len(payload["cell_s"]) == 24 and payload["cell_s"] == report.cell_s
 
 
 def test_moment_grid_flags_a_wrong_formula(monkeypatch):
@@ -306,6 +308,87 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(not r.ok for r in mean_rows)
     assert min(r.deviation for r in mean_rows) > 10.0   # not a borderline trip
     assert all(r.ok for r in var_rows)
+
+
+def _reference_grid(cfg: MomentGridConfig) -> list:
+    """The grid's rows from the plain whole-chunk expression: per chunk,
+    the fading, then the noise, as one (chunk, n) draw each."""
+    from dicode.decoder import impostor_moments
+    from dicode.harness import MomentCheckRow, _gen, hash_label
+
+    rng_vectors = _gen(cfg.seed, 10)
+    vecs = [math.sqrt(cfg.vector_power) * rng_vectors.standard_normal(cfg.n)
+            for _ in range(max(3, cfg.pair_count))]
+    rows = []
+    for dist in cfg.distributions:
+        m = dist.moments()
+        for mode in cfg.modes:
+            for pi in range(cfg.pair_count):
+                u_center, u_other = vecs[pi % len(vecs)], vecs[(pi + 1) % len(vecs)]
+                label = f"{dist.to_config()['type']}/{mode}/pair{pi}"
+                for stat, u_sent in (("genuine", u_center), ("impostor", u_other)):
+                    th_mean, th_var = impostor_moments(u_center, u_sent, cfg.sigma2, m, mode)
+                    rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat == "genuine" else 1)
+                    s1 = s2 = s3 = s4 = 0.0
+                    done = 0
+                    while done < cfg.draws:
+                        b = min(cfg.chunk, cfg.draws - done)
+                        h = np.asarray(dist.sample(rng, (b, cfg.n)), dtype=float)
+                        z = math.sqrt(cfg.sigma2) * rng.standard_normal((b, cfg.n))
+                        y = h * u_sent + z
+                        center = h * u_center if mode == "csi" else m.c * u_center
+                        w = np.sum((y - center) ** 2, axis=1) - th_mean
+                        s1 += float(w.sum())
+                        s2 += float((w * w).sum())
+                        s3 += float((w**3).sum())
+                        s4 += float((w**4).sum())
+                        done += b
+                    N = cfg.draws
+                    mean_w = s1 / N
+                    var = s2 / N - mean_w**2
+                    m4 = s4 / N - 4 * mean_w * s3 / N + 6 * mean_w**2 * s2 / N - 3 * mean_w**4
+                    for quantity, formula, est, se in (
+                            ("mean", th_mean, th_mean + mean_w, math.sqrt(max(var, 0.0) / N)),
+                            ("variance", th_var, var, math.sqrt(max(m4 - var * var, 0.0) / N))):
+                        dev = abs(est - formula) / se if se > 0 else 0.0
+                        rows.append(MomentCheckRow(label, stat, quantity, formula, est, se, dev,
+                                                   dev <= cfg.tolerance_sigmas))
+    return rows
+
+
+def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
+    from collections import Counter
+
+    import dicode.harness as harness_mod
+    from dicode.fading import FadingDistribution, Nakagami, Rician
+
+    laws = (Constant(1.0), Rayleigh(1.0), Rician(1.5, 2.0), Nakagami(2.0, 1.0),
+            DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))))
+    # 8 * 16 * 3 bytes make three-row blocks, so a 7-draw chunk splits 3 + 3 + 1,
+    # and 17 draws run as chunks of 7, 7 and 3
+    cfg = MomentGridConfig(distributions=laws, n=16, draws=17, chunk=7, seed=8, pair_count=2,
+                           sigma2=0.7)
+    want = _reference_grid(cfg)
+    monkeypatch.setattr(harness_mod, "BLOCK_BYTES", 8 * 16 * 3)
+    calls = Counter()
+    for cls in (FadingDistribution, Constant):  # every law's moments() is one of these
+        def counted(self, _moments=cls.moments):
+            calls[self] += 1
+            return _moments(self)
+        monkeypatch.setattr(cls, "moments", counted)
+    interval = sys.getswitchinterval()
+    for threads in (1, 3):
+        calls.clear()
+        monkeypatch.setattr(harness_mod, "_usable_cores", lambda: threads)
+        sys.setswitchinterval(1e-6)  # threads swap often, so shared state would show
+        try:
+            report = moment_validation(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.rows == want
+        assert calls == Counter(laws)  # once per law, not once per cell
+        assert len(report.cell_s) == len(want) // 2
+        assert all(s >= 0 for s in report.cell_s)
 
 
 class _HugeBook:
