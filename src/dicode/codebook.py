@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -359,9 +360,9 @@ def export_codewords_csv(path, book: ConcatCodebook, indices) -> None:
     if isinstance(indices, int):
         indices = range(min(indices, book.params.size))
     lines = []
-    for idx in indices:
-        u = book.encode(int(idx))
-        lines.append(",".join([str(int(idx))] + [f"{x:.17g}" for x in u]))
+    for idx in map(int, indices):
+        # Decimal, as str() refuses the 4300+ digits concatenated identities reach
+        lines.append(",".join([str(Decimal(idx))] + [f"{x:.17g}" for x in book.encode(idx)]))
     from .harness import write_text_atomic
 
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -27,8 +27,8 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
   many blocks passes the same one each time, so no block-sized array
   is allocated per call.
 
-``verify_csi_fast``, ``verify_csi_slow`` and ``verify_nocsi`` run one
-received word through the same objects and also report its statistic.
+One received word y is decided as the block ``y[None]``, with
+``h[None]`` as its fading.
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingMoments
-
-ACCEPT = "accept"
-REJECT = "reject"
-OUTAGE = "outage"
-
-
-@dataclass(frozen=True)
-class DecisionStatistic:
-    statistic: float
-    threshold: float
-    verdict: str
 
 
 def threshold_csi(n: int, sigma2: float, deviation_scale: float = 1.0) -> float:
@@ -128,8 +117,6 @@ def nocsi_threshold(
         raise ValueError("block length must be >= 2 so ln n > 0")
     mean, var = impostor_moments(u, u, sigma2, m, "nocsi")
     return mean + deviation_scale * math.sqrt(var * math.log(u.size))
-
-
 
 
 def _ball(Y: np.ndarray, center: np.ndarray, out=None) -> np.ndarray:
@@ -212,39 +199,3 @@ class NoCsi:
         accept = _ball(Y, self.center(u, H), out) <= tau
         return accept, np.zeros_like(accept)
 
-
-VerifierSpec = CsiFast | CsiSlow | NoCsi
-
-
-def _verify_one(spec: VerifierSpec, y, u, h) -> DecisionStatistic:
-    """One received word through spec, with its threshold computed afresh."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.shape != u.shape or y.ndim != 1:
-        raise ValueError("y and u must be vectors of one length")
-    tau = spec.threshold(u)
-    H = None if h is None else np.asarray(h, dtype=float)[None]
-    accept, outage = spec.verify(y[None], u, H, tau)
-    if outage[0]:
-        return DecisionStatistic(math.nan, tau, OUTAGE)
-    stat = float(_ball(y, spec.center(u, h)))
-    return DecisionStatistic(stat, tau, ACCEPT if accept[0] else REJECT)
-
-
-def verify_csi_fast(y, u, h, sigma2: float, deviation_scale: float = 1.0) -> DecisionStatistic:
-    """Per-coordinate CSI: center the ball at h * u elementwise."""
-    if np.shape(h) != np.shape(u):
-        raise ValueError("y, u and h must share one shape")
-    return _verify_one(CsiFast(sigma2, deviation_scale), y, u, h)
-
-
-def verify_csi_slow(y, u, h: float, sigma2: float, outage_threshold: float,
-                    deviation_scale: float = 1.0) -> DecisionStatistic:
-    """Block CSI: one coefficient h for the whole word, outage below the radius."""
-    return _verify_one(CsiSlow(sigma2, outage_threshold, deviation_scale), y, u, float(h))
-
-
-def verify_nocsi(y, u, sigma2: float, m: FadingMoments,
-                 deviation_scale: float = 1.0) -> DecisionStatistic:
-    """CSI-free verifier of one received word; see ``NoCsi``."""
-    return _verify_one(NoCsi(sigma2, m, deviation_scale), y, u, None)

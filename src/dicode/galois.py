@@ -347,7 +347,6 @@ class FieldContext:
             self._neg_tail = tuple((-c) % p for c in tail)
         self.MUL: np.ndarray | None = None
         self.ADD: np.ndarray | None = None
-        self.NEG: np.ndarray | None = None
         self.INV: np.ndarray | None = None
         if q <= TABLE_LIMIT:
             self._build_tables()
@@ -407,9 +406,6 @@ class FieldContext:
             raise ValueError(f"element index {a} outside [0, {self.q})")
         return _digits(a, self.p, self.m)
 
-    def digits_to_element(self, digits: Sequence[int]) -> int:
-        return _undigits([d % self.p for d in digits], self.p)
-
     # -- dense tables
 
     def _build_tables(self) -> None:
@@ -418,12 +414,10 @@ class FieldContext:
             idx = np.arange(q, dtype=np.int64)
             self.ADD = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
             self.MUL = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
-            self.NEG = ((-idx) % p).astype(np.int32)
         else:
             digs = np.array([self.element_digits(a) for a in range(q)], dtype=np.int64)
             pw = p ** np.arange(m, dtype=np.int64)
             self.ADD = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.int32)
-            self.NEG = (((-digs) % p) @ pw).astype(np.int32)
             acc = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
             for i in range(m):
                 for j in range(m):
@@ -479,7 +473,7 @@ class ExtensionContext:
         self.modulus = modulus
         self.seed = seed
         self.order: int = base.q**degree
-        self.q = self.order  # so an ExtensionContext can serve as a base itself
+        self.q = self.order  # the order under the name FieldContext gives it
         self._neg_tail = tuple(base.neg(c) for c in modulus[:-1])
 
     def __repr__(self) -> str:
@@ -514,52 +508,6 @@ class ExtensionContext:
         rem = _poly_rem(F, _poly_mul(F, pa, pb), self.modulus)
         rem += [0] * (self.degree - len(rem))
         return self.from_digits(rem)
-
-    def inv(self, a: int) -> int:
-        """Inverse via extended Euclid on coefficient polynomials."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        F = self.base
-        r0, r1 = list(self.modulus), _poly_trim(list(self.to_digits(a)))
-        s0, s1 = [], [1]
-        while r1:
-            # one division step: r0 = q*r1 + r2
-            q_poly = []
-            r2 = list(r0)
-            dm = len(r1) - 1
-            inv_lead = F.inv(r1[-1])
-            q_poly = [0] * (max(len(r2) - len(r1), 0) + 1)
-            while len(r2) - 1 >= dm and r2:
-                if r2[-1] == 0:
-                    r2.pop()
-                    continue
-                coef = F.mul(r2[-1], inv_lead)
-                shift = len(r2) - 1 - dm
-                q_poly[shift] = F.add(q_poly[shift], coef)
-                for i, g in enumerate(r1):
-                    if g:
-                        r2[shift + i] = F.add(r2[shift + i], F.neg(F.mul(coef, g)))
-                _poly_trim(r2)
-            _poly_trim(q_poly)
-            s2 = _poly_add(F, s0, [F.neg(c) for c in _poly_mul(F, q_poly, s1)])
-            r0, r1 = r1, r2
-            s0, s1 = s1, s2
-        if len(r0) != 1:
-            raise AssertionError("element not invertible; modulus reducible?")
-        lead_inv = F.inv(r0[0])
-        out = [F.mul(c, lead_inv) for c in s0]
-        out += [0] * (self.degree - len(out))
-        return self.from_digits(out[: self.degree])
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
 
     # -- GF(p)-linear algebra on coordinate vectors
 

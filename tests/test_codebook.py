@@ -9,6 +9,7 @@ small instances where every one of the M codewords can be enumerated.
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,26 @@ def test_codeword_csv_export(tmp_path):
     for r in rows:
         got = np.array([float(x) for x in r[1:]])
         assert np.array_equal(got, book.encode(int(r[0])))
+
+
+class _HugeBook:
+    """Stands in for a codebook whose identities pass 4300 decimal digits."""
+
+    params = SimpleNamespace(size=10**5000)
+
+    def encode(self, index):
+        return np.array([index % 7, -0.5])
+
+
+def test_codeword_csv_export_writes_identities_past_the_int_to_str_limit(tmp_path):
+    book = _HugeBook()
+    path = tmp_path / "words.csv"
+    export_codewords_csv(path, book, [book.params.size - 1, 12])
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    assert rows[0][0] == "9" * 5000
+    assert rows[1] == ["12", "5", "-0.5"]
+    export_codewords_csv(path, book, 2)  # an int k: the first k identities
+    assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["0", "1"]
 
 
 def test_distance_exponent_climbs_along_the_ladder():

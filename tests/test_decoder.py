@@ -8,6 +8,10 @@ they get two independent oracles here:
 2. direct Monte Carlo of the statistic, coded inline with plain numpy
    (no shared helpers with the implementation), with standard-error
    tolerances.
+
+Verdicts are checked the same way: the block ``verify`` against the
+statistic sum_j (y_j - center_j)^2 coded inline, compared with the
+threshold, and against |h| < radius for slow-fading outage.
 """
 
 import math
@@ -17,18 +21,12 @@ import numpy as np
 import pytest
 
 from dicode.decoder import (
-    ACCEPT,
-    OUTAGE,
-    REJECT,
     CsiFast,
     CsiSlow,
     NoCsi,
     impostor_moments,
     nocsi_threshold,
     threshold_csi,
-    verify_csi_fast,
-    verify_csi_slow,
-    verify_nocsi,
 )
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
 
@@ -52,14 +50,17 @@ def test_threshold_needs_two_coordinates():
 def test_boundary_point_accepts():
     # the ball is closed: statistic exactly at the threshold passes
     n, sigma2 = 16, 1.0
-    tau = threshold_csi(n, sigma2)
+    spec = CsiFast(sigma2)
     u = np.zeros(n)
-    h = np.ones(n)
-    y = np.zeros(n)
-    y[0] = math.sqrt(tau)           # ||y - u||^2 == tau exactly? only if tau is a square sum
-    res = verify_csi_fast(y, u, h, sigma2)
-    assert res.statistic == pytest.approx(tau, rel=1e-12)
-    assert res.verdict == ACCEPT
+    h = np.ones((1, n))
+    y = np.zeros((1, n))
+    y[0, 0] = math.sqrt(threshold_csi(n, sigma2))
+    stat = float(np.sum((y - h * u) ** 2))  # one nonzero term, so exact
+    assert stat == pytest.approx(spec.threshold(u), rel=1e-12)
+    accept, outage = spec.verify(y, u, h, stat)
+    assert accept[0] and not outage[0]
+    accept, _ = spec.verify(y, u, h, np.nextafter(stat, -np.inf))
+    assert not accept[0]
 
 
 def test_unit_constant_fading_collapses_all_three_verifiers():
@@ -68,17 +69,20 @@ def test_unit_constant_fading_collapses_all_three_verifiers():
     u = rng.normal(0, 1, n)
     y = u + math.sqrt(sigma2) * rng.normal(0, 1, n)
     m = Constant(1.0).moments()
-
-    fast = verify_csi_fast(y, u, np.ones(n), sigma2)
-    slow = verify_csi_slow(y, u, 1.0, sigma2, outage_threshold=0.5)
-    blind = verify_nocsi(y, u, sigma2, m)
-
-    assert fast.statistic == pytest.approx(slow.statistic, rel=1e-12)
-    assert fast.statistic == pytest.approx(blind.statistic, rel=1e-12)
+    stat = float(np.sum((y - u) ** 2))
+    specs = [(CsiFast(sigma2), np.ones((1, n))),
+             (CsiSlow(sigma2, outage_threshold=0.5), np.ones(1)),
+             (NoCsi(sigma2, m), None)]
+    # every ball is centered at u itself
+    for spec, H in specs:
+        assert np.array_equal(np.ravel(spec.center(u, H)), u)
     # Var h = 0 kills the fading terms, so the thresholds agree too
-    assert fast.threshold == pytest.approx(slow.threshold, rel=1e-12)
-    assert fast.threshold == pytest.approx(blind.threshold, rel=1e-12)
-    assert fast.verdict == slow.verdict == blind.verdict
+    taus = [spec.threshold(u) for spec, _ in specs]
+    assert taus[1] == pytest.approx(taus[0], rel=1e-12)
+    assert taus[2] == pytest.approx(taus[0], rel=1e-12)
+    for (spec, H), tau in zip(specs, taus):
+        accept, outage = spec.verify(y[None], u, H, tau)
+        assert accept[0] == (stat <= tau) and not outage[0]
 
 
 def test_genuine_moments_with_csi_are_pure_noise_moments():
@@ -178,47 +182,52 @@ def test_genuine_acceptance_beats_the_chebyshev_floor():
     # the design guarantee is >= 1 - 1/ln n; the Gaussian reality is much
     # better, so 0.9 at n=256 leaves no flakiness
     n, sigma2, trials = 256, 1.0, 2000
+    spec = CsiFast(sigma2)
     u = np.ones(n)
-    rng = np.random.default_rng(11)
-    accepts = 0
-    for _ in range(trials):
-        y = u + math.sqrt(sigma2) * rng.standard_normal(n)
-        accepts += verify_csi_fast(y, u, np.ones(n), sigma2).verdict == ACCEPT
+    tau = spec.threshold(u)
+    Y = u + math.sqrt(sigma2) * np.random.default_rng(11).standard_normal((trials, n))
+    accept, _ = spec.verify(Y, u, np.ones((trials, n)), tau)
+    assert np.array_equal(accept, np.sum((Y - u) ** 2, axis=1) <= tau)
+    accepts = int(accept.sum())
     assert accepts / trials >= 0.9
     assert accepts / trials >= 1 - 1 / math.log(n)
 
 
 def test_far_impostors_are_rejected():
     n, sigma2, trials = 256, 1.0, 500
+    spec = CsiFast(sigma2)
     u = np.zeros(n)
     far = np.full(n, 0.8)           # distance^2 = 163.8 >> threshold slack 33.9
-    rng = np.random.default_rng(12)
-    accepts = 0
-    for _ in range(trials):
-        y = far + math.sqrt(sigma2) * rng.standard_normal(n)
-        accepts += verify_csi_fast(y, u, np.ones(n), sigma2).verdict == ACCEPT
-    assert accepts == 0
+    tau = spec.threshold(u)
+    Y = far + math.sqrt(sigma2) * np.random.default_rng(12).standard_normal((trials, n))
+    accept, _ = spec.verify(Y, u, np.ones((trials, n)), tau)
+    assert (np.sum((Y - u) ** 2, axis=1) > tau).all()
+    assert not accept.any()
 
 
 def test_slow_fading_outage_and_verdicts():
     n, sigma2 = 64, 1.0
+    spec = CsiSlow(sigma2, outage_threshold=0.1)
     u = np.ones(n)
-    y = 2.0 * u
-    res = verify_csi_slow(y, u, h=0.05, sigma2=sigma2, outage_threshold=0.1)
-    assert res.verdict == OUTAGE
-    assert math.isnan(res.statistic)
-    res = verify_csi_slow(2.0 * u, u, h=2.0, sigma2=sigma2, outage_threshold=0.1)
-    assert res.verdict == ACCEPT    # exact center, zero statistic
-    assert res.statistic == 0.0
-    res = verify_csi_slow(2.0 * u, u, h=-2.0, sigma2=sigma2, outage_threshold=0.1)
-    assert res.verdict == REJECT    # wrong sign puts y far from h*u
+    tau = spec.threshold(u)
+    h = np.array([0.05, -0.1, 2.0, -2.0])
+    Y = np.stack([0.05 * u, -0.1 * u, 2.0 * u, 2.0 * u])
+    stats = np.sum((Y - h[:, None] * u) ** 2, axis=1)
+    accept, outage = spec.verify(Y, u, h, tau)
+    # |h| below the radius is an outage, even with y at the exact center;
+    # the radius itself is not
+    assert outage.tolist() == [True, False, False, False]
+    assert stats[0] == 0.0 and not accept[0]
+    assert stats[1] == 0.0 and accept[1]
+    assert stats[2] == 0.0 and accept[2]     # exact center, zero statistic
+    assert stats[3] > tau and not accept[3]  # wrong sign puts y far from h*u
 
 
 def test_zero_mean_law_warns_on_blind_verification():
     u = np.ones(16)
     m = DiscreteMixture(((-1.0, 0.5), (1.0, 0.5))).moments()
     with pytest.warns(RuntimeWarning):
-        verify_nocsi(u, u, 1.0, m)
+        NoCsi(1.0, m).threshold(u)
 
 
 def test_deviation_scale_widens_the_ball():
@@ -229,8 +238,9 @@ def test_deviation_scale_widens_the_ball():
     assert nocsi_threshold(u, sigma2, m, 2.0) > nocsi_threshold(u, sigma2, m, 1.0)
 
 
-def test_verifier_specs_drive_the_same_functions():
-    # one block verify decides every row as the one-word functions do
+def test_block_verify_decides_every_row_by_its_ball_statistic():
+    # each row: outage iff |h| < radius, else accept iff the inline
+    # statistic against that row's center is within the threshold
     rng = np.random.default_rng(3)
     rows, n, sigma2 = 8, 32, 1.0
     u = rng.normal(0, 1, n)
@@ -241,24 +251,23 @@ def test_verifier_specs_drive_the_same_functions():
     h_slow = np.array([0.05, 1.0, -1.0, 2.0, 0.0, 0.7, 1.2, -0.05])
     Y_slow = h_slow[:, None] * sent + rng.normal(0, 1, (rows, n))
     m = Rayleigh(1.0).moments()
-    cases = [
-        (CsiFast(sigma2), Y, H, lambda y, h: verify_csi_fast(y, u, h, sigma2)),
-        (CsiFast(sigma2), Y_awgn, None, lambda y, h: verify_csi_fast(y, u, np.ones(n), sigma2)),
-        (CsiSlow(sigma2, 0.1), Y_slow, h_slow,
-         lambda y, h: verify_csi_slow(y, u, h, sigma2, 0.1)),
-        (NoCsi(sigma2, m), Y, H, lambda y, h: verify_nocsi(y, u, sigma2, m)),  # h ignored
+    no_outage = np.zeros(rows, dtype=bool)
+    cases = [  # spec, Y, H, tau, centers, outage
+        (CsiFast(sigma2), Y, H, threshold_csi(n, sigma2), H * u, no_outage),
+        (CsiFast(sigma2), Y_awgn, None, threshold_csi(n, sigma2), u, no_outage),
+        (CsiSlow(sigma2, 0.1), Y_slow, h_slow, threshold_csi(n, sigma2),
+         h_slow[:, None] * u, np.abs(h_slow) < 0.1),
+        (NoCsi(sigma2, m), Y, H, nocsi_threshold(u, sigma2, m), m.c * u, no_outage),  # H ignored
     ]
-    for spec, Yb, Hb, one in cases:
-        tau = spec.threshold(u)
+    for spec, Yb, Hb, tau, centers, want_outage in cases:
+        assert spec.threshold(u) == tau
         accept, outage = spec.verify(Yb, u, Hb, tau)
         assert accept.shape == outage.shape == (rows,)
         assert accept.any() and not accept.all()
         assert outage.sum() == (3 if isinstance(spec, CsiSlow) else 0)  # |h| < 0.1 thrice
-        for r in range(rows):
-            res = one(Yb[r], None if Hb is None else Hb[r])
-            assert res.threshold == tau
-            assert outage[r] == (res.verdict == OUTAGE)
-            assert accept[r] == (res.verdict == ACCEPT)
+        stats = np.sum((Yb - centers) ** 2, axis=1)
+        assert np.array_equal(outage, want_outage)
+        assert np.array_equal(accept, (stats <= tau) & ~want_outage)
         # a scratch block changes no verdict and leaves Y and H as they were
         Y0, H0 = Yb.copy(), None if Hb is None else Hb.copy()
         scratch = np.full((rows, n), np.nan)

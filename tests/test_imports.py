@@ -30,6 +30,13 @@ def test_importing_dicode_leaves_scipy_unloaded(module):
     assert out.strip() == "False"
 
 
+def test_importing_dicode_loads_neither_numpy_nor_a_submodule():
+    # the package root re-exports nothing: names come from the submodules
+    out = _python("import sys, dicode; print(sorted(m for m in sys.modules "
+                  "if m == 'numpy' or m.startswith('dicode.')))", "src")
+    assert out.strip() == "[]"
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
