@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import QuadratureError
-from .fading import Constant, DiscreteMixture, FadingDistribution
+from .errors import DegenerateFadingError, QuadratureError
+from .fading import Constant, DiscreteMixture, FadingDistribution, quantile_abs
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -107,43 +107,21 @@ def di_rate(log2_size: float, n: float) -> float:
 
 
 def shannon_outage_capacity(dist: FadingDistribution, snr: float, eps: float) -> float:
-    """log2(1 + x* snr) with x* the largest x keeping P(h^2 > x) >= 1 - eps.
+    """log2(1 + x* snr) with x* the largest x keeping P(h^2 >= x) >= 1 - eps.
 
-    Point masses make the survival function flat; the convention is the
-    largest x that still satisfies the constraint (the supremum of the
-    valid set).  A law with all mass at 0 gives capacity 0.
+    That x* is T^2 for the outage radius T = ``quantile_abs(dist, eps)``,
+    the largest T with P(|h| < T) <= eps.  When P(h = 0) > eps no positive
+    T qualifies and the capacity is 0.
     """
     if snr <= 0:
         raise ValueError("snr must be positive")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly in (0, 1)")
-    target = 1.0 - eps
-    if isinstance(dist, Constant):
-        x_star = dist.value**2
-    elif isinstance(dist, DiscreteMixture):
-        squares = sorted({v * v for v, p in dist.atoms if p > 0})
-        x_star = 0.0
-        for s in squares:
-            tail = sum(p for v, p in dist.atoms if v * v >= s)
-            if tail >= target:
-                x_star = s
-        # tail at the smallest square is 1, so x_star >= min square always
-    else:
-        # continuous on [0, inf): survival of h^2 at x is 1 - cdf(sqrt(x))
-        lo, hi = 0.0, dist.scale_hint
-        while 1.0 - dist.cdf(math.sqrt(hi)) >= target:
-            hi *= 2
-            if hi > 1e12 * max(dist.scale_hint, 1.0):
-                raise ArithmeticError("outage capacity search diverged")
-        tol = 1e-12 * max(hi, 1.0)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if 1.0 - dist.cdf(math.sqrt(mid)) >= target:
-                lo = mid
-            else:
-                hi = mid
-        x_star = lo
-    return math.log2(1.0 + x_star * snr)
+    try:
+        radius = quantile_abs(dist, eps)
+    except DegenerateFadingError:
+        return 0.0
+    return math.log2(1.0 + radius * radius * snr)
 
 
 def shannon_ergodic_capacity(dist: FadingDistribution, snr: float) -> float:

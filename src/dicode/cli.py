@@ -113,7 +113,10 @@ def _parse_set(values: list[str]) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ValueError(f"--set path {key!r} collides with a scalar")
-        node[parts[-1]] = val
+        # merge a record into the keys set before it, as a config file merges
+        old = node.get(parts[-1])
+        merge = isinstance(old, dict) and isinstance(val, dict)
+        node[parts[-1]] = _deep_merge(old, val) if merge else val
     return out
 
 

@@ -10,15 +10,18 @@ Identities are integers below M = q2^k2.  Encoding walks down the tower:
            -sqrt(A) + 2 sqrt(A) j / (q1 - 1)
         -> n1*n2 coordinates plus zero padding up to n.
 
-The outer step is GF(p)-linear (Forney's concatenated structure): an
-identity's base-p digits are the coordinates of its k2 outer symbols
-over GF(p), ``RSCode.encode_coords`` evaluates them with per-point
-multiply matrices and one float32 matrix product per block of points,
-and the base-p digits of each outer symbol regroup into its k1 base-q1
-inner message digits.  The close partner's minimum-weight polynomial is
-built with the same matrices.  The digit-matrix path
-(``RSCode.encode_digits`` over ``ExtensionContext.vmul``/``vadd``) is
-kept as reference code only.
+Both fields come from one class: the inner GF(q1) is the degree-m
+extension of GF(p) (or GF(p) itself), and the outer GF(q2) is the
+degree-k1 extension of GF(q1).  The outer step is GF(p)-linear
+(Forney's concatenated structure): an identity's base-p digits are the
+coordinates of its k2 outer symbols over GF(p), ``RSCode.encode_coords``
+evaluates them with per-point multiply matrices and one float32 matrix
+product per block of points, and the base-p digits of each outer symbol
+regroup into its k1 base-q1 inner message digits, which
+``RSCode.encode_batch`` encodes from the inner field's tables.  The
+close partner's minimum-weight polynomial is built with the same
+matrices.  The digit-matrix path (``RSCode.encode_digits`` over
+``ExtensionContext.vmul``/``vadd``) is kept as reference code only.
 
 Distinct identities differ in at least d2 outer symbols, each of which
 forces at least d1 inner coordinates apart by at least one amplitude

@@ -1,33 +1,29 @@
-"""Finite field arithmetic for the two Reed-Solomon layers.
+"""Finite field arithmetic for the GF(p) -> GF(q1) -> GF(q1^k1) tower.
 
-Two element representations are used:
+One class, ``ExtensionContext``, models every field of the tower.  The
+root GF(p) (p prime) has no base and its elements are the ints mod p.
+Every other field is a degree-k extension of the field below it: the
+inner alphabet GF(q1 = p^m) extends the root, and the outer code's
+GF(q1^k1) extends GF(q1).  An element is an integer index whose base-q
+digits, for q the order of the base, are its coefficients over the base
+(constant term first).  Its base-p digits are its coordinates over GF(p).
 
-* ``FieldContext`` models GF(p^m) with p prime and p^m within machine
-  range.  An element is an integer index in ``[0, p^m)`` whose base-p
-  digits are the coefficients of the element's polynomial over GF(p)
-  (constant coefficient first).  Small fields additionally carry dense
-  numpy operation tables so batch encoders can run as table gathers.
+The encoder works over the prime field: addition is coordinate-wise
+mod p, and multiplication by a fixed element is a fixed D x D matrix over
+GF(p), D = ``prime_degree``.  ``mul_matrices`` builds those matrices for
+many elements at once from D basis matrices.  The dense MUL/ADD/INV
+tables of a small field come from the same matrices, in integers.  The
+digit-matrix operations ``vadd``/``vmul`` remain as tested reference
+code; the benchmark tracer wraps them by name.
 
-* ``ExtensionContext`` models GF(q^k) on top of a ``FieldContext`` with
-  order q = p^m.  Elements are integer indices whose base-q digits are
-  the coefficients over the base field.  Orders here grow with the code
-  length and are handled as arbitrary-precision integers.
-
-The encoder works over the prime field: the D = k*m base-p digits of an
-extension element's index are its coordinates over GF(p), addition is
-coordinate-wise mod p, and multiplication by a fixed element is a fixed
-D x D matrix over GF(p).  ``ExtensionContext.mul_matrices`` builds those
-matrices for many elements at once from D basis matrices, which come
-from the scalar ``mul``.  The digit-matrix operations ``vadd``/``vmul``
-remain as tested reference code; the benchmark tracer wraps them by name.
-
-Both contexts pick their irreducible modulus by a deterministic seeded
+Every extension picks its irreducible modulus by a deterministic seeded
 search, so the same (parameters, seed) always yields the same field.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -305,89 +301,86 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-# ---------------------------------------------------------------------------
+class ExtensionContext:
+    """GF(q): the root GF(p), or the degree-``degree`` extension of ``base``.
 
-
-class FieldContext:
-    """GF(p^m) with integer-indexed elements and optional dense tables.
-
-    Parameters
-    ----------
-    p, m : int
-        Field characteristic (prime) and extension degree.
-    modulus : tuple of int
-        Monic irreducible polynomial of degree m over GF(p), little-endian
-        coefficients.  For m = 1 the convention is x - 0, i.e. (0, 1).
-    seed : int
-        The seed that produced the modulus (kept for reproducibility).
+    Every field of the tower is one of these.  The root has no base and
+    its elements are the ints mod p.  Above it, the base-``base.q`` digits
+    of an element index are its coefficients over the base field
+    (constant term first) and its base-p digits are its ``prime_degree``
+    coordinates over GF(p).  Fields of order up to TABLE_LIMIT read
+    products, sums and inverses from dense tables, each built on first
+    read; larger ones reduce polynomials over the base.  Orders grow with
+    the code length and are arbitrary-precision integers.
     """
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int], seed: int = 0):
-        if m < 1:
+    def __init__(self, base: ExtensionContext | int, degree: int = 1,
+                 modulus: Sequence[int] = (0, 1), seed: int = 0):
+        """``base`` is the base field, or the prime p for the root GF(p)."""
+        if degree < 1:
             raise ValueError("extension degree must be >= 1")
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        q = p**m
-        if q.bit_length() > 63:
-            raise ValueError("field order does not fit in 64 bits")
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        self.p = p
-        self.m = m
-        self.q = q
+        modulus = tuple(int(c) for c in modulus)
+        if len(modulus) != degree + 1 or modulus[-1] != 1:
+            raise ValueError("modulus must be monic of degree k")
+        if isinstance(base, ExtensionContext):
+            if degree > 1 and not is_irreducible(base, modulus):
+                raise ValueError(f"modulus {modulus} is reducible over GF({base.q})")
+            self.base, self.p, self.q = base, base.p, base.q**degree
+            self.prime_degree = degree * base.prime_degree
+        elif degree == 1 and is_prime(base):
+            self.base, self.p, self.q, self.prime_degree = None, base, base, 1
+        else:
+            raise ValueError(f"the root field GF({base}) needs a prime order")
+        self.degree = degree
         self.modulus = modulus
         self.seed = seed
-        self.prime_subfield = self if m == 1 else FieldContext(p, 1, (0, 1), seed)
-        if m > 1:
-            sub = self.prime_subfield
-            if not is_irreducible(sub, modulus):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-            tail = modulus[:-1]
-            self._neg_tail = tuple((-c) % p for c in tail)
-        self.MUL: np.ndarray | None = None
-        self.ADD: np.ndarray | None = None
-        self.INV: np.ndarray | None = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
 
     def __repr__(self) -> str:
-        return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus})"
+        return f"ExtensionContext(q={self.q}, degree={self.degree}, modulus={self.modulus})"
 
-    # -- scalar arithmetic on element indices
+    # -- index <-> digit conversions
+
+    def to_digits(self, idx: int) -> tuple[int, ...]:
+        if not 0 <= idx < self.q:
+            raise ValueError(f"element index outside [0, {self.q})")
+        return _digits(idx, self.base.q if self.base else self.p, self.degree)
+
+    def from_digits(self, digits: Sequence[int]) -> int:
+        return _undigits(digits, self.base.q if self.base else self.p)
+
+    # -- scalar arithmetic on indices
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
+        if self.base is None:
             return (a + b) % self.p
-        p = self.p
-        return _undigits(
-            [(x + y) % p for x, y in zip(self.element_digits(a), self.element_digits(b))], p
-        )
+        if self.q <= TABLE_LIMIT:
+            return int(self.ADD[a, b])
+        F = self.base
+        return self.from_digits([F.add(x, y) for x, y in zip(self.to_digits(a), self.to_digits(b))])
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return _undigits([(-x) % p for x in self.element_digits(a)], p)
+        return self.mul(a, self.p - 1)  # -1 is the element p - 1 in every field of the tower
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        if self.MUL is not None:
+        if self.base is None:
+            return a * b % self.p
+        if self.q <= TABLE_LIMIT:
             return int(self.MUL[a, b])
-        da = [x for x in self.element_digits(a)]
-        db = [x for x in self.element_digits(b)]
-        prod = _poly_mul(self.prime_subfield, _poly_trim(da), _poly_trim(db))
-        rem = _poly_rem(self.prime_subfield, prod, self.modulus)
-        rem += [0] * (self.m - len(rem))
-        return _undigits(rem, self.p)
+        return self._poly_product(a, b)
+
+    def _poly_product(self, a: int, b: int) -> int:
+        """a * b as the product of their polynomials over the base, reduced."""
+        F = self.base
+        pa = _poly_trim(list(self.to_digits(a)))
+        pb = _poly_trim(list(self.to_digits(b)))
+        return self.from_digits(_poly_rem(F, _poly_mul(F, pa, pb), self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.m == 1:
+        if self.base is None:
             return pow(a, self.p - 2, self.p)
-        if self.INV is not None:
+        if self.q <= TABLE_LIMIT:
             return int(self.INV[a])
         return self.pow(a, self.q - 2)
 
@@ -401,134 +394,40 @@ class FieldContext:
             e >>= 1
         return result
 
-    def element_digits(self, a: int) -> tuple[int, ...]:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} outside [0, {self.q})")
-        return _digits(a, self.p, self.m)
-
-    # -- dense tables
-
-    def _build_tables(self) -> None:
-        q, p, m = self.q, self.p, self.m
-        if m == 1:
-            idx = np.arange(q, dtype=np.int64)
-            self.ADD = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
-            self.MUL = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
-        else:
-            digs = np.array([self.element_digits(a) for a in range(q)], dtype=np.int64)
-            pw = p ** np.arange(m, dtype=np.int64)
-            self.ADD = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.int32)
-            acc = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
-            for i in range(m):
-                for j in range(m):
-                    acc[:, :, i + j] += digs[:, None, i] * digs[None, :, j]
-            acc %= p
-            for t in range(2 * m - 2, m - 1, -1):
-                top = acc[:, :, t]
-                for s, g in enumerate(self._neg_tail):
-                    if g:
-                        acc[:, :, t - m + s] = (acc[:, :, t - m + s] + top * g) % p
-                acc[:, :, t] = 0
-            self.MUL = (acc[:, :, :m] @ pw).astype(np.int32)
-        inv = np.zeros(q, dtype=np.int32)
-        hit = np.argmax(self.MUL == 1, axis=1)
-        inv[1:] = hit[1:]
-        if not (self.MUL[np.arange(1, q), inv[1:]] == 1).all():
-            raise AssertionError("inverse table construction failed; modulus not irreducible?")
-        self.INV = inv
-
-
-def make_field(p: int, m: int, seed: int = 0) -> FieldContext:
-    """Build GF(p^m) with a deterministically chosen irreducible modulus."""
-    if m == 1:
-        return FieldContext(p, 1, (0, 1), seed)
-    prime = FieldContext(p, 1, (0, 1), seed)
-    modulus = _search_modulus(prime, m, seed)
-    return FieldContext(p, m, modulus, seed)
-
-
-# ---------------------------------------------------------------------------
-
-
-class ExtensionContext:
-    """GF(q^k) over a base FieldContext of order q.
-
-    Element indices are arbitrary-precision integers; the base-q digits of
-    an index are the element's coefficients over the base field, and its
-    base-p digits are its ``prime_degree`` coordinates over GF(p).  Vector
-    operations act on (N, k) digit matrices of base-field indices and
-    require the base field to carry dense tables.
-    """
-
-    def __init__(self, base: FieldContext, degree: int, modulus: Sequence[int], seed: int = 0):
-        if degree < 1:
-            raise ValueError("extension degree must be >= 1")
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if degree > 1 and not is_irreducible(base, modulus):
-            raise ValueError("modulus is reducible over the base field")
-        self.base = base
-        self.degree = degree
-        self.modulus = modulus
-        self.seed = seed
-        self.order: int = base.q**degree
-        self.q = self.order  # the order under the name FieldContext gives it
-        self._neg_tail = tuple(base.neg(c) for c in modulus[:-1])
-
-    def __repr__(self) -> str:
-        return f"ExtensionContext(base_q={self.base.q}, degree={self.degree})"
-
-    # -- index <-> digit conversions
-
-    def to_digits(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.order:
-            raise ValueError(f"element index outside [0, {self.order})")
-        return _digits(idx, self.base.q, self.degree)
-
-    def from_digits(self, digits: Sequence[int]) -> int:
-        return _undigits(digits, self.base.q)
-
-    # -- scalar arithmetic on indices
-
-    def add(self, a: int, b: int) -> int:
-        F = self.base
-        return self.from_digits(
-            [F.add(x, y) for x, y in zip(self.to_digits(a), self.to_digits(b))]
-        )
-
-    def neg(self, a: int) -> int:
-        F = self.base
-        return self.from_digits([F.neg(x) for x in self.to_digits(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        F = self.base
-        pa = _poly_trim(list(self.to_digits(a)))
-        pb = _poly_trim(list(self.to_digits(b)))
-        rem = _poly_rem(F, _poly_mul(F, pa, pb), self.modulus)
-        rem += [0] * (self.degree - len(rem))
-        return self.from_digits(rem)
-
     # -- GF(p)-linear algebra on coordinate vectors
 
-    @property
-    def prime_degree(self) -> int:
-        """D = degree * m: the dimension of this field over GF(p)."""
-        return self.degree * self.base.m
+    def _coords(self, indices) -> np.ndarray:
+        """(N, D) int64 GF(p) coordinates of element indices below 2^63."""
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.empty((len(idx), self.prime_degree), dtype=np.int64)
+        for d in range(self.prime_degree):
+            idx, out[:, d] = np.divmod(idx, self.p)
+        return out
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """(D, D*D) float32: row l is B_l, the matrix of multiplication by p^l.
+
+        Column j of B_l holds the coordinates of p^l * p^j (p^j is the j-th
+        basis element); the products come from polynomials over the base.
+        """
+        D, p = self.prime_degree, self.p
+        if self.base is None:
+            return np.ones((1, 1), dtype=np.float32)
+        unit = [p**j for j in range(D)]
+        cols = [[int_to_digits(self._poly_product(b, c), p, D) for c in unit] for b in unit]
+        return np.ascontiguousarray(
+            np.array(cols, dtype=np.float32).transpose(0, 2, 1).reshape(D, D * D))
 
     def _require_int8_coordinates(self) -> None:
-        D, p = self.prime_degree, self.base.p
+        D, p = self.prime_degree, self.p
         if p > 127 or D * p * p >= FLOAT32_EXACT:
             raise ValueError(f"GF({p}^{D}) coordinates exceed int8, or float32 products of them")
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         """(N, D) int8 GF(p) coordinates of element indices below 2^63."""
         self._require_int8_coordinates()
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((len(idx), self.prime_degree), dtype=np.int8)
-        for d in range(self.prime_degree):
-            idx, out[:, d] = np.divmod(idx, self.base.p)
-        return out
+        return self._coords(indices).astype(np.int8)
 
     def mul_matrices(self, coords: np.ndarray) -> np.ndarray:
         """(N, D, D) int8: the GF(p) matrix of multiplication by each element.
@@ -539,36 +438,49 @@ class ExtensionContext:
         M_a holds the coordinates of a * p^j (the j-th basis element).
         """
         self._require_int8_coordinates()
-        D, p = self.prime_degree, self.base.p
-        basis = getattr(self, "_mul_basis", None)
-        if basis is None:
-            unit = [p**j for j in range(D)]
-            cols = [[int_to_digits(self.mul(b, c), p, D) for c in unit] for b in unit]
-            basis = np.ascontiguousarray(np.array(cols, dtype=np.float32).transpose(0, 2, 1))
-            self._mul_basis = basis
-        prod = np.asarray(coords, dtype=np.float32).reshape(-1, D) @ basis.reshape(D, D * D)
-        return reduce_mod(prod, p).astype(np.int8).reshape(-1, D, D)
+        D = self.prime_degree
+        prod = np.asarray(coords, dtype=np.float32).reshape(-1, D) @ self._basis
+        return reduce_mod(prod, self.p).astype(np.int8).reshape(-1, D, D)
 
-    # -- vector arithmetic on (N, degree) digit matrices
+    # -- dense (q, q) tables of element indices, each built on first read
 
-    def _require_tables(self) -> None:
-        if self.base.MUL is None:
-            raise ValueError(
-                f"vector arithmetic needs dense base tables (order {self.base.q} > {TABLE_LIMIT})"
-            )
+    def _table_coords(self) -> np.ndarray:
+        if self.q > TABLE_LIMIT:
+            raise ValueError(f"dense tables need order <= {TABLE_LIMIT}, not {self.q}")
+        return self._coords(np.arange(self.q))
+
+    @cached_property
+    def MUL(self) -> np.ndarray:
+        """MUL[a, b] = a * b: each M_a, in integers, applied to every b's coordinates."""
+        c, D, p = self._table_coords(), self.prime_degree, self.p
+        mats = (c @ self._basis.astype(np.int64) % p).reshape(-1, D, D)
+        prod = mats @ c.T % p  # prod[a, i, b]: coordinate i of a * b
+        return np.einsum("aib,i->ab", prod, p ** np.arange(D)).astype(np.int32)
+
+    @cached_property
+    def ADD(self) -> np.ndarray:
+        c, p = self._table_coords(), self.p
+        return ((c[:, None] + c[None]) % p @ p ** np.arange(self.prime_degree)).astype(np.int32)
+
+    @cached_property
+    def INV(self) -> np.ndarray:
+        """INV[a] = 1 / a, and INV[0] = 0."""
+        return np.argmax(self.MUL == 1, axis=1).astype(np.int32)
+
+    # -- vector arithmetic on (N, degree) digit matrices over a tabled base
 
     def digit_rows(self, indices: Sequence[int]) -> np.ndarray:
         return np.array([self.to_digits(int(i)) for i in indices], dtype=np.int32)
 
     def vadd(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        self._require_tables()
         return self.base.ADD[A, B]
 
     def vmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Elementwise product of two digit matrices, reduced by the modulus."""
-        self._require_tables()
-        ADD, MUL = self.base.ADD, self.base.MUL
+        F = self.base
+        ADD, MUL = F.ADD, F.MUL
         k = self.degree
+        tail = [F.neg(c) for c in self.modulus[:-1]]
         n_rows = A.shape[0]
         acc = np.zeros((n_rows, 2 * k - 1), dtype=np.int32)
         for i in range(k):
@@ -577,15 +489,21 @@ class ExtensionContext:
                 acc[:, i + j] = ADD[acc[:, i + j], MUL[Ai, B[:, j]]]
         for t in range(2 * k - 2, k - 1, -1):
             top = acc[:, t]
-            for s, g in enumerate(self._neg_tail):
+            for s, g in enumerate(tail):
                 if g:
                     acc[:, t - k + s] = ADD[acc[:, t - k + s], MUL[top, g]]
         return acc[:, :k]
 
 
-def make_extension(base: FieldContext, degree: int, seed: int = 0) -> ExtensionContext:
+def make_extension(base: ExtensionContext, degree: int, seed: int = 0) -> ExtensionContext:
     """Build GF(base.q ** degree) with a deterministically chosen modulus."""
-    if degree == 1:
-        return ExtensionContext(base, 1, (0, 1), seed)
-    modulus = _search_modulus(base, degree, seed)
+    modulus = _search_modulus(base, degree, seed) if degree > 1 else (0, 1)
     return ExtensionContext(base, degree, modulus, seed)
+
+
+def make_field(p: int, m: int, seed: int = 0) -> ExtensionContext:
+    """GF(p^m): the root GF(p) for m = 1, else its degree-m extension (built
+    here, not by ``make_extension``, so a trace adding both counts it once)."""
+    root = ExtensionContext(p, seed=seed)
+    modulus = _search_modulus(root, m, seed) if m > 1 else (0, 1)
+    return root if m == 1 else ExtensionContext(root, m, modulus, seed)

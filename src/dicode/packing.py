@@ -294,4 +294,9 @@ def load_csv(path) -> np.ndarray:
     arr = np.array(rows, dtype=float)
     if arr.ndim != 2:
         raise ValueError("codebook CSV must be rectangular")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"codebook CSV entry at row {row + 1}, column {col + 1} is "
+                         f"{arr[row, col]}, not a finite number")
     return arr

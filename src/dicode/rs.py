@@ -1,4 +1,4 @@
-"""Reed-Solomon evaluation codes over either field representation.
+"""Reed-Solomon evaluation codes over any field of the tower.
 
 A codeword is the evaluation of the message polynomial (message symbols
 are its coefficients, constant term first) at the first ``length`` field
@@ -6,12 +6,14 @@ elements in canonical index order, starting from the zero element.  All
 codes here are maximum distance separable: d = length - dim + 1.  No
 decoder is provided; identification only ever tests ball membership.
 
-Over an ``ExtensionContext`` the encoder is ``encode_coords``: GF(p)
-linear algebra on coordinate vectors, a baby-step/giant-step Horner
+The outer encoder is ``encode_coords``: GF(p) linear algebra on the
+coordinate vectors of ``ExtensionContext``, a baby-step/giant-step Horner
 (Paterson & Stockmeyer 1973) whose baby steps for a block of points are
-one float32 matrix product.  ``encode`` (scalar Horner, any field) is its
-oracle; ``encode_digits`` (vector Horner on digit matrices) remains as
-tested reference code, which the benchmark tracer wraps by name.
+one float32 matrix product.  The inner encoder, ``encode_batch``,
+gathers from the dense tables of a small field.  ``encode`` (scalar
+Horner) is the oracle of both; ``encode_digits`` (vector Horner on digit
+matrices) remains as tested reference code, which the benchmark tracer
+wraps by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import FLOAT32_EXACT, ExtensionContext, FieldContext, reduce_mod
+from .galois import FLOAT32_EXACT, ExtensionContext, reduce_mod
 
 # the cached per-point power coordinates (int8) stay under this, which
 # fixes the baby-step count s
@@ -30,12 +32,11 @@ BLOCK_BYTES = 1 << 18
 
 
 class RSCode:
-    def __init__(self, field, length: int, dim: int):
-        order = field.q if isinstance(field, FieldContext) else field.order
+    def __init__(self, field: ExtensionContext, length: int, dim: int):
         if not 1 <= dim <= length:
             raise ValueError(f"need 1 <= dim <= length, got dim={dim}, length={length}")
-        if length > order:
-            raise ValueError(f"length {length} exceeds field order {order}")
+        if length > field.q:
+            raise ValueError(f"length {length} exceeds field order {field.q}")
         self.field = field
         self.length = length
         self.dim = dim
@@ -45,10 +46,10 @@ class RSCode:
         return self.length - self.dim + 1
 
     def __repr__(self) -> str:
-        return f"RSCode(q={getattr(self.field, 'q', None)}, n={self.length}, k={self.dim})"
+        return f"RSCode(q={self.field.q}, n={self.length}, k={self.dim})"
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        """Horner evaluation at every point, scalar field ops; any field."""
+        """Horner evaluation at every point, scalar field ops."""
         if len(message) != self.dim:
             raise ValueError(f"message length {len(message)} != dim {self.dim}")
         F = self.field
@@ -61,13 +62,11 @@ class RSCode:
         return out
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode many messages at once; FieldContext with dense tables only.
+        """Encode many messages at once by table gathers; tabled fields only.
 
         messages: (N, dim) element indices; returns (N, length).
         """
         F = self.field
-        if not isinstance(F, FieldContext) or F.MUL is None:
-            raise ValueError("encode_batch needs a small FieldContext with tables")
         V = np.zeros((self.dim, self.length), dtype=np.int32)
         V[0, :] = 1
         points = np.arange(self.length, dtype=np.int32)
@@ -79,7 +78,7 @@ class RSCode:
         return acc
 
     def encode_coords(self, message: np.ndarray) -> np.ndarray:
-        """Encode one message given as GF(p) coordinates; ExtensionContext only.
+        """Encode one message given as GF(p) coordinates.
 
         message: (dim, D) coordinates, one row per coefficient; returns
         (length, D) int8 coordinates, one row per evaluated point.
@@ -94,9 +93,7 @@ class RSCode:
         last axis.  s = 1 is plain Horner.
         """
         F = self.field
-        if not isinstance(F, ExtensionContext):
-            raise ValueError("encode_coords needs an ExtensionContext field")
-        p, D = F.base.p, F.prime_degree
+        p, D = F.p, F.prime_degree
         if message.shape != (self.dim, D):
             raise ValueError("message coordinate matrix has wrong shape")
         powers, giant = self._horner_tables()
@@ -142,7 +139,7 @@ class RSCode:
         if cached is not None:
             return cached
         F = self.field
-        p, D = F.base.p, F.prime_degree
+        p, D = F.p, F.prime_degree
         s = max(1, min(self.dim, (FLOAT32_EXACT - 1) // (D * (p - 1) ** 2),
                        TABLE_BYTES // (self.length * D)))
         powers = np.empty((self.length, D, s), dtype=np.int8)
@@ -162,7 +159,7 @@ class RSCode:
         return self._tables
 
     def encode_digits(self, message_digits: np.ndarray) -> np.ndarray:
-        """Encode one message given as digit rows; ExtensionContext only.
+        """Encode one message given as digit rows; fields over a tabled base only.
 
         message_digits: (dim, k) base-field digit rows, one per coefficient.
         Returns (length, k) digit rows, one per evaluated point.  Vector
@@ -170,8 +167,6 @@ class RSCode:
         elements, whose digit rows are just base-q digits of 0..length-1.
         """
         F = self.field
-        if not isinstance(F, ExtensionContext):
-            raise ValueError("encode_digits needs an ExtensionContext field")
         if message_digits.shape != (self.dim, F.degree):
             raise ValueError("message digit matrix has wrong shape")
         points = self._point_digits()

@@ -145,6 +145,15 @@ def test_outage_capacity_constant_and_discrete():
     )
 
 
+def test_outage_capacity_with_a_zero_atom():
+    # P(h = 0) = 0.3: eps below it leaves no usable state, eps above it
+    # drops only the dead state
+    law = DiscreteMixture(((0.0, 0.3), (1.0, 0.7)))
+    assert shannon_outage_capacity(law, 4.0, 0.1) == 0.0
+    assert shannon_outage_capacity(law, 4.0, 0.35) == pytest.approx(math.log2(5), rel=1e-12)
+    assert shannon_outage_capacity(Constant(0.0), 4.0, 0.5) == 0.0
+
+
 def test_outage_capacity_is_monotone_in_eps_and_snr():
     law = Rayleigh(1.0)
     caps = [shannon_outage_capacity(law, 5.0, e) for e in (0.01, 0.1, 0.3)]

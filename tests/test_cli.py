@@ -149,6 +149,35 @@ def test_malformed_set_and_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_set_records_merge_with_earlier_dotted_keys_in_either_order():
+    dotted = "codebook.power_bound=2.0"
+    record = 'codebook={"type": "concat", "n": 1000, "a": 0.04}'
+    want = {"codebook": {"type": "concat", "n": 1000, "a": 0.04, "power_bound": 2.0}}
+    assert _parse_set([dotted, record]) == _parse_set([record, dotted]) == want
+    # a later key still replaces the same key set before it
+    assert _parse_set(["codebook.n=3000", record])["codebook"]["n"] == 1000
+    assert _parse_set([record, "codebook.n=3000"])["codebook"]["n"] == 3000
+
+
+def test_set_path_through_a_scalar_exits_2(tmp_path, capsys):
+    for sets in (["n=500", "n.x=1"], ['codebook={"n": 1}', "codebook.n.x=2"]):
+        with pytest.raises(ValueError, match="collides with a scalar"):
+            _parse_set(sets)
+    argv = ["construct", "--outdir", str(tmp_path), "--set", "n=500", "--set", "n.x=1"]
+    assert run(argv) == 2
+    assert "collides with a scalar" in capsys.readouterr().err
+
+
+def test_csv_codebook_with_non_finite_entries_exits_2(tmp_path, capsys):
+    book = tmp_path / "book.csv"
+    book.write_text("0.5,1.0\n0.25,nan\ninf,0.0\n")
+    cfg = {**SIM_CONFIG, "codebook": {"type": "csv", "path": str(book)}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    assert "row 2, column 2" in capsys.readouterr().err
+
+
 # -- bounds ----------------------------------------------------------------
 
 

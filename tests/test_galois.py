@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from dicode.galois import (
+    TABLE_LIMIT,
+    _poly_add,
+    _poly_mul,
+    _poly_rem,
+    _poly_trim,
     digits_to_int,
     int_to_digits,
     is_irreducible,
@@ -111,12 +116,12 @@ def test_irreducibility_matches_quadratic_residue_facts():
 def test_digit_encoding_round_trips():
     ctx = make_field(3, 3, seed=0)
     for e in range(27):
-        d = ctx.element_digits(e)
+        d = ctx.to_digits(e)
         assert len(d) == 3
         assert all(0 <= x < 3 for x in d)
         assert digits_to_int(d, 3) == e
     # index IS the base-p digit vector of the coefficients
-    assert ctx.element_digits(5) == (2, 1, 0)
+    assert ctx.to_digits(5) == (2, 1, 0)
 
 
 def test_multiplicative_group_is_cyclic():
@@ -148,7 +153,7 @@ class TestExtensionTower:
     def test_axioms_via_scalar_ops(self):
         base = make_field(2, 2, seed=0)
         ext = make_extension(base, 2, seed=0)  # GF(16) as GF(4)[x]/(f)
-        assert ext.order == 16
+        assert ext.q == 16
         check_field_axioms(ext, 16)
 
     def test_vector_ops_agree_with_scalar_ops(self):
@@ -177,10 +182,10 @@ class TestExtensionTower:
         # coordinates are the base-p digits of an index; M_a c is a * c
         ext = make_extension(make_field(p, m, seed=1), k, seed=1)
         D = ext.prime_degree
-        assert D == m * k and ext.order == p**D
+        assert D == m * k and ext.q == p**D
         rng = np.random.default_rng(p * 10 + m)
-        a = [int(x) for x in rng.integers(0, ext.order, size=30)]
-        c = [int(x) for x in rng.integers(0, ext.order, size=30)]
+        a = [int(x) for x in rng.integers(0, ext.q, size=30)]
+        c = [int(x) for x in rng.integers(0, ext.q, size=30)]
         assert [digits_to_int(row, p) for row in ext.coordinates(a)] == a
         mats = ext.mul_matrices(ext.coordinates(a)).astype(np.int64)
         prods = np.einsum("nij,nj->ni", mats, ext.coordinates(c).astype(np.int64)) % p
@@ -198,7 +203,7 @@ class TestExtensionTower:
         base = make_field(7, 1, seed=0)
         ext = make_extension(base, 3, seed=0)  # GF(343)
         for e in (1, 2, 6, 49, 100, 342):  # exactly one inverse, by exhaustive search
-            assert sum(ext.mul(e, x) == 1 for x in range(ext.order)) == 1
+            assert sum(ext.mul(e, x) == 1 for x in range(ext.q)) == 1
 
 
 def test_rejects_bad_parameters():
@@ -208,6 +213,78 @@ def test_rejects_bad_parameters():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_extension(make_field(2, 1), 0)
+
+
+def poly_oracle(field, a, b):
+    """(a * b, a + b) from the polynomials over the base, without any table."""
+    F = field.base
+    da, db = list(field.to_digits(a)), list(field.to_digits(b))
+    prod = _poly_rem(F, _poly_mul(F, _poly_trim(list(da)), _poly_trim(list(db))), field.modulus)
+    return field.from_digits(prod), field.from_digits(_poly_add(F, da, db))
+
+
+TABLED = {
+    "GF(2)": lambda: make_field(2, 1), "GF(7)": lambda: make_field(7, 1),
+    "GF(131)": lambda: make_field(131, 1), "GF(509)": lambda: make_field(509, 1),
+    "GF(4)": lambda: make_field(2, 2), "GF(8)": lambda: make_field(2, 3),
+    "GF(9)": lambda: make_field(3, 2), "GF(25)": lambda: make_field(5, 2),
+    "GF(27)": lambda: make_field(3, 3), "GF(49)": lambda: make_field(7, 2, seed=4),
+    "GF(64)": lambda: make_field(2, 6), "GF(121)": lambda: make_field(11, 2),
+    "GF(16)/GF(4)": lambda: make_extension(make_field(2, 2), 2),
+    "GF(27)/GF(3)": lambda: make_extension(make_field(3, 1), 3),
+    "GF(64)/GF(8)": lambda: make_extension(make_field(2, 3, seed=2), 2, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLED))
+def test_tables_equal_the_polynomial_oracle_exhaustively(name):
+    field = TABLED[name]()
+    q = field.q
+    assert q <= TABLE_LIMIT
+    if field.base is None:  # the root: integers mod p
+        idx = np.arange(q)
+        want_mul, want_add = idx[:, None] * idx % q, (idx[:, None] + idx) % q
+    else:
+        pairs = [[poly_oracle(field, a, b) for b in range(q)] for a in range(q)]
+        want_mul, want_add = np.array(pairs).transpose(2, 0, 1)
+    assert field.MUL.shape == field.ADD.shape == (q, q)
+    np.testing.assert_array_equal(field.MUL, want_mul)
+    np.testing.assert_array_equal(field.ADD, want_add)
+    assert field.INV[0] == 0
+    assert (want_mul[np.arange(1, q), field.INV[1:]] == 1).all()
+
+
+def test_tables_are_built_only_where_read():
+    small = make_extension(make_field(2, 2), 4)  # GF(256): within the table limit
+    small.mul_matrices(small.coordinates(np.arange(5)))
+    assert not {"MUL", "ADD", "INV"} & set(vars(small))
+    small.ADD
+    assert "ADD" in vars(small) and "MUL" not in vars(small)
+    large = make_extension(make_field(2, 5), 2)  # GF(1024)
+    assert large.mul(3, 700) == poly_oracle(large, 3, 700)[0]
+    with pytest.raises(ValueError, match="dense tables"):
+        large.MUL
+
+
+@pytest.mark.parametrize("p,m,seed", [(2, 2, 0), (2, 4, 1), (3, 3, 0), (5, 2, 7), (2, 9, 3)])
+def test_make_field_is_the_extension_of_its_root(p, m, seed):
+    field = make_field(p, m, seed)
+    assert field.base.base is None and field.base.q == p
+    assert field.modulus == make_extension(make_field(p, 1), m, seed).modulus
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2), (2, 5)])
+def test_inner_field_mul_matrices_agree_with_scalar_mul(p, m):
+    field = make_field(p, m)
+    assert field.prime_degree == m
+    idx = np.arange(field.q)
+    coords = field.coordinates(idx)
+    assert [digits_to_int(row, p) for row in coords] == list(idx)
+    mats = field.mul_matrices(coords).astype(np.int64)
+    prods = np.einsum("aij,bj->abi", mats, coords.astype(np.int64)) % p
+    got = prods @ p ** np.arange(m)
+    np.testing.assert_array_equal(
+        got, [[field.mul(int(a), int(b)) for b in idx] for a in idx])
 
 
 @pytest.mark.parametrize("base,width", [(2, 1), (2, 5000), (5, 61), (5, 3000), (9, 700)])

@@ -205,3 +205,13 @@ def test_csv_round_trip_with_spec_sidecar(tmp_path):
     assert sidecar["profile"] == "basic"
     restored = PackingSpec.from_json_dict(sidecar)
     assert restored == spec
+
+
+@pytest.mark.parametrize("entry,row,col", [("nan", 2, 3), ("inf", 3, 1), ("-inf", 1, 2)])
+def test_load_csv_refuses_non_finite_entries(entry, row, col, tmp_path):
+    cells = [["0.5"] * 3 for _ in range(3)]
+    cells[row - 1][col - 1] = entry
+    path = tmp_path / "book.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in cells))
+    with pytest.raises(ValueError, match=f"row {row}, column {col} is {float(entry)}"):
+        load_csv(path)

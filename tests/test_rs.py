@@ -127,7 +127,7 @@ def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, mo
     code = RSCode(ext, length=length, dim=dim)
     rng = np.random.default_rng(length)
     for _ in range(4):
-        msg = [int(x) for x in rng.integers(0, ext.order, size=dim)]
+        msg = [int(x) for x in rng.integers(0, ext.q, size=dim)]
         coords = np.stack([int_to_digits(c, p, D) for c in msg])
         got = [digits_to_int(row, p) for row in code.encode_coords(coords)]
         assert got == code.encode(msg)
@@ -143,6 +143,12 @@ def test_rejects_impossible_parameters():
         RSCode(field, length=4, dim=5)     # dim > length
     with pytest.raises(ValueError):
         RSCode(field, length=4, dim=0)
+
+
+def test_batch_encode_refuses_fields_past_the_table_limit():
+    code = RSCode(make_extension(make_field(2, 5), 2), length=40, dim=3)  # GF(1024)
+    with pytest.raises(ValueError, match="dense tables"):
+        code.encode_batch(np.zeros((1, 3), dtype=np.int64))
 
 
 def test_tower_code_used_by_the_concatenation():
