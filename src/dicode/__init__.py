@@ -10,7 +10,7 @@ The ``dicode`` console script fronts the same machinery.
 
 Importing dicode before numpy starts OpenBLAS with one thread, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set.
-dicode's matrix products are small (encoding baby steps, one Gram
+dicode's matrix products are small (outer encoding blocks, one Gram
 matrix per packing book) and the trial loop runs its own ``workers``
 threads.  A BLAS thread pool gains nothing on such products, while its
 idle threads spin between calls and take cores from the trial workers.

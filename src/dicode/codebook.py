@@ -10,18 +10,14 @@ Identities are integers below M = q2^k2.  Encoding walks down the tower:
            -sqrt(A) + 2 sqrt(A) j / (q1 - 1)
         -> n1*n2 coordinates plus zero padding up to n.
 
-Both fields come from one class: the inner GF(q1) is the degree-m
-extension of GF(p) (or GF(p) itself), and the outer GF(q2) is the
-degree-k1 extension of GF(q1).  The outer step is GF(p)-linear
-(Forney's concatenated structure): an identity's base-p digits are the
-coordinates of its k2 outer symbols over GF(p), ``RSCode.encode_coords``
-evaluates them with per-point multiply matrices and one float32 matrix
-product per block of points, and the base-p digits of each outer symbol
-regroup into its k1 base-q1 inner message digits, which
-``RSCode.encode_batch`` encodes from the inner field's tables.  The
-close partner's minimum-weight polynomial is built with the same
-matrices.  The digit-matrix path (``RSCode.encode_digits`` over
-``ExtensionContext.vmul``/``vadd``) is kept as reference code only.
+Both fields come from one class: the inner GF(q1) extends GF(p) (or is
+it), and the outer GF(q2) extends GF(q1) by degree k1.  The outer step
+is GF(p)-linear (Forney's concatenated structure): an identity's base-p
+digits are the GF(p) coordinates of its k2 outer symbols,
+``RSCode.encode_coords`` evaluates them by subspace evaluation, and each
+outer symbol's base-p digits regroup into its k1 inner message digits
+for ``RSCode.encode_batch``.  The close partner's minimum-weight
+polynomial comes from the same subspace maps.
 
 Distinct identities differ in at least d2 outer symbols, each of which
 forces at least d1 inner coordinates apart by at least one amplitude
@@ -48,7 +44,6 @@ from .galois import (
     make_extension,
     make_field,
     prime_power,
-    reduce_mod,
 )
 from .rs import RSCode
 
@@ -315,22 +310,9 @@ class ConcatCodebook:
         any message yields a partner at the outer distance floor.
         """
         cached = getattr(self, "_delta_coords", None)
-        if cached is not None:
-            return cached
-        ext = self.outer_field
-        k2, p, D = self.params.k2, self.params.p, ext.prime_degree
-        points = ext.coordinates(np.arange(k2 - 1))  # the i-th evaluation point is element i
-        poly = np.zeros((k2, D), dtype=np.float32)  # little-endian coefficient rows
-        poly[0, 0] = 1  # the constant 1
-        for i in range(k2 - 1):
-            # poly <- x * poly - point_i * poly, degree i -> i + 1
-            scaled = poly[: i + 1] @ ext.mul_matrices(points[i])[0].T.astype(np.float32)
-            poly[1 : i + 2] = poly[: i + 1]
-            poly[0] = 0
-            poly[: i + 1] -= scaled
-            reduce_mod(poly[: i + 2], p)
-        self._delta_coords = poly.astype(np.int8)
-        return self._delta_coords
+        if cached is None:  # the i-th evaluation point is element i
+            cached = self._delta_coords = self.outer_code.vanishing_coords(self.params.k2 - 1)
+        return cached
 
     def close_partner(self, index: int) -> int:
         """An identity whose outer codeword differs in exactly d2 symbols.

@@ -6,8 +6,8 @@ where available and from adaptive quadrature otherwise (the Rician case:
 Bessel-weighted integrands, no series expansions).  Sampling always goes
 through a caller-supplied numpy Generator so seeded runs reproduce.  A
 discrete mixture builds its sampling table (atom values and normalized
-cdf) once; a draw is a uniform and a right-side cdf lookup, the stream
-and the values ``Generator.choice`` with the same probabilities gives.
+cdf) once; a draw is a uniform and the count of cdf entries <= it, the
+stream and values ``Generator.choice`` with the same probabilities gives.
 scipy is imported inside the few methods that call it (the Rician pdf,
 cdf and moments, the Nakagami cdf), so importing dicode does not load it.
 """
@@ -294,9 +294,14 @@ class DiscreteMixture(FadingDistribution):
         object.__setattr__(self, "_cdf", cdf)
 
     def sample(self, rng, size=None):
-        # Generator.choice(len(atoms), size, p=probs) without its per-call
-        # checks of p: the same uniforms and the same right-side cdf lookup
-        return self._values[self._cdf.searchsorted(rng.random(size), side="right")]
+        # Generator.choice(len(atoms), size, p=probs) without its checks of p:
+        # the same uniforms, and the count of cdf entries <= u (searchsorted right)
+        u = rng.random(size)
+        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(self._cdf)))
+        for c in self._cdf:
+            idx += u >= c
+        del u  # before the gather: one chunk-sized float array at a time
+        return self._values[idx]
 
     def cdf(self, x):
         return float(sum(p for v, p in self.atoms if v <= x))

@@ -280,11 +280,11 @@ def digits_to_int(digits: np.ndarray, base: int) -> int:
     padded = np.zeros(-(-len(digits) // per) * per, dtype=np.int64)
     padded[: len(digits)] = digits
     words = padded.reshape(-1, per) @ base ** np.arange(per, dtype=np.int64)
-    value = 0
-    word = base**per
-    for w in words[::-1]:
-        value = value * word + int(w)
-    return value
+    words, word = [int(w) for w in words] or [0], base**per
+    while len(words) > 1:  # in balanced pairs, not one chain of quadratic cost
+        words = [lo + hi * word for lo, hi in zip(words[::2], words[1::2] + [0])]
+        word *= word
+    return words[0]
 
 
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:

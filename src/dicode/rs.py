@@ -6,14 +6,16 @@ elements in canonical index order, starting from the zero element.  All
 codes here are maximum distance separable: d = length - dim + 1.  No
 decoder is provided; identification only ever tests ball membership.
 
-The outer encoder is ``encode_coords``: GF(p) linear algebra on the
-coordinate vectors of ``ExtensionContext``, a baby-step/giant-step Horner
-(Paterson & Stockmeyer 1973) whose baby steps for a block of points are
-one float32 matrix product.  The inner encoder, ``encode_batch``,
-gathers from the dense tables of a small field.  ``encode`` (scalar
-Horner) is the oracle of both; ``encode_digits`` (vector Horner on digit
-matrices) remains as tested reference code, which the benchmark tracer
-wraps by name.
+The outer encoder ``encode_coords`` is subspace evaluation (Cantor 1989;
+Gao & Mateer 2010) in GF(p) linear algebra on ``ExtensionContext``
+coordinates: an index's base-p digits are its coordinates, so the points
+0..p^i - 1 are the span V_i of the first i basis elements, whose
+vanishing polynomial L_i is linearized (sparse, and GF(p)-linear).
+``vanishing_coords`` builds prod (x - e) over the first points from the
+same maps.  The inner encoder, ``encode_batch``, gathers from the dense
+tables of a small field.  ``encode`` (scalar Horner) is the oracle of both;
+``encode_digits`` (vector Horner on digit matrices) remains as tested
+reference code, which the benchmark tracer wraps by name.
 """
 
 from __future__ import annotations
@@ -24,11 +26,30 @@ import numpy as np
 
 from .galois import FLOAT32_EXACT, ExtensionContext, reduce_mod
 
-# the cached per-point power coordinates (int8) stay under this, which
-# fixes the baby-step count s
-TABLE_BYTES = 1 << 21
-# float32 work arrays of one block of points or coefficients stay under this
-BLOCK_BYTES = 1 << 18
+# float32 temporaries of one block of nodes or coefficients stay near this
+WORK_BYTES = 1 << 18
+
+
+def _divide(v: np.ndarray, lower: np.ndarray, P: int, p: int) -> None:
+    """Divide each polynomial of v by L = x^P + sum_{l<i} a_l x^(p^l), in place.
+
+    v: (N, m, D) coordinates, m > P; then v[:, P:] holds the quotients
+    mod p, and v[:, :P] the remainders, unreduced but exact in float32
+    with one more product added.  lower: (D, i D), i >= 1, the M_{a_l}^T.
+    A block of quotient coefficients no wider than P - p^(i-1) touches
+    only coefficients below itself, so it is one product.
+    """
+    D, i = v.shape[2], lower.shape[1] // v.shape[2]
+    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * len(v))))
+    exact = p + (i + 1) * D * (p - 1) ** 2 < FLOAT32_EXACT  # i + 1 products sum exactly
+    for hi in range(v.shape[1], P, -width):
+        lo = max(P, hi - width)
+        prod = (reduce_mod(v[:, lo:hi], p).reshape(-1, D) @ lower).reshape(len(v), hi - lo, -1)
+        if not exact:
+            reduce_mod(prod, p)
+        for l in range(i):
+            shift = p**l - P
+            v[:, lo + shift : hi + shift] -= prod[..., l * D : (l + 1) * D]
 
 
 class RSCode:
@@ -83,80 +104,104 @@ class RSCode:
         message: (dim, D) coordinates, one row per coefficient; returns
         (length, D) int8 coordinates, one row per evaluated point.
 
-        With s baby steps, f(x) = sum_t (x^s)^t f_t(x) where
-        f_t(x) = sum_{r<s} x^r c_{ts+r}.  Writing M_a for multiplication
-        by a and B_l for the l-th basis matrix,
-        f_t(x) = sum_{l,r} coord_l(x^r) (B_l c_{ts+r}), so one product of
-        the message block u = [B_l c_{ts+r}] with the cached power
-        coordinates gives f_t at every point of a chunk.  The giant steps
-        then run Horner in x^s with the cached M_{x^s}, points along the
-        last axis.  s = 1 is plain Horner.
+        The coset u p^i + V_i has vanishing polynomial L_i(x) - L_i(u p^i).
+        The walk starts from the message on V_j, p^j >= length, and keeps
+        the cosets that hold a point below ``length``.  At level i a
+        node's g (degree < p^(i+1)) is expanded in place as
+        sum_{t<p} G_t L_i^t by p - 1 divisions by L_i, and child c gets
+        g mod (L_i - gamma) = sum_t gamma^t G_t, gamma = L_i((u p + c) p^i),
+        by Horner.  Products are float32, reduced mod p while exact.
         """
-        F = self.field
-        p, D = F.p, F.prime_degree
+        F, p, D = self.field, self.field.p, self.field.prime_degree
         if message.shape != (self.dim, D):
             raise ValueError("message coordinate matrix has wrong shape")
-        powers, giant = self._horner_tables()
-        s = powers.shape[2]
-        T = -(-self.dim // s)
-        coeffs = np.zeros((T * s, D), dtype=np.float32)
-        coeffs[: self.dim] = message
-        coeffs = coeffs.reshape(T, s, D).transpose(1, 0, 2)  # [r, t]: coefficient of x^(ts+r)
-        basis_t = F.mul_matrices(np.eye(D)).astype(np.float32).transpose(0, 2, 1)
-        steps = max(1, BLOCK_BYTES // (4 * D * D * s))  # giant steps per message block
-        chunk = max(1, BLOCK_BYTES // (4 * D * s))  # points per block
-        val = np.zeros((D, self.length), dtype=np.float32)
-        for hi in range(T, 0, -steps):
-            lo = max(0, hi - steps)
-            block = np.ascontiguousarray(coeffs[:, lo:hi]).reshape(1, -1, D)
-            u = reduce_mod(np.matmul(block, basis_t), p).reshape(D * s, (hi - lo) * D)
-            for a in range(0, self.length, chunk):
-                b = min(a + chunk, self.length)
-                f = u.T @ powers[a:b].reshape(b - a, D * s).astype(np.float32).T
-                f = reduce_mod(f, p).reshape(hi - lo, D, b - a)
-                m = giant[:, :, a:b].astype(np.float32)
-                v = val[:, a:b]
-                bound = p - 1  # largest entry v can hold
-                for t in range(hi - lo - 1, -1, -1):
-                    v = np.einsum("ijp,jp->ip", m, v) + f[t]
-                    bound = D * (p - 1) * bound + p - 1
-                    if D * (p - 1) * bound + p - 1 >= FLOAT32_EXACT or t == 0:
-                        reduce_mod(v, p)  # only before the next step could be inexact
-                        bound = p - 1
-                val[:, a:b] = v
-        return val.T.astype(np.int8)
+        levels = self._subspace_maps()
+        buf = np.zeros((p ** len(levels), D), dtype=np.float32)
+        buf[: self.dim] = message
+        for i in range(len(levels) - 1, -1, -1):
+            _, lower, child = levels[i]
+            P, size = p**i, p ** (i + 1)
+            step = max(1, WORK_BYTES // (4 * p * D * (P + D)))
+            for a in range(0, len(child), step):
+                b = min(a + step, len(child))
+                g = buf[a * size : b * size].reshape(b - a, size, D)
+                for t in range(p - 1 if i else 0):  # g[:, t P:(t+1) P] becomes G_t
+                    _divide(g[:, t * P :], lower, P, p)
+                G = g.reshape(b - a, p, P, D)
+                mats = child[a:b].astype(np.float32)
+                acc = G[:, p - 1 :]
+                for t in range(p - 2, -1, -1):
+                    acc = reduce_mod(acc @ mats + G[:, t : t + 1], p)
+                G[:] = acc  # child c of node u is buf rows (u p + c) P onwards
+        return buf[: self.length].astype(np.int8)
 
-    def _horner_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point tables of ``encode_coords``, built once per code.
+    def vanishing_coords(self, count: int) -> np.ndarray:
+        """(count + 1, D) int8 coordinates of prod_{e<count} (x - e), constant first.
 
-        powers[x, l, r] = coord_l(x^r) for r < s, and giant[:, :, x] is
-        the matrix of multiplication by x^s.  s is as large as the degree
-        and TABLE_BYTES allow, and small enough that each dot product of
-        the baby-step product (s*D terms, each at most (p-1)^2) stays
-        exact in float32.
+        The base-p digits of count split the points 0..count-1 into
+        cosets c + V_i, and the product over one of them is the sparse
+        L_i(x) - L_i(c).  Factors multiply in from the lowest digit.
         """
-        cached = getattr(self, "_tables", None)
+        F, p, D = self.field, self.field.p, self.field.prime_degree
+        if not 0 <= count < self.length:
+            raise ValueError(f"need 0 <= count < length, got {count}")
+        poly = np.zeros((count + 1, D), dtype=np.float32)
+        poly[0, 0] = 1  # the constant 1
+        for i, (A, lower, _) in enumerate(self._subspace_maps()):
+            P = p**i
+            for c in range(count // P % p):
+                deg = count % P + c * P  # the points multiplied in so far
+                start = count // (P * p) * (P * p) + c * P
+                gamma = F.coordinates([start]) @ A.T % p
+                terms = np.hstack([-F.mul_matrices(gamma)[0].T.astype(np.float32), lower])
+                new = np.zeros((deg + P + 1, D), dtype=np.float32)
+                new[P:] = poly[: deg + 1]  # the monic x^P term
+                rows = max(1, WORK_BYTES // (4 * terms.shape[1]))
+                for a in range(0, deg + 1, rows):
+                    b = min(a + rows, deg + 1)
+                    prod = reduce_mod(poly[a:b] @ terms, p)
+                    for l, shift in enumerate([0] + [p**j for j in range(i)]):
+                        new[a + shift : b + shift] += prod[:, l * D : (l + 1) * D]
+                poly[: deg + P + 1] = reduce_mod(new, p)
+        return poly.astype(np.int8)
+
+    def _subspace_maps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(A_i, C_i, H_i) for each level i with p^i < length, built once per code.
+
+        L_i = sum_{l<=i} a_l x^(p^l), L_0 = x, L_{i+1} = L_i^p - mu L_i with
+        mu = L_i(p^i)^(p-1).  A_i (D, D) is L_i as a GF(p)-linear map and
+        C_i (D, i D) stacks the M_{a_l}^T, l < i.  With Phi the Frobenius
+        matrix, A_{i+1} = (Phi - M_mu) A_i, and the coefficient columns
+        take the same step with Phi's part shifted up one.  H_i
+        (nodes, p, D, D) int8 is M_gamma^T for each child ``encode_coords``
+        visits at level i.
+        """
+        cached = getattr(self, "_maps", None)
         if cached is not None:
             return cached
-        F = self.field
-        p, D = F.p, F.prime_degree
-        s = max(1, min(self.dim, (FLOAT32_EXACT - 1) // (D * (p - 1) ** 2),
-                       TABLE_BYTES // (self.length * D)))
-        powers = np.empty((self.length, D, s), dtype=np.int8)
-        giant = np.empty((D, D, self.length), dtype=np.int8)
-        chunk = max(1, BLOCK_BYTES // (4 * D * D))
-        for a in range(0, self.length, chunk):
-            b = min(a + chunk, self.length)
-            mats = F.mul_matrices(F.coordinates(np.arange(a, b)))
-            m = np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=np.float32)
-            v = np.zeros((D, b - a), dtype=np.float32)
-            v[0] = 1  # x^0
-            for r in range(s):
-                powers[a:b, :, r] = v.T
-                v = reduce_mod(np.einsum("ijp,jp->ip", m, v), p)
-            giant[:, :, a:b] = F.mul_matrices(v.T).transpose(1, 2, 0)
-        self._tables = (powers, giant)
-        return self._tables
+        F, p, D = self.field, self.field.p, self.field.prime_degree
+        def power(x, e):  # each row of x to the e-th power, by e - 1 products
+            mats, out = F.mul_matrices(x).astype(np.int64), np.asarray(x, dtype=np.int64)
+            for _ in range(e - 1):
+                out = np.einsum("nij,nj->ni", mats, out) % p
+            return out
+
+        frob = power(np.eye(D), p).T  # column l: (p^l)^p
+        A, coef, maps = np.eye(D, dtype=np.int64), np.eye(D, 1, dtype=np.int64), []
+        while p ** len(maps) < self.length:
+            i = len(maps)
+            count, step = -(-self.length // p ** (i + 1)) * p, max(1, WORK_BYTES // (4 * D * D))
+            child = np.empty((count, D, D), dtype=np.int8)
+            for a in range(0, count, step):
+                gamma = F.coordinates(np.arange(a, min(a + step, count)) * p**i) @ A.T % p
+                child[a : a + step] = F.mul_matrices(gamma).transpose(0, 2, 1)
+            lower = F.mul_matrices(coef[:, :i].T).astype(np.float32)
+            maps.append((A, lower.transpose(2, 0, 1).reshape(D, i * D), child.reshape(-1, p, D, D)))
+            m_mu = F.mul_matrices(power(A[:, i][None], p - 1))[0].astype(np.int64)
+            A = (frob - m_mu) @ A % p
+            coef = (frob @ np.pad(coef, ((0, 0), (1, 0))) - m_mu @ np.pad(coef, ((0, 0), (0, 1)))) % p
+        self._maps = maps
+        return maps
 
     def encode_digits(self, message_digits: np.ndarray) -> np.ndarray:
         """Encode one message given as digit rows; fields over a tabled base only.

@@ -196,6 +196,36 @@ MIXTURES = {
 }
 
 
+class _Uniforms:
+    """A stand-in generator whose random() returns fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_discrete_sampler_lookup_equals_searchsorted(name):
+    # uniforms exactly on every cdf value (zero-probability atoms repeat
+    # one), one ulp below and above each, and 0
+    law = DiscreteMixture(MIXTURES[name])
+    cdf, values = law._cdf, law._values
+    u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        np.random.default_rng(4).random(1000)])
+    u = u[u < 1.0]  # what Generator.random draws
+    assert np.array_equal(law.sample(_Uniforms(u)), values[cdf.searchsorted(u, side="right")])
+    for x in u:
+        got = law.sample(_Uniforms(float(x)))
+        assert type(got) is np.float64 and got == values[cdf.searchsorted(x, side="right")]
+    # both count every entry, the last one included, so u = 1 runs past the last atom
+    with pytest.raises(IndexError):
+        law.sample(_Uniforms(np.array([1.0])))
+    with pytest.raises(IndexError):
+        values[cdf.searchsorted(np.array([1.0]), side="right")]
+
+
 @pytest.mark.parametrize("size", [None, 1, 1000, (40, 7)], ids=repr)
 @pytest.mark.parametrize("name", sorted(MIXTURES))
 def test_discrete_sampler_draws_what_numpy_choice_draws(name, size):

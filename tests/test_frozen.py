@@ -6,9 +6,13 @@ digit-matrix encoder (vector Horner over ``ExtensionContext.vmul``/
 ``vadd``) before the encoder moved to GF(p) linear algebra.  The
 moment-grid and fast-fading hashes were recorded with the whole-chunk
 moment expression and ``Generator.choice`` sampling of discrete laws,
-before the blocked grid kernel and the table sampler.  Any change to how
-identities are encoded or how draws are consumed shows up here first;
-these values must never be updated to make a change pass.
+before the blocked grid kernel and the table sampler.  The n = 15625
+and n = 10^5 codeword and partner hashes were recorded with the
+baby-step/giant-step Horner outer encoder and the factor-by-factor
+close-partner polynomial, before both moved to subspace evaluation.
+Any change to how identities are encoded or how draws are consumed
+shows up here first; these values must never be updated to make a
+change pass.
 """
 
 import hashlib
@@ -60,6 +64,19 @@ def test_flagship_close_partners_are_frozen(flagship):
     text = ",".join(str(j) for j in partners)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c17e91434673d81693716723b40eb7f0439eb4fed56a11f68cc8c296cfb7543d")
+
+
+@pytest.mark.parametrize("n,shape,digest", [
+    (15625, (2, 15), "5d816193872ce1a6b42e7d6d183a8b7a30c72af14dc773ab4f16b9a3e44ad3b3"),
+    (100_000, (11, 10), "d77669aefddbb6c0fe0e499cc67c33838ef03a1524d4a77ce5d2f490f7b547c0"),
+])
+def test_large_codewords_and_close_partners_are_frozen(n, shape, digest):
+    # shape is (p, D): the outer field is GF(p^D)
+    book = ConcatCodebook(plan_params(n=n, a=0.03, power_bound=1.0))
+    assert (book.params.p, book.outer_field.prime_degree) == shape
+    index = random.Random(n).randrange(book.size)
+    words = np.stack([book.encode(index), book.encode(book.close_partner(index))])
+    assert _words_sha(words) == digest
 
 
 def test_criterion_9_canonical_report_is_frozen():

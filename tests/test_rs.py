@@ -103,15 +103,18 @@ def test_digit_encode_matches_scalar_encode_over_extension():
         assert got == want
 
 
-# (baby steps s, BLOCK_BYTES); TABLE_BYTES is set to give that s.  None
-# keeps the defaults, under which these small codes take s = dim (one
-# giant step).  s = 1 is plain Horner: with one-byte blocks it runs one
-# point and one giant step per block; with a large block every giant
-# step runs in one block, long enough that skipping the reduction mod p
-# would leave float32's exact range.  s = 3 with small blocks cuts both
-# the points and the message into several blocks.
-SIZES = {"default": None, "plain-horner": (1, 1), "one-block-horner": (1, 1 << 20),
-         "small-blocks": (3, 4 * 8 * 8 * 3 * 2)}
+# WORK_BYTES for each run; None keeps the default.  The child step is
+# Horner in gamma: "plain-horner" runs it one node at a time and divides
+# one quotient coefficient per product (WORK_BYTES = 1); "one-block-horner"
+# runs every level as one block of nodes and every division in blocks as
+# wide as the divisor allows; "small-blocks" cuts the levels into several
+# node blocks and the divisions into several coefficient blocks.
+SIZES = {"default": None, "plain-horner": 1, "one-block-horner": 1 << 30,
+         "small-blocks": 3000}
+
+
+def _coords(msg, p, D):
+    return np.stack([int_to_digits(c, p, D) for c in msg])
 
 
 @pytest.mark.parametrize("sizes", sorted(SIZES))
@@ -121,18 +124,83 @@ def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, mo
     ext = make_extension(make_field(p, m, seed=3), k, seed=3)
     D = ext.prime_degree
     if SIZES[sizes] is not None:
-        steps, block = SIZES[sizes]
-        monkeypatch.setattr(rs, "TABLE_BYTES", steps * length * D)
-        monkeypatch.setattr(rs, "BLOCK_BYTES", block)
+        monkeypatch.setattr(rs, "WORK_BYTES", SIZES[sizes])
     code = RSCode(ext, length=length, dim=dim)
     rng = np.random.default_rng(length)
     for _ in range(4):
         msg = [int(x) for x in rng.integers(0, ext.q, size=dim)]
-        coords = np.stack([int_to_digits(c, p, D) for c in msg])
-        got = [digits_to_int(row, p) for row in code.encode_coords(coords)]
+        got = [digits_to_int(row, p) for row in code.encode_coords(_coords(msg, p, D))]
         assert got == code.encode(msg)
-    s = code._horner_tables()[0].shape[2]
-    assert s == (dim if SIZES[sizes] is None else SIZES[sizes][0])
+    # one level per base-p digit of the largest point
+    assert p ** (len(code._subspace_maps()) - 1) < length <= p ** len(code._subspace_maps())
+
+
+@pytest.mark.parametrize("p,m,k,length,dim", [(7, 1, 2, 49, 30), (2, 2, 3, 50, 40)])
+def test_divisions_reduce_every_product_where_sums_could_leave_float32(
+        p, m, k, length, dim, monkeypatch):
+    # with no exact range left, every quotient product is reduced mod p
+    monkeypatch.setattr(rs, "FLOAT32_EXACT", 0)
+    ext = make_extension(make_field(p, m, seed=3), k, seed=3)
+    code = RSCode(ext, length=length, dim=dim)
+    msg = [int(x) for x in np.random.default_rng(p).integers(0, ext.q, size=dim)]
+    got = code.encode_coords(_coords(msg, p, ext.prime_degree))
+    assert [digits_to_int(row, p) for row in got] == code.encode(msg)
+
+
+# (p, m, k): the degree-k extension of GF(p^m); the prime fields, the
+# GF(16)/GF(4) and GF(81)/GF(9) towers, and extensions of GF(p) by 2 and 3
+FIELDS = {"GF(2)": (2, 1, 1), "GF(3)": (3, 1, 1), "GF(5)": (5, 1, 1), "GF(7)": (7, 1, 1),
+          "GF(8)": (2, 1, 3), "GF(27)": (3, 1, 3), "GF(25)": (5, 1, 2), "GF(49)": (7, 1, 2),
+          "GF(16)/GF(4)": (2, 2, 2), "GF(81)/GF(9)": (3, 2, 2)}
+
+
+def _field(p, m, k):
+    base = make_field(p, m, seed=1)
+    return make_extension(base, k, seed=1) if k > 1 else base
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_subspace_encode_matches_scalar_encode_on_every_length(name):
+    # lengths 1, p, p + 1, q - 1 and q, each at dim 1 and dim = length
+    F = _field(*FIELDS[name])
+    p, D = F.p, F.prime_degree
+    rng = np.random.default_rng(F.q)
+    for length in sorted({n for n in (1, p, p + 1, F.q - 1, F.q) if 1 <= n <= F.q}):
+        for dim in sorted({1, length}):
+            code = RSCode(F, length, dim)
+            for _ in range(3):
+                msg = [int(x) for x in rng.integers(0, F.q, size=dim)]
+                got = code.encode_coords(_coords(msg, p, D))
+                assert got.shape == (length, D) and got.dtype == np.int8
+                assert [digits_to_int(row, p) for row in got] == code.encode(msg)
+
+
+def _naive_vanishing(F, count):
+    # prod_{e < count} (x - e), one factor at a time in scalar field ops
+    poly = [1]
+    for e in range(count):
+        shifted = [0] + poly
+        poly = [F.add(hi, F.neg(F.mul(lo, e))) for hi, lo in zip(shifted, poly + [0])]
+    return poly
+
+
+@pytest.mark.parametrize("sizes", ["default", "plain-horner"])
+@pytest.mark.parametrize("name", ["GF(5)", "GF(8)", "GF(25)", "GF(16)/GF(4)", "GF(81)/GF(9)"])
+def test_vanishing_polynomial_matches_the_naive_product(name, sizes, monkeypatch):
+    # counts 0, 1, p^i - 1, p^i and p^i + 1: whole cosets, and one point on either side
+    if SIZES[sizes] is not None:
+        monkeypatch.setattr(rs, "WORK_BYTES", SIZES[sizes])
+    F = _field(*FIELDS[name])
+    p = F.p
+    code = RSCode(F, F.q, 1)
+    counts = {0, 1} | {c for i in range(1, F.prime_degree + 1)
+                       for c in (p**i - 1, p**i, p**i + 1) if c < F.q}
+    for count in sorted(counts):
+        got = code.vanishing_coords(count)
+        assert got.shape == (count + 1, F.prime_degree)
+        assert [digits_to_int(row, p) for row in got] == _naive_vanishing(F, count)
+    with pytest.raises(ValueError):
+        code.vanishing_coords(F.q)
 
 
 def test_rejects_impossible_parameters():
