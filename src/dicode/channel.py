@@ -6,10 +6,10 @@ Three variants share one entry point:
 * ``SlowFading``  one fading draw per block, constant across coordinates
 * ``FastFading``  iid fading draws per coordinate
 
-``transmit`` sends one word per supplied Generator: a single word, or
-the rows of one (rows, n) array.  Each Generator draws its fading realization
-first and its noise second; that ordering is part of the
-reproducibility contract.  A row is finished (scaled and shifted by the
+``transmit`` sends one word per supplied Generator, as the rows of one
+(rows, n) block; a single word is a one-row block.  Each Generator draws
+its fading realization first and its noise second; that ordering is part
+of the reproducibility contract.  A row is finished (scaled and shifted by the
 faded codeword) right after its draws, while it is still in cache, and
 a caller that sends many blocks can hand ``transmit`` the same buffers
 from ``block_buffers`` each time.
@@ -31,8 +31,8 @@ class Awgn:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 >= 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise ValueError("noise variance must be nonnegative and finite")
 
     def to_config(self):
         return {"type": "awgn", "sigma2": self.sigma2}
@@ -44,8 +44,8 @@ class SlowFading:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 >= 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise ValueError("noise variance must be nonnegative and finite")
 
     def to_config(self):
         return {"type": "slow-fading", "sigma2": self.sigma2, "fading": self.fading.to_config()}
@@ -57,8 +57,8 @@ class FastFading:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 >= 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise ValueError("noise variance must be nonnegative and finite")
 
     def to_config(self):
         return {"type": "fast-fading", "sigma2": self.sigma2, "fading": self.fading.to_config()}
@@ -67,48 +67,22 @@ class FastFading:
 ChannelModel = Union[Awgn, SlowFading, FastFading]
 
 
-def transmit(model: ChannelModel, u: np.ndarray, rng, out=None):
-    """Send codeword u once per generator.
+def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
+    """Send codeword u once per generator in the sequence ``rngs``.
 
-    With one Generator this returns (y, h): h is None for AWGN, a float
-    for slow fading and an array of per-coordinate coefficients for fast
-    fading.  With a sequence of Generators it returns the block form
-    (Y, H): row r of Y is the word received with generator r, and H is
-    None, a vector with one coefficient per row, or a (rows, n) block.
-    Either way each generator draws its fading first and its noise
-    second, so row r equals the single send with generator r.
+    Returns the block (Y, H): row r of Y is the word received with
+    generator r, and H is None for AWGN, a vector with one coefficient
+    per row for slow fading, or a (rows, n) block for fast fading.  Each
+    generator draws its fading first and its noise second, so row r does
+    not depend on the other rows; one word is a one-row block.
 
     ``out``, a (Y, H) pair from ``block_buffers`` with at least one row
-    per generator, makes the block form write into (and return the
-    leading rows of) those arrays instead of allocating new ones.
+    per generator, makes the send write into (and return the leading
+    rows of) those arrays instead of allocating new ones.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("codeword must be one-dimensional")
-    if isinstance(rng, np.random.Generator):
-        Y, H = _transmit_rows(model, u, (rng,), None)
-        return Y[0], None if H is None else (float(H[0]) if H.ndim == 1 else H[0])
-    return _transmit_rows(model, u, rng, out)
-
-
-def block_buffers(model: ChannelModel, rows: int, n: int):
-    """Uninitialised (Y, H) arrays for ``rows`` received words of length n."""
-    _check_model(model)
-    H = None
-    if isinstance(model, SlowFading):
-        H = np.empty(rows)
-    elif isinstance(model, FastFading):
-        H = np.empty((rows, n))
-    return np.empty((rows, n)), H
-
-
-def _check_model(model):
-    if not isinstance(model, (Awgn, SlowFading, FastFading)):
-        raise TypeError(f"unknown channel model {model!r}")
-
-
-def _transmit_rows(model, u, rngs, out):
-    _check_model(model)
     Y, H = block_buffers(model, len(rngs), u.size) if out is None else out
     if Y.shape[0] < len(rngs) or Y.shape[1] != u.size:
         raise ValueError(f"a ({len(rngs)}, {u.size}) block does not fit buffers of shape {Y.shape}")
@@ -124,6 +98,18 @@ def _transmit_rows(model, u, rngs, out):
         y *= scale
         y += u if H is None else H[r] * u
     return Y, H
+
+
+def block_buffers(model: ChannelModel, rows: int, n: int):
+    """Uninitialised (Y, H) arrays for ``rows`` received words of length n."""
+    if not isinstance(model, (Awgn, SlowFading, FastFading)):
+        raise TypeError(f"unknown channel model {model!r}")
+    H = None
+    if isinstance(model, SlowFading):
+        H = np.empty(rows)
+    elif isinstance(model, FastFading):
+        H = np.empty((rows, n))
+    return np.empty((rows, n)), H
 
 
 def parse_channel(cfg: dict) -> ChannelModel:

@@ -11,12 +11,13 @@ Identities are integers below M = q2^k2.  Encoding walks down the tower:
         -> n1*n2 coordinates plus zero padding up to n.
 
 Both fields come from one class: the inner GF(q1) extends GF(p) (or is
-it), and the outer GF(q2) extends GF(q1) by degree k1.  The outer step
-is GF(p)-linear (Forney's concatenated structure): an identity's base-p
+it), and the outer GF(q2) extends GF(q1) by degree k1.  Both steps
+are GF(p)-linear (Forney's concatenated structure): an identity's base-p
 digits are the GF(p) coordinates of its k2 outer symbols,
 ``RSCode.encode_coords`` evaluates them by subspace evaluation, and each
-outer symbol's base-p digits regroup into its k1 inner message digits
-for ``RSCode.encode_batch``.  The close partner's minimum-weight
+outer symbol's coordinates, m at a time, are its k1 inner message
+symbols, which ``RSCode.encode_batch`` encodes for all n2 symbols in one
+product with the inner generator.  The close partner's minimum-weight
 polynomial comes from the same subspace maps.
 
 Distinct identities differ in at least d2 outer symbols, each of which
@@ -33,6 +34,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -97,15 +99,15 @@ class ConcatParams:
     def q2(self) -> int:
         return self.q1**self.k1
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.q2**self.k2
 
     def __post_init__(self):
         if not 0 < self.a < 0.125:
             raise ValueError("a must lie in (0, 1/8)")
-        if not self.power_bound > 0:
-            raise ValueError("power bound must be positive")
+        if not (self.power_bound > 0 and math.isfinite(self.power_bound)):
+            raise ValueError("power bound must be positive and finite")
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
             raise ValueError("distance fractions must lie in (0, 1)")
         pp = prime_power(self.q1)
@@ -151,26 +153,6 @@ def guaranteed_distance(d1: int, d2: int, power_bound: float, q1: int) -> float:
     if q1 < 2:
         raise ValueError("inner alphabet needs at least two levels")
     return math.sqrt(d1 * d2 * 4.0 * power_bound / (q1 - 1) ** 2)
-
-
-class AmplitudeAlphabet:
-    """q1 equispaced levels spanning [-sqrt(A), +sqrt(A)]."""
-
-    def __init__(self, q1: int, power_bound: float):
-        if q1 < 2:
-            raise ValueError("need at least two amplitude levels")
-        if not power_bound > 0:
-            raise ValueError("power bound must be positive")
-        root = math.sqrt(power_bound)
-        self.q1 = q1
-        self.power_bound = power_bound
-        self.levels = -root + 2 * root * np.arange(q1) / (q1 - 1)
-        self.spacing = 2 * root / (q1 - 1)
-
-    def level(self, j: int) -> float:
-        if not 0 <= j < self.q1:
-            raise ValueError(f"level index {j} outside [0, {self.q1})")
-        return float(self.levels[j])
 
 
 def plan_params(
@@ -259,7 +241,11 @@ def plan_params(
 
 
 class ConcatCodebook:
-    """Executable form of a parameter set: fields, RS codes, amplitude map."""
+    """Executable form of a parameter set: fields, RS codes, amplitude levels.
+
+    ``levels`` holds the q1 equispaced amplitudes spanning [-sqrt(A),
+    +sqrt(A)]; inner symbol j is sent as ``levels[j]``.
+    """
 
     def __init__(self, params: ConcatParams):
         self.params = params
@@ -267,7 +253,8 @@ class ConcatCodebook:
         self.outer_field = make_extension(self.inner_field, params.k1, params.field_seed)
         self.inner_code = RSCode(self.inner_field, params.n1, params.k1)
         self.outer_code = RSCode(self.outer_field, params.n2, params.k2)
-        self.alphabet = AmplitudeAlphabet(params.q1, params.power_bound)
+        root = math.sqrt(params.power_bound)
+        self.levels = -root + 2 * root * np.arange(params.q1) / (params.q1 - 1)
 
     @property
     def n(self) -> int:
@@ -288,18 +275,12 @@ class ConcatCodebook:
     def encode(self, index: int) -> np.ndarray:
         p = self.params
         coords = self.outer_code.encode_coords(self._message_coords(index))  # (n2, D)
-        # regroup each outer symbol's base-p digits into k1 base-q1 digits
-        place = p.p ** np.arange(p.m)
-        outer_symbols = coords.reshape(p.n2, p.k1, p.m) @ place  # (n2, k1)
-        inner_blocks = self.inner_code.encode_batch(outer_symbols)  # (n2, n1)
-        amps = self.alphabet.levels[inner_blocks]
+        # an outer symbol's coordinates, m at a time, are its k1 inner message symbols
+        inner = self.inner_code.encode_batch(coords.reshape(p.n2, p.k1, p.m))  # (n2, n1, m)
+        amps = self.levels[inner @ p.p ** np.arange(p.m)]
         if p.padding:
             return np.concatenate([amps.ravel(), np.zeros(p.padding)])
         return amps.ravel()
-
-    # harness protocol
-    def codeword(self, index: int) -> np.ndarray:
-        return self.encode(index)
 
     def _min_weight_delta(self) -> np.ndarray:
         """GF(p) coordinates (k2, D) of g(x) = prod_{i<k2-1} (x - point_i).

@@ -130,8 +130,8 @@ class Rayleigh(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("Rayleigh scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("Rayleigh scale must be positive and finite")
 
     def sample(self, rng, size=None):
         return rng.rayleigh(self.scale, size)
@@ -168,8 +168,9 @@ class Rician(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape >= 0 and self.scale > 0):
-            raise ValueError("Rician needs shape >= 0 and scale > 0")
+        if not (self.shape >= 0 and self.scale > 0
+                and math.isfinite(self.shape) and math.isfinite(self.scale)):
+            raise ValueError("Rician needs finite shape >= 0 and scale > 0")
 
     def _nu_s(self):
         k, om = self.shape, self.scale
@@ -226,8 +227,9 @@ class Nakagami(FadingDistribution):
     spread: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape >= 0.5 and self.spread > 0):
-            raise ValueError("Nakagami needs shape >= 1/2 and spread > 0")
+        if not (self.shape >= 0.5 and self.spread > 0
+                and math.isfinite(self.shape) and math.isfinite(self.spread)):
+            raise ValueError("Nakagami needs finite shape >= 1/2 and spread > 0")
 
     def sample(self, rng, size=None):
         g = rng.gamma(self.shape, self.spread / self.shape, size)

@@ -12,12 +12,14 @@ The encoder works over the prime field: addition is coordinate-wise
 mod p, and multiplication by a fixed element is a fixed D x D matrix over
 GF(p), D = ``prime_degree``.  ``mul_matrices`` builds those matrices for
 many elements at once from D basis matrices.  The dense MUL/ADD/INV
-tables of a small field come from the same matrices, in integers.  The
-digit-matrix operations ``vadd``/``vmul`` remain as tested reference
-code; the benchmark tracer wraps them by name.
+tables of a small field come from the same matrices, in integers; they
+serve scalar arithmetic and the digit-matrix operations ``vadd``/``vmul``,
+which remain as tested reference code (the benchmark tracer wraps them
+by name).  No encoder reads them.
 
-Every extension picks its irreducible modulus by a deterministic seeded
-search, so the same (parameters, seed) always yields the same field.
+Every extension searches its own irreducible modulus, seeded and
+deterministic, so the same (parameters, seed) always yields the same
+field.
 """
 
 from __future__ import annotations
@@ -314,17 +316,12 @@ class ExtensionContext:
     the code length and are arbitrary-precision integers.
     """
 
-    def __init__(self, base: ExtensionContext | int, degree: int = 1,
-                 modulus: Sequence[int] = (0, 1), seed: int = 0):
-        """``base`` is the base field, or the prime p for the root GF(p)."""
+    def __init__(self, base: ExtensionContext | int, degree: int = 1, seed: int = 0):
+        """``base`` is the base field, or the prime p for the root GF(p);
+        a degree k > 1 extension takes the seeded search's modulus."""
         if degree < 1:
             raise ValueError("extension degree must be >= 1")
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
         if isinstance(base, ExtensionContext):
-            if degree > 1 and not is_irreducible(base, modulus):
-                raise ValueError(f"modulus {modulus} is reducible over GF({base.q})")
             self.base, self.p, self.q = base, base.p, base.q**degree
             self.prime_degree = degree * base.prime_degree
         elif degree == 1 and is_prime(base):
@@ -332,8 +329,7 @@ class ExtensionContext:
         else:
             raise ValueError(f"the root field GF({base}) needs a prime order")
         self.degree = degree
-        self.modulus = modulus
-        self.seed = seed
+        self.modulus = _search_modulus(base, degree, seed) if degree > 1 else (0, 1)
 
     def __repr__(self) -> str:
         return f"ExtensionContext(q={self.q}, degree={self.degree}, modulus={self.modulus})"
@@ -496,14 +492,12 @@ class ExtensionContext:
 
 
 def make_extension(base: ExtensionContext, degree: int, seed: int = 0) -> ExtensionContext:
-    """Build GF(base.q ** degree) with a deterministically chosen modulus."""
-    modulus = _search_modulus(base, degree, seed) if degree > 1 else (0, 1)
-    return ExtensionContext(base, degree, modulus, seed)
+    """GF(base.q ** degree) with a deterministically chosen modulus."""
+    return ExtensionContext(base, degree, seed)
 
 
 def make_field(p: int, m: int, seed: int = 0) -> ExtensionContext:
     """GF(p^m): the root GF(p) for m = 1, else its degree-m extension (built
     here, not by ``make_extension``, so a trace adding both counts it once)."""
     root = ExtensionContext(p, seed=seed)
-    modulus = _search_modulus(root, m, seed) if m > 1 else (0, 1)
-    return root if m == 1 else ExtensionContext(root, m, modulus, seed)
+    return root if m == 1 else ExtensionContext(root, m, seed)

@@ -182,7 +182,7 @@ class ArrayCodebook:
     def size(self) -> int:
         return len(self.vectors)
 
-    def codeword(self, index: int) -> np.ndarray:
+    def encode(self, index: int) -> np.ndarray:
         return self.vectors[index]
 
     def close_partner(self, index: int) -> int:
@@ -242,7 +242,8 @@ class ExperimentConfig:
 
 
 def _codebook_args(cfg: dict) -> tuple[str, dict]:
-    """Check a codebook record; returns its type and the arguments it takes."""
+    """Check a codebook record; returns its type and the arguments it takes,
+    a packing ``spec`` already built, so a bad one is refused up front."""
     kw = resolve(cfg, CONFIG_KEYS, "codebook.")
     kind = kw.pop("type")
     if kind not in _CODEBOOK_KEYS:
@@ -256,6 +257,8 @@ def _codebook_args(cfg: dict) -> tuple[str, dict]:
         raise ValueError(f"a {kind} codebook takes no codebook.{extra[0]}")
     if "profile" in kw.get("spec", {}):
         raise ValueError("codebook.spec.profile is not a spec field; set codebook.profile")
+    if "spec" in kw:
+        kw["spec"] = PackingSpec.from_json_dict({**kw["spec"], "schema": 1})
     return kind, kw
 
 
@@ -269,7 +272,7 @@ def build_codebook(cfg: dict):
                    "size_log2": params.log2_size}
         return book, summary
     if kind == "packing":
-        spec = PackingSpec.from_json_dict({**kw.pop("spec"), "schema": 1})
+        spec = kw.pop("spec")
         vectors, report = generate_expurgated(spec, **kw)
         book = ArrayCodebook(vectors)
         summary = {"type": "packing", "spec": spec.to_json_dict(), "profile": report.profile,
@@ -371,7 +374,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     codewords = {}
     for idx in identity_ids:
         if idx not in codewords:
-            codewords[idx] = np.asarray(book.codeword(idx), dtype=float)
+            codewords[idx] = np.asarray(book.encode(idx), dtype=float)
 
     rng_pairs = _gen(cfg.seed, _TAG_PAIRS)
     pair_list: list[tuple[int, int, str]] = []
@@ -391,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     for sent, ver, _ in pair_list:
         for idx in (sent, ver):
             if idx not in codewords:
-                codewords[idx] = np.asarray(book.codeword(idx), dtype=float)
+                codewords[idx] = np.asarray(book.encode(idx), dtype=float)
 
     # one slot per (sent, verified) pair: the genuine slots (i, i) first
     slots = [(i, i, _TAG_TYPE1, k, cfg.per_identity) for k, i in enumerate(identity_ids)]
@@ -650,7 +653,8 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
         rows = []
         for quantity, formula, est, se in (("mean", th_mean, est_mean, se_mean),
                                            ("variance", th_var, est_var, se_var)):
-            dev = abs(est - formula) / se if se > 0 else 0.0
+            finite = math.isfinite(est) and math.isfinite(se)  # else a NaN deviation fails
+            dev = (abs(est - formula) / se if se > 0 else 0.0) if finite else math.nan
             rows.append(MomentCheckRow(
                 case=label, statistic=stat_name, quantity=quantity,
                 formula=formula, estimate=est, std_error=se,

@@ -25,7 +25,8 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +49,15 @@ class PackingSpec:
     projection_exponent: float | None = None   # alpha, for the subset checker
 
     def __post_init__(self):
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.type == "int"
+            if value is None and f.default is None:
+                continue  # an optional bound left unset
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
+                    or not (integral or math.isfinite(value))):
+                kind = "an integer" if integral else "a finite number"
+                raise ValueError(f"packing spec {f.name} must be {kind}, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.target_size < 1:

@@ -12,14 +12,16 @@ coordinates: an index's base-p digits are its coordinates, so the points
 0..p^i - 1 are the span V_i of the first i basis elements, whose
 vanishing polynomial L_i is linearized (sparse, and GF(p)-linear).
 ``vanishing_coords`` builds prod (x - e) over the first points from the
-same maps.  The inner encoder, ``encode_batch``, gathers from the dense
-tables of a small field.  ``encode`` (scalar Horner) is the oracle of both;
-``encode_digits`` (vector Horner on digit matrices) remains as tested
+same maps.  The inner encoder, ``encode_batch``, is one float32 product
+of many messages' coordinates with the code's GF(p) generator matrix.
+``encode`` (scalar Horner) is the oracle of both; ``encode_digits``
+(vector Horner on the digit matrices of a tabled base) remains as tested
 reference code, which the benchmark tracer wraps by name.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -83,20 +85,34 @@ class RSCode:
         return out
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode many messages at once by table gathers; tabled fields only.
+        """Encode many messages at once by one GF(p) product with the generator.
 
-        messages: (N, dim) element indices; returns (N, length).
+        messages: (N, dim, D) GF(p) coordinates, one row per coefficient;
+        returns (N, length, D) int8 coordinates, one row per point.
         """
-        F = self.field
-        V = np.zeros((self.dim, self.length), dtype=np.int32)
-        V[0, :] = 1
-        points = np.arange(self.length, dtype=np.int32)
-        for j in range(1, self.dim):
-            V[j] = F.MUL[V[j - 1], points]
-        acc = np.zeros((messages.shape[0], self.length), dtype=np.int32)
-        for j in range(self.dim):
-            acc = F.ADD[acc, F.MUL[messages[:, j : j + 1], V[j][None, :]]]
-        return acc
+        F, D = self.field, self.field.prime_degree
+        messages = np.asarray(messages, dtype=np.float32)
+        if messages.shape[1:] != (self.dim, D):
+            raise ValueError("message coordinate array has wrong shape")
+        prod = reduce_mod(messages.reshape(len(messages), -1) @ self._generator, F.p)
+        return prod.astype(np.int8).reshape(len(messages), self.length, D)
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        """(dim D, length D) float32 generator, built once per code.
+
+        Block (j, x) is M^T for M the GF(p) matrix of multiplication by
+        x^j, so a row of message coordinates times it is the codeword.
+        Its sums of dim D products must stay exact in float32.
+        """
+        F, p, D, n, k = self.field, self.field.p, self.field.prime_degree, self.length, self.dim
+        if k * D * p * p >= FLOAT32_EXACT:
+            raise ValueError(f"{self!r}: generator sums exceed float32's exact range")
+        mats = [np.broadcast_to(np.eye(D, dtype=np.int64), (n, D, D))]  # M_1 at every point
+        points = F.mul_matrices(F.coordinates(np.arange(n))).astype(np.int64)
+        for _ in range(1, k):
+            mats.append(points @ mats[-1] % p)  # M_{x^j} = M_x M_{x^(j-1)}
+        return np.array(mats).transpose(0, 3, 1, 2).reshape(k * D, n * D).astype(np.float32)
 
     def encode_coords(self, message: np.ndarray) -> np.ndarray:
         """Encode one message given as GF(p) coordinates.

@@ -345,7 +345,8 @@ def test_criterion_8_exhaustive_small_instance_oracles():
                 break
             code = RSCode(F, q, k)
             msgs = np.array(np.unravel_index(np.arange(q**k), (q,) * k)).T
-            table = code.encode_batch(msgs)
+            coords = F.coordinates(msgs.ravel()).reshape(len(msgs), k, m)
+            table = code.encode_batch(coords).any(axis=2)  # the nonzero symbols
             weights = np.count_nonzero(table, axis=1)
             nonzero = np.any(msgs != 0, axis=1)
             assert int(weights[nonzero].min()) == q - k + 1, (q, k)

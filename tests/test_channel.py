@@ -9,25 +9,31 @@ from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_ch
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
 
 
+def send_one(model, x, rng):
+    """One word as a one-row block: (y, h) of row 0."""
+    Y, H = transmit(model, x, [rng])
+    return Y[0], None if H is None else H[0]
+
+
 def test_noiseless_channels_reproduce_the_scaled_input():
     x = np.linspace(-1.0, 1.0, 64)
     rng = np.random.default_rng(0)
-    y, h = transmit(Awgn(1e-24), x, rng)
+    y, h = send_one(Awgn(1e-24), x, rng)
     assert h is None
     assert np.max(np.abs(y - x)) < 1e-9
 
-    y, h = transmit(SlowFading(Constant(2.0), 1e-24), x, rng)
+    y, h = send_one(SlowFading(Constant(2.0), 1e-24), x, rng)
     assert h == 2.0
     assert np.max(np.abs(y - 2 * x)) < 1e-9
 
-    y, h = transmit(FastFading(Constant(0.5), 1e-24), x, rng)
+    y, h = send_one(FastFading(Constant(0.5), 1e-24), x, rng)
     assert np.array_equal(h, np.full(64, 0.5))
     assert np.max(np.abs(y - 0.5 * x)) < 1e-9
 
 
 def test_constant_unit_fading_behaves_like_awgn():
     x = np.ones(4096)
-    y, h = transmit(FastFading(Constant(1.0), 0.25), x, np.random.default_rng(3))
+    y, h = send_one(FastFading(Constant(1.0), 0.25), x, np.random.default_rng(3))
     z = y - x
     assert np.all(h == 1.0)
     assert z.mean() == pytest.approx(0.0, abs=4 * 0.5 / math.sqrt(z.size))
@@ -43,7 +49,7 @@ def test_received_energy_matches_first_principles():
     total = 0.0
     reps = 400
     for r in range(reps):
-        y, _ = transmit(model, x, np.random.default_rng(1000 + r))
+        y, _ = send_one(model, x, np.random.default_rng(1000 + r))
         total += float(np.sum(y**2))
     want = 2.0 * n * 0.09 + n * sigma2
     got = total / reps
@@ -55,7 +61,7 @@ def test_slow_fading_applies_one_coefficient_per_block():
     x = np.ones(32)
     seen = set()
     for r in range(40):
-        y, h = transmit(model, x, np.random.default_rng(r))
+        y, h = send_one(model, x, np.random.default_rng(r))
         assert isinstance(h, float)
         assert np.max(np.abs(y - h * x)) < 1e-9
         seen.add(h)
@@ -65,18 +71,18 @@ def test_slow_fading_applies_one_coefficient_per_block():
 def test_transmission_is_reproducible_per_seed():
     model = FastFading(Rayleigh(1.0), 1.0)
     x = np.arange(16.0)
-    y1, h1 = transmit(model, x, np.random.default_rng(42))
-    y2, h2 = transmit(model, x, np.random.default_rng(42))
+    y1, h1 = send_one(model, x, np.random.default_rng(42))
+    y2, h2 = send_one(model, x, np.random.default_rng(42))
     assert np.array_equal(y1, y2)
     assert np.array_equal(h1, h2)
-    y3, _ = transmit(model, x, np.random.default_rng(43))
+    y3, _ = send_one(model, x, np.random.default_rng(43))
     assert not np.array_equal(y1, y3)
 
 
 def test_noise_variance_scales_as_configured():
     x = np.zeros(100_000)
     for sigma2 in (0.25, 1.0, 4.0):
-        y, _ = transmit(Awgn(sigma2), x, np.random.default_rng(5))
+        y, _ = send_one(Awgn(sigma2), x, np.random.default_rng(5))
         assert y.var() == pytest.approx(sigma2, rel=0.05)
 
 
@@ -109,8 +115,8 @@ def test_rejects_negative_noise_but_allows_zero():
     FastFading(Rayleigh(1.0), 0.7),
 ], ids=["awgn", "slow", "fast"])
 def test_block_rows_equal_single_sends_drawn_fading_first(model):
-    # row r of a block send is the word generator r gives alone, and each
-    # generator draws its fading before its noise
+    # row r of a block send is the one-row block of generator r alone, and
+    # each generator draws its fading before its noise
     x = np.linspace(-1.0, 2.0, 40)
     Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(5)])
     assert Y.shape == (5, 40)
@@ -120,14 +126,14 @@ def test_block_rows_equal_single_sends_drawn_fading_first(model):
             rng, 40 if isinstance(model, FastFading) else None)
         z = math.sqrt(model.sigma2) * rng.standard_normal(40)
         assert np.array_equal(Y[r], (x if h is None else h * x) + z)
-        y1, h1 = transmit(model, x, np.random.default_rng(r))
-        assert np.array_equal(Y[r], y1)
+        Y1, H1 = transmit(model, x, [np.random.default_rng(r)])
+        assert np.array_equal(Y[r], Y1[0])
         if h is None:
-            assert H is None and h1 is None
+            assert H is None and H1 is None
         else:
-            assert np.array_equal(H[r], h) and np.array_equal(h1, h)
+            assert np.array_equal(H[r], h) and np.array_equal(H1[0], h)
     if isinstance(model, SlowFading):
-        assert H.shape == (5,) and isinstance(h1, float)
+        assert H.shape == (5,) and H1.shape == (1,)
 
 
 @pytest.mark.parametrize("model", [

@@ -178,6 +178,20 @@ def test_csv_codebook_with_non_finite_entries_exits_2(tmp_path, capsys):
     assert "row 2, column 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("n", 64.0), ("target_size", "10")])
+def test_simulate_refuses_non_integer_packing_spec_counts(field, value, tmp_path, capsys):
+    spec = {"n": 32, "target_size": 20, "power_bound": 4.0, "sampling_power": 2.0,
+            "distance_exponent": 0.05}
+    ExperimentConfig.from_dict({**SIM_CONFIG, "codebook": {"type": "packing", "spec": spec}})
+    cfg = {**SIM_CONFIG, "codebook": {"type": "packing", "spec": {**spec, field: value}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(cfg_path), "--outdir", str(out)]) == 2
+    assert f"packing spec {field} must be an integer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # refused before writing anything
+
+
 # -- bounds ----------------------------------------------------------------
 
 
@@ -343,6 +357,8 @@ BAD_SETTINGS = [
     ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
     ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
     ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
+    ("moments", 'distributions=[{"type": "rayleigh", "scale": Infinity}]',
+     ["Rayleigh scale must be positive and finite"]),
     ("moments", "draws=0", ["draws must be at least 1"]),
     ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
     ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),

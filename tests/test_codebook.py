@@ -16,7 +16,6 @@ import pytest
 
 from dicode.bounds import di_rate
 from dicode.codebook import (
-    AmplitudeAlphabet,
     ConcatCodebook,
     ConcatParams,
     export_codewords_csv,
@@ -112,13 +111,6 @@ def test_guaranteed_distance_formula():
     assert guaranteed_distance(1, 1, 1.0, 2) == 2.0  # binary alphabet: full swing
 
 
-def test_amplitude_levels_are_equispaced_and_power_capped():
-    alph = AmplitudeAlphabet(3, power_bound=4.0)
-    assert np.allclose(alph.levels, [-2.0, 0.0, 2.0])
-    assert alph.spacing == pytest.approx(2.0)
-    alph5 = AmplitudeAlphabet(5, power_bound=1.0)
-    assert np.allclose(alph5.levels, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.max(np.abs(alph5.levels)) <= 1.0 + 1e-15
 
 
 def tiny_params(**overrides):
@@ -156,6 +148,15 @@ TOWERS = {"q1=5": (5, 5, 3, 40, 30, 0), "q1=4": (4, 4, 3, 50, 40, 3),
           "q1=8": (8, 5, 2, 60, 45, 1), "q1=9": (9, 6, 2, 70, 55, 0)}
 
 
+def test_amplitude_levels_are_equispaced_and_power_capped():
+    levels = ConcatCodebook(tiny_params(
+        power_bound=4.0, min_euclidean_distance=guaranteed_distance(2, 3, 4.0, 3))).levels
+    assert np.allclose(levels, [-2.0, 0.0, 2.0])
+    levels5 = ConcatCodebook(tower_params(*TOWERS["q1=5"])).levels  # A = 2
+    assert np.allclose(levels5, np.sqrt(2.0) * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    assert np.max(np.abs(levels5)) <= np.sqrt(2.0) + 1e-15
+
+
 @pytest.mark.parametrize("shape", sorted(TOWERS))
 def test_encoder_matches_the_scalar_tower_on_every_field_shape(shape):
     p = tower_params(*TOWERS[shape])
@@ -173,14 +174,38 @@ def test_encoder_matches_the_scalar_tower_on_every_field_shape(shape):
         # the coordinate encoder, symbol by symbol
         coords = book.outer_code.encode_coords(book._message_coords(index))
         assert [digits_to_int(row, p.p) for row in coords] == symbols
-        # the whole codeword: inner RS over each symbol's base-q1 digits,
-        # then the amplitude map and zero padding
-        inner = book.inner_code.encode_batch(ext.digit_rows(symbols))
-        want = np.concatenate([book.alphabet.levels[inner].ravel(), np.zeros(p.padding)])
+        # and the generator product
+        batch = book.outer_code.encode_batch(book._message_coords(index)[None])[0]
+        assert [digits_to_int(row, p.p) for row in batch] == symbols
+        # the whole codeword: scalar inner RS over each symbol's base-q1
+        # digits, then the amplitude map and zero padding
+        inner = [book.inner_code.encode(ext.to_digits(s)) for s in symbols]
+        want = np.concatenate([book.levels[inner].ravel(), np.zeros(p.padding)])
         assert np.array_equal(book.encode(index), want)
         # the close partner's outer codeword differs in exactly d2 symbols
         partner = outer(book.close_partner(index))
         assert sum(a != b for a, b in zip(symbols, partner)) == p.d2
+
+
+class _NoTable:
+    """Stands in for a dense table; any read fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a dense table was read")
+
+
+@pytest.mark.parametrize("shape", sorted(TOWERS))
+def test_encoding_reads_no_dense_table(shape):
+    p = tower_params(*TOWERS[shape])
+    want, book = ConcatCodebook(p), ConcatCodebook(p)
+    fields = {book.inner_field, book.inner_field.base or book.inner_field, book.outer_field}
+    for F in fields:
+        F._basis  # each field's multiplication basis comes from scalar products, once
+    for F in fields:
+        vars(F).update(MUL=_NoTable(), ADD=_NoTable(), INV=_NoTable())
+    for index in (0, 1, p.size - 1):
+        assert np.array_equal(book.encode(index), want.encode(index))
+        assert book.close_partner(index) == want.close_partner(index)
 
 
 def test_exhaustive_distance_on_a_complete_tiny_codebook():
@@ -207,10 +232,9 @@ def test_exhaustive_symbol_distance_matches_the_product_bound():
     p = tiny_params()
     book = ConcatCodebook(p)
     d1d2 = p.d1 * p.d2
-    alph = AmplitudeAlphabet(p.q1, p.power_bound)
     words = [book.encode(i) for i in range(81)]
     # map amplitudes back to level indices to measure Hamming distance
-    idx = [np.searchsorted(alph.levels, np.round(w, 9) - 1e-9) for w in words]
+    idx = [np.searchsorted(book.levels, np.round(w, 9) - 1e-9) for w in words]
     min_hamming = min(
         int(np.sum(a != b)) for a, b in itertools.combinations(idx, 2)
     )
@@ -236,7 +260,6 @@ def test_encode_rejects_out_of_range_identities():
 def test_close_partner_sits_at_the_outer_distance_floor():
     p = tiny_params()
     book = ConcatCodebook(p)
-    alph = AmplitudeAlphabet(p.q1, p.power_bound)
     for i in (0, 1, 40, 80):
         j = book.close_partner(i)
         assert 0 <= j < 81 and j != i

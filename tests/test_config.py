@@ -11,7 +11,7 @@ import math
 import pytest
 
 from dicode.channel import Awgn, FastFading, SlowFading
-from dicode.codebook import AmplitudeAlphabet, plan_params
+from dicode.codebook import guaranteed_distance, plan_params
 from dicode.config import NUMBER, Key, resolve
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, parse_distribution
 from dicode.harness import ExperimentConfig, build_codebook
@@ -66,24 +66,37 @@ def test_resolve_under_a_prefix_sees_only_that_group():
         resolve({"count": 1}, TABLE, "group.")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Awgn(math.nan),
-    lambda: SlowFading(Constant(1.0), math.nan),
-    lambda: FastFading(Constant(1.0), math.nan),
-    lambda: Constant(math.nan),
-    lambda: Rayleigh(math.nan),
-    lambda: Rician(math.nan, 1.0),
-    lambda: Rician(1.0, math.nan),
-    lambda: Nakagami(math.nan, 1.0),
-    lambda: Nakagami(1.0, math.nan),
-    lambda: DiscreteMixture(((1.0, math.nan),)),
-    lambda: AmplitudeAlphabet(4, math.nan),
-    lambda: dataclasses.replace(plan_params(n=500, a=0.02), power_bound=math.nan),
-], ids=["awgn", "slow", "fast", "constant", "rayleigh", "rician-shape", "rician-scale",
-        "nakagami-shape", "nakagami-spread", "discrete", "alphabet", "concat-params"])
-def test_constructors_refuse_nan(build):
+# each builder takes the one non-finite value under test
+BUILDERS = {
+    "awgn": lambda x: Awgn(x),
+    "slow": lambda x: SlowFading(Constant(1.0), x),
+    "fast": lambda x: FastFading(Constant(1.0), x),
+    "constant": lambda x: Constant(x),
+    "rayleigh": lambda x: Rayleigh(x),
+    "rician-shape": lambda x: Rician(x, 1.0),
+    "rician-scale": lambda x: Rician(1.0, x),
+    "nakagami-shape": lambda x: Nakagami(x, 1.0),
+    "nakagami-spread": lambda x: Nakagami(1.0, x),
+    "discrete": lambda x: DiscreteMixture(((1.0, x),)),
+    "concat-params": lambda x: _concat_params(x),
+}
+
+
+def _concat_params(power_bound):
+    # the stored distance agrees with the bound, so only the bound's own check can refuse it
+    p = plan_params(n=500, a=0.02)
+    return dataclasses.replace(p, power_bound=power_bound, min_euclidean_distance=(
+        guaranteed_distance(p.d1, p.d2, abs(power_bound), p.q1)))
+
+
+NON_FINITE = [(name, x) for x in (math.nan, math.inf, -math.inf) for name in BUILDERS]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE,  # ids: "awgn" (NaN), "awgn-inf", "awgn--inf"
+                         ids=[n if math.isnan(x) else f"{n}-{x}" for n, x in NON_FINITE])
+def test_constructors_refuse_nan(name, value):
     with pytest.raises(ValueError):
-        build()
+        BUILDERS[name](value)
 
 
 @pytest.mark.parametrize("record", [
@@ -107,6 +120,19 @@ def test_packing_spec_records_refuse_unknown_fields():
         PackingSpec.from_json_dict({**SPEC, "fourth": 3.0, "schema": 1})
     with pytest.raises(ValueError, match="codebook.profile"):
         build_codebook({"type": "packing", "spec": {**SPEC, "profile": "basic"}})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 32.0), ("n", True), ("target_size", "10"), ("seed", 1.0), ("seed", None),
+    ("power_bound", math.inf), ("sampling_power", math.nan), ("distance_exponent", "0.05"),
+    ("fourth_moment_bound", -math.inf), ("projection_fraction", math.nan),
+    ("projection_exponent", False)])
+def test_packing_spec_refuses_non_integer_counts_and_non_finite_reals(field, value):
+    with pytest.raises(ValueError, match=f"packing spec {field} must be"):
+        PackingSpec(**{**SPEC, field: value})
+    with pytest.raises(ValueError, match=f"packing spec {field} must be"):
+        ExperimentConfig.from_dict({"channel": {"type": "awgn"}, "codebook": {
+            "type": "packing", "spec": {**SPEC, field: value}}})
 
 
 @pytest.mark.parametrize("codebook,message", [

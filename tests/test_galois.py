@@ -6,11 +6,15 @@ unique up to isomorphism.  Small frozen values pin down the specific
 representation (canonical digit encoding, deterministic modulus search).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from dicode import galois
 from dicode.galois import (
     TABLE_LIMIT,
+    ExtensionContext,
     _poly_add,
     _poly_mul,
     _poly_rem,
@@ -99,6 +103,25 @@ def test_gf9_modulus_is_irreducible_and_build_is_deterministic():
     # a different seed may pick a different modulus, but it must still work
     other = make_field(3, 2, seed=1)
     check_field_axioms(other, 9)
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 2, 3), (3, 1, 4), (2, 3, 5), (5, 2, 2)])
+def test_each_field_tests_its_accepted_modulus_once(p, m, k, monkeypatch):
+    # the field searches its own modulus; nothing re-checks the one it keeps
+    assert "modulus" not in inspect.signature(ExtensionContext).parameters
+    accepted = []
+
+    def counting(F, poly):
+        ok = is_irreducible(F, poly)
+        if ok:
+            accepted.append((F.q, tuple(poly)))
+        return ok
+
+    monkeypatch.setattr(galois, "is_irreducible", counting)
+    inner = make_field(p, m, seed=2)
+    outer = make_extension(inner, k, seed=2)
+    want = [(p, inner.modulus)] if m > 1 else []
+    assert accepted == want + [(inner.q, outer.modulus)]
 
 
 def test_irreducibility_matches_quadratic_residue_facts():

@@ -310,6 +310,21 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(r.ok for r in var_rows)
 
 
+class _NanLaw(Constant):
+    """Constant fading's closed-form moments, but every draw is NaN."""
+
+    def sample(self, rng, size=None):
+        return np.full(size, math.nan)
+
+
+def test_moment_rows_with_non_finite_estimates_fail():
+    cfg = MomentGridConfig(distributions=(_NanLaw(1.0),), n=16, draws=200, seed=1,
+                           pair_count=1)
+    report = moment_validation(cfg)
+    assert len(report.rows) == 8 and report.failures == report.rows
+    assert all(math.isnan(r.estimate) and math.isnan(r.deviation) for r in report.rows)
+
+
 def _reference_grid(cfg: MomentGridConfig) -> list:
     """The grid's rows from the plain whole-chunk expression: per chunk,
     the fading, then the noise, as one (chunk, n) draw each."""
@@ -400,7 +415,7 @@ class _HugeBook:
     def __init__(self):
         self.seen = set()
 
-    def codeword(self, index):
+    def encode(self, index):
         self.seen.add(index)
         return np.random.default_rng(index % 2**32).choice([-1.0, 1.0], self.n)
 
@@ -489,19 +504,18 @@ def _reference_counts(cfg, results):
     slow = isinstance(cfg.channel, SlowFading)
 
     def slot(tag, k, sent, verified, trials):
-        u_sent, u = book.codeword(int(sent)), book.codeword(int(verified))
+        u_sent, u = book.encode(int(sent)), book.encode(int(verified))
         out = [0, 0, 0, 0]
         for t in range(trials):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag, k, t))))
-            y, h = transmit(cfg.channel, u_sent, rng)
-            accept, outage = spec.verify(y[None], u, None if h is None else np.asarray(h)[None],
-                                         spec.threshold(u))
+            y, h = transmit(cfg.channel, u_sent, [rng])  # a one-row block
+            accept, outage = spec.verify(y, u, h, spec.threshold(u))
             if outage[0]:
                 out[1] += 1
                 continue
             hit = bool(accept[0]) if tag == 2 else not accept[0]
             out[0] += hit
-            if slow and h == 0.0:
+            if slow and h[0] == 0.0:
                 out[2] += 1
                 out[3] += hit
         return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dicode import rs
-from dicode.galois import digits_to_int, int_to_digits, make_extension, make_field
+from dicode.galois import TABLE_LIMIT, digits_to_int, int_to_digits, make_extension, make_field
 from dicode.rs import RSCode
 
 
@@ -78,15 +78,19 @@ def test_encoding_is_linear():
         assert lhs == rhs
 
 
+def _batch_matches_scalar(code, count, seed):
+    # encode_batch on GF(p) coordinates against scalar Horner on indices
+    F, p, D = code.field, code.field.p, code.field.prime_degree
+    msgs = np.random.default_rng(seed).integers(0, F.q, size=(count, code.dim))
+    coords = np.stack([_coords([int(x) for x in msg], p, D) for msg in msgs])
+    batch = code.encode_batch(coords)
+    assert batch.shape == (count, code.length, D) and batch.dtype == np.int8
+    for rows, msg in zip(batch, msgs):
+        assert [digits_to_int(row, p) for row in rows] == code.encode([int(x) for x in msg])
+
+
 def test_batch_encode_matches_scalar_encode():
-    field = make_field(5, 1)
-    code = RSCode(field, 5, 3)
-    rng = np.random.default_rng(1)
-    msgs = rng.integers(0, 5, size=(50, 3))
-    batch = code.encode_batch(msgs)
-    assert batch.shape == (50, 5)
-    for row, msg in zip(batch, msgs):
-        assert list(row) == code.encode([int(x) for x in msg])
+    _batch_matches_scalar(RSCode(make_field(5, 1), 5, 3), 50, 1)
 
 
 def test_digit_encode_matches_scalar_encode_over_extension():
@@ -160,6 +164,14 @@ def _field(p, m, k):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+def test_batch_encode_matches_scalar_encode_on_every_field(name):
+    F = _field(*FIELDS[name])
+    for length in sorted({1, F.p, F.q}):
+        for dim in sorted({1, length}):
+            _batch_matches_scalar(RSCode(F, length, dim), 5, length)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_subspace_encode_matches_scalar_encode_on_every_length(name):
     # lengths 1, p, p + 1, q - 1 and q, each at dim 1 and dim = length
     F = _field(*FIELDS[name])
@@ -213,10 +225,21 @@ def test_rejects_impossible_parameters():
         RSCode(field, length=4, dim=0)
 
 
-def test_batch_encode_refuses_fields_past_the_table_limit():
-    code = RSCode(make_extension(make_field(2, 5), 2), length=40, dim=3)  # GF(1024)
-    with pytest.raises(ValueError, match="dense tables"):
-        code.encode_batch(np.zeros((1, 3), dtype=np.int64))
+def test_batch_encode_matches_scalar_encode_past_the_table_limit():
+    field = make_extension(make_field(2, 5), 2)  # GF(1024): no dense tables
+    assert field.q > TABLE_LIMIT
+    _batch_matches_scalar(RSCode(field, length=40, dim=3), 20, 3)
+    assert not {"MUL", "ADD", "INV"} & set(vars(field))
+
+
+def test_batch_encode_refuses_wrong_shapes_and_sums_past_float32():
+    code = RSCode(make_field(7, 1), length=7, dim=3)
+    with pytest.raises(ValueError, match="shape"):
+        code.encode_batch(np.zeros((1, 3)))
+    # 521 coefficients over GF(127^2): 521 * 2 * 127^2 >= 2^24
+    code = RSCode(make_extension(make_field(127, 1), 2), length=600, dim=521)
+    with pytest.raises(ValueError, match="float32"):
+        code.encode_batch(np.zeros((1, 521, 2)))
 
 
 def test_tower_code_used_by_the_concatenation():
