@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .fading import FadingDistribution, parse_distribution
+from .fading import FadingDistribution
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,16 @@ def block_buffers(model: ChannelModel, rows: int, n: int):
 
 
 def parse_channel(cfg: dict) -> ChannelModel:
-    kind = cfg.get("type")
-    sigma2 = float(cfg.get("sigma2", 1.0))
+    """The channel of a resolved ``channel`` record, whose fading law is already built."""
+    kind, fading = cfg.get("type"), cfg.get("fading")
+    sigma2 = cfg.get("sigma2", 1.0)
     if kind == "awgn":
-        if "fading" in cfg:
+        if fading is not None:
             raise ValueError("channel.fading is set, but an awgn channel has no fading; "
                              "use slow-fading or fast-fading, or drop channel.fading")
         return Awgn(sigma2)
-    if kind == "slow-fading":
-        return SlowFading(parse_distribution(cfg["fading"]), sigma2)
-    if kind == "fast-fading":
-        return FastFading(parse_distribution(cfg["fading"]), sigma2)
-    raise ValueError(f"unknown channel type {kind!r}")
+    if kind not in ("slow-fading", "fast-fading"):
+        raise ValueError(f"unknown channel type {kind!r}")
+    if fading is None:
+        raise ValueError(f"a {kind} channel needs channel.fading, a fading law record")
+    return (SlowFading if kind == "slow-fading" else FastFading)(fading, sigma2)

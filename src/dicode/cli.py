@@ -1,11 +1,13 @@
 """Command line front end.
 
 Every subcommand reads an optional JSON config file, applies repeatable
-``--set dotted.path=value`` overrides on top, resolves the seed, echoes
-the resolved configuration into the output directory, then runs.  All
-files are written atomically.  Exit codes: 0 on success, 2 for config or
-feasibility problems, 3 when a validation run finds formula violations,
-1 for anything unexpected.
+``--set dotted.path=value`` overrides on top, resolves the seed and
+checks the whole config against its key table, records included, then
+runs.  Only a finished run creates the output directory; it gets the
+resolved configuration and the run's outputs, each written atomically.
+This module writes every file; the library hands it text.  Exit codes: 0
+on success, 2 for config or feasibility problems, 3 when a validation
+run finds formula violations, 1 for anything unexpected.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import sys
 import traceback
 
 from .bounds import min_distance_lower_bound, rate_report
-from .codebook import ConcatCodebook, export_codewords_csv, plan_params, write_params_json
-from .config import NUMBER, Key, epilog, resolve
-from .errors import DegenerateFadingError, InfeasibleError, ValidationFailure
+from .codebook import ConcatCodebook, codewords_csv, plan_params
+from .config import Key, epilog, resolve
+from .errors import ValidationFailure
 from .fading import parse_distribution
 from .harness import (
     CONFIG_KEYS,
@@ -34,10 +36,11 @@ from .harness import (
 )
 from .packing import (
     PROFILES,
+    SPEC_KEYS,
     PackingSpec,
     check_projection_property,
-    export_csv,
     generate_expurgated,
+    vectors_csv,
     verify_packing,
 )
 
@@ -60,13 +63,15 @@ BOUNDS_KEYS = {
     "lambda1": Key(float, "type-I error budget", default=0.0),
     "lambda2": Key(float, "type-II error budget", default=0.0),
     "d_min": Key(float, "minimum distance; derived from the error budgets if omitted"),
-    "fading": Key(dict, "fading law record for the reference capacities", default=None),
+    "fading": Key(dict, "fading law record for the reference capacities", default=None,
+                  parse=parse_distribution),
     "snr": Key(float, "signal to noise ratio for the reference capacities", default=None),
     "outage_eps": Key(float, "outage probability for the outage capacity", default=None),
 }
 
 MOMENTS_KEYS = {
-    "distributions": Key(list, "list of fading law records to sweep", min=1, required=True),
+    "distributions": Key(list, "list of fading law records to sweep", min=1, required=True,
+                         parse=parse_distribution),
     "modes": Key(list, "verifier modes to check", choices=("csi", "nocsi")),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
@@ -79,14 +84,7 @@ MOMENTS_KEYS = {
 }
 
 PACKING_KEYS = {
-    "spec.n": Key(int, "dimension", min=1, required=True),
-    "spec.target_size": Key(int, "how many vectors to aim for", min=1, required=True),
-    "spec.power_bound": Key(float, "hard energy cap A (power n*A)", default=1.0),
-    "spec.sampling_power": Key(float, "sampling variance A' < A", default=0.5),
-    "spec.distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)",
-                                  required=True),
-    "spec.seed": Key(int, "sampling seed (--seed sets this)", min=0),
-    "spec.fourth_moment_bound": Key(NUMBER, "fourth-power budget per coordinate", default=None),
+    **{f"spec.{name}": key for name, key in SPEC_KEYS.items()},
     "profile": Key(str, "expurgation profile", choices=PROFILES),
     "check_projection": Key(bool, "also run the projected-distance check", default=False),
     "projection.mu": Key(float, "fraction of coordinates that survive projection", default=1.0),
@@ -150,15 +148,14 @@ def _seed(args, seed):
     return seed
 
 
-def _outdir(args) -> str:
+def _write(args, cfg: dict, outputs: dict[str, str]) -> None:
+    """Create --outdir and write a finished run into it: ``resolved_config.json``,
+    the values the run used, defaults included, as a config that re-runs it,
+    then each output file."""
     os.makedirs(args.outdir, exist_ok=True)
-    return args.outdir
-
-
-def _echo_config(outdir: str, cfg: dict) -> None:
-    """Write the values a run uses, defaults included, as a config that re-runs it."""
-    write_text_atomic(os.path.join(outdir, "resolved_config.json"),
-                      json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+    for name, text in {"resolved_config.json": json.dumps(cfg, sort_keys=True, indent=1) + "\n",
+                       **outputs}.items():
+        write_text_atomic(os.path.join(args.outdir, name), text)
 
 
 def _default(fn, name: str):
@@ -173,14 +170,12 @@ def cmd_construct(args) -> int:
         cfg["field_seed"] = args.seed
     kw = resolve(cfg, CONSTRUCT_KEYS)
     limit = kw.pop("export_codewords")
-    outdir = _outdir(args)
     params = plan_params(**kw)
     used = {k: getattr(params, k) for k in CONSTRUCT_KEYS.keys() - {"export_codewords"}}
-    _echo_config(outdir, {**used, "export_codewords": limit})
-    write_params_json(os.path.join(outdir, "params.json"), params)
+    outputs = {"params.json": json.dumps(params.to_json_dict(), indent=2, sort_keys=True) + "\n"}
     if limit > 0:
-        book = ConcatCodebook(params)
-        export_codewords_csv(os.path.join(outdir, "codewords.csv"), book, limit)
+        outputs["codewords.csv"] = codewords_csv(ConcatCodebook(params), limit)
+    _write(args, {**used, "export_codewords": limit}, outputs)
     print(f"n={params.n} q1={params.q1} (n1,k1)=({params.n1},{params.k1}) "
           f"(n2,k2)=({params.n2},{params.k2}) rate={params.rate:.6g} "
           f"min_distance={params.min_euclidean_distance:.6g} "
@@ -191,14 +186,13 @@ def cmd_construct(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     cfg["seed"] = _seed(args, cfg.get("seed"))
-    outdir = _outdir(args)
     exp = ExperimentConfig.from_dict(cfg)
-    _echo_config(outdir, exp.to_dict())
     report = run_experiment(exp)
-    write_text_atomic(os.path.join(outdir, "report.json"), report.full_json() + "\n")
+    outputs = {"report.json": report.full_json() + "\n"}
     if args.format == "csv":
-        write_text_atomic(os.path.join(outdir, "identities.csv"), report.identities_csv())
-        write_text_atomic(os.path.join(outdir, "pairs.csv"), report.pairs_csv())
+        outputs["identities.csv"] = report.identities_csv()
+        outputs["pairs.csv"] = report.pairs_csv()
+    _write(args, exp.to_dict(), outputs)
     r = report.results
     print(f"type-I pooled error rate: {r['type1']['pooled']['error_rate']}")
     print(f"type-II pooled accept rate: {r['type2']['pooled']['accept_rate']}")
@@ -209,14 +203,12 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     kw = resolve(cfg, BOUNDS_KEYS)
-    outdir = _outdir(args)
     lam = kw["lambda1"] + kw["lambda2"]
     derived_d = min_distance_lower_bound(lam, math.sqrt(kw["sigma2"])) if lam > 0 else 0.0
     kw.setdefault("d_min", derived_d)
-    dist = parse_distribution(kw["fading"]) if kw["fading"] else None
+    dist = kw["fading"]
     report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,
                          kw["snr"], kw["outage_eps"])
-    _echo_config(outdir, {**kw, "fading": None if dist is None else dist.to_config()})
     payload = {
         "n": report.n, "log2_size": report.log2_size, "rate": report.rate,
         "upper_bound": report.upper_bound, "power_bound": report.power_bound,
@@ -224,12 +216,13 @@ def cmd_bounds(args) -> int:
         "outage_capacity": report.outage_capacity,
         "ergodic_capacity": report.ergodic_capacity,
     }
+    outputs = {}
     if args.format == "csv":
         head = ",".join(payload)
         row = ",".join("" if v is None else repr(v) for v in payload.values())
-        write_text_atomic(os.path.join(outdir, "bounds.csv"), head + "\n" + row + "\n")
-    write_text_atomic(os.path.join(outdir, "bounds.json"),
-                      json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        outputs["bounds.csv"] = head + "\n" + row + "\n"
+    outputs["bounds.json"] = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    _write(args, {**kw, "fading": None if dist is None else dist.to_config()}, outputs)
     print(f"rate={report.rate:.6g} upper_bound={report.upper_bound:.6g}")
     return 0
 
@@ -238,14 +231,12 @@ def cmd_moments(args) -> int:
     cfg = _load_config(args)
     cfg["seed"] = _seed(args, cfg.get("seed"))
     kw = resolve(cfg, MOMENTS_KEYS)
-    outdir = _outdir(args)
-    kw["distributions"] = tuple(parse_distribution(d) for d in kw["distributions"])
+    kw["distributions"] = tuple(kw["distributions"])
     if "modes" in kw:
         kw["modes"] = tuple(kw["modes"])
     grid = MomentGridConfig(**kw)
-    _echo_config(outdir, grid.to_dict())
     report = moment_validation(grid)
-    write_text_atomic(os.path.join(outdir, "moments.json"), report.to_json() + "\n")
+    outputs = {"moments.json": report.to_json() + "\n"}
     if args.format == "csv":
         head = "case,statistic,quantity,formula,estimate,std_error,deviation,ok"
         rows = [head] + [
@@ -253,7 +244,8 @@ def cmd_moments(args) -> int:
             f"{r.std_error!r},{r.deviation!r},{r.ok}"
             for r in report.rows
         ]
-        write_text_atomic(os.path.join(outdir, "moments.csv"), "\n".join(rows) + "\n")
+        outputs["moments.csv"] = "\n".join(rows) + "\n"
+    _write(args, grid.to_dict(), outputs)  # a failing grid too, for post-mortems
     bad = report.failures
     print(f"checked {len(report.rows)} moments, {len(bad)} outside "
           f"{grid.tolerance_sigmas} standard errors")
@@ -275,16 +267,13 @@ def cmd_packing(args) -> int:
     kw.setdefault("profile", _default(generate_expurgated, "profile"))
     kw["projection"].setdefault("sample_count", _default(check_projection_property,
                                                          "sample_count"))
-    outdir = _outdir(args)
     spec = PackingSpec(**kw["spec"])
-    _echo_config(outdir, kw)
     vectors, report = generate_expurgated(spec, kw["profile"])
     problems = verify_packing(vectors, spec, report.profile)
     if problems:
         for p in problems[:10]:
             print(f"  VERIFY {p}", file=sys.stderr)
         raise ValidationFailure("independent packing verification failed")
-    export_csv(os.path.join(outdir, "vectors.csv"), vectors, spec, report.profile)
     payload = {
         "profile": report.profile, "seed": report.seed, "sampled": report.sampled,
         "requested": report.requested, "survivors": report.survivors,
@@ -292,6 +281,7 @@ def cmd_packing(args) -> int:
         "removed": {"power": report.removed_power, "fourth": report.removed_fourth,
                     "band": report.removed_band, "distance": report.removed_distance},
     }
+    passed = True
     if kw["check_projection"]:
         proj = check_projection_property(vectors, seed=spec.seed, **kw["projection"])
         payload["projection"] = {
@@ -299,22 +289,40 @@ def cmd_packing(args) -> int:
             "threshold": proj.threshold, "certified": proj.certified,
             "overall_min": proj.overall_min, "passed": proj.passed,
         }
-        if not proj.passed:
-            raise ValidationFailure("projected distances fell below the threshold")
-    write_text_atomic(os.path.join(outdir, "report.json"),
-                      json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        passed = proj.passed
+    _write(args, kw, {
+        "vectors.csv": vectors_csv(vectors),
+        "vectors.csv.spec.json": json.dumps({**spec.to_json_dict(), "profile": report.profile},
+                                            indent=2, sort_keys=True) + "\n",
+        "report.json": json.dumps(payload, sort_keys=True, indent=1) + "\n",
+    })
+    if not passed:
+        raise ValidationFailure("projected distances fell below the threshold")
     print(f"kept {report.survivors} of {report.sampled} sampled vectors "
           f"(floor {report.distance_floor:.6g})")
     return 0
 
 
+# the flags a subcommand may take besides --config, --set and --outdir
+FLAGS = {
+    "--seed": {"type": int, "help": "master seed, over the config's (construct: field_seed, "
+                                    "packing: spec.seed); drawn and printed if absent, "
+                                    "except by construct"},
+    "--format": {"choices": ("json", "csv"), "default": "json",
+                 "help": "also emit CSV tables when set to csv"},
+}
+
+# name -> (function, help, key table, flags from FLAGS)
 COMMANDS = {
-    "construct": (cmd_construct, "plan and build a concatenated codebook", CONSTRUCT_KEYS),
-    "simulate": (cmd_simulate, "run identification trials over a channel", CONFIG_KEYS),
-    "bounds": (cmd_bounds, "rate bounds and reference capacities", BOUNDS_KEYS),
+    "construct": (cmd_construct, "plan and build a concatenated codebook", CONSTRUCT_KEYS,
+                  ("--seed",)),
+    "simulate": (cmd_simulate, "run identification trials over a channel", CONFIG_KEYS,
+                 ("--seed", "--format")),
+    "bounds": (cmd_bounds, "rate bounds and reference capacities", BOUNDS_KEYS, ("--format",)),
     "moments": (cmd_moments, "validate the closed-form statistic moments by Monte Carlo",
-                MOMENTS_KEYS),
-    "packing": (cmd_packing, "sample and expurgate a sphere packing", PACKING_KEYS),
+                MOMENTS_KEYS, ("--seed", "--format")),
+    "packing": (cmd_packing, "sample and expurgate a sphere packing", PACKING_KEYS,
+                ("--seed",)),
 }
 
 
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Identification codebooks, fading channel trials, and rate bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, keys) in COMMANDS.items():
+    for name, (fn, help_text, keys, flags) in COMMANDS.items():
         p = sub.add_parser(
             name, help=help_text, epilog=epilog(keys),
             formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -332,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config entry (repeatable, dotted paths)")
-        p.add_argument("--seed", type=int, help="master seed; drawn and printed if absent")
-        p.add_argument("--outdir", default=".", help="where outputs are written")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="also emit CSV tables when set to csv")
+        p.add_argument("--outdir", default=".",
+                       help="where outputs are written, once the config is checked and the "
+                            "run is done")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 
@@ -344,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InfeasibleError, DegenerateFadingError, ValueError, KeyError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # InfeasibleError, DegenerateFadingError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:

@@ -306,18 +306,12 @@ class ConcatCodebook:
         return digits_to_int(coords.ravel() % self.params.p, self.params.p)
 
 
-def write_params_json(path, params: ConcatParams) -> None:
-    from .harness import write_text_atomic  # local import to avoid a cycle
-
-    write_text_atomic(path, json.dumps(params.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-
 def load_params_json(path) -> ConcatParams:
     with open(path, encoding="utf-8") as fh:
         return ConcatParams.from_json_dict(json.load(fh))
 
 
-def export_codewords_csv(path, book: ConcatCodebook, indices) -> None:
+def codewords_csv(book: ConcatCodebook, indices) -> str:
     """One row per identity: index, then n coordinates at 17 significant digits.
 
     ``indices`` is an iterable of identities, or an int k meaning the
@@ -329,6 +323,4 @@ def export_codewords_csv(path, book: ConcatCodebook, indices) -> None:
     for idx in map(int, indices):
         # Decimal, as str() refuses the 4300+ digits concatenated identities reach
         lines.append(",".join([str(Decimal(idx))] + [f"{x:.17g}" for x in book.encode(idx)]))
-    from .harness import write_text_atomic
-
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

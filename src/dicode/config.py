@@ -9,6 +9,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 NUMBER = (int, float)  # a number, kept as given rather than made a float
@@ -21,11 +22,12 @@ _NAMES = {int: "an integer", float: "a number", NUMBER: "a number", bool: "true 
 class Key:
     """One config key.
 
-    ``type`` is int, float, NUMBER, bool, str, dict (a record its own
-    parser checks) or list.  Integral floats pass as int and ints as
-    float; floats must be finite.  ``min`` bounds a number, or the
-    length of a list.  ``choices`` lists every value a scalar, or each
-    entry of a list, may take.
+    ``type`` is int, float, NUMBER, bool, str, dict (a record) or list.
+    Integral floats pass as int and ints as float; floats must be
+    finite.  ``min`` bounds a number, or the length of a list.
+    ``choices`` lists every value a scalar, or each entry of a list, may
+    take.  ``parse`` builds the object a record, or each entry of a
+    list, stands for; its ValueError is re-raised naming the dotted path.
     ``default`` is given only where no constructor owns it; a default of
     None also admits an explicit null.
     """
@@ -36,6 +38,7 @@ class Key:
     default: object = _UNSET
     required: bool = False
     choices: tuple = ()
+    parse: Callable | None = None
 
     def check(self, path: str, value):
         """The value as its constructor takes it; ValueError naming path if it is wrong."""
@@ -55,22 +58,28 @@ class Key:
             if not isinstance(value, list) and value < self.min:
                 raise ValueError(f"{path} must be at least {self.min}, got {value!r}")
         entries = enumerate(value) if isinstance(value, list) else [(None, value)]
+        built = []
         for i, entry in entries:
+            where = path if i is None else f"{path}[{i}]"
             if self.choices and entry not in self.choices:
                 close = difflib.get_close_matches(str(entry), [str(c) for c in self.choices], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
-                where = path if i is None else f"{path}[{i}]"
                 raise ValueError(f"{where} must be one of "
                                  f"{', '.join(map(json.dumps, self.choices))}, got {entry!r}{hint}")
-        return value
+            try:
+                built.append(entry if self.parse is None else self.parse(entry))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        return built if isinstance(value, list) else built[0]
 
 
 def resolve(cfg: dict, table: dict[str, Key], prefix: str = "") -> dict:
     """Check cfg against the keys of table under prefix; return the typed values.
 
-    The result nests like cfg, with the prefix stripped and table
-    defaults filled in.  An unknown key, a missing required key or a
-    value of the wrong type raises ValueError naming the dotted key.
+    The result nests like cfg, with the prefix stripped, table defaults
+    filled in and records built by their key's ``parse``.  An unknown
+    key, a missing required key, a value of the wrong type or a record
+    its parse refuses raises ValueError naming the dotted key.
     """
     out: dict = {}
     seen = set()

@@ -58,8 +58,8 @@ from .codebook import ConcatCodebook, plan_params
 from .config import Key, resolve
 from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
-from .fading import Constant, FadingDistribution, quantile_abs
-from .packing import PROFILES, PackingSpec, generate_expurgated, load_csv
+from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
+from .packing import PROFILES, generate_expurgated, load_csv, parse_spec
 
 _SCHEMA = 1
 _TAG_IDENTITIES = 0
@@ -84,7 +84,7 @@ CONFIG_KEYS = {
                         choices=("awgn", "slow-fading", "fast-fading")),
     "channel.sigma2": Key(float, "noise variance per coordinate"),
     "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
-                                "(fading channels only)"),
+                                "(fading channels only)", parse=parse_distribution),
     "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
     "codebook.n": Key(int, "block length (concat)", min=1),
     "codebook.a": Key(float, "distance exponent margin in (0, 1/8) (concat)"),
@@ -93,7 +93,8 @@ CONFIG_KEYS = {
     "codebook.eps2": Key(float, "outer distance fraction (concat)"),
     "codebook.field_seed": Key(int, "seed for the modulus searches (concat)", min=0),
     "codebook.profile": Key(str, "expurgation profile (packing)", choices=PROFILES),
-    "codebook.spec": Key(dict, "packing spec record (packing)"),
+    "codebook.spec": Key(dict, "packing spec record: the spec.* keys and defaults of "
+                               "`dicode packing` (packing)", parse=parse_spec),
     "codebook.path": Key(str, "CSV path, one vector per row (csv)"),
     "verifier.mode": Key(str, "ball-threshold verifier", default="csi-fast",
                          choices=("csi-fast", "csi-slow", "no-csi")),
@@ -241,13 +242,9 @@ class ExperimentConfig:
         }
 
 
-def _codebook_args(cfg: dict) -> tuple[str, dict]:
-    """Check a codebook record; returns its type and the arguments it takes,
-    a packing ``spec`` already built, so a bad one is refused up front."""
-    kw = resolve(cfg, CONFIG_KEYS, "codebook.")
+def _codebook_args(kw: dict) -> tuple[str, dict]:
+    """Check a resolved codebook record; returns its type and the arguments it takes."""
     kind = kw.pop("type")
-    if kind not in _CODEBOOK_KEYS:
-        raise ValueError(f"unknown codebook type {kind!r}")
     required, optional = _CODEBOOK_KEYS[kind]
     missing = [k for k in required if k not in kw]
     if missing:
@@ -255,16 +252,12 @@ def _codebook_args(cfg: dict) -> tuple[str, dict]:
     extra = sorted(set(kw) - {*required, *optional})
     if extra:
         raise ValueError(f"a {kind} codebook takes no codebook.{extra[0]}")
-    if "profile" in kw.get("spec", {}):
-        raise ValueError("codebook.spec.profile is not a spec field; set codebook.profile")
-    if "spec" in kw:
-        kw["spec"] = PackingSpec.from_json_dict({**kw["spec"], "schema": 1})
     return kind, kw
 
 
 def build_codebook(cfg: dict):
-    """Materialize the codebook a config asks for; returns (book, summary)."""
-    kind, kw = _codebook_args(cfg)
+    """Materialize the codebook a config record asks for; returns (book, summary)."""
+    kind, kw = _codebook_args(resolve(cfg, CONFIG_KEYS, "codebook."))
     if kind == "concat":
         params = plan_params(**kw)
         book = ConcatCodebook(params)

@@ -23,17 +23,29 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .config import NUMBER, Key, resolve
 from .errors import InfeasibleError
 
 PROFILES = ("basic", "fourth-moment", "norm-concentrated")
 _SCHEMA = 1
+
+# the fields of a spec record: `dicode packing` reads them under `spec.`,
+# and `dicode simulate` as its `codebook.spec` record
+SPEC_KEYS = {
+    "n": Key(int, "dimension", min=1, required=True),
+    "target_size": Key(int, "how many vectors to aim for", min=1, required=True),
+    "power_bound": Key(float, "hard energy cap A (power n*A)", default=1.0),
+    "sampling_power": Key(float, "sampling variance A' < A", default=0.5),
+    "distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)", required=True),
+    "seed": Key(int, "sampling seed (--seed sets this)", min=0),
+    "fourth_moment_bound": Key(NUMBER, "fourth-power budget per coordinate", default=None),
+}
 
 
 @dataclass(frozen=True)
@@ -45,8 +57,6 @@ class PackingSpec:
     distance_exponent: float    # a: pairwise floor n^(1/4 + a)
     seed: int = 0
     fourth_moment_bound: float | None = None   # B; None means 3 A^2
-    projection_fraction: float | None = None   # mu, for the subset checker
-    projection_exponent: float | None = None   # alpha, for the subset checker
 
     def __post_init__(self):
         for f in fields(self):
@@ -78,24 +88,14 @@ class PackingSpec:
         return 3.0 * self.power_bound**2
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["schema"] = _SCHEMA
-        return out
+        # schema 1 records still carry the two projection fields, never set
+        return {**asdict(self), "projection_fraction": None, "projection_exponent": None,
+                "schema": _SCHEMA}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PackingSpec":
-        """Read a spec record; the ``profile`` an export sidecar adds is skipped."""
-        if data.get("schema") != _SCHEMA:
-            raise ValueError(f"unsupported packing schema {data.get('schema')!r}")
-        unknown = sorted(set(data) - {*cls.__dataclass_fields__, "schema", "profile"})
-        if unknown:
-            raise ValueError(f"unknown packing spec fields {unknown}")
-        kwargs = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
-        missing = {"n", "target_size", "power_bound", "sampling_power",
-                   "distance_exponent"} - set(kwargs)
-        if missing:
-            raise ValueError(f"packing spec is missing {sorted(missing)}")
-        return cls(**kwargs)
+
+def parse_spec(record: dict) -> PackingSpec:
+    """The spec a record of SPEC_KEYS asks for, with the table's defaults."""
+    return PackingSpec(**resolve(record, SPEC_KEYS))
 
 
 @dataclass(frozen=True)
@@ -283,19 +283,9 @@ def check_projection_property(
     )
 
 
-def export_csv(path, vectors: np.ndarray, spec: PackingSpec | None = None,
-               profile: str | None = None) -> None:
-    """One vector per row; a JSON sidecar records the generating spec."""
-    from .harness import write_text_atomic
-
-    rows = "\n".join(",".join(f"{x:.17g}" for x in row) for row in np.asarray(vectors))
-    write_text_atomic(path, rows + "\n")
-    if spec is not None:
-        sidecar = str(path) + ".spec.json"
-        payload = spec.to_json_dict()
-        if profile is not None:
-            payload["profile"] = profile
-        write_text_atomic(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def vectors_csv(vectors: np.ndarray) -> str:
+    """One vector per row, at 17 significant digits."""
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in np.asarray(vectors)) + "\n"
 
 
 def load_csv(path) -> np.ndarray:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_channel, transmit
+from dicode.config import resolve
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
+from dicode.harness import CONFIG_KEYS
 
 
 def send_one(model, x, rng):
@@ -87,18 +89,22 @@ def test_noise_variance_scales_as_configured():
 
 
 def test_parse_round_trips():
+    # a channel record resolves in the simulate key table, which builds its fading law
     models = [
         Awgn(0.5),
         SlowFading(Rayleigh(1.0), 2.0),
         FastFading(DiscreteMixture(((1.0, 1.0),)), 0.1),
     ]
     for m in models:
-        assert parse_channel(m.to_config()) == m
+        assert parse_channel(resolve(m.to_config(), CONFIG_KEYS, "channel.")) == m
     with pytest.raises(ValueError):
         parse_channel({"type": "quantum", "sigma2": 1.0})
     # a fading law on an awgn channel would be dropped without a word
     with pytest.raises(ValueError, match="channel.fading"):
-        parse_channel({"type": "awgn", "sigma2": 1.0, "fading": Rayleigh(1.0).to_config()})
+        parse_channel({"type": "awgn", "sigma2": 1.0, "fading": Rayleigh(1.0)})
+    for kind in ("slow-fading", "fast-fading"):
+        with pytest.raises(ValueError, match=f"a {kind} channel needs channel.fading"):
+            parse_channel({"type": kind, "sigma2": 1.0})
 
 
 def test_rejects_negative_noise_but_allows_zero():

@@ -178,7 +178,7 @@ def test_csv_codebook_with_non_finite_entries_exits_2(tmp_path, capsys):
     assert "row 2, column 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field,value", [("n", 64.0), ("target_size", "10")])
+@pytest.mark.parametrize("field,value", [("n", 64.5), ("target_size", "10")])
 def test_simulate_refuses_non_integer_packing_spec_counts(field, value, tmp_path, capsys):
     spec = {"n": 32, "target_size": 20, "power_bound": 4.0, "sampling_power": 2.0,
             "distance_exponent": 0.05}
@@ -188,8 +188,8 @@ def test_simulate_refuses_non_integer_packing_spec_counts(field, value, tmp_path
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert run(["simulate", "--config", str(cfg_path), "--outdir", str(out)]) == 2
-    assert f"packing spec {field} must be an integer" in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # refused before writing anything
+    assert f"codebook.spec: {field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()  # refused before creating anything
 
 
 # -- bounds ----------------------------------------------------------------
@@ -281,6 +281,20 @@ def test_packing_smoke_with_projection(tmp_path, capsys):
     assert "kept" in capsys.readouterr().out
 
 
+def test_packing_projection_failure_exits_3_after_writing_its_report(tmp_path, capsys):
+    code = run(["packing", "--outdir", str(tmp_path), "--seed", "2",
+                "--set", "spec.n=32", "--set", "spec.target_size=20",
+                "--set", "spec.power_bound=4.0", "--set", "spec.sampling_power=2.0",
+                "--set", "spec.distance_exponent=0.05", "--set", "check_projection=true",
+                "--set", "projection.mu=0.1", "--set", "projection.alpha=1.0",
+                "--set", "projection.sample_count=5"])
+    assert code == 3
+    assert "projected distances fell below the threshold" in capsys.readouterr().err
+    # the finished run is written for post-mortems, as a failing moment grid is
+    assert json.loads((tmp_path / "report.json").read_text())["projection"]["passed"] is False
+    assert (tmp_path / "vectors.csv").exists() and (tmp_path / "resolved_config.json").exists()
+
+
 def test_packing_infeasible_exits_2(tmp_path, capsys):
     code = run(["packing", "--outdir", str(tmp_path), "--seed", "2",
                 "--set", "spec.n=16", "--set", "spec.target_size=40",
@@ -291,6 +305,11 @@ def test_packing_infeasible_exits_2(tmp_path, capsys):
 
 
 # -- help/docs sync --------------------------------------------------------
+
+
+# the optional flags each subcommand reads
+TAKES = {"construct": {"--seed"}, "simulate": {"--seed", "--format"}, "bounds": {"--format"},
+         "moments": {"--seed", "--format"}, "packing": {"--seed"}}
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -310,8 +329,20 @@ def test_help_lists_every_config_key(command, keys, capsys):
         assert key in text, f"{command} --help is missing {key}"
         for choice in keys[key].choices:
             assert json.dumps(choice) in text, f"{command} --help is missing {key}={choice}"
-    for flag in ("--config", "--set", "--seed", "--outdir", "--format"):
+    for flag in ("--config", "--set", "--outdir", *TAKES[command]):
         assert flag in text
+    for flag in {"--seed", "--format"} - TAKES[command]:
+        assert flag not in text, f"{command} --help offers {flag}, which it does not read"
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--seed", "5"], ["construct", "--format", "csv"],
+                                  ["packing", "--format", "csv"]])
+def test_subcommands_refuse_flags_they_do_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- strict key tables -----------------------------------------------------
@@ -346,6 +377,13 @@ BAD_SETTINGS = [
     ("simulate", 'channel.fading={"type": "rayleigh", "scale": 1.0}',
      ["channel.fading", "awgn channel has no fading"]),
     ("simulate", "channel.type=awgnn", ["channel.type must be one of", "did you mean 'awgn'"]),
+    ("simulate", "channel.type=fast-fading", ["a fast-fading channel needs channel.fading"]),
+    ("simulate", 'channel.fading={"type": "rician", "shape": 1.0}',
+     ["channel.fading: a rician fading record takes"]),
+    ("simulate", 'codebook.spec={"n": 64.5, "target_size": 20, "distance_exponent": 0.05}',
+     ["codebook.spec: n must be an integer, got 64.5"]),
+    ("simulate", 'codebook.spec={"n": 64, "target_size": 20, "distance_exponent": 0.05, '
+                 '"fourth": 1}', ["codebook.spec: unknown config key 'fourth'"]),
     ("simulate", "verifier.mode=csi_fast", ["verifier.mode must be one of",
                                             "did you mean 'csi-fast'"]),
     ("simulate", "codebook.type=concatenated", ["codebook.type must be one of",
@@ -355,10 +393,14 @@ BAD_SETTINGS = [
     ("bounds", "sigm2=2", ["'sigm2'", "did you mean 'sigma2'"]),
     ("bounds", "snr=NaN", ["snr must be finite"]),
     ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
+    ("bounds", 'fading={"type": "nakagami", "shape": 0.1, "spread": 1.0}',
+     ["fading: Nakagami needs finite shape"]),
     ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
     ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
     ("moments", 'distributions=[{"type": "rayleigh", "scale": Infinity}]',
-     ["Rayleigh scale must be positive and finite"]),
+     ["distributions[0]: Rayleigh scale must be positive and finite"]),
+    ("moments", 'distributions=[{"type": "constant", "value": 1.0}, {"type": "rayleigh"}]',
+     ["distributions[1]: a rayleigh fading record takes"]),
     ("moments", "draws=0", ["draws must be at least 1"]),
     ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
     ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),
@@ -376,11 +418,15 @@ BAD_SETTINGS = [
 ]
 
 
+def _seed(command: str, seed: int) -> list[str]:
+    return ["--seed", str(seed)] if "--seed" in TAKES[command] else []
+
+
 @pytest.mark.parametrize("command,setting,says", BAD_SETTINGS,
                          ids=[f"{c}:{s}" for c, s, _ in BAD_SETTINGS])
 def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, capsys):
     sets = [arg for item in VALID_ARGS[command] + [setting] for arg in ("--set", item)]
-    assert run([command, "--outdir", str(tmp_path), "--seed", "1", *sets]) == 2
+    assert run([command, "--outdir", str(tmp_path), *_seed(command, 1), *sets]) == 2
     err = capsys.readouterr().err
     for text in says:
         assert text in err
@@ -390,7 +436,88 @@ def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, ca
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
 def test_bad_setting_bases_are_valid(command, tmp_path):
     sets = [arg for item in VALID_ARGS[command] for arg in ("--set", item)]
-    assert run([command, "--outdir", str(tmp_path), "--seed", "1", *sets]) == 0
+    assert run([command, "--outdir", str(tmp_path), *_seed(command, 1), *sets]) == 0
+
+
+# (subcommand, --set items over its VALID_ARGS): a bad key, a bad record and
+# a plan or value the run itself refuses; none may leave --outdir behind
+REFUSALS = [
+    ("construct", ["eps=0.5"]),
+    ("construct", ["n=20", "a=0.015"]),
+    ("simulate", ["workerz=2"]),
+    ("simulate", ["channel.type=fast-fading"]),
+    ("simulate", ['codebook.spec={"n": 64.5, "target_size": 20, "distance_exponent": 0.05}']),
+    ("simulate", ["codebook.n=20", "codebook.a=0.015"]),
+    ("simulate", ["verifier.mode=csi-slow"]),
+    ("bounds", ["sigm2=2"]),
+    ("bounds", ['fading={"type": "rayleigh", "scale": Infinity}']),
+    ("bounds", ["d_min=0"]),
+    ("moments", ["chunks=5"]),
+    ("moments", ['distributions=[{"type": "rayleigh", "scale": Infinity}]']),
+    ("moments", ["sigma2=-1"]),
+    ("packing", ["projecton.mu=0.5"]),
+    ("packing", ["spec.sampling_power=2.0"]),
+    ("packing", ["spec.n=16", "spec.target_size=40", "spec.power_bound=0.01",
+                 "spec.sampling_power=0.005", "spec.distance_exponent=0.24"]),
+]
+
+
+@pytest.mark.parametrize("command,settings", REFUSALS,
+                         ids=[f"{c}:{' '.join(s)}" for c, s in REFUSALS])
+def test_refused_runs_create_no_outdir(command, settings, tmp_path, capsys):
+    sets = [arg for item in VALID_ARGS[command] + settings for arg in ("--set", item)]
+    out = tmp_path / "out"
+    assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unexpected_key_error_exits_1_with_a_traceback(tmp_path, monkeypatch, capsys):
+    def broken(exp):
+        raise KeyError("fading")
+
+    monkeypatch.setattr("dicode.cli.run_experiment", broken)
+    sets = [arg for item in VALID_ARGS["simulate"] for arg in ("--set", item)]
+    assert run(["simulate", "--outdir", str(tmp_path / "out"), "--seed", "1", *sets]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'fading'" in err
+    assert not (tmp_path / "out").exists()
+
+
+SPEC_RECORD = {"n": 64, "target_size": 20, "distance_exponent": 0.05, "seed": 4}
+SIM_TRIALS = [item for item in VALID_ARGS["simulate"] if item.startswith("trials.")]
+
+
+@pytest.mark.parametrize("change,refused", [
+    ({}, None),  # power_bound and sampling_power default to 1.0 and 0.5
+    ({"n": 64.0}, None),
+    ({"n": 64.5}, "n"),
+    ({"target_size": "10"}, "target_size"),
+    ({"fourth": 1.0}, "fourth"),
+], ids=["defaults", "n=64.0", "n=64.5", "target_size=str", "unknown"])
+def test_packing_and_simulate_take_the_same_spec_records(change, refused, tmp_path, capsys):
+    record = {**SPEC_RECORD, **change}
+    pk, sim = tmp_path / "packing", tmp_path / "simulate"
+    code_pk = run(["packing", "--outdir", str(pk), "--set", f"spec={json.dumps(record)}"])
+    err_pk = capsys.readouterr().err
+    code_sim = run(["simulate", "--outdir", str(sim), "--seed", "1",
+                    "--set", f"codebook={json.dumps({'type': 'packing', 'spec': record})}",
+                    "--set", "channel.type=awgn",
+                    *[arg for item in SIM_TRIALS for arg in ("--set", item)]])
+    err_sim = capsys.readouterr().err
+    if refused:
+        assert code_pk == code_sim == 2
+        assert f"spec.{refused}" in err_pk
+        assert "codebook.spec: " in err_sim and refused in err_sim
+        assert not pk.exists() and not sim.exists()
+        return
+    assert code_pk == code_sim == 0
+    sidecar = json.loads((pk / "vectors.csv.spec.json").read_text())
+    built = json.loads((sim / "report.json").read_text())["results"]["codebook"]
+    assert sidecar == {**built["spec"], "profile": built["profile"]}
+    assert (sidecar["n"], sidecar["power_bound"], sidecar["sampling_power"]) == (64, 1.0, 0.5)
+    assert type(sidecar["n"]) is int
+    assert json.loads((pk / "report.json").read_text())["survivors"] == built["survivors"]
 
 
 def test_simulate_resolved_config_round_trips(tmp_path):
@@ -450,7 +577,7 @@ def _outputs(outdir, names):
 def test_resolved_config_lists_every_key_and_reruns_the_same(command, tmp_path):
     sets, outputs = ECHO_CASES[command]
     first, second = tmp_path / "first", tmp_path / "second"
-    assert run([command, "--outdir", str(first), "--seed", "6",
+    assert run([command, "--outdir", str(first), *_seed(command, 6),
                 *[arg for item in sets for arg in ("--set", item)]]) == 0
     echo = json.loads((first / "resolved_config.json").read_text())
     table = COMMANDS[command][2]

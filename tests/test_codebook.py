@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from dicode.bounds import di_rate
+from dicode.cli import main
 from dicode.codebook import (
     ConcatCodebook,
     ConcatParams,
-    export_codewords_csv,
+    codewords_csv,
     guaranteed_distance,
     load_params_json,
     plan_params,
-    write_params_json,
 )
 from dicode.errors import InfeasibleError
 from dicode.galois import digits_to_int, prime_power
@@ -287,10 +287,13 @@ def test_close_partner_is_the_global_minimum_for_the_tiny_book():
     assert partner_d <= global_min * 4 + 1e-9  # same bucket, not a far pair
 
 
-def test_params_json_round_trip(tmp_path):
+def test_params_json_round_trip(tmp_path, capsys):
+    # `dicode construct` writes the params JSON of to_json_dict
     p = plan_params(n=500, a=0.02)
+    assert main(["construct", "--outdir", str(tmp_path), "--set", "n=500", "--set", "a=0.02"]) == 0
+    capsys.readouterr()
     path = tmp_path / "params.json"
-    write_params_json(path, p)
+    assert json.loads(path.read_text()) == p.to_json_dict()
     q = load_params_json(path)
     assert q == p
     raw = json.loads(path.read_text())
@@ -298,12 +301,10 @@ def test_params_json_round_trip(tmp_path):
     assert raw["d1"] == p.d1 and raw["d2"] == p.d2
 
 
-def test_codeword_csv_export(tmp_path):
+def test_codeword_csv_export():
     p = tiny_params()
     book = ConcatCodebook(p)
-    path = tmp_path / "words.csv"
-    export_codewords_csv(path, book, [0, 5, 80])
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    rows = [line.split(",") for line in codewords_csv(book, [0, 5, 80]).strip().splitlines()]
     assert [r[0] for r in rows] == ["0", "5", "80"]
     for r in rows:
         got = np.array([float(x) for x in r[1:]])
@@ -319,15 +320,15 @@ class _HugeBook:
         return np.array([index % 7, -0.5])
 
 
-def test_codeword_csv_export_writes_identities_past_the_int_to_str_limit(tmp_path):
+def test_codeword_csv_export_writes_identities_past_the_int_to_str_limit():
     book = _HugeBook()
-    path = tmp_path / "words.csv"
-    export_codewords_csv(path, book, [book.params.size - 1, 12])
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    text = codewords_csv(book, [book.params.size - 1, 12])
+    assert text.endswith("\n")
+    rows = [line.split(",") for line in text.splitlines()]
     assert rows[0][0] == "9" * 5000
     assert rows[1] == ["12", "5", "-0.5"]
-    export_codewords_csv(path, book, 2)  # an int k: the first k identities
-    assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["0", "1"]
+    # an int k: the first k identities
+    assert [line.split(",")[0] for line in codewords_csv(book, 2).splitlines()] == ["0", "1"]
 
 
 def test_distance_exponent_climbs_along_the_ladder():

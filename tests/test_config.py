@@ -15,7 +15,7 @@ from dicode.codebook import guaranteed_distance, plan_params
 from dicode.config import NUMBER, Key, resolve
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, parse_distribution
 from dicode.harness import ExperimentConfig, build_codebook
-from dicode.packing import PackingSpec
+from dicode.packing import PackingSpec, parse_spec
 
 TABLE = {
     "count": Key(int, "a count", min=1),
@@ -58,6 +58,27 @@ def test_resolve_refuses_and_names_the_key(cfg, message):
     with pytest.raises(ValueError) as exc:
         resolve(cfg, TABLE)
     assert message in str(exc.value)
+
+
+def _half(x):
+    if x < 0:
+        raise ValueError(f"{x} is negative")
+    return x / 2
+
+
+PARSED = {"law": Key(dict, "a record", parse=lambda r: _half(r["x"])),
+          "laws": Key(list, "records", parse=lambda r: _half(r["x"]))}
+
+
+def test_resolve_builds_records_and_names_the_path_of_a_refused_one():
+    assert resolve({"law": {"x": 4}, "laws": [{"x": 2}, {"x": 6}]}, PARSED) == {
+        "law": 2.0, "laws": [1.0, 3.0]}
+    with pytest.raises(ValueError, match=r"^law: -1 is negative$"):
+        resolve({"law": {"x": -1}}, PARSED)
+    with pytest.raises(ValueError, match=r"^laws\[1\]: -2 is negative$"):
+        resolve({"laws": [{"x": 2}, {"x": -2}]}, PARSED)
+    with pytest.raises(ValueError, match=r"^law must be a record"):
+        resolve({"law": [1]}, PARSED)  # the type check runs before the parse
 
 
 def test_resolve_under_a_prefix_sees_only_that_group():
@@ -116,23 +137,28 @@ SPEC = {"n": 32, "target_size": 20, "power_bound": 4.0, "sampling_power": 2.0,
 
 
 def test_packing_spec_records_refuse_unknown_fields():
-    with pytest.raises(ValueError, match="fourth"):
-        PackingSpec.from_json_dict({**SPEC, "fourth": 3.0, "schema": 1})
-    with pytest.raises(ValueError, match="codebook.profile"):
-        build_codebook({"type": "packing", "spec": {**SPEC, "profile": "basic"}})
+    # the projection fields are never read, so a record cannot set them
+    for field in ("fourth", "profile", "projection_fraction", "projection_exponent", "schema"):
+        with pytest.raises(ValueError, match=f"unknown config key '{field}'"):
+            parse_spec({**SPEC, field: 3.0})
+        with pytest.raises(ValueError, match=f"^codebook.spec: unknown config key '{field}'"):
+            build_codebook({"type": "packing", "spec": {**SPEC, field: 3.0}})
 
 
 @pytest.mark.parametrize("field,value", [
     ("n", 32.0), ("n", True), ("target_size", "10"), ("seed", 1.0), ("seed", None),
     ("power_bound", math.inf), ("sampling_power", math.nan), ("distance_exponent", "0.05"),
-    ("fourth_moment_bound", -math.inf), ("projection_fraction", math.nan),
-    ("projection_exponent", False)])
+    ("fourth_moment_bound", -math.inf)])
 def test_packing_spec_refuses_non_integer_counts_and_non_finite_reals(field, value):
     with pytest.raises(ValueError, match=f"packing spec {field} must be"):
         PackingSpec(**{**SPEC, field: value})
-    with pytest.raises(ValueError, match=f"packing spec {field} must be"):
-        ExperimentConfig.from_dict({"channel": {"type": "awgn"}, "codebook": {
-            "type": "packing", "spec": {**SPEC, field: value}}})
+    cfg = {"channel": {"type": "awgn"}, "codebook": {
+        "type": "packing", "spec": {**SPEC, field: value}}}
+    if isinstance(value, float) and value.is_integer():  # counts take integral floats
+        assert build_codebook(cfg["codebook"])[1]["spec"][field] == int(value)
+        return
+    with pytest.raises(ValueError, match=f"^codebook.spec: {field} must be"):
+        ExperimentConfig.from_dict(cfg)
 
 
 @pytest.mark.parametrize("codebook,message", [

@@ -13,15 +13,18 @@ import math
 import numpy as np
 import pytest
 
+from dicode.cli import main
 from dicode.errors import InfeasibleError
 from dicode.harness import wilson_interval
 from dicode.packing import (
     PROFILES,
+    SPEC_KEYS,
     PackingSpec,
     check_projection_property,
-    export_csv,
     generate_expurgated,
     load_csv,
+    parse_spec,
+    vectors_csv,
     verify_packing,
 )
 
@@ -193,18 +196,20 @@ def test_spec_validation():
         )
 
 
-def test_csv_round_trip_with_spec_sidecar(tmp_path):
+def test_csv_round_trip_with_spec_sidecar(tmp_path, capsys):
     spec = PackingSpec(seed=5, **COMFY)
     vectors, _ = generate_expurgated(spec, "basic")
     path = tmp_path / "vectors.csv"
-    export_csv(path, vectors, spec, "basic")
-    back = load_csv(path)
-    assert np.array_equal(back, vectors)
-    sidecar = json.loads((tmp_path / "vectors.csv.spec.json").read_text())
-    assert sidecar["n"] == spec.n
-    assert sidecar["profile"] == "basic"
-    restored = PackingSpec.from_json_dict(sidecar)
-    assert restored == spec
+    path.write_text(vectors_csv(vectors))
+    assert np.array_equal(load_csv(path), vectors)
+    # `dicode packing` writes the same rows, and a sidecar of the spec and profile
+    sets = [arg for k, v in COMFY.items() for arg in ("--set", f"spec.{k}={v}")]
+    assert main(["packing", "--outdir", str(tmp_path / "run"), "--seed", "5", *sets]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run" / "vectors.csv").read_text() == path.read_text()
+    sidecar = json.loads((tmp_path / "run" / "vectors.csv.spec.json").read_text())
+    assert sidecar == {**spec.to_json_dict(), "profile": "basic"}
+    assert parse_spec({k: v for k, v in sidecar.items() if k in SPEC_KEYS}) == spec
 
 
 @pytest.mark.parametrize("entry,row,col", [("nan", 2, 3), ("inf", 3, 1), ("-inf", 1, 2)])
