@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFadingError, QuadratureError
-from .fading import Constant, DiscreteMixture, FadingDistribution, quantile_abs
+from .errors import DegenerateFadingError
+from .fading import FadingDistribution, quantile_abs
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -128,23 +128,7 @@ def shannon_ergodic_capacity(dist: FadingDistribution, snr: float) -> float:
     """E log2(1 + h^2 snr); exact for atomic laws, quadrature otherwise."""
     if snr <= 0:
         raise ValueError("snr must be positive")
-    if isinstance(dist, Constant):
-        return math.log2(1.0 + dist.value**2 * snr)
-    if isinstance(dist, DiscreteMixture):
-        return float(sum(p * math.log2(1.0 + v * v * snr) for v, p in dist.atoms))
-    from scipy import integrate
-
-    val, err = integrate.quad(
-        lambda x: dist.pdf(x) * math.log2(1.0 + x * x * snr) if x > 0 else 0.0,
-        0,
-        math.inf,
-        epsrel=1e-10,
-        epsabs=0,
-        limit=300,
-    )
-    if err > 1e-6 * max(abs(val), 1e-300):
-        raise QuadratureError(f"ergodic capacity quadrature did not converge (err {err:g})")
-    return val
+    return dist.expect(lambda h: math.log2(1 + h * h * snr), rel=1e-6)
 
 
 @dataclass(frozen=True)

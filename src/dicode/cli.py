@@ -22,7 +22,7 @@ import sys
 import traceback
 
 from .bounds import min_distance_lower_bound, rate_report
-from .codebook import ConcatCodebook, codewords_csv, plan_params
+from .codebook import PLAN_KEYS, ConcatCodebook, codewords_csv, plan_params
 from .config import Key, epilog, resolve
 from .errors import ValidationFailure
 from .fading import parse_distribution
@@ -45,12 +45,7 @@ from .packing import (
 )
 
 CONSTRUCT_KEYS = {
-    "n": Key(int, "block length", min=1, required=True),
-    "a": Key(float, "distance exponent margin in (0, 1/8)", required=True),
-    "power_bound": Key(float, "energy budget A per codeword"),
-    "eps1": Key(float, "inner code distance fraction"),
-    "eps2": Key(float, "outer code distance fraction"),
-    "field_seed": Key(int, "seed for the field modulus searches (--seed sets this)", min=0),
+    **PLAN_KEYS,
     "export_codewords": Key(int, "write the first k codewords to codewords.csv (0 = skip)",
                             min=0, default=0),
 }
@@ -75,9 +70,9 @@ MOMENTS_KEYS = {
     "modes": Key(list, "verifier modes to check", choices=("csi", "nocsi")),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
-    "sigma2": Key(float, "noise variance"),
+    "sigma2": Key(float, "noise variance", min=0),
     "pair_count": Key(int, "codeword pairs per law and mode", min=1),
-    "vector_power": Key(float, "per-coordinate variance of the synthetic codewords"),
+    "vector_power": Key(float, "per-coordinate variance of the synthetic codewords", min=0),
     "seed": Key(int, "master seed", min=0),
     "chunk": Key(int, "draws per batch", min=1),
     "tolerance_sigmas": Key(float, "allowed deviation in standard errors"),
@@ -171,7 +166,7 @@ def cmd_construct(args) -> int:
     kw = resolve(cfg, CONSTRUCT_KEYS)
     limit = kw.pop("export_codewords")
     params = plan_params(**kw)
-    used = {k: getattr(params, k) for k in CONSTRUCT_KEYS.keys() - {"export_codewords"}}
+    used = {k: getattr(params, k) for k in PLAN_KEYS}
     outputs = {"params.json": json.dumps(params.to_json_dict(), indent=2, sort_keys=True) + "\n"}
     if limit > 0:
         outputs["codewords.csv"] = codewords_csv(ConcatCodebook(params), limit)

@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import di_rate
+from .config import Key
 from .errors import InfeasibleError
 from .galois import (
     digits_to_int,
@@ -50,6 +51,16 @@ from .galois import (
 from .rs import RSCode
 
 _SCHEMA = 1
+
+# plan_params' arguments: `construct` keys, and `simulate` ones under `codebook.`
+PLAN_KEYS = {
+    "n": Key(int, "block length", min=4, required=True),
+    "a": Key(float, "distance exponent margin in (0, 1/8)", required=True),
+    "power_bound": Key(float, "energy budget A per codeword"),
+    "eps1": Key(float, "inner code distance fraction"),
+    "eps2": Key(float, "outer code distance fraction"),
+    "field_seed": Key(int, "seed for the field modulus searches", min=0),
+}
 
 
 def _ceil_at_least(x: float) -> int:

@@ -2,23 +2,26 @@
 
 The verifier thresholds need E h, E h^2, E h^3, E h^4 and the derived
 central quantities to high accuracy.  Moments come from closed forms
-where available and from adaptive quadrature otherwise (the Rician case:
-Bessel-weighted integrands, no series expansions).  Sampling always goes
+where available and from the one quadrature of ``expect`` otherwise (the
+Rician case: Bessel-weighted integrand, no series).  Sampling always goes
 through a caller-supplied numpy Generator so seeded runs reproduce.  A
 discrete mixture builds its sampling table (atom values and normalized
 cdf) once; a draw is a uniform and the count of cdf entries <= it, the
 stream and values ``Generator.choice`` with the same probabilities gives.
-scipy is imported inside the few methods that call it (the Rician pdf,
-cdf and moments, the Nakagami cdf), so importing dicode does not load it.
+scipy is imported inside the few methods that call it (the Rician pdf
+and cdf, the Nakagami cdf, the quadrature of ``expect``), so importing
+dicode does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Key, resolve
 from .errors import DegenerateFadingError, QuadratureError
 
 _QUAD_REL = 1e-10  # target passed to quad; contract is 1e-8 relative
@@ -61,72 +64,79 @@ def _clamp_nonneg(value: float, scale: float) -> float:
 
 
 class FadingDistribution:
-    """Base class; subclasses implement sampling, CDF and raw moments."""
+    """A law of h: its record is a ``TYPE`` name and the ``KEYS`` of its
+    parameters.  An atomic law lists ``atoms``, ((value, probability), ...);
+    a continuous law leaves them None and defines ``pdf`` and ``cdf`` on [0, inf)."""
+
+    atoms = None
 
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def raw_moment(self, k: int) -> float:
-        raise NotImplementedError
-
-    def moments(self) -> FadingMoments:
-        return FadingMoments.from_raw(
-            self.raw_moment(1), self.raw_moment(2), self.raw_moment(3), self.raw_moment(4)
-        )
+        return float(sum(p for v, p in self.atoms if v <= x))
 
     @property
     def p_zero(self) -> float:
-        return 0.0
+        return 0.0 if self.atoms is None else float(sum(p for v, p in self.atoms if v == 0.0))
 
-    @property
-    def scale_hint(self) -> float:
-        return 1.0
+    def expect(self, f: Callable[[float], float], rel: float = _MOMENT_REL) -> float:
+        """E f(h): exact over the atoms, else one quadrature of f times the pdf
+        over (0, inf), refused unless its error estimate is within rel."""
+        if self.atoms is not None:
+            return float(sum(p * f(v) for v, p in self.atoms))
+        from scipy import integrate
+
+        val, err = integrate.quad(lambda x: f(x) * self.pdf(x), 0, math.inf,
+                                  epsrel=_QUAD_REL, epsabs=0, limit=300)
+        if err > rel * max(abs(val), 1e-300):
+            raise QuadratureError(f"{self.TYPE} expectation did not converge (err {err:g})")
+        return val
+
+    def raw_moment(self, k: int) -> float:
+        return self.expect(lambda h: h**k)
+
+    def moments(self) -> FadingMoments:
+        return FadingMoments.from_raw(*(self.raw_moment(k) for k in range(1, 5)))
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The record parse_distribution builds this law from."""
+        return {"type": self.TYPE, **{name: _plain(getattr(self, name)) for name in self.KEYS}}
+
+
+def _plain(value):  # a parameter as its record holds it: tuples become lists
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
 class Constant(FadingDistribution):
+    TYPE = "constant"
+    KEYS = {"value": Key(float, "the coefficient h", required=True)}
     value: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError("constant fading value must be finite")
 
+    @property
+    def atoms(self):
+        return ((self.value, 1.0),)
+
     def sample(self, rng, size=None):
         if size is None:
             return self.value
         return np.full(size, self.value)
-
-    def cdf(self, x):
-        return 1.0 if x >= self.value else 0.0
-
-    def raw_moment(self, k):
-        return self.value**k
 
     def moments(self):
         # exact: every central moment vanishes
         v = self.value
         return FadingMoments(v, v * v, v**3, v**4, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    @property
-    def p_zero(self):
-        return 1.0 if self.value == 0.0 else 0.0
-
-    @property
-    def scale_hint(self):
-        return max(abs(self.value), 1.0)
-
-    def to_config(self):
-        return {"type": "constant", "value": self.value}
-
 
 @dataclass(frozen=True)
 class Rayleigh(FadingDistribution):
+    TYPE = "rayleigh"
+    KEYS = {"scale": Key(float, "sigma > 0; E h^2 = 2 sigma^2", required=True)}
     scale: float = 1.0
 
     def __post_init__(self):
@@ -155,15 +165,15 @@ class Rayleigh(FadingDistribution):
     def scale_hint(self):
         return self.scale
 
-    def to_config(self):
-        return {"type": "rayleigh", "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Rician(FadingDistribution):
     """Rician fading with shape K (line-of-sight to scatter power ratio)
     and scale Omega = E h^2."""
 
+    TYPE = "rician"
+    KEYS = {"shape": Key(float, "K >= 0, line-of-sight to scatter power ratio", required=True),
+            "scale": Key(float, "Omega > 0, E h^2", required=True)}
     shape: float = 1.0
     scale: float = 1.0
 
@@ -201,28 +211,18 @@ class Rician(FadingDistribution):
         nu, s = self._nu_s()
         return float(stats.rice.cdf(x, nu / s, scale=s))
 
-    def raw_moment(self, k):
-        from scipy import integrate
-
-        val, err = integrate.quad(
-            lambda x: x**k * self.pdf(x), 0, np.inf, epsrel=_QUAD_REL, epsabs=0, limit=300
-        )
-        if err > _MOMENT_REL * max(abs(val), 1e-300):
-            raise QuadratureError(f"Rician moment {k} did not converge (err {err:g})")
-        return val
-
     @property
     def scale_hint(self):
         return math.sqrt(self.scale)
-
-    def to_config(self):
-        return {"type": "rician", "shape": self.shape, "scale": self.scale}
 
 
 @dataclass(frozen=True)
 class Nakagami(FadingDistribution):
     """Nakagami-m with shape m >= 1/2 and spread Omega = E h^2."""
 
+    TYPE = "nakagami"
+    KEYS = {"shape": Key(float, "m >= 1/2", required=True),
+            "spread": Key(float, "Omega > 0, E h^2", required=True)}
     shape: float = 1.0
     spread: float = 1.0
 
@@ -264,8 +264,11 @@ class Nakagami(FadingDistribution):
     def scale_hint(self):
         return math.sqrt(self.spread)
 
-    def to_config(self):
-        return {"type": "nakagami", "shape": self.shape, "spread": self.spread}
+
+def _atom(pair) -> tuple[float, float]:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"an atom is a [value, probability] pair, got {pair!r}")
+    return tuple(Key(float, name).check(name, x) for name, x in zip(("value", "probability"), pair))
 
 
 @dataclass(frozen=True)
@@ -274,9 +277,14 @@ class DiscreteMixture(FadingDistribution):
     (the slow-fading outage rule only looks at |h|).  Probabilities must
     sum to one within 1e-12."""
 
-    atoms: tuple[tuple[float, float], ...]
+    TYPE = "discrete"
+    KEYS = {"atoms": Key(list, "[value, probability] pairs", min=1, required=True,
+                         parse=_atom)}
+    # field(): no default, where a bare annotation would inherit atoms = None
+    atoms: tuple[tuple[float, float], ...] = field()
 
     def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple((v, p) for v, p in self.atoms))
         if not self.atoms:
             raise ValueError("mixture needs at least one atom")
         total = 0.0
@@ -305,40 +313,18 @@ class DiscreteMixture(FadingDistribution):
         del u  # before the gather: one chunk-sized float array at a time
         return self._values[idx]
 
-    def cdf(self, x):
-        return float(sum(p for v, p in self.atoms if v <= x))
 
-    def raw_moment(self, k):
-        return float(sum(p * v**k for v, p in self.atoms))
-
-    @property
-    def p_zero(self):
-        return float(sum(p for v, p in self.atoms if v == 0.0))
-
-    @property
-    def scale_hint(self):
-        return max(1.0, max(abs(v) for v, _ in self.atoms))
-
-    def to_config(self):
-        return {"type": "discrete", "atoms": [[v, p] for v, p in self.atoms]}
+_LAWS = {law.TYPE: law for law in (Constant, Rayleigh, Rician, Nakagami, DiscreteMixture)}
+_LAW_TYPE = Key(str, "fading law", choices=tuple(_LAWS))
 
 
-_LAWS = {"constant": Constant, "rayleigh": Rayleigh, "rician": Rician,
-         "nakagami": Nakagami, "discrete": DiscreteMixture}
-
-
-def parse_distribution(cfg: dict) -> FadingDistribution:
-    """Build a law from a record that names its type and exactly its parameters."""
-    law = _LAWS.get(cfg.get("type")) if isinstance(cfg, dict) else None
-    if law is None:
-        raise ValueError(f"unknown fading law record {cfg!r}")
-    params = list(law.__dataclass_fields__)
-    if set(cfg) != {"type", *params}:
-        raise ValueError(f"a {cfg['type']} fading record takes {params}, got "
-                         f"{sorted(set(cfg) - {'type'})}")
-    if law is DiscreteMixture:
-        return law(tuple((float(v), float(p)) for v, p in cfg["atoms"]))
-    return law(*(float(cfg[f]) for f in params))
+def parse_distribution(record: dict) -> FadingDistribution:
+    """Build a law from a record that names its type and exactly its parameters:
+    the record is resolved against the law's KEYS, then the law checks itself."""
+    if not isinstance(record, dict) or "type" not in record:
+        raise ValueError(f"a fading law record names its type, got {record!r}")
+    law = _LAWS[_LAW_TYPE.check("type", record["type"])]
+    return law(**resolve({k: v for k, v in record.items() if k != "type"}, law.KEYS))
 
 
 def quantile_abs(dist: FadingDistribution, eta: float) -> float:
@@ -355,9 +341,7 @@ def quantile_abs(dist: FadingDistribution, eta: float) -> float:
         raise DegenerateFadingError(
             f"fading law has P(h=0) = {dist.p_zero:g} > eta = {eta:g}; no valid outage radius"
         )
-    if isinstance(dist, Constant):
-        return abs(dist.value)
-    if isinstance(dist, DiscreteMixture):
+    if dist.atoms is not None:
         mags = sorted({abs(v) for v, p in dist.atoms if p > 0})
         best = 0.0
         for m in mags:

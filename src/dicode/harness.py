@@ -47,14 +47,14 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 
 import numpy as np
 
 from .channel import (ChannelModel, FastFading, SlowFading, block_buffers, parse_channel,
                       transmit)
-from .codebook import ConcatCodebook, plan_params
+from .codebook import PLAN_KEYS, ConcatCodebook, plan_params
 from .config import Key, resolve
 from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
@@ -72,7 +72,8 @@ _TAG_PAIRS = 3
 BLOCK_BYTES = 1 << 20
 
 # (required, optional) keys of each codebook type, below `codebook.`
-_CODEBOOK_KEYS = {"concat": (("n", "a"), ("power_bound", "eps1", "eps2", "field_seed")),
+_CODEBOOK_KEYS = {"concat": (tuple(k for k, key in PLAN_KEYS.items() if key.required),
+                             tuple(k for k, key in PLAN_KEYS.items() if not key.required)),
                   "packing": (("spec",), ("profile",)), "csv": (("path",), ())}
 
 # the key table behind ExperimentConfig.from_dict and the `simulate` help
@@ -86,12 +87,8 @@ CONFIG_KEYS = {
     "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
                                 "(fading channels only)", parse=parse_distribution),
     "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
-    "codebook.n": Key(int, "block length (concat)", min=1),
-    "codebook.a": Key(float, "distance exponent margin in (0, 1/8) (concat)"),
-    "codebook.power_bound": Key(float, "energy budget A (concat)"),
-    "codebook.eps1": Key(float, "inner distance fraction (concat)"),
-    "codebook.eps2": Key(float, "outer distance fraction (concat)"),
-    "codebook.field_seed": Key(int, "seed for the modulus searches (concat)", min=0),
+    **{f"codebook.{name}": replace(key, help=f"{key.help} (concat)", required=False)
+       for name, key in PLAN_KEYS.items()},
     "codebook.profile": Key(str, "expurgation profile (packing)", choices=PROFILES),
     "codebook.spec": Key(dict, "packing spec record: the spec.* keys and defaults of "
                                "`dicode packing` (packing)", parse=parse_spec),
@@ -632,7 +629,7 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
         m = dist.moments()
         for mode in cfg.modes:
             for pi, (u_center, u_sent) in enumerate(pairs):
-                label = f"{dist.to_config()['type']}/{mode}/pair{pi}"
+                label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
                     cells.append((label, stat_name, dist, m, mode, u_center, sent,
                                   impostor_moments(u_center, sent, cfg.sigma2, m, mode)))

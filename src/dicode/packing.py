@@ -38,7 +38,7 @@ _SCHEMA = 1
 # the fields of a spec record: `dicode packing` reads them under `spec.`,
 # and `dicode simulate` as its `codebook.spec` record
 SPEC_KEYS = {
-    "n": Key(int, "dimension", min=1, required=True),
+    "n": Key(int, "dimension", min=2, required=True),
     "target_size": Key(int, "how many vectors to aim for", min=1, required=True),
     "power_bound": Key(float, "hard energy cap A (power n*A)", default=1.0),
     "sampling_power": Key(float, "sampling variance A' < A", default=0.5),

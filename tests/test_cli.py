@@ -364,7 +364,9 @@ VALID_ARGS = {
 BAD_SETTINGS = [
     ("construct", "eps=0.5", ["'eps'", "did you mean 'eps"]),
     ("construct", "a=NaN", ["a must be finite"]),
-    ("construct", "n=0", ["n must be at least 1"]),
+    ("construct", "n=0", ["n must be at least 4"]),
+    ("construct", "n=3", ["n must be at least 4, got 3"]),
+    ("simulate", "codebook.n=3", ["codebook.n must be at least 4, got 3"]),
     ("construct", "export_codewords=2.7", ["export_codewords must be an integer"]),
     ("construct", "field.seed=1", ["'field.seed'", "did you mean 'field_seed'"]),
     ("simulate", "workerz=2", ["'workerz'", "did you mean 'workers'"]),
@@ -379,11 +381,13 @@ BAD_SETTINGS = [
     ("simulate", "channel.type=awgnn", ["channel.type must be one of", "did you mean 'awgn'"]),
     ("simulate", "channel.type=fast-fading", ["a fast-fading channel needs channel.fading"]),
     ("simulate", 'channel.fading={"type": "rician", "shape": 1.0}',
-     ["channel.fading: a rician fading record takes"]),
+     ["channel.fading: missing required config key 'scale'"]),
     ("simulate", 'codebook.spec={"n": 64.5, "target_size": 20, "distance_exponent": 0.05}',
      ["codebook.spec: n must be an integer, got 64.5"]),
     ("simulate", 'codebook.spec={"n": 64, "target_size": 20, "distance_exponent": 0.05, '
                  '"fourth": 1}', ["codebook.spec: unknown config key 'fourth'"]),
+    ("simulate", 'codebook.spec={"n": 1, "target_size": 20, "distance_exponent": 0.05}',
+     ["codebook.spec: n must be at least 2, got 1"]),
     ("simulate", "verifier.mode=csi_fast", ["verifier.mode must be one of",
                                             "did you mean 'csi-fast'"]),
     ("simulate", "codebook.type=concatenated", ["codebook.type must be one of",
@@ -398,9 +402,24 @@ BAD_SETTINGS = [
     ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
     ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
     ("moments", 'distributions=[{"type": "rayleigh", "scale": Infinity}]',
-     ["distributions[0]: Rayleigh scale must be positive and finite"]),
+     ["distributions[0]: scale must be finite, got inf"]),
     ("moments", 'distributions=[{"type": "constant", "value": 1.0}, {"type": "rayleigh"}]',
-     ["distributions[1]: a rayleigh fading record takes"]),
+     ["distributions[1]: missing required config key 'scale'"]),
+    # a law record is checked against the law's own key table
+    ("moments", 'distributions=[{"type": "rayleigh", "scale": null}]',
+     ["distributions[0]: scale must be a number, got None"]),
+    ("moments", 'distributions=[{"type": "rayleigh", "scale": "2"}]',
+     ["distributions[0]: scale must be a number, got '2'"]),
+    ("moments", 'distributions=[{"type": "discrete", "atoms": 5}]',
+     ["distributions[0]: atoms must be a list, got 5"]),
+    ("moments", 'distributions=[{"type": "discrete", "atoms": [[1.0]]}]',
+     ["distributions[0]: atoms[0]: an atom is a [value, probability] pair, got [1.0]"]),
+    ("simulate", 'channel.fading={"type": "rayleigh", "scale": 1.0, "shape": 2.0}',
+     ["channel.fading: unknown config key 'shape'"]),
+    ("moments", 'distributions=[{"type": "raleigh", "scale": 1.0}]',
+     ["distributions[0]: type must be one of", "did you mean 'rayleigh'"]),
+    ("moments", "sigma2=-1", ["sigma2 must be at least 0, got -1.0"]),
+    ("moments", "vector_power=-1", ["vector_power must be at least 0, got -1.0"]),
     ("moments", "draws=0", ["draws must be at least 1"]),
     ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
     ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),
@@ -408,6 +427,7 @@ BAD_SETTINGS = [
     ("packing", "projecton.mu=0.5", ["'projecton.mu'", "did you mean 'projection.mu'"]),
     ("packing", "spec.power_bound=NaN", ["spec.power_bound must be finite"]),
     ("packing", "spec.target_size=0", ["spec.target_size must be at least 1"]),
+    ("packing", "spec.n=1", ["spec.n must be at least 2, got 1"]),
     ("packing", "projection.sample_count=2.7", ["projection.sample_count must be an integer"]),
     ("packing", "check_projection=no", ["check_projection must be true or false"]),
     ("packing", "spec.fourth=1", ["'spec.fourth'", "did you mean 'spec.fourth_moment_bound'"]),

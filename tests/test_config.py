@@ -126,6 +126,13 @@ def test_constructors_refuse_nan(name, value):
     {"type": "rician", "shape": 1.0, "scale": 1.0, "spread": 1.0},
     {"type": "discrete", "atoms": [[1.0, 1.0]], "value": 1.0},
     [{"type": "constant", "value": 1.0}],
+    {"scale": 1.0},
+    {"type": "rayleigh", "scale": None},
+    {"type": "rayleigh", "scale": "2"},
+    {"type": "constant", "value": True},
+    {"type": "discrete", "atoms": [[1.0, 0.5, 0.5]]},
+    {"type": "discrete", "atoms": [["1", 1.0]]},
+    {"type": "discrete", "atoms": []},
 ])
 def test_fading_records_take_exactly_their_parameters(record):
     with pytest.raises(ValueError):

@@ -181,6 +181,23 @@ def test_parse_round_trips():
         parse_distribution({"type": "lognormal"})
 
 
+@pytest.mark.parametrize("law", [Rayleigh(1.3), Nakagami(2.0, 1.0), Nakagami(0.7, 2.5)],
+                         ids=["rayleigh", "nakagami", "nakagami-heavy"])
+def test_expect_quadrature_matches_closed_form_moments(law):
+    # expect() integrates against the pdf; raw_moment() is the gamma closed form
+    for k in range(1, 5):
+        assert law.expect(lambda h: h**k) == pytest.approx(law.raw_moment(k), rel=1e-9)
+
+
+def test_atomic_laws_expect_exactly_over_their_atoms():
+    assert Rayleigh(1.0).atoms is None
+    assert Constant(-2.0).atoms == ((-2.0, 1.0),)
+    law = DiscreteMixture([[0.0, 0.25], [2.0, 0.75]])  # any pairs; stored as tuples
+    assert law.atoms == ((0.0, 0.25), (2.0, 0.75))
+    assert law.expect(lambda h: 3.0 * h + 1.0) == 0.25 * 1.0 + 0.75 * 7.0
+    assert (law.cdf(-1.0), law.cdf(0.0), law.cdf(2.0), law.p_zero) == (0.0, 0.25, 1.0, 0.25)
+
+
 def test_sampling_is_reproducible():
     law = Rician(1.0, 1.0)
     a = law.sample(np.random.default_rng(9), 100)

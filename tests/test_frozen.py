@@ -10,6 +10,9 @@ before the blocked grid kernel and the table sampler.  The n = 15625
 and n = 10^5 codeword and partner hashes were recorded with the
 baby-step/giant-step Horner outer encoder and the factor-by-factor
 close-partner polynomial, before both moved to subspace evaluation.
+The law outputs (moments, cdf, outage radius, capacities) were recorded
+with per-law parsing, cdfs and quadratures, before every law took its
+expectations through ``FadingDistribution.expect``.
 Any change to how identities are encoded or how draws are consumed
 shows up here first; these values must never be updated to make a
 change pass.
@@ -18,16 +21,18 @@ change pass.
 import hashlib
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 
+from dicode.bounds import shannon_ergodic_capacity, shannon_outage_capacity
 from dicode.codebook import ConcatCodebook, plan_params
-from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh
+from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, quantile_abs
 from dicode.harness import ExperimentConfig, MomentGridConfig, moment_validation, run_experiment
 
 SKEWED = ((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))
+ATOM_AT_ZERO = ((0.0, 0.3), (1.0, 0.7))
 
 
 def _words_sha(words) -> str:
@@ -125,3 +130,69 @@ def test_fast_fading_nocsi_canonical_report_is_frozen():
     assert report.results["type2"]["pooled"]["accepts"] > 0
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == (
         "58318b6421a20b9ef1f3b2001351b2411c827588a4cefd6160a4891a530d1c24")
+
+
+# law -> (moments(), raw_moment(1..4), cdf(1.0), p_zero, quantile_abs(law, 0.35),
+# shannon_ergodic_capacity(law, 3.0), shannon_outage_capacity(law, 3.0, 0.35));
+# the last two laws are those of the benchmark workloads
+LAW_OUTPUTS = {
+    "constant": (Constant(1.0), (
+        (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 1.0),
+        1.0, 0.0, 1.0,
+        2.0, 2.0)),
+    "constant-negative": (Constant(-2.0), (
+        (-2.0, 4.0, -8.0, 16.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (-2.0, 4.0, -8.0, 16.0),
+        1.0, 0.0, 2.0,
+        3.700439718141092, 3.700439718141092)),
+    "rayleigh": (Rayleigh(1.3), (
+        (1.6293083785101505, 3.3800000000000003, 8.260593479046465, 22.848800000000004,
+         0.7253542077166242, 0.38987978364157705, 1.7073671525365057, 1.181228425884294,
+         11.424400000000002),
+        (1.6293083785101505, 3.3800000000000003, 8.260593479046465, 22.848800000000004),
+        0.25610693786235356, 0.0, 1.206667417427525,
+        2.9225484821046783, 2.4244219663471274)),
+    "rician": (Rician(2.0, 1.3), (
+        (1.0577369220344828, 1.3000000000000003, 1.7745385125359912, 2.62888888888889,
+         0.18119260376501867, 0.016172299887514008, 0.09241699278557558, 0.05958623312642852,
+         0.9388888888888893),
+        (1.0577369220344828, 1.3000000000000003, 1.7745385125359912, 2.62888888888889),
+        0.45870853328955824, 0.0, 0.8778642460977903,
+        2.044133423823231, 1.7276751880720915)),
+    "rician-k0": (Rician(0.0, 2.0), (
+        (1.2533141373155, 1.999999999999999, 3.7599424119464997, 7.999999999999997,
+         0.4292036732051032, 0.1774600744841064, 0.5977966991829753, 0.41358090609022224,
+         4.000000000000002),
+        (1.2533141373155, 1.999999999999999, 3.7599424119464997, 7.999999999999997),
+        0.3934693402873665, 0.0, 0.9282057056863279,
+        2.3426454382452726, 1.8418513785820683)),
+    "nakagami": (Nakagami(2.0, 1.0), (
+        (0.9399856029866257, 0.9999999999999997, 1.174982003733281, 1.5000000000000007,
+         0.11642706617786935, 0.0161168687363189, 0.04146954567299321, 0.027914283934207244,
+         0.5000000000000013),
+        (0.9399856029866257, 0.9999999999999997, 1.174982003733281, 1.5000000000000007),
+        0.5939941502901616, 0.0, 0.78582558297785,
+        1.8158696372945098, 1.5122600342770451)),
+    "skewed": (DiscreteMixture(SKEWED), (
+        (1.0, 1.4, 2.35, 4.25, 0.3999999999999999, 0.1500000000000008, 0.24999999999999822,
+         0.0899999999999983, 2.29),
+        (1.0, 1.4, 2.35, 4.25),
+        0.6, 0.0, 0.5,
+        1.815340158940156, 0.8073549220576041)),
+    "atom-at-zero": (DiscreteMixture(ATOM_AT_ZERO), (
+        (0.7, 0.7, 0.7, 0.7, 0.21000000000000002, -0.08399999999999996, 0.07769999999999977,
+         0.03359999999999976, 0.21000000000000002),
+        (0.7, 0.7, 0.7, 0.7),
+        1.0, 0.3, 1.0,
+        1.4, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", LAW_OUTPUTS)
+def test_law_outputs_are_frozen(name):
+    law, expected = LAW_OUTPUTS[name]
+    got = (astuple(law.moments()), tuple(law.raw_moment(k) for k in range(1, 5)), law.cdf(1.0),
+           law.p_zero, quantile_abs(law, 0.35), shannon_ergodic_capacity(law, 3.0),
+           shannon_outage_capacity(law, 3.0, 0.35))
+    assert got == expected
