@@ -158,8 +158,10 @@ def rate_report(
     c_out = c_erg = None
     if dist is not None and snr is not None:
         c_erg = shannon_ergodic_capacity(dist, snr)
-        if outage_eps is not None:
-            c_out = shannon_outage_capacity(dist, snr, outage_eps)
+        try:  # snr passed the ergodic capacity's check, so only eps can fail
+            c_out = None if outage_eps is None else shannon_outage_capacity(dist, snr, outage_eps)
+        except ValueError as exc:
+            raise ValueError(f"outage_eps: {exc}") from exc
     return RateReport(
         n=n,
         log2_size=log2_size,

@@ -54,9 +54,9 @@ BOUNDS_KEYS = {
     "n": Key(float, "block length", required=True),
     "log2_size": Key(float, "log2 of the codebook size", required=True),
     "power_bound": Key(float, "energy budget A", default=1.0),
-    "sigma2": Key(float, "noise variance (used for the distance lower bound)", default=1.0),
-    "lambda1": Key(float, "type-I error budget", default=0.0),
-    "lambda2": Key(float, "type-II error budget", default=0.0),
+    "sigma2": Key(float, "noise variance (used for the distance lower bound)", min=0, default=1.0),
+    "lambda1": Key(float, "type-I error budget", min=0, default=0.0),
+    "lambda2": Key(float, "type-II error budget", min=0, default=0.0),
     "d_min": Key(float, "minimum distance; derived from the error budgets if omitted"),
     "fading": Key(dict, "fading law record for the reference capacities", default=None,
                   parse=parse_distribution),
@@ -199,7 +199,10 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     kw = resolve(cfg, BOUNDS_KEYS)
     lam = kw["lambda1"] + kw["lambda2"]
-    derived_d = min_distance_lower_bound(lam, math.sqrt(kw["sigma2"])) if lam > 0 else 0.0
+    try:
+        derived_d = min_distance_lower_bound(lam, math.sqrt(kw["sigma2"])) if lam > 0 else 0.0
+    except ValueError as exc:
+        raise ValueError(f"lambda1/lambda2/sigma2: {exc}") from exc
     kw.setdefault("d_min", derived_d)
     dist = kw["fading"]
     report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,

@@ -14,6 +14,13 @@ Three property profiles:
   "norm-concentrated"  adds ||u||_4^4 <= 3 A^2 n and the two-norm band
                        | ||u||_2^2 - A' n | <= sqrt(n) ln n
 
+The greedy step reads squared distances sq_i + sq_j - 2 G_ij off one
+Gram product per block of at most n rows.  Where a row's nearest
+survivor lies within 4 (n + 4) eps (sq_i + max sq_j) of the floor, more
+than the Gram and the direct sum of a pair can differ, the direct sum
+``np.sum((survivors - row) ** 2, axis=1)`` decides, so every decision is
+the direct sum's.  The fourth-power sums do likewise against ``draws ** 4``.
+
 ``verify_packing`` re-checks a finished codebook through an independent
 code path, and ``check_projection_property`` tests whether pairs stay
 separated even after restriction to coordinate subsets.
@@ -34,6 +41,7 @@ from .errors import InfeasibleError
 
 PROFILES = ("basic", "fourth-moment", "norm-concentrated")
 _SCHEMA = 1
+_SLACK = 4 * np.finfo(float).eps  # times n + 4: over twice what two n-term float64 sums differ by
 
 # the fields of a spec record: `dicode packing` reads them under `spec.`,
 # and `dicode simulate` as its `codebook.spec` record
@@ -112,6 +120,28 @@ class ExpurgationReport:
     distance_floor: float
 
 
+def _distance_survivors(draws: np.ndarray, keep: np.ndarray, floor2: float) -> np.ndarray:
+    """Indices of the rows in keep at squared distance >= floor2 from every earlier survivor."""
+    m, n = draws.shape
+    sq = np.einsum("ij,ij->i", draws, draws)
+    tol = _SLACK * (n + 4) * (sq + sq.max())
+    alive = keep.copy()
+    for r0 in range(0, m, n):
+        d2 = draws[r0:r0 + n] @ draws[:r0 + n].T
+        d2 *= -2.0
+        d2 += sq[:r0 + n]  # sq_j - 2 G_ij: a row's minimum plus sq_i is its nearest
+        d2[:, ~alive[:r0 + n]] = np.inf  # rows already out never count
+        for i in r0 + np.flatnonzero(alive[r0:r0 + n]):
+            near = sq[i] + d2[i - r0, :i].min(initial=np.inf)
+            if abs(near - floor2) <= tol[i]:  # too close to call: the direct sum decides
+                near = np.sum((draws[np.flatnonzero(alive[:i])] - draws[i]) ** 2, axis=1).min()
+            if near < floor2:
+                alive[i] = False
+                d2[:, i] = np.inf
+        del d2  # one block at a time
+    return np.flatnonzero(alive)
+
+
 def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     """Return (codebook array of shape (S, n), ExpurgationReport).
 
@@ -124,59 +154,42 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     n = spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     draws = rng.normal(0.0, math.sqrt(spec.sampling_power), size=(2 * spec.target_size, n))
-    s2 = np.sum(draws**2, axis=1)
+    squares = np.square(draws)
+    s2 = np.sum(squares, axis=1)
     keep = s2 <= spec.power_bound * n
     removed_power = int(np.sum(~keep))
     removed_fourth = removed_band = 0
     if profile in ("fourth-moment", "norm-concentrated"):
         bound4 = spec.fourth_bound if profile == "fourth-moment" else 3.0 * spec.power_bound**2
-        s4 = np.sum(draws**4, axis=1)
+        s4 = np.einsum("ij,ij->i", squares, squares)
+        close = np.flatnonzero(np.abs(s4 - bound4 * n) <= _SLACK * (n + 4) * bound4 * n)
+        s4[close] = np.sum(draws[close] ** 4, axis=1)
         bad4 = (s4 > bound4 * n) & keep
         removed_fourth = int(np.sum(bad4))
         keep &= ~bad4
+    del squares  # the greedy blocks and the book take its place beside the draws
     if profile == "norm-concentrated":
         band = math.sqrt(n) * math.log(n)
         off = (np.abs(s2 - spec.sampling_power * n) > band) & keep
         removed_band = int(np.sum(off))
         keep &= ~off
-    candidates = draws[keep]
-    floor2 = spec.distance_floor**2
-    kept = np.empty_like(candidates)
-    count = 0
-    removed_distance = 0
-    for row in candidates:
-        if count:
-            d2 = np.sum((kept[:count] - row) ** 2, axis=1)
-            if float(d2.min()) < floor2:
-                removed_distance += 1
-                continue
-        kept[count] = row
-        count += 1
-    if count < 2:
-        raise InfeasibleError(
-            f"expurgation left {count} vector(s); the parameters are too tight"
-        )
+    survivors = _distance_survivors(draws, keep, spec.distance_floor**2)
+    if (count := len(survivors)) < 2:
+        raise InfeasibleError(f"expurgation left {count} vector(s); the parameters are too tight")
     report = ExpurgationReport(
-        profile=profile,
-        seed=spec.seed,
-        sampled=int(draws.shape[0]),
-        requested=spec.target_size,
-        removed_power=removed_power,
-        removed_fourth=removed_fourth,
-        removed_band=removed_band,
-        removed_distance=removed_distance,
-        survivors=count,
-        distance_floor=spec.distance_floor,
-    )
-    return kept[:count].copy(), report
+        profile=profile, seed=spec.seed, sampled=len(draws), requested=spec.target_size,
+        removed_power=removed_power, removed_fourth=removed_fourth, removed_band=removed_band,
+        removed_distance=int(np.sum(keep)) - count, survivors=count,
+        distance_floor=spec.distance_floor)
+    return draws[survivors], report
 
 
 def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list[str]:
     """Independent re-check of every claimed property; returns violations.
 
     Deliberately not a call into the generation filter: per-vector math
-    is redone with plain reductions and the pairwise floor is checked
-    over the full distance matrix.
+    is redone with plain reductions, and every pair's distance is taken
+    from coordinate differences, never from a Gram product.
     """
     if profile not in PROFILES:
         raise ValueError(f"profile must be one of {PROFILES}")
@@ -189,15 +202,17 @@ def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list
             problems.append(f"vector {i}: squared norm {power:.6g} above A n")
         if profile in ("fourth-moment", "norm-concentrated"):
             bound4 = spec.fourth_bound if profile == "fourth-moment" else 3.0 * spec.power_bound**2
-            fourth = float(np.sum(u**4))
+            fourth = float(np.sum((u * u) ** 2))
             if fourth > bound4 * n * (1 + 1e-12):
                 problems.append(f"vector {i}: fourth-power sum {fourth:.6g} above bound")
-        if profile == "norm-concentrated":
-            if abs(power - spec.sampling_power * n) > math.sqrt(n) * math.log(n) * (1 + 1e-12):
-                problems.append(f"vector {i}: squared norm {power:.6g} outside the A' n band")
-    floor = spec.distance_floor
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
+        if profile == "norm-concentrated" and (
+                abs(power - spec.sampling_power * n) > math.sqrt(n) * math.log(n) * (1 + 1e-12)):
+            problems.append(f"vector {i}: squared norm {power:.6g} outside the A' n band")
+    floor, head = spec.distance_floor, min(n, 256)
+    for i in range(len(vectors) - 1):
+        # a pair whose first coordinates alone clear the floor, rounding and all, is clear
+        part = np.sum((vectors[i + 1:, :head] - vectors[i, :head]) ** 2, axis=1)
+        for j in i + 1 + np.flatnonzero(part < floor**2 * (1 + 1e-6)):
             d = float(np.linalg.norm(vectors[i] - vectors[j]))
             if d < floor * (1 - 1e-12):
                 problems.append(f"pair ({i}, {j}): distance {d:.6g} below floor {floor:.6g}")

@@ -359,8 +359,8 @@ VALID_ARGS = {
     "packing": ["spec.n=32", "spec.target_size=20", "spec.distance_exponent=0.05"],
 }
 
-# (subcommand, one bad --set, what stderr must say); bounds has no counts
-# and only simulate and packing have bools
+# (subcommand, one bad --set or a tuple of them, what stderr must say);
+# bounds has no counts and only simulate and packing have bools
 BAD_SETTINGS = [
     ("construct", "eps=0.5", ["'eps'", "did you mean 'eps"]),
     ("construct", "a=NaN", ["a must be finite"]),
@@ -399,6 +399,14 @@ BAD_SETTINGS = [
     ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
     ("bounds", 'fading={"type": "nakagami", "shape": 0.1, "spread": 1.0}',
      ["fading: Nakagami needs finite shape"]),
+    ("bounds", "lambda2=-0.1", ["lambda2 must be at least 0, got -0.1"]),
+    # checks that run after the key table name the keys they read
+    ("bounds", ("sigma2=-1", "lambda1=0.1"), ["sigma2 must be at least 0, got -1.0"]),
+    ("bounds", ("sigma2=0", "lambda1=0.1"), ["lambda1/lambda2/sigma2: sigma must be positive"]),
+    ("bounds", ("lambda1=0.6", "lambda2=0.6"),
+     ["lambda1/lambda2/sigma2: lambda_sum must lie strictly in (0, 1)"]),
+    ("bounds", ('fading={"type": "rayleigh", "scale": 1.0}', "snr=3", "outage_eps=2"),
+     ["outage_eps: eps must lie strictly in (0, 1)"]),
     ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
     ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
     ("moments", 'distributions=[{"type": "rayleigh", "scale": Infinity}]',
@@ -443,9 +451,11 @@ def _seed(command: str, seed: int) -> list[str]:
 
 
 @pytest.mark.parametrize("command,setting,says", BAD_SETTINGS,
-                         ids=[f"{c}:{s}" for c, s, _ in BAD_SETTINGS])
+                         ids=[f"{c}:{s if isinstance(s, str) else ' '.join(s)}"
+                              for c, s, _ in BAD_SETTINGS])
 def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, capsys):
-    sets = [arg for item in VALID_ARGS[command] + [setting] for arg in ("--set", item)]
+    items = [setting] if isinstance(setting, str) else list(setting)
+    sets = [arg for item in VALID_ARGS[command] + items for arg in ("--set", item)]
     assert run([command, "--outdir", str(tmp_path), *_seed(command, 1), *sets]) == 2
     err = capsys.readouterr().err
     for text in says:

@@ -12,7 +12,10 @@ baby-step/giant-step Horner outer encoder and the factor-by-factor
 close-partner polynomial, before both moved to subspace evaluation.
 The law outputs (moments, cdf, outage radius, capacities) were recorded
 with per-law parsing, cdfs and quadratures, before every law took its
-expectations through ``FadingDistribution.expect``.
+expectations through ``FadingDistribution.expect``.  The packing-book
+hashes were recorded with the one-row-at-a-time greedy distance loop and
+the ``draws ** 4`` filter, before the greedy step moved to Gram rows
+with a rounding guard.
 Any change to how identities are encoded or how draws are consumed
 shows up here first; these values must never be updated to make a
 change pass.
@@ -30,6 +33,7 @@ from dicode.bounds import shannon_ergodic_capacity, shannon_outage_capacity
 from dicode.codebook import ConcatCodebook, plan_params
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, quantile_abs
 from dicode.harness import ExperimentConfig, MomentGridConfig, moment_validation, run_experiment
+from dicode.packing import PackingSpec, generate_expurgated
 
 SKEWED = ((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))
 ATOM_AT_ZERO = ((0.0, 0.3), (1.0, 0.7))
@@ -82,6 +86,28 @@ def test_large_codewords_and_close_partners_are_frozen(n, shape, digest):
     index = random.Random(n).randrange(book.size)
     words = np.stack([book.encode(index), book.encode(book.close_partner(index))])
     assert _words_sha(words) == digest
+
+
+CRITERION_5 = dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
+                   distance_exponent=0.05, seed=9)
+
+
+@pytest.mark.parametrize("spec,profile,report,digest", [
+    # the criterion-5 book and its fourth-moment twin
+    (CRITERION_5, "norm-concentrated", (240, 0, 0, 1, 0, 239),
+     "3dc2967cb6395dbe90a0e1d39c84aef701f23bb62034d1c2b7c899b81eeaaa3f"),
+    (CRITERION_5, "fourth-moment", (240, 0, 0, 0, 0, 240),
+     "ba8d56cd92e627ca4a1ddf6be5c646f1109f876be08047b4fce8bc191fd056ef"),
+    # a crowded book: most rows fall to the distance floor
+    (dict(n=16, target_size=300, power_bound=1.0, sampling_power=0.5, distance_exponent=0.1,
+          seed=3), "basic", (600, 6, 0, 0, 359, 235),
+     "24d68784489af48af6239e3cdf80026a743732798c5a24a44588d1e1c2c64f48"),
+], ids=["criterion-5", "criterion-5-fourth-moment", "crowded"])
+def test_packing_books_are_frozen(spec, profile, report, digest):
+    vectors, got = generate_expurgated(PackingSpec(**spec), profile)
+    assert (got.sampled, got.removed_power, got.removed_fourth, got.removed_band,
+            got.removed_distance, got.survivors) == report
+    assert _words_sha(vectors) == digest
 
 
 def test_criterion_9_canonical_report_is_frozen():

@@ -3,12 +3,17 @@
 The independent oracle for the subset-projection checker is a
 from-scratch brute force over all coordinate subsets at n = 12.  For
 the expurgation itself, verify_packing re-checks every survivor with
-plain reductions, and corrupted inputs must be caught.
+plain reductions, and corrupted inputs must be caught.  The generator's
+Gram rows and fourth-power filter are held to a reference that keeps the
+one-row-at-a-time greedy loop and the ``draws ** 4`` filter: same bytes,
+same report, same refusals, also where rounding decides.
 """
 
 import itertools
 import json
 import math
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,7 +24,9 @@ from dicode.harness import wilson_interval
 from dicode.packing import (
     PROFILES,
     SPEC_KEYS,
+    ExpurgationReport,
     PackingSpec,
+    _distance_survivors,
     check_projection_property,
     generate_expurgated,
     load_csv,
@@ -102,6 +109,186 @@ def test_independent_verifier_catches_corruption():
     bad[0] = math.sqrt(spec.power_bound) * 2 * np.ones(spec.n)
     problems = verify_packing(bad, spec, "norm-concentrated")
     assert any("power" in p for p in problems)
+
+
+@pytest.mark.parametrize("n", [16, 300, 1000])
+def test_verifier_pair_check_matches_the_all_pairs_loop(n):
+    # rows at 0.5 to 1.1 floors from row 0, two of them within 1e-9 of it;
+    # for n > 256 the first coordinates hold only part of each distance
+    spec = PackingSpec(n=n, target_size=4, power_bound=4.0, sampling_power=2.0,
+                       distance_exponent=0.05)
+    floor = spec.distance_floor
+    rng = np.random.default_rng(n)
+    base = rng.normal(0.0, math.sqrt(2.0), size=(4, n))
+    steps = rng.normal(size=(5, n))
+    steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+    steps *= floor * np.array([[0.5], [0.9], [1 - 1e-9], [1 + 1e-9], [1.1]])
+    vectors = np.vstack([base[:1], base[0] + steps, base[1:]])
+    want = []
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        d = float(np.linalg.norm(vectors[i] - vectors[j]))
+        if d < floor * (1 - 1e-12):
+            want.append(f"pair ({i}, {j}): distance {d:.6g} below floor {floor:.6g}")
+    assert len(want) >= 3
+    assert [p for p in verify_packing(vectors, spec, "basic") if p.startswith("pair")] == want
+
+
+def reference_greedy(candidates, floor2):
+    """The greedy distance step one row at a time: (survivors, removed)."""
+    kept = np.empty_like(candidates)
+    count = 0
+    removed_distance = 0
+    for row in candidates:
+        if count:
+            d2 = np.sum((kept[:count] - row) ** 2, axis=1)
+            if float(d2.min()) < floor2:
+                removed_distance += 1
+                continue
+        kept[count] = row
+        count += 1
+    return kept[:count].copy(), removed_distance
+
+
+def reference_generate(spec, profile):
+    """generate_expurgated with the direct greedy loop and the draws**4 filter."""
+    n = spec.n
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    draws = rng.normal(0.0, math.sqrt(spec.sampling_power), size=(2 * spec.target_size, n))
+    s2 = np.sum(draws**2, axis=1)
+    keep = s2 <= spec.power_bound * n
+    removed_power = int(np.sum(~keep))
+    removed_fourth = removed_band = 0
+    if profile in ("fourth-moment", "norm-concentrated"):
+        bound4 = spec.fourth_bound if profile == "fourth-moment" else 3.0 * spec.power_bound**2
+        s4 = np.sum(draws**4, axis=1)
+        bad4 = (s4 > bound4 * n) & keep
+        removed_fourth = int(np.sum(bad4))
+        keep &= ~bad4
+    if profile == "norm-concentrated":
+        band = math.sqrt(n) * math.log(n)
+        off = (np.abs(s2 - spec.sampling_power * n) > band) & keep
+        removed_band = int(np.sum(off))
+        keep &= ~off
+    kept, removed_distance = reference_greedy(draws[keep], spec.distance_floor**2)
+    count = len(kept)
+    if count < 2:
+        raise InfeasibleError(
+            f"expurgation left {count} vector(s); the parameters are too tight"
+        )
+    return kept, ExpurgationReport(profile, spec.seed, int(draws.shape[0]), spec.target_size,
+                                   removed_power, removed_fourth, removed_band,
+                                   removed_distance, count, spec.distance_floor)
+
+
+def _outcome(generate, spec, profile):
+    try:
+        vectors, report = generate(spec, profile)
+    except InfeasibleError as exc:
+        return "refused", str(exc)
+    return vectors.tobytes(), vectors.shape, astuple(report)
+
+
+# (target_size, A, A', a): roomy, crowded (many distance removals), hopeless
+# (refused at most n) and a wide floor
+GRID = [(5, 4.0, 2.0, 0.1), (40, 1.0, 0.5, 0.24), (20, 0.02, 0.01, 0.24), (30, 4.0, 2.0, 0.01)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64, 257, 4096])
+def test_expurgation_matches_the_direct_reference(n):
+    refused = 0
+    for (target, power, sampling, a), profile, seed in itertools.product(
+            GRID, PROFILES, (0, 1, 2)):
+        if n == 4096 and target > 5:
+            target = 12  # the reference pays n floats per survivor per row
+        spec = PackingSpec(n=n, target_size=target, power_bound=power,
+                           sampling_power=sampling, distance_exponent=a, seed=seed)
+        want = _outcome(reference_generate, spec, profile)
+        assert _outcome(generate_expurgated, spec, profile) == want, (spec, profile)
+        refused += want[0] == "refused"
+    assert refused > 0 or n > 16
+
+
+def _guard_pairs(n, seed):
+    """Two rows of norm about 1e3 sqrt(n), 1e-3 apart per coordinate: their
+    Gram distance cancels away most digits, the direct one keeps them."""
+    rng = np.random.default_rng(seed)
+    base = 1e3 * rng.normal(size=n)
+    return np.stack([base, base + 1e-3 * rng.normal(size=n)])
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 300])
+def test_distance_guard_decides_as_the_direct_sum_at_the_floor(n):
+    for seed in range(4):
+        draws = _guard_pairs(n, seed)
+        d2 = float(np.sum((draws[:1] - draws[1]) ** 2, axis=1).min())
+        sq = np.sum(draws**2, axis=1)
+        gram = sq[0] + sq[1] - 2 * float(draws[0] @ draws[1])
+        assert gram != d2  # the Gram value alone would decide some of these wrongly
+        for floor2 in (np.nextafter(d2, -np.inf), d2, np.nextafter(d2, np.inf)):
+            got = _distance_survivors(draws, np.ones(2, bool), floor2)
+            want, _ = reference_greedy(draws, floor2)
+            assert draws[got].tobytes() == want.tobytes(), (n, seed, floor2)
+            assert len(got) == (1 if floor2 > d2 else 2)
+
+
+def test_distance_guard_keeps_every_decision_across_blocks():
+    # n = 3 runs blocks of three rows; copies of one row a hair apart put
+    # every pair at the floor, some rows are out from the start
+    rng = np.random.default_rng(5)
+    base = 1e3 * rng.normal(size=3)
+    draws = base + 1e-3 * rng.normal(size=(40, 3))
+    keep = rng.random(40) < 0.8
+    d2 = np.sum((draws[:, None, :] - draws[None, :, :]) ** 2, axis=2)
+    for floor2 in np.quantile(d2[np.triu_indices(40, 1)], [0.01, 0.1, 0.3, 0.5]):
+        for f in (np.nextafter(floor2, -np.inf), floor2, np.nextafter(floor2, np.inf)):
+            got = _distance_survivors(draws, keep, f)
+            want, removed = reference_greedy(draws[keep], f)
+            assert draws[got].tobytes() == want.tobytes()
+            assert len(got) + removed == keep.sum()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fourth_power_guard_decides_as_draws_to_the_fourth(offset):
+    # B n set to within one ulp of a row's draws**4 sum, on a row where the
+    # squared-squares sum differs from it; n = 64 keeps B n = (s4 / n) n exact
+    n = 64
+    for seed in range(200):
+        spec = PackingSpec(n=n, target_size=10, power_bound=4.0, sampling_power=2.0,
+                           distance_exponent=0.05, seed=seed)
+        draws = np.random.Generator(np.random.PCG64(seed)).normal(
+            0.0, math.sqrt(2.0), size=(20, n))
+        s4 = np.sum(draws**4, axis=1)
+        top = int(np.argmax(s4))
+        if np.einsum("ij,ij->i", draws**2, draws**2)[top] != s4[top]:
+            break
+    else:
+        pytest.fail("no seed where the two fourth-power sums differ")
+    limit = s4[top] if offset == 0 else np.nextafter(s4[top], offset * np.inf)
+    assert (limit / n) * n == limit
+    spec = replace(spec, fourth_moment_bound=float(limit / n))
+    want = _outcome(reference_generate, spec, "fourth-moment")
+    assert want[2][5] == (1 if offset < 0 else 0)  # removed_fourth: the top row alone
+    assert _outcome(generate_expurgated, spec, "fourth-moment") == want
+
+
+@pytest.mark.parametrize("spec", [
+    # the criterion-5 book
+    dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
+         distance_exponent=0.05, seed=9),
+    # 4000 rows of 64: a whole (m, m) Gram product would be 62 times the draws
+    dict(n=64, target_size=2000, power_bound=4.0, sampling_power=2.0,
+         distance_exponent=0.05, seed=1),
+], ids=["criterion-5", "tall"])
+def test_expurgation_peak_memory_stays_near_the_draws(spec):
+    spec = PackingSpec(**spec)
+    draw_bytes = 2 * spec.target_size * spec.n * 8
+    tracemalloc.start()
+    try:
+        generate_expurgated(spec, "norm-concentrated")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draw_bytes, peak / draw_bytes
 
 
 def brute_force_projected_min(a, b, keep):
