@@ -51,8 +51,8 @@ CONSTRUCT_KEYS = {
 }
 
 BOUNDS_KEYS = {
-    "n": Key(float, "block length", required=True),
-    "log2_size": Key(float, "log2 of the codebook size", required=True),
+    "n": Key(float, "block length", min=2, required=True),
+    "log2_size": Key(float, "log2 of the codebook size", min=0, required=True),
     "power_bound": Key(float, "energy budget A", default=1.0),
     "sigma2": Key(float, "noise variance (used for the distance lower bound)", min=0, default=1.0),
     "lambda1": Key(float, "type-I error budget", min=0, default=0.0),
@@ -204,6 +204,13 @@ def cmd_bounds(args) -> int:
     except ValueError as exc:
         raise ValueError(f"lambda1/lambda2/sigma2: {exc}") from exc
     kw.setdefault("d_min", derived_d)
+    for key in ("power_bound", "d_min", "snr"):
+        if kw[key] is not None and not kw[key] > 0:
+            raise ValueError(f"{key}: must be positive, got {kw[key]!r}")
+    given = [k for k in ("fading", "snr", "outage_eps") if kw[k] is not None]
+    missing = [k for k in ("fading", "snr") if kw[k] is None]
+    if given and missing:  # the capacities need a law and an snr, or neither
+        raise ValueError(f"{'/'.join(missing)}: required with {'/'.join(given)}")
     dist = kw["fading"]
     report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,
                          kw["snr"], kw["outage_eps"])

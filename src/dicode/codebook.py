@@ -30,9 +30,8 @@ R = k1 k2 log2(q1) / (n log2 n).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from functools import cached_property
 
@@ -72,6 +71,10 @@ def _ceil_at_least(x: float) -> int:
 class ConcatParams:
     """Fully resolved construction parameters.
 
+    The inputs (n, a, power_bound, eps1, eps2, field_seed) and the
+    planner's choice (q1, n1, k1, n2, k2) fix the code; every other
+    field is derived from them and cannot be passed in.
+
     a is the distance exponent margin (distance target n^(1/4+a) in the
     packing view) and b = 1/4 - log(q1)/log(n) records where the inner
     alphabet size actually landed; the planner only accepts
@@ -80,23 +83,23 @@ class ConcatParams:
 
     n: int
     a: float
-    b: float
+    b: float = field(init=False)
     power_bound: float
     eps1: float
     eps2: float
     q1: int
-    p: int
-    m: int
+    p: int = field(init=False)
+    m: int = field(init=False)
     n1: int
     k1: int
     n2: int
     k2: int
-    padding: int
+    padding: int = field(init=False)
     field_seed: int
-    log2_size: float
-    rate: float
-    min_euclidean_distance: float
-    meets_asymptotic_rate: bool
+    log2_size: float = field(init=False)
+    rate: float = field(init=False)
+    min_euclidean_distance: float = field(init=False)
+    meets_asymptotic_rate: bool = field(init=False)
 
     @property
     def d1(self) -> int:
@@ -122,10 +125,8 @@ class ConcatParams:
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
             raise ValueError("distance fractions must lie in (0, 1)")
         pp = prime_power(self.q1)
-        if pp is None or pp != (self.p, self.m):
-            raise ValueError(f"q1 = {self.q1} is not {self.p}^{self.m}")
-        if self.q1 < 2:
-            raise ValueError("inner alphabet needs at least two levels")
+        if pp is None:
+            raise ValueError(f"q1 = {self.q1} is not a prime power")
         if not 1 <= self.n1 <= min(self.q1, self.n):
             raise ValueError("need 1 <= n1 <= min(q1, n)")
         if not 1 <= self.k1 <= self.n1:
@@ -138,11 +139,17 @@ class ConcatParams:
             raise ValueError("inner distance misses its fraction target")
         if self.d2 < self.eps2 * self.n2 - 1e-9:
             raise ValueError("outer distance misses its fraction target")
-        if self.n1 * self.n2 + self.padding != self.n:
-            raise ValueError("n1 * n2 + padding must equal n")
-        expected = guaranteed_distance(self.d1, self.d2, self.power_bound, self.q1)
-        if not math.isclose(self.min_euclidean_distance, expected, rel_tol=1e-12):
-            raise ValueError("stored minimum distance disagrees with parameters")
+        if self.n1 * self.n2 > self.n:
+            raise ValueError("need n1 * n2 <= n")
+        log2_size = self.k1 * self.k2 * math.log2(self.q1)
+        rate = di_rate(log2_size, self.n)
+        derived = dict(
+            b=0.25 - math.log(self.q1) / math.log(self.n), p=pp[0], m=pp[1],
+            padding=self.n - self.n1 * self.n2, log2_size=log2_size, rate=rate,
+            min_euclidean_distance=guaranteed_distance(self.d1, self.d2, self.power_bound, self.q1),
+            meets_asymptotic_rate=rate >= 0.25 - 2 * self.a)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # the record is frozen
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -150,13 +157,6 @@ class ConcatParams:
         out["d1"] = self.d1
         out["d2"] = self.d2
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConcatParams":
-        if data.get("schema") != _SCHEMA:
-            raise ValueError(f"unsupported params schema {data.get('schema')!r}")
-        kwargs = {k: data[k] for k in cls.__dataclass_fields__}
-        return cls(**kwargs)
 
 
 def guaranteed_distance(d1: int, d2: int, power_bound: float, q1: int) -> float:
@@ -194,54 +194,27 @@ def plan_params(
     best: ConcatParams | None = None
     q_hi = int(math.floor(n ** (0.25 - a))) + 1
     for q1 in range(2, max(q_hi + 1, 3)):
-        pp = prime_power(q1)
-        if pp is None:
+        if prime_power(q1) is None:
             continue
         b = 0.25 - math.log(q1) / log_n
         if not a < b < 2 * a:
             continue
-        p, m = pp
         for n1 in range(min(q1, n), 0, -1):
             n2 = n // n1
             if n2 < 1:
                 continue
-            d1_min = _ceil_at_least(eps1 * n1)
-            k1 = n1 + 1 - d1_min
+            k1 = n1 + 1 - _ceil_at_least(eps1 * n1)
             if k1 < 1:
                 continue
             if q1**k1 < n2:
                 continue  # outer field too small for the outer length
-            d2_min = _ceil_at_least(eps2 * n2)
-            k2 = n2 + 1 - d2_min
+            k2 = n2 + 1 - _ceil_at_least(eps2 * n2)
             if k2 < 1:
                 continue
-            log2_size = k1 * k2 * math.log2(q1)
-            rate = di_rate(log2_size, n)
-            if best is not None and rate <= best.rate:
-                continue
-            d1 = n1 - k1 + 1
-            d2 = n2 - k2 + 1
-            best = ConcatParams(
-                n=n,
-                a=a,
-                b=b,
-                power_bound=power_bound,
-                eps1=eps1,
-                eps2=eps2,
-                q1=q1,
-                p=p,
-                m=m,
-                n1=n1,
-                k1=k1,
-                n2=n2,
-                k2=k2,
-                padding=n - n1 * n2,
-                field_seed=field_seed,
-                log2_size=log2_size,
-                rate=rate,
-                min_euclidean_distance=guaranteed_distance(d1, d2, power_bound, q1),
-                meets_asymptotic_rate=rate >= 0.25 - 2 * a,
-            )
+            plan = ConcatParams(n=n, a=a, power_bound=power_bound, eps1=eps1, eps2=eps2,
+                                field_seed=field_seed, q1=q1, n1=n1, k1=k1, n2=n2, k2=k2)
+            if best is None or plan.rate > best.rate:
+                best = plan
     if best is None:
         raise InfeasibleError(
             f"no concatenated construction for n={n}, a={a}, eps1={eps1}, eps2={eps2}: "
@@ -293,6 +266,7 @@ class ConcatCodebook:
             return np.concatenate([amps.ravel(), np.zeros(p.padding)])
         return amps.ravel()
 
+    @cached_property
     def _min_weight_delta(self) -> np.ndarray:
         """GF(p) coordinates (k2, D) of g(x) = prod_{i<k2-1} (x - point_i).
 
@@ -301,10 +275,7 @@ class ConcatCodebook:
         exactly d2 = n2 - k2 + 1: the minimum possible.  Adding it to
         any message yields a partner at the outer distance floor.
         """
-        cached = getattr(self, "_delta_coords", None)
-        if cached is None:  # the i-th evaluation point is element i
-            cached = self._delta_coords = self.outer_code.vanishing_coords(self.params.k2 - 1)
-        return cached
+        return self.outer_code.vanishing_coords(self.params.k2 - 1)  # point i is element i
 
     def close_partner(self, index: int) -> int:
         """An identity whose outer codeword differs in exactly d2 symbols.
@@ -313,13 +284,13 @@ class ConcatCodebook:
         pairs sit at the guaranteed distance floor; the harness uses them
         as worst-case impostors.
         """
-        coords = self._message_coords(index) + self._min_weight_delta()
+        coords = self._message_coords(index) + self._min_weight_delta
         return digits_to_int(coords.ravel() % self.params.p, self.params.p)
 
 
-def load_params_json(path) -> ConcatParams:
-    with open(path, encoding="utf-8") as fh:
-        return ConcatParams.from_json_dict(json.load(fh))
+def identity_str(index: int) -> str:
+    """An identity's decimal digits; str() refuses the 4300+ that concatenated books reach."""
+    return str(Decimal(index))
 
 
 def codewords_csv(book: ConcatCodebook, indices) -> str:
@@ -332,6 +303,5 @@ def codewords_csv(book: ConcatCodebook, indices) -> str:
         indices = range(min(indices, book.params.size))
     lines = []
     for idx in map(int, indices):
-        # Decimal, as str() refuses the 4300+ digits concatenated identities reach
-        lines.append(",".join([str(Decimal(idx))] + [f"{x:.17g}" for x in book.encode(idx)]))
+        lines.append(",".join([identity_str(idx)] + [f"{x:.17g}" for x in book.encode(idx)]))
     return "\n".join(lines) + "\n"

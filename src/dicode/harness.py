@@ -48,13 +48,12 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from decimal import Decimal
 
 import numpy as np
 
 from .channel import (ChannelModel, FastFading, SlowFading, block_buffers, parse_channel,
                       transmit)
-from .codebook import PLAN_KEYS, ConcatCodebook, plan_params
+from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, resolve
 from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
 from .errors import DegenerateFadingError
@@ -415,12 +414,11 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         return [int(c) for c in out]
 
     counts = _map_slots(run_slot, len(slots), cfg.workers)
-    # Decimal, as str() refuses the 4300+ digits concatenated identities reach
     per_identity, pooled1, zero1 = _tally(
-        [{"slot": k, "identity": str(Decimal(i))} for k, i in enumerate(identity_ids)],
+        [{"slot": k, "identity": identity_str(i)} for k, i in enumerate(identity_ids)],
         counts[:cfg.identities], cfg.per_identity, "errors", "error_rate")
     per_pair, pooled2, zero2 = _tally(
-        [{"slot": k, "sent": str(Decimal(a)), "verified": str(Decimal(b)), "kind": kind}
+        [{"slot": k, "sent": identity_str(a), "verified": identity_str(b), "kind": kind}
          for k, (a, b, kind) in enumerate(pair_list)],
         counts[cfg.identities:], cfg.per_pair, "accepts", "accept_rate")
     rates = [r["accept_rate"] for r in per_pair if r["accept_rate"] is not None]

@@ -256,41 +256,31 @@ def check_projection_property(
         raise ValueError("mu must lie in (0, 1]")
     subset = max(1, math.ceil(mu * n - 1e-9))
     threshold = n**alpha
-    pair_minima = []
-    overall = math.inf
     if mode == "exhaustive":
         if n > 16:
             raise ValueError("exhaustive projection scan is limited to n <= 16")
-        combos = list(itertools.combinations(range(n), subset))
-        per_pair = len(combos)
-        sel = np.array(combos)
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                gaps = (vectors[i] - vectors[j]) ** 2
-                best = float(np.sqrt(gaps[sel].sum(axis=1).min()))
-                pair_minima.append((i, j, best))
-                overall = min(overall, best)
-        certified = True
+        sel = np.array(list(itertools.combinations(range(n), subset)))
+        per_pair = len(sel)
     elif mode == "sampled":
+        if sample_count < 1:
+            raise ValueError("sampled mode needs sample_count >= 1")
         rng = np.random.Generator(np.random.PCG64(seed))
         per_pair = sample_count
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                gaps = (vectors[i] - vectors[j]) ** 2
-                best = math.inf
-                for _ in range(sample_count):
-                    pick = rng.choice(n, size=subset, replace=False)
-                    best = min(best, float(math.sqrt(gaps[pick].sum())))
-                pair_minima.append((i, j, best))
-                overall = min(overall, best)
-        certified = False
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    pair_minima = []
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            gaps = (vectors[i] - vectors[j]) ** 2
+            if mode == "sampled":  # this pair's draws, in the generator's order
+                sel = np.array([rng.choice(n, size=subset, replace=False) for _ in range(per_pair)])
+            pair_minima.append((i, j, float(np.sqrt(gaps[sel].sum(axis=1).min()))))
+    overall = min(best for _, _, best in pair_minima)
     return ProjectionReport(
         mode=mode,
         subset_size=subset,
         threshold=threshold,
-        certified=certified,
+        certified=mode == "exhaustive",
         overall_min=overall,
         passed=overall >= threshold,
         pair_minima=tuple(pair_minima),

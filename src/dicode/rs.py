@@ -131,7 +131,7 @@ class RSCode:
         F, p, D = self.field, self.field.p, self.field.prime_degree
         if message.shape != (self.dim, D):
             raise ValueError("message coordinate matrix has wrong shape")
-        levels = self._subspace_maps()
+        levels = self._subspace_maps
         buf = np.zeros((p ** len(levels), D), dtype=np.float32)
         buf[: self.dim] = message
         for i in range(len(levels) - 1, -1, -1):
@@ -163,7 +163,7 @@ class RSCode:
             raise ValueError(f"need 0 <= count < length, got {count}")
         poly = np.zeros((count + 1, D), dtype=np.float32)
         poly[0, 0] = 1  # the constant 1
-        for i, (A, lower, _) in enumerate(self._subspace_maps()):
+        for i, (A, lower, _) in enumerate(self._subspace_maps):
             P = p**i
             for c in range(count // P % p):
                 deg = count % P + c * P  # the points multiplied in so far
@@ -181,6 +181,7 @@ class RSCode:
                 poly[: deg + P + 1] = reduce_mod(new, p)
         return poly.astype(np.int8)
 
+    @cached_property
     def _subspace_maps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(A_i, C_i, H_i) for each level i with p^i < length, built once per code.
 
@@ -192,9 +193,6 @@ class RSCode:
         (nodes, p, D, D) int8 is M_gamma^T for each child ``encode_coords``
         visits at level i.
         """
-        cached = getattr(self, "_maps", None)
-        if cached is not None:
-            return cached
         F, p, D = self.field, self.field.p, self.field.prime_degree
         def power(x, e):  # each row of x to the e-th power, by e - 1 products
             mats, out = F.mul_matrices(x).astype(np.int64), np.asarray(x, dtype=np.int64)
@@ -216,7 +214,6 @@ class RSCode:
             m_mu = F.mul_matrices(power(A[:, i][None], p - 1))[0].astype(np.int64)
             A = (frob - m_mu) @ A % p
             coef = (frob @ np.pad(coef, ((0, 0), (1, 0))) - m_mu @ np.pad(coef, ((0, 0), (0, 1)))) % p
-        self._maps = maps
         return maps
 
     def encode_digits(self, message_digits: np.ndarray) -> np.ndarray:

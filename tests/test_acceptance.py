@@ -355,15 +355,8 @@ def test_criterion_8_exhaustive_small_instance_oracles():
 
     # (b) tiny concatenated codebook, all 81 codewords: symbol Hamming
     # distance >= d1 d2 and Euclidean distance exactly at the floor
-    tiny = ConcatParams(
-        n=12, a=0.1, b=0.25 - math.log(3) / math.log(12), power_bound=1.0,
-        eps1=0.6, eps2=0.7, q1=3, p=3, m=1, n1=3, k1=2, n2=4, k2=2,
-        padding=0, field_seed=0,
-        log2_size=4 * math.log2(3),
-        rate=4 * math.log2(3) / (12 * math.log2(12)),
-        min_euclidean_distance=guaranteed_distance(2, 3, 1.0, 3),
-        meets_asymptotic_rate=False,
-    )
+    tiny = ConcatParams(n=12, a=0.1, power_bound=1.0, eps1=0.6, eps2=0.7, field_seed=0,
+                        q1=3, n1=3, k1=2, n2=4, k2=2)
     book = ConcatCodebook(tiny)
     all_words = np.stack([book.encode(i) for i in range(tiny.size)])
     min_ham = tiny.n

@@ -407,6 +407,20 @@ BAD_SETTINGS = [
      ["lambda1/lambda2/sigma2: lambda_sum must lie strictly in (0, 1)"]),
     ("bounds", ('fading={"type": "rayleigh", "scale": 1.0}', "snr=3", "outage_eps=2"),
      ["outage_eps: eps must lie strictly in (0, 1)"]),
+    # strictly positive values, and lower bounds in the key table
+    ("bounds", "power_bound=0", ["power_bound: must be positive, got 0.0"]),
+    ("bounds", "d_min=0", ["d_min: must be positive, got 0.0"]),
+    ("bounds", ('fading={"type": "rayleigh", "scale": 1.0}', "snr=0"),
+     ["snr: must be positive, got 0.0"]),
+    ("bounds", "n=1", ["n must be at least 2, got 1.0"]),
+    ("bounds", "log2_size=-1", ["log2_size must be at least 0, got -1.0"]),
+    # the reference capacities take a law and an snr (and outage_eps), or none of them
+    ("bounds", "outage_eps=2", ["fading/snr: required with outage_eps"]),
+    ("bounds", "snr=3", ["fading: required with snr"]),
+    ("bounds", 'fading={"type": "rayleigh", "scale": 1.0}', ["snr: required with fading"]),
+    ("bounds", ('fading={"type": "rayleigh", "scale": 1.0}', "outage_eps=0.1"),
+     ["snr: required with fading/outage_eps"]),
+    ("bounds", ("snr=3", "outage_eps=0.1"), ["fading: required with snr/outage_eps"]),
     ("moments", "chunks=5", ["'chunks'", "did you mean 'chunk'"]),
     ("moments", "sigma2=Infinity", ["sigma2 must be finite"]),
     ("moments", 'distributions=[{"type": "rayleigh", "scale": Infinity}]',

@@ -6,6 +6,7 @@ verdicts), and exhaustive pairwise distance measurement on handcrafted
 small instances where every one of the M codewords can be enumerated.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,7 +22,6 @@ from dicode.codebook import (
     ConcatParams,
     codewords_csv,
     guaranteed_distance,
-    load_params_json,
     plan_params,
 )
 from dicode.errors import InfeasibleError
@@ -116,30 +116,16 @@ def test_guaranteed_distance_formula():
 def tiny_params(**overrides):
     """Handcrafted M=81 instance small enough to enumerate completely:
     inner [3,2] over GF(3), outer [4,2] over GF(9), n = 12."""
-    base = dict(
-        n=12, a=0.1, b=0.25 - math.log(3) / math.log(12), power_bound=1.0,
-        eps1=0.6, eps2=0.7, q1=3, p=3, m=1, n1=3, k1=2, n2=4, k2=2,
-        padding=0, field_seed=0,
-        log2_size=4 * math.log2(3),
-        rate=4 * math.log2(3) / (12 * math.log2(12)),
-        min_euclidean_distance=guaranteed_distance(2, 3, 1.0, 3),
-        meets_asymptotic_rate=False,
-    )
+    base = dict(n=12, a=0.1, power_bound=1.0, eps1=0.6, eps2=0.7, field_seed=0,
+                q1=3, n1=3, k1=2, n2=4, k2=2)
     base.update(overrides)
     return ConcatParams(**base)
 
 
 def tower_params(q1, n1, k1, n2, k2, padding):
     """A hand-made book over a chosen tower; every distance target is 0.1."""
-    p, m = prime_power(q1)
-    n = n1 * n2 + padding
-    log2_size = k1 * k2 * math.log2(q1)
-    return ConcatParams(
-        n=n, a=0.1, b=0.25 - math.log(q1) / math.log(n), power_bound=2.0, eps1=0.1,
-        eps2=0.1, q1=q1, p=p, m=m, n1=n1, k1=k1, n2=n2, k2=k2, padding=padding,
-        field_seed=5, log2_size=log2_size, rate=di_rate(log2_size, n),
-        min_euclidean_distance=guaranteed_distance(n1 - k1 + 1, n2 - k2 + 1, 2.0, q1),
-        meets_asymptotic_rate=False)
+    return ConcatParams(n=n1 * n2 + padding, a=0.1, power_bound=2.0, eps1=0.1, eps2=0.1,
+                        field_seed=5, q1=q1, n1=n1, k1=k1, n2=n2, k2=k2)
 
 
 # q1 prime; p = 2 with m = 2 and 3 (the towers of n = 1000 and n = 15625);
@@ -149,8 +135,7 @@ TOWERS = {"q1=5": (5, 5, 3, 40, 30, 0), "q1=4": (4, 4, 3, 50, 40, 3),
 
 
 def test_amplitude_levels_are_equispaced_and_power_capped():
-    levels = ConcatCodebook(tiny_params(
-        power_bound=4.0, min_euclidean_distance=guaranteed_distance(2, 3, 4.0, 3))).levels
+    levels = ConcatCodebook(tiny_params(power_bound=4.0)).levels
     assert np.allclose(levels, [-2.0, 0.0, 2.0])
     levels5 = ConcatCodebook(tower_params(*TOWERS["q1=5"])).levels  # A = 2
     assert np.allclose(levels5, np.sqrt(2.0) * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
@@ -293,12 +278,55 @@ def test_params_json_round_trip(tmp_path, capsys):
     assert main(["construct", "--outdir", str(tmp_path), "--set", "n=500", "--set", "a=0.02"]) == 0
     capsys.readouterr()
     path = tmp_path / "params.json"
-    assert json.loads(path.read_text()) == p.to_json_dict()
-    q = load_params_json(path)
-    assert q == p
     raw = json.loads(path.read_text())
+    assert raw == p.to_json_dict()
     assert raw["schema"] == 1
     assert raw["d1"] == p.d1 and raw["d2"] == p.d2
+
+
+STORED = ("n", "a", "power_bound", "eps1", "eps2", "field_seed", "q1", "n1", "k1", "n2", "k2")
+
+
+@pytest.mark.parametrize("n,a,eps1,eps2", [(500, 0.02, 0.1, 0.1), (3000, 0.035, 0.3, 0.05),
+                                           (15625, 0.03, 0.3, 0.05), (10**5, 0.02, 0.3, 0.05)])
+def test_a_record_is_fixed_by_its_stored_values(n, a, eps1, eps2):
+    p = plan_params(n=n, a=a, power_bound=2.5, eps1=eps1, eps2=eps2, field_seed=3)
+    init = [f.name for f in dataclasses.fields(ConcatParams) if f.init]
+    assert sorted(init) == sorted(STORED)
+    q = ConcatParams(**{k: getattr(p, k) for k in STORED})
+    assert q == p
+    assert json.dumps(q.to_json_dict()) == json.dumps(p.to_json_dict())
+    # the derived values cannot be passed in
+    with pytest.raises(TypeError):
+        ConcatParams(**{k: getattr(p, k) for k in STORED}, rate=0.5)
+
+
+def test_hand_built_records_derive_their_own_values():
+    p = tiny_params()
+    assert (p.p, p.m, p.padding, p.d1, p.d2, p.size) == (3, 1, 0, 2, 3, 81)
+    assert p.b == 0.25 - math.log(3) / math.log(12)
+    assert p.log2_size == 4 * math.log2(3)
+    assert p.rate == di_rate(4 * math.log2(3), 12)
+    assert p.min_euclidean_distance == guaranteed_distance(2, 3, 1.0, 3)
+    assert p.meets_asymptotic_rate == (p.rate >= 0.25 - 2 * 0.1)
+    padded = tower_params(4, 4, 3, 50, 40, 3)
+    assert (padded.n, padded.padding, padded.p, padded.m) == (203, 3, 2, 2)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(q1=6), "q1 = 6 is not a prime power"),
+    (dict(q1=1), "q1 = 1 is not a prime power"),
+    (dict(n=11), "need n1 \\* n2 <= n"),
+    (dict(n1=4), "need 1 <= n1 <= min"),
+    (dict(k1=4), "need 1 <= k1 <= n1"),
+    (dict(n2=10), "outer length exceeds"),
+    (dict(k2=4), "outer distance misses"),
+    (dict(eps1=0.9), "inner distance misses"),
+    (dict(power_bound=math.inf), "power bound"),
+])
+def test_records_refuse_inconsistent_inputs(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_params(**overrides)
 
 
 def test_codeword_csv_export():

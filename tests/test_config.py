@@ -11,7 +11,7 @@ import math
 import pytest
 
 from dicode.channel import Awgn, FastFading, SlowFading
-from dicode.codebook import guaranteed_distance, plan_params
+from dicode.codebook import plan_params
 from dicode.config import NUMBER, Key, resolve
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, parse_distribution
 from dicode.harness import ExperimentConfig, build_codebook
@@ -104,10 +104,7 @@ BUILDERS = {
 
 
 def _concat_params(power_bound):
-    # the stored distance agrees with the bound, so only the bound's own check can refuse it
-    p = plan_params(n=500, a=0.02)
-    return dataclasses.replace(p, power_bound=power_bound, min_euclidean_distance=(
-        guaranteed_distance(p.d1, p.d2, abs(power_bound), p.q1)))
+    return dataclasses.replace(plan_params(n=500, a=0.02), power_bound=power_bound)
 
 
 NON_FINITE = [(name, x) for x in (math.nan, math.inf, -math.inf) for name in BUILDERS]

@@ -15,7 +15,9 @@ with per-law parsing, cdfs and quadratures, before every law took its
 expectations through ``FadingDistribution.expect``.  The packing-book
 hashes were recorded with the one-row-at-a-time greedy distance loop and
 the ``draws ** 4`` filter, before the greedy step moved to Gram rows
-with a rounding guard.
+with a rounding guard.  The planner grid was recorded while
+``ConcatParams`` still stored its derived values (p, m, b, padding, size,
+rate, distance floor) as constructor arguments.
 Any change to how identities are encoded or how draws are consumed
 shows up here first; these values must never be updated to make a
 change pass.
@@ -31,6 +33,7 @@ import pytest
 
 from dicode.bounds import shannon_ergodic_capacity, shannon_outage_capacity
 from dicode.codebook import ConcatCodebook, plan_params
+from dicode.errors import InfeasibleError
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, quantile_abs
 from dicode.harness import ExperimentConfig, MomentGridConfig, moment_validation, run_experiment
 from dicode.packing import PackingSpec, generate_expurgated
@@ -86,6 +89,24 @@ def test_large_codewords_and_close_partners_are_frozen(n, shape, digest):
     index = random.Random(n).randrange(book.size)
     words = np.stack([book.encode(index), book.encode(book.close_partner(index))])
     assert _words_sha(words) == digest
+
+
+def test_planner_grid_is_frozen():
+    # the params.json record of every feasible plan, key order included,
+    # and the refusal of every infeasible one
+    lines = []
+    for n in (4, 12, 20, 100, 500, 1000, 3000, 15625, 10**5, 10**6):
+        for a in (0.005, 0.01, 0.02, 0.035, 0.06, 0.09, 0.12):
+            for eps1, eps2 in ((0.1, 0.1), (0.3, 0.05)):
+                for power_bound in (1.0, 2.5):
+                    try:
+                        plan = plan_params(n, a, power_bound, eps1, eps2, field_seed=3)
+                        lines.append(json.dumps(plan.to_json_dict()))
+                    except InfeasibleError as exc:
+                        lines.append(f"InfeasibleError: {exc}")
+    assert sum(line.startswith("{") for line in lines) == 66
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "977443a60f0a9baf8d74a6755ff989aee66d2f362b85b9a035c67f5c67474a7c")
 
 
 CRITERION_5 = dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,

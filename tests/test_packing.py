@@ -9,6 +9,7 @@ one-row-at-a-time greedy loop and the ``draws ** 4`` filter: same bytes,
 same report, same refusals, also where rounding decides.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -360,6 +361,19 @@ def test_sampled_projection_never_certifies_and_upper_bounds_the_truth():
     again = check_projection_property(vectors, mu=0.75, alpha=0.2,
                                       mode="sampled", sample_count=64, seed=9)
     assert again.overall_min == sampled.overall_min
+
+
+def test_sampled_projection_minima_are_frozen():
+    # pair by pair, each pair's subsets drawn in turn from one generator
+    vectors = np.random.default_rng(11).normal(size=(7, 40))
+    report = check_projection_property(vectors, mu=0.6, alpha=0.2, mode="sampled",
+                                       sample_count=30, seed=5)
+    assert (report.subset_size, report.subsets_per_pair, len(report.pair_minima)) == (24, 30, 21)
+    assert report.overall_min == min(v for _, _, v in report.pair_minima)
+    assert hashlib.sha256(repr(report.pair_minima).encode()).hexdigest() == (
+        "09eb6b8bba92f9282cd59882e7a5e21269cfa29a885c8480ff35393ca23b094a")
+    with pytest.raises(ValueError, match="sample_count"):
+        check_projection_property(vectors, mu=0.6, alpha=0.2, mode="sampled", sample_count=0)
 
 
 def test_exhaustive_mode_refuses_large_dimensions():

@@ -136,7 +136,7 @@ def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, mo
         got = [digits_to_int(row, p) for row in code.encode_coords(_coords(msg, p, D))]
         assert got == code.encode(msg)
     # one level per base-p digit of the largest point
-    assert p ** (len(code._subspace_maps()) - 1) < length <= p ** len(code._subspace_maps())
+    assert p ** (len(code._subspace_maps) - 1) < length <= p ** len(code._subspace_maps)
 
 
 @pytest.mark.parametrize("p,m,k,length,dim", [(7, 1, 2, 49, 30), (2, 2, 3, 50, 40)])
