@@ -155,6 +155,11 @@ def rate_report(
     snr: float | None = None,
     outage_eps: float | None = None,
 ) -> RateReport:
+    request = {"fading": dist, "snr": snr, "outage_eps": outage_eps}
+    given = [k for k, v in request.items() if v is not None]
+    missing = [k for k in ("fading", "snr") if request[k] is None]
+    if given and missing:  # the capacities need a law and an snr, or neither
+        raise ValueError(f"{'/'.join(missing)}: required with {'/'.join(given)}")
     c_out = c_erg = None
     if dist is not None and snr is not None:
         c_erg = shannon_ergodic_capacity(dist, snr)

@@ -9,10 +9,10 @@ Three variants share one entry point:
 ``transmit`` sends one word per supplied Generator, as the rows of one
 (rows, n) block; a single word is a one-row block.  Each Generator draws
 its fading realization first and its noise second; that ordering is part
-of the reproducibility contract.  A row is finished (scaled and shifted by the
-faded codeword) right after its draws, while it is still in cache, and
-a caller that sends many blocks can hand ``transmit`` the same buffers
-from ``block_buffers`` each time.
+of the reproducibility contract.  The law fills its row of the block in
+place, and the row is finished (scaled and shifted by the faded codeword)
+right after, while it is still in cache; a caller that sends many blocks
+can hand ``transmit`` the same buffers from ``block_buffers`` each time.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
     scale = math.sqrt(model.sigma2)
     for r, rng in enumerate(rngs):
         y = Y[r]
-        if H is not None:
-            H[r] = model.fading.sample(rng, None if H.ndim == 1 else u.size)
+        if H is not None:  # H[r, ...]: a view of the row (fast) or the entry (slow)
+            model.fading.sample(rng, out=H[r, ...])
         rng.standard_normal(out=y)
         # sigma*z + h*u, elementwise as in y = h x + z
         y *= scale

@@ -207,10 +207,6 @@ def cmd_bounds(args) -> int:
     for key in ("power_bound", "d_min", "snr"):
         if kw[key] is not None and not kw[key] > 0:
             raise ValueError(f"{key}: must be positive, got {kw[key]!r}")
-    given = [k for k in ("fading", "snr", "outage_eps") if kw[k] is not None]
-    missing = [k for k in ("fading", "snr") if kw[k] is None]
-    if given and missing:  # the capacities need a law and an snr, or neither
-        raise ValueError(f"{'/'.join(missing)}: required with {'/'.join(given)}")
     dist = kw["fading"]
     report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,
                          kw["snr"], kw["outage_eps"])

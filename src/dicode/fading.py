@@ -4,10 +4,12 @@ The verifier thresholds need E h, E h^2, E h^3, E h^4 and the derived
 central quantities to high accuracy.  Moments come from closed forms
 where available and from the one quadrature of ``expect`` otherwise (the
 Rician case: Bessel-weighted integrand, no series).  Sampling always goes
-through a caller-supplied numpy Generator so seeded runs reproduce.  A
-discrete mixture builds its sampling table (atom values and normalized
-cdf) once; a draw is a uniform and the count of cdf entries <= it, the
-stream and values ``Generator.choice`` with the same probabilities gives.
+through a caller-supplied numpy Generator so seeded runs reproduce; each
+law's one sampling body fills a float64 array in place, the caller's
+buffer when ``sample`` is given one.  A discrete mixture builds its
+sampling table (atom values and normalized cdf) once; a draw is a uniform
+and the count of cdf entries <= it, the stream and values
+``Generator.choice`` with the same probabilities gives.
 scipy is imported inside the few methods that call it (the Rician pdf
 and cdf, the Nakagami cdf, the quadrature of ``expect``), so importing
 dicode does not load it.
@@ -26,6 +28,7 @@ from .errors import DegenerateFadingError, QuadratureError
 
 _QUAD_REL = 1e-10  # target passed to quad; contract is 1e-8 relative
 _MOMENT_REL = 1e-8
+_SAMPLE_BLOCK = 1 << 16  # entries of a discrete law's uniforms per block
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,13 @@ class FadingDistribution:
 
     atoms = None
 
-    def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        """Draws of h: a float64 scalar (size None) or an array of shape size;
+        given out, a C-contiguous float64 array, fills it in place and returns
+        it.  Either way the law's ``_fill`` draws the same stream and values."""
+        fill = np.empty(() if size is None else size) if out is None else out
+        self._fill(rng, fill)
+        return fill[()] if out is None and size is None else fill
 
     def cdf(self, x: float) -> float:
         return float(sum(p for v, p in self.atoms if v <= x))
@@ -122,10 +130,8 @@ class Constant(FadingDistribution):
     def atoms(self):
         return ((self.value, 1.0),)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def _fill(self, rng, out):
+        out.fill(self.value)
 
     def moments(self):
         # exact: every central moment vanishes
@@ -143,8 +149,12 @@ class Rayleigh(FadingDistribution):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("Rayleigh scale must be positive and finite")
 
-    def sample(self, rng, size=None):
-        return rng.rayleigh(self.scale, size)
+    def _fill(self, rng, out):
+        # Generator.rayleigh's scale * sqrt(2 e), step by step in place
+        rng.standard_exponential(out=out)
+        out *= 2
+        np.sqrt(out, out=out)
+        out *= self.scale
 
     def cdf(self, x):
         if x <= 0:
@@ -186,11 +196,12 @@ class Rician(FadingDistribution):
         k, om = self.shape, self.scale
         return math.sqrt(k * om / (k + 1)), math.sqrt(om / (2 * (k + 1)))
 
-    def sample(self, rng, size=None):
+    def _fill(self, rng, out):
         nu, s = self._nu_s()
-        a = nu + s * rng.standard_normal(size)
-        b = s * rng.standard_normal(size)
-        return np.hypot(a, b)
+        rng.standard_normal(out=out)
+        out *= s
+        out += nu
+        np.hypot(out, s * rng.standard_normal(out.shape), out=out)
 
     def pdf(self, x):
         # written so the Bessel factor never overflows: I0(z) = i0e(z) e^z
@@ -231,9 +242,11 @@ class Nakagami(FadingDistribution):
                 and math.isfinite(self.shape) and math.isfinite(self.spread)):
             raise ValueError("Nakagami needs finite shape >= 1/2 and spread > 0")
 
-    def sample(self, rng, size=None):
-        g = rng.gamma(self.shape, self.spread / self.shape, size)
-        return np.sqrt(g)
+    def _fill(self, rng, out):
+        # Generator.gamma's scale * standard_gamma, in place
+        rng.standard_gamma(self.shape, out=out)
+        out *= self.spread / self.shape
+        np.sqrt(out, out=out)
 
     def cdf(self, x):
         if x <= 0:
@@ -303,15 +316,20 @@ class DiscreteMixture(FadingDistribution):
         object.__setattr__(self, "_values", np.array([v for v, _ in self.atoms]))
         object.__setattr__(self, "_cdf", cdf)
 
-    def sample(self, rng, size=None):
+    def _fill(self, rng, out):
         # Generator.choice(len(atoms), size, p=probs) without its checks of p:
-        # the same uniforms, and the count of cdf entries <= u (searchsorted right)
-        u = rng.random(size)
-        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(self._cdf)))
-        for c in self._cdf:
-            idx += u >= c
-        del u  # before the gather: one chunk-sized float array at a time
-        return self._values[idx]
+        # the same uniforms, and the count of cdf entries <= u (searchsorted
+        # right), block by block so the temporaries stay small
+        if not out.flags.c_contiguous:  # reshape would copy, losing the draws
+            raise ValueError("a discrete law fills only C-contiguous arrays")
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _SAMPLE_BLOCK):
+            u = flat[start:start + _SAMPLE_BLOCK]
+            rng.random(out=u)
+            idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(self._cdf)))
+            for c in self._cdf:
+                idx += u >= c
+            u[...] = self._values[idx]
 
 
 _LAWS = {law.TYPE: law for law in (Constant, Rayleigh, Rician, Nakagami, DiscreteMixture)}

@@ -25,9 +25,10 @@ Carlo over a grid of (law, mode, pair, statistic) cells.  Each law's
 moments are computed once; each cell draws from its own generator,
 seeded from its label, so the cells run on every core this process may
 use (``os.sched_getaffinity``) and the rows do not depend on how many.
-A cell draws a chunk's fading whole, then its noise in row blocks of at
-most ``BLOCK_BYTES`` into one reused buffer, where the statistic is
-formed in place; the rows equal those of whole-chunk draws bit for bit.
+Each thread reuses one chunk-sized fading buffer for all its cells: the
+law fills it a chunk at a time, and the chunk's noise goes in row blocks
+of at most ``BLOCK_BYTES`` into the thread's block buffer, where the
+statistic is formed in place; the rows equal whole-chunk draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -557,27 +558,25 @@ class MomentReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _cell_moments(dist, m, mode, u_center, u_sent, sigma2, th_mean, draws, chunk, rng):
+def _cell_moments(dist, m, mode, u_center, u_sent, sigma2, th_mean, draws, rng, buffers):
     """Empirical (mean, var, se_mean, se_var) of the verifier statistic.
 
-    A chunk draws its fading whole, then its noise block by block into
-    one reused buffer of at most BLOCK_BYTES, where the received word is
-    centered, squared and row-summed in place.  Standard normals fill the
-    buffer in stream order, so the statistic equals the one whole-chunk
-    draws give, bit for bit.  Accumulation is centered on the
-    closed-form mean th_mean so the fourth-power sums stay small; it is
-    added back before returning.
+    The law fills the calling thread's (chunk, n) fading buffer a chunk at
+    a time, then the chunk's noise goes block by block into its (rows, n)
+    block buffer, where the received word is centered, squared and
+    row-summed in place.  Standard normals fill the buffer in stream order,
+    so the statistic equals the one whole-chunk draws give, bit for bit.
+    Accumulation is centered on the closed-form mean th_mean so the
+    fourth-power sums stay small; it is added back before returning.
     """
-    n = u_center.size
+    fading, block, scratch = buffers  # scratch: h * u_sent, then h * u_center
+    (chunk, n), rows = fading.shape, len(block)
     sigma = math.sqrt(sigma2)
-    rows = min(max(1, BLOCK_BYTES // (8 * n)), chunk, draws)
-    block = np.empty((rows, n))  # noise, then the centered received word
-    scratch = np.empty((rows, n))  # h * u_sent, then h * u_center
     nocsi_center = m.c * u_center
     s1 = s2 = s3 = s4 = 0.0
     for done in range(0, draws, chunk):
         b = min(chunk, draws - done)
-        h = np.asarray(dist.sample(rng, (b, n)), dtype=float)
+        h = dist.sample(rng, out=fading[:b])
         w = np.empty(b)
         for r0 in range(0, b, rows):
             r1 = min(r0 + rows, b)
@@ -631,13 +630,18 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
                     cells.append((label, stat_name, dist, m, mode, u_center, sent,
                                   impostor_moments(u_center, sent, cfg.sigma2, m, mode)))
+    chunk = min(cfg.chunk, cfg.draws)
+    block_rows = min(max(1, BLOCK_BYTES // (8 * cfg.n)), chunk)
+    local = threading.local()
 
     def run_cell(cell) -> tuple[list[MomentCheckRow], float]:
         t_cell = time.perf_counter()
         label, stat_name, dist, m, mode, u_center, sent, (th_mean, th_var) = cell
+        if not hasattr(local, "buffers"):  # this thread's fading, block, scratch
+            local.buffers = tuple(np.empty((r, cfg.n)) for r in (chunk, block_rows, block_rows))
         rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
         est_mean, est_var, se_mean, se_var = _cell_moments(
-            dist, m, mode, u_center, sent, cfg.sigma2, th_mean, cfg.draws, cfg.chunk, rng)
+            dist, m, mode, u_center, sent, cfg.sigma2, th_mean, cfg.draws, rng, local.buffers)
         rows = []
         for quantity, formula, est, se in (("mean", th_mean, est_mean, se_mean),
                                            ("variance", th_var, est_var, se_var)):

@@ -193,6 +193,21 @@ def test_rate_report_assembly():
     assert rep2.outage_capacity < rep2.ergodic_capacity
 
 
+@pytest.mark.parametrize("dist,snr,eps,says", [
+    (Rayleigh(1.0), None, 0.1, "snr: required with fading/outage_eps"),
+    (Rayleigh(1.0), None, None, "snr: required with fading"),
+    (None, 4.0, None, "fading: required with snr"),
+    (None, 4.0, 0.1, "fading: required with snr/outage_eps"),
+    (None, None, 0.1, "fading/snr: required with outage_eps"),
+    (None, None, 2.0, "fading/snr: required with outage_eps"),  # refused before eps is read
+], ids=["no-snr", "law-only", "snr-only", "no-law", "eps-only", "bad-eps-only"])
+def test_rate_report_refuses_a_partial_capacity_request(dist, snr, eps, says):
+    # the capacities need a law and an snr, or neither; a partial request
+    # would otherwise come back with both capacities None
+    with pytest.raises(ValueError, match=f"^{says}$"):
+        rate_report(1024, 512, 1.0, 4.0, dist, snr, eps)
+
+
 def test_constructed_codebooks_respect_the_packing_bound():
     from dicode.codebook import plan_params
 

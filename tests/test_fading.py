@@ -214,13 +214,16 @@ MIXTURES = {
 
 
 class _Uniforms:
-    """A stand-in generator whose random() returns fixed uniforms."""
+    """A stand-in generator whose random() returns, or fills out with, fixed uniforms."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, size=None):
-        return self.u
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.u
+        out[...] = self.u
+        return out
 
 
 @pytest.mark.parametrize("name", sorted(MIXTURES))
@@ -232,18 +235,20 @@ def test_discrete_sampler_lookup_equals_searchsorted(name):
     u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
                         np.random.default_rng(4).random(1000)])
     u = u[u < 1.0]  # what Generator.random draws
-    assert np.array_equal(law.sample(_Uniforms(u)), values[cdf.searchsorted(u, side="right")])
+    assert np.array_equal(law.sample(_Uniforms(u), u.size),
+                          values[cdf.searchsorted(u, side="right")])
     for x in u:
         got = law.sample(_Uniforms(float(x)))
         assert type(got) is np.float64 and got == values[cdf.searchsorted(x, side="right")]
     # both count every entry, the last one included, so u = 1 runs past the last atom
     with pytest.raises(IndexError):
-        law.sample(_Uniforms(np.array([1.0])))
+        law.sample(_Uniforms(np.array([1.0])), 1)
     with pytest.raises(IndexError):
         values[cdf.searchsorted(np.array([1.0]), side="right")]
 
 
-@pytest.mark.parametrize("size", [None, 1, 1000, (40, 7)], ids=repr)
+# (3, 50_000): more than two sampling blocks of 2^16 uniforms, not a multiple of one
+@pytest.mark.parametrize("size", [None, 1, 1000, (40, 7), (3, 50_000)], ids=repr)
 @pytest.mark.parametrize("name", sorted(MIXTURES))
 def test_discrete_sampler_draws_what_numpy_choice_draws(name, size):
     atoms = MIXTURES[name]
@@ -259,3 +264,37 @@ def test_discrete_sampler_draws_what_numpy_choice_draws(name, size):
     # both generators stand at the same point of their streams
     assert ours.random() == theirs.random()
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+LAWS = {
+    "constant": Constant(-1.5),
+    "rayleigh": Rayleigh(0.7),
+    "rician": Rician(2.0, 1.3),
+    "nakagami": Nakagami(0.7, 2.5),
+    "discrete": DiscreteMixture(MIXTURES["negative and unsorted"]),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40, 7), (3, 50_000)], ids=repr)
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_filling_a_buffer_draws_what_sampling_a_size_draws(name, shape):
+    # (3, 50_000) fills a discrete law's buffer in three blocks, the last partial
+    law = LAWS[name]
+    sized, filled = np.random.default_rng(12), np.random.default_rng(12)
+    buf = np.full(shape, np.nan)
+    for _ in range(2):  # a reused buffer is overwritten whole
+        want = law.sample(sized, shape if shape else None)
+        got = law.sample(filled, out=buf)
+        assert got is buf
+        assert np.array_equal(got, want)
+        assert sized.bit_generator.state == filled.bit_generator.state
+    if not shape:  # no size: a numpy float64 scalar, not a 0-d array
+        assert type(want) is np.float64
+
+
+@pytest.mark.parametrize("name", sorted(set(LAWS) - {"constant"}))
+def test_a_strided_buffer_is_refused_not_filled_in_a_copy(name):
+    buf = np.zeros((4, 6))
+    with pytest.raises(ValueError):
+        LAWS[name].sample(np.random.default_rng(0), out=buf[:, ::2])
+    assert not buf.any()

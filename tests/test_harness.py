@@ -24,7 +24,7 @@ from dicode.harness import (
     wilson_interval,
     write_text_atomic,
 )
-from dicode.fading import Constant, DiscreteMixture, Rayleigh
+from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh
 
 
 def small_config(**overrides):
@@ -313,8 +313,8 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
 class _NanLaw(Constant):
     """Constant fading's closed-form moments, but every draw is NaN."""
 
-    def sample(self, rng, size=None):
-        return np.full(size, math.nan)
+    def _fill(self, rng, out):
+        out.fill(math.nan)
 
 
 def test_moment_rows_with_non_finite_estimates_fail():
@@ -404,6 +404,32 @@ def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
         assert calls == Counter(laws)  # once per law, not once per cell
         assert len(report.cell_s) == len(want) // 2
         assert all(s >= 0 for s in report.cell_s)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law", [
+    Constant(1.0), Rayleigh(1.0), Nakagami(2.0, 1.0),
+    DiscreteMixture(((0.0, 0.3), (1.0, 0.7))),
+    DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))),
+], ids=["constant", "rayleigh", "nakagami", "atom-at-zero", "skewed"])
+def test_moment_grid_peak_memory_is_one_chunk_buffer_per_thread(monkeypatch, law, threads):
+    # the benchmark's laws and shape: each thread holds one (chunk, n) fading
+    # buffer and two row blocks, and the law's own temporaries stay small
+    import tracemalloc
+
+    import dicode.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "_usable_cores", lambda: threads)
+    cfg = MomentGridConfig(distributions=(law,), n=64, draws=20_000, pair_count=1)
+    per_thread = cfg.chunk * cfg.n * 8 + 2 * harness_mod.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        report = moment_validation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 8
+    assert peak <= threads * 1.15 * per_thread, peak / per_thread
 
 
 class _HugeBook:
