@@ -67,7 +67,8 @@ BOUNDS_KEYS = {
 MOMENTS_KEYS = {
     "distributions": Key(list, "list of fading law records to sweep", min=1, required=True,
                          parse=parse_distribution),
-    "modes": Key(list, "verifier modes to check", choices=("csi", "nocsi")),
+    "modes": Key(list, "verifiers to check: csi is the csi-fast ball at h*u, "
+                 "nocsi the no-csi ball at E[h]*u", min=1, choices=("csi", "nocsi")),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
     "sigma2": Key(float, "noise variance", min=0),
@@ -231,11 +232,8 @@ def cmd_bounds(args) -> int:
 def cmd_moments(args) -> int:
     cfg = _load_config(args)
     cfg["seed"] = _seed(args, cfg.get("seed"))
-    kw = resolve(cfg, MOMENTS_KEYS)
-    kw["distributions"] = tuple(kw["distributions"])
-    if "modes" in kw:
-        kw["modes"] = tuple(kw["modes"])
-    grid = MomentGridConfig(**kw)
+    kw = resolve(cfg, MOMENTS_KEYS)  # the grid holds its lists (laws, modes) as tuples
+    grid = MomentGridConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()})
     report = moment_validation(grid)
     outputs = {"moments.json": report.to_json() + "\n"}
     if args.format == "csv":

@@ -21,11 +21,11 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
 * ``verify(Y, u, H, tau, out=None)`` takes a (rows, n) block of received
   words with the matching fading block H (None on AWGN, one coefficient
   per row for slow fading, a (rows, n) block for fast fading) and
-  returns the accept and outage masks.  The statistic of a row is one
-  row-sum, sum_j (Y_j - center_j)^2.  ``out``, an array shaped like Y,
-  takes the centers and the squared differences; a caller that decides
-  many blocks passes the same one each time, so no block-sized array
-  is allocated per call.
+  returns the accept and outage masks.  Each row is decided by
+  ``statistic``, sum_j (Y_j - center_j)^2, the one definition that the
+  moment grid (``harness.moment_validation``) reads too.  ``out``, shaped
+  like Y, takes the centers and then the squared differences; a caller that
+  reuses one for every block allocates no block-sized array per call.
 
 One received word y is decided as the block ``y[None]``, with
 ``h[None]`` as its fading.
@@ -119,10 +119,10 @@ def nocsi_threshold(
     return mean + deviation_scale * math.sqrt(var * math.log(u.size))
 
 
-def _ball(Y: np.ndarray, center: np.ndarray, out=None) -> np.ndarray:
-    """Squared distance of every row of Y to center, one row-sum each;
-    out (shaped like Y, and may be center) holds the squared differences."""
-    d = np.subtract(Y, center, out=out)
+def statistic(verifier, Y: np.ndarray, u: np.ndarray, H, out=None) -> np.ndarray:
+    """Ball statistic of each row of Y: sum_j (Y_j - verifier.center(u, H)_j)^2.
+    out, shaped like Y, takes the center and then the squared differences."""
+    d = np.subtract(Y, verifier.center(u, H, out), out=out)
     np.square(d, out=d)
     return d.sum(axis=-1)
 
@@ -141,7 +141,7 @@ class CsiFast:
         return u if H is None else np.multiply(H, u, out=out)
 
     def verify(self, Y, u, H, tau, out=None):
-        accept = _ball(Y, self.center(u, H, out), out) <= tau
+        accept = statistic(self, Y, u, H, out) <= tau
         return accept, np.zeros_like(accept)
 
 
@@ -166,7 +166,7 @@ class CsiSlow:
 
     def verify(self, Y, u, H, tau, out=None):
         outage = np.abs(H) < self.outage_threshold
-        return (_ball(Y, self.center(u, H, out), out) <= tau) & ~outage, outage
+        return (statistic(self, Y, u, H, out) <= tau) & ~outage, outage
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,6 @@ class NoCsi:
         return self.moments.c * u  # one row, broadcast over the block
 
     def verify(self, Y, u, H, tau, out=None):
-        accept = _ball(Y, self.center(u, H), out) <= tau
+        accept = statistic(self, Y, u, H, out) <= tau
         return accept, np.zeros_like(accept)
 

@@ -28,7 +28,7 @@ from .errors import DegenerateFadingError, QuadratureError
 
 _QUAD_REL = 1e-10  # target passed to quad; contract is 1e-8 relative
 _MOMENT_REL = 1e-8
-_SAMPLE_BLOCK = 1 << 16  # entries of a discrete law's uniforms per block
+_SAMPLE_BLOCK = 1 << 16  # entries per block of a law that draws in blocks (_blocks)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,14 @@ class FadingDistribution:
     def to_config(self) -> dict:
         """The record parse_distribution builds this law from."""
         return {"type": self.TYPE, **{name: _plain(getattr(self, name)) for name in self.KEYS}}
+
+
+def _blocks(out: np.ndarray):
+    """C-contiguous flat views of out, _SAMPLE_BLOCK entries each, in order."""
+    if not out.flags.c_contiguous:  # reshape would copy, losing the draws
+        raise ValueError("a law that draws in blocks fills only C-contiguous arrays")
+    flat = out.reshape(-1)
+    return (flat[i:i + _SAMPLE_BLOCK] for i in range(0, flat.size, _SAMPLE_BLOCK))
 
 
 def _plain(value):  # a parameter as its record holds it: tuples become lists
@@ -201,7 +209,8 @@ class Rician(FadingDistribution):
         rng.standard_normal(out=out)
         out *= s
         out += nu
-        np.hypot(out, s * rng.standard_normal(out.shape), out=out)
+        for x in _blocks(out):  # the second normals a block at a time, in stream order
+            np.hypot(x, s * rng.standard_normal(x.size), out=x)
 
     def pdf(self, x):
         # written so the Bessel factor never overflows: I0(z) = i0e(z) e^z
@@ -320,11 +329,7 @@ class DiscreteMixture(FadingDistribution):
         # Generator.choice(len(atoms), size, p=probs) without its checks of p:
         # the same uniforms, and the count of cdf entries <= u (searchsorted
         # right), block by block so the temporaries stay small
-        if not out.flags.c_contiguous:  # reshape would copy, losing the draws
-            raise ValueError("a discrete law fills only C-contiguous arrays")
-        flat = out.reshape(-1)
-        for start in range(0, flat.size, _SAMPLE_BLOCK):
-            u = flat[start:start + _SAMPLE_BLOCK]
+        for u in _blocks(out):
             rng.random(out=u)
             idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(self._cdf)))
             for c in self._cdf:

@@ -20,15 +20,15 @@ reuses them for every block it sends, so the trial loop makes no
 block-sized allocation: no page-fault or unmap churn, and no thread
 waits on another's memory-map changes.
 
-Moment validation checks the closed-form statistic moments by Monte
-Carlo over a grid of (law, mode, pair, statistic) cells.  Each law's
-moments are computed once; each cell draws from its own generator,
-seeded from its label, so the cells run on every core this process may
-use (``os.sched_getaffinity``) and the rows do not depend on how many.
-Each thread reuses one chunk-sized fading buffer for all its cells: the
-law fills it a chunk at a time, and the chunk's noise goes in row blocks
-of at most ``BLOCK_BYTES`` into the thread's block buffer, where the
-statistic is formed in place; the rows equal whole-chunk draws bit for bit.
+Moment validation checks, by Monte Carlo, the closed-form moments of
+``decoder.statistic`` as ``CsiFast`` (mode "csi") and ``NoCsi`` (mode
+"nocsi") read it, over a grid of (law, mode, pair, statistic) cells.
+Each law's moments are computed once; each cell draws from its own
+generator, seeded from its label, so the cells run on every core this
+process may use (``os.sched_getaffinity``) and the rows do not depend
+on how many.  Each thread reuses one chunk of fading buffer and one
+block buffer for all its cells: the noise goes in row blocks of at most
+``BLOCK_BYTES``, and the rows equal whole-chunk draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -56,7 +56,7 @@ from .channel import (ChannelModel, FastFading, SlowFading, block_buffers, parse
                       transmit)
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, resolve
-from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments
+from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments, statistic
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
 from .packing import PROFILES, generate_expurgated, load_csv, parse_spec
@@ -558,21 +558,19 @@ class MomentReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _cell_moments(dist, m, mode, u_center, u_sent, sigma2, th_mean, draws, rng, buffers):
-    """Empirical (mean, var, se_mean, se_var) of the verifier statistic.
+def _cell_moments(dist, verifier, u_center, u_sent, sigma2, th_mean, draws, rng, buffers):
+    """Empirical (mean, var, se_mean, se_var) of the verifier's statistic.
 
     The law fills the calling thread's (chunk, n) fading buffer a chunk at
-    a time, then the chunk's noise goes block by block into its (rows, n)
-    block buffer, where the received word is centered, squared and
-    row-summed in place.  Standard normals fill the buffer in stream order,
-    so the statistic equals the one whole-chunk draws give, bit for bit.
-    Accumulation is centered on the closed-form mean th_mean so the
-    fourth-power sums stay small; it is added back before returning.
+    a time; the chunk's noise goes block by block into its (rows, n) block
+    buffer, and each block goes through ``decoder.statistic``, as in
+    ``verify``.  Normals fill the buffer in stream order, so the rows equal
+    whole-chunk draws bit for bit.  The sums are centered on the closed-form
+    mean th_mean so the fourth powers stay small; it is added back at the end.
     """
-    fading, block, scratch = buffers  # scratch: h * u_sent, then h * u_center
+    fading, block, scratch = buffers  # scratch: h * u_sent, then the statistic's out
     (chunk, n), rows = fading.shape, len(block)
     sigma = math.sqrt(sigma2)
-    nocsi_center = m.c * u_center
     s1 = s2 = s3 = s4 = 0.0
     for done in range(0, draws, chunk):
         b = min(chunk, draws - done)
@@ -584,8 +582,7 @@ def _cell_moments(dist, m, mode, u_center, u_sent, sigma2, th_mean, draws, rng, 
             rng.standard_normal(out=y)
             y *= sigma
             y += np.multiply(hb, u_sent, out=tmp)
-            y -= np.multiply(hb, u_center, out=tmp) if mode == "csi" else nocsi_center
-            np.sum(np.square(y, out=y), axis=1, out=w[r0:r1])
+            w[r0:r1] = statistic(verifier, y, u_center, hb, tmp)
         w -= th_mean
         s1 += float(w.sum())
         s2 += float((w * w).sum())
@@ -624,11 +621,14 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
     cells = []
     for dist in cfg.distributions:
         m = dist.moments()
+        verifiers = {"csi": CsiFast(cfg.sigma2), "nocsi": NoCsi(cfg.sigma2, m)}
         for mode in cfg.modes:
+            if mode not in verifiers:
+                raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
             for pi, (u_center, u_sent) in enumerate(pairs):
                 label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
-                    cells.append((label, stat_name, dist, m, mode, u_center, sent,
+                    cells.append((label, stat_name, dist, verifiers[mode], u_center, sent,
                                   impostor_moments(u_center, sent, cfg.sigma2, m, mode)))
     chunk = min(cfg.chunk, cfg.draws)
     block_rows = min(max(1, BLOCK_BYTES // (8 * cfg.n)), chunk)
@@ -636,12 +636,12 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
 
     def run_cell(cell) -> tuple[list[MomentCheckRow], float]:
         t_cell = time.perf_counter()
-        label, stat_name, dist, m, mode, u_center, sent, (th_mean, th_var) = cell
+        label, stat_name, dist, verifier, u_center, sent, (th_mean, th_var) = cell
         if not hasattr(local, "buffers"):  # this thread's fading, block, scratch
             local.buffers = tuple(np.empty((r, cfg.n)) for r in (chunk, block_rows, block_rows))
         rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
         est_mean, est_var, se_mean, se_var = _cell_moments(
-            dist, m, mode, u_center, sent, cfg.sigma2, th_mean, cfg.draws, rng, local.buffers)
+            dist, verifier, u_center, sent, cfg.sigma2, th_mean, cfg.draws, rng, local.buffers)
         rows = []
         for quantity, formula, est, se in (("mean", th_mean, est_mean, se_mean),
                                            ("variance", th_var, est_var, se_var)):

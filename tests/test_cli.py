@@ -446,6 +446,7 @@ BAD_SETTINGS = [
     ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
     ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),
     ("moments", 'modes=["csi", "nocs"]', ["modes[1] must be one of", "did you mean 'nocsi'"]),
+    ("moments", "modes=[]", ["modes has 0 entries, fewer than 1"]),  # else it checks nothing
     ("packing", "projecton.mu=0.5", ["'projecton.mu'", "did you mean 'projection.mu'"]),
     ("packing", "spec.power_bound=NaN", ["spec.power_bound must be finite"]),
     ("packing", "spec.target_size=0", ["spec.target_size must be at least 1"]),

@@ -9,9 +9,9 @@ they get two independent oracles here:
    (no shared helpers with the implementation), with standard-error
    tolerances.
 
-Verdicts are checked the same way: the block ``verify`` against the
-statistic sum_j (y_j - center_j)^2 coded inline, compared with the
-threshold, and against |h| < radius for slow-fading outage.
+Verdicts are checked the same way: ``statistic`` and the block
+``verify`` against sum_j (y_j - center_j)^2 coded inline, compared with
+the threshold, and against |h| < radius for slow-fading outage.
 """
 
 import math
@@ -26,6 +26,7 @@ from dicode.decoder import (
     NoCsi,
     impostor_moments,
     nocsi_threshold,
+    statistic,
     threshold_csi,
 )
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
@@ -266,6 +267,10 @@ def test_block_verify_decides_every_row_by_its_ball_statistic():
         assert accept.any() and not accept.all()
         assert outage.sum() == (3 if isinstance(spec, CsiSlow) else 0)  # |h| < 0.1 thrice
         stats = np.sum((Yb - centers) ** 2, axis=1)
+        assert np.array_equal(statistic(spec, Yb, u, Hb), stats)
+        reused = np.full((rows, n), np.nan)
+        for _ in range(2):  # a reused out leaves nothing behind for the next call
+            assert np.array_equal(statistic(spec, Yb, u, Hb, reused), stats)
         assert np.array_equal(outage, want_outage)
         assert np.array_equal(accept, (stats <= tau) & ~want_outage)
         # a scratch block changes no verdict and leaves Y and H as they were

@@ -278,7 +278,7 @@ LAWS = {
 @pytest.mark.parametrize("shape", [(), (1,), (40, 7), (3, 50_000)], ids=repr)
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_filling_a_buffer_draws_what_sampling_a_size_draws(name, shape):
-    # (3, 50_000) fills a discrete law's buffer in three blocks, the last partial
+    # (3, 50_000) fills a discrete or Rician law's buffer in three blocks, the last partial
     law = LAWS[name]
     sized, filled = np.random.default_rng(12), np.random.default_rng(12)
     buf = np.full(shape, np.nan)

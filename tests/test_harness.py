@@ -24,7 +24,7 @@ from dicode.harness import (
     wilson_interval,
     write_text_atomic,
 )
-from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh
+from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician
 
 
 def small_config(**overrides):
@@ -310,6 +310,20 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(r.ok for r in var_rows)
 
 
+def test_moment_grid_refuses_an_unknown_mode_before_drawing(monkeypatch):
+    # "csi-fast" names a `simulate` verifier, not a grid mode
+    import dicode.harness as harness_mod
+
+    def no_draws(*args):
+        raise AssertionError("a cell was drawn")
+
+    monkeypatch.setattr(harness_mod, "_cell_moments", no_draws)
+    cfg = MomentGridConfig(distributions=(Constant(1.0),), n=16, draws=200, pair_count=1,
+                           modes=("csi-fast",))
+    with pytest.raises(ValueError, match="'csi-fast'"):
+        moment_validation(cfg)
+
+
 class _NanLaw(Constant):
     """Constant fading's closed-form moments, but every draw is NaN."""
 
@@ -375,7 +389,7 @@ def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
     from collections import Counter
 
     import dicode.harness as harness_mod
-    from dicode.fading import FadingDistribution, Nakagami, Rician
+    from dicode.fading import FadingDistribution
 
     laws = (Constant(1.0), Rayleigh(1.0), Rician(1.5, 2.0), Nakagami(2.0, 1.0),
             DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))))
@@ -408,14 +422,20 @@ def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("law", [
-    Constant(1.0), Rayleigh(1.0), Nakagami(2.0, 1.0),
+    Constant(1.0), Rayleigh(1.0), Rician(1.5, 2.0), Nakagami(2.0, 1.0),
     DiscreteMixture(((0.0, 0.3), (1.0, 0.7))),
     DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))),
-], ids=["constant", "rayleigh", "nakagami", "atom-at-zero", "skewed"])
+], ids=["constant", "rayleigh", "rician", "nakagami", "atom-at-zero", "skewed"])
 def test_moment_grid_peak_memory_is_one_chunk_buffer_per_thread(monkeypatch, law, threads):
     # the benchmark's laws and shape: each thread holds one (chunk, n) fading
     # buffer and two row blocks, and the law's own temporaries stay small
     import tracemalloc
+
+    # Rician moments run a quadrature that imports scipy on first use; its
+    # allocations are the import's, not the grid's
+    import scipy.integrate  # noqa: F401
+    import scipy.special  # noqa: F401
+    import scipy.stats  # noqa: F401
 
     import dicode.harness as harness_mod
 
