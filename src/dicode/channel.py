@@ -1,10 +1,14 @@
 """Channel simulation: y_t = h_t x_t + z_t with iid N(0, sigma^2) noise.
 
-Three variants share one entry point:
+Three channels share one base class, ``ChannelModel``, and one entry point:
 
 * ``Awgn``        h = 1 for the whole block
 * ``SlowFading``  one fading draw per block, constant across coordinates
 * ``FastFading``  iid fading draws per coordinate
+
+Each declares its record ``TYPE`` and the shape of its fading draws
+(``FADING_DIMS``).  ``CHANNELS`` lists them by type for ``parse_channel``
+and the simulate key table, so no caller checks a channel's class.
 
 ``transmit`` sends one word per supplied Generator, as the rows of one
 (rows, n) block; a single word is a one-row block.  Each Generator draws
@@ -19,52 +23,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .fading import FadingDistribution
 
 
-@dataclass(frozen=True)
-class Awgn:
-    sigma2: float = 1.0
+class ChannelModel:
+    """A channel: its record is a ``TYPE``, ``sigma2`` and any ``fading`` law.  Its
+    fading draws H span the first ``FADING_DIMS`` axes of a (rows, n) block: none
+    (h = 1), one draw per row, or one per coordinate."""
 
     def __post_init__(self):
         if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
             raise ValueError("noise variance must be nonnegative and finite")
 
     def to_config(self):
-        return {"type": "awgn", "sigma2": self.sigma2}
+        record = {"type": self.TYPE, "sigma2": self.sigma2}
+        if self.FADING_DIMS:
+            record["fading"] = self.fading.to_config()
+        return record
 
 
 @dataclass(frozen=True)
-class SlowFading:
+class Awgn(ChannelModel):
+    TYPE, FADING_DIMS = "awgn", 0
+    sigma2: float = 1.0
+
+
+@dataclass(frozen=True)
+class SlowFading(ChannelModel):
+    TYPE, FADING_DIMS = "slow-fading", 1
     fading: FadingDistribution
     sigma2: float = 1.0
 
-    def __post_init__(self):
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise ValueError("noise variance must be nonnegative and finite")
-
-    def to_config(self):
-        return {"type": "slow-fading", "sigma2": self.sigma2, "fading": self.fading.to_config()}
-
 
 @dataclass(frozen=True)
-class FastFading:
+class FastFading(ChannelModel):
+    TYPE, FADING_DIMS = "fast-fading", 2
     fading: FadingDistribution
     sigma2: float = 1.0
 
-    def __post_init__(self):
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise ValueError("noise variance must be nonnegative and finite")
 
-    def to_config(self):
-        return {"type": "fast-fading", "sigma2": self.sigma2, "fading": self.fading.to_config()}
-
-
-ChannelModel = Union[Awgn, SlowFading, FastFading]
+# the channel types a `channel` record may name, in --help order
+CHANNELS = {model.TYPE: model for model in (Awgn, SlowFading, FastFading)}
 
 
 def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
@@ -102,27 +104,24 @@ def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
 
 def block_buffers(model: ChannelModel, rows: int, n: int):
     """Uninitialised (Y, H) arrays for ``rows`` received words of length n."""
-    if not isinstance(model, (Awgn, SlowFading, FastFading)):
+    if not isinstance(model, ChannelModel):
         raise TypeError(f"unknown channel model {model!r}")
-    H = None
-    if isinstance(model, SlowFading):
-        H = np.empty(rows)
-    elif isinstance(model, FastFading):
-        H = np.empty((rows, n))
+    H = np.empty((rows, n)[:model.FADING_DIMS]) if model.FADING_DIMS else None
     return np.empty((rows, n)), H
 
 
 def parse_channel(cfg: dict) -> ChannelModel:
     """The channel of a resolved ``channel`` record, whose fading law is already built."""
     kind, fading = cfg.get("type"), cfg.get("fading")
-    sigma2 = cfg.get("sigma2", 1.0)
-    if kind == "awgn":
-        if fading is not None:
-            raise ValueError("channel.fading is set, but an awgn channel has no fading; "
-                             "use slow-fading or fast-fading, or drop channel.fading")
-        return Awgn(sigma2)
-    if kind not in ("slow-fading", "fast-fading"):
+    if kind not in CHANNELS:
         raise ValueError(f"unknown channel type {kind!r}")
+    model, sigma2 = CHANNELS[kind], cfg.get("sigma2", 1.0)
+    if not model.FADING_DIMS:
+        if fading is not None:
+            faded = " or ".join(k for k, m in CHANNELS.items() if m.FADING_DIMS)
+            raise ValueError(f"channel.fading is set, but an {kind} channel has no fading; "
+                             f"use {faded}, or drop channel.fading")
+        return model(sigma2)
     if fading is None:
         raise ValueError(f"a {kind} channel needs channel.fading, a fading law record")
-    return (SlowFading if kind == "slow-fading" else FastFading)(fading, sigma2)
+    return model(fading, sigma2)

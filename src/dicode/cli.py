@@ -24,6 +24,7 @@ import traceback
 from .bounds import min_distance_lower_bound, rate_report
 from .codebook import PLAN_KEYS, ConcatCodebook, codewords_csv, plan_params
 from .config import Key, epilog, resolve
+from .decoder import GRID_MODES, VERIFIERS
 from .errors import ValidationFailure
 from .fading import parse_distribution
 from .harness import (
@@ -67,8 +68,9 @@ BOUNDS_KEYS = {
 MOMENTS_KEYS = {
     "distributions": Key(list, "list of fading law records to sweep", min=1, required=True,
                          parse=parse_distribution),
-    "modes": Key(list, "verifiers to check: csi is the csi-fast ball at h*u, "
-                 "nocsi the no-csi ball at E[h]*u", min=1, choices=("csi", "nocsi")),
+    "modes": Key(list, "verifiers to check: " + ", ".join(
+        f"{grid} {'the' if i else 'is the'} {mode} ball at {VERIFIERS[mode].CENTER}"
+        for i, (grid, mode) in enumerate(GRID_MODES.items())), min=1, choices=tuple(GRID_MODES)),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
     "sigma2": Key(float, "noise variance", min=0),
@@ -277,8 +279,7 @@ def cmd_packing(args) -> int:
         "profile": report.profile, "seed": report.seed, "sampled": report.sampled,
         "requested": report.requested, "survivors": report.survivors,
         "distance_floor": report.distance_floor,
-        "removed": {"power": report.removed_power, "fourth": report.removed_fourth,
-                    "band": report.removed_band, "distance": report.removed_distance},
+        "removed": report.removed,
     }
     passed = True
     if kw["check_projection"]:

@@ -29,6 +29,10 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
 
 One received word y is decided as the block ``y[None]``, with
 ``h[None]`` as its fading.
+
+Each verifier declares its ``simulate`` ``MODE``, the channel types it
+``SERVES`` and its ball ``CENTER``; ``VERIFIERS`` lists them by mode and
+``GRID_MODES`` names each moment-grid mode's verifier.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def impostor_moments(
     transmitted and identity u is being verified (fast fading).
 
     With u_sent == u these are exactly the genuine-statistic moments.
-    mode "csi" centers at h*u; mode "nocsi" centers at c*u.
+    mode, a key of ``GRID_MODES``: "csi" centers at h*u, "nocsi" at c*u.
     """
     u = np.asarray(u, dtype=float)
     u_sent = np.asarray(u_sent, dtype=float)
@@ -95,7 +99,7 @@ def impostor_moments(
             + 4 * c * c * m.variance * float(np.sum(u_sent**2 * diff**2))
         )
         return mean, var
-    raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
+    raise ValueError(f"mode must be one of {', '.join(map(repr, GRID_MODES))}, got {mode!r}")
 
 
 def nocsi_threshold(
@@ -131,6 +135,7 @@ def statistic(verifier, Y: np.ndarray, u: np.ndarray, H, out=None) -> np.ndarray
 class CsiFast:
     """CSI per coordinate: the ball is centered at h * u (u on AWGN)."""
 
+    MODE, SERVES, CENTER = "csi-fast", ("awgn", "fast-fading"), "h*u"
     sigma2: float
     deviation_scale: float = 1.0
 
@@ -154,6 +159,7 @@ class CsiSlow:
     unchanged.
     """
 
+    MODE, SERVES, CENTER = "csi-slow", ("slow-fading",), "h*u"
     sigma2: float
     outage_threshold: float
     deviation_scale: float = 1.0
@@ -178,6 +184,7 @@ class NoCsi:
     warns.
     """
 
+    MODE, SERVES, CENTER = "no-csi", ("awgn", "fast-fading"), "E[h]*u"
     sigma2: float
     moments: FadingMoments
     deviation_scale: float = 1.0
@@ -199,3 +206,8 @@ class NoCsi:
         accept = statistic(self, Y, u, H, out) <= tau
         return accept, np.zeros_like(accept)
 
+
+# the `simulate` verifier modes, in --help order
+VERIFIERS = {verifier.MODE: verifier for verifier in (CsiFast, CsiSlow, NoCsi)}
+# each moment-grid mode -> the verifier whose statistic it checks
+GRID_MODES = {"csi": "csi-fast", "nocsi": "no-csi"}

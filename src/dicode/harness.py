@@ -18,12 +18,15 @@ count and the block length; the verdicts are the ones a trial-by-trial
 loop gives.  Each worker thread allocates its block buffers once and
 reuses them for every block it sends, so the trial loop makes no
 block-sized allocation: no page-fault or unmap churn, and no thread
-waits on another's memory-map changes.
+waits on another's memory-map changes.  ``_build_verifier`` builds
+every verifier from the decoder's tables; a run calls it first, so a
+channel its mode does not serve, or outage keys without an outage rule,
+are refused before the codebook is built.
 
 Moment validation checks, by Monte Carlo, the closed-form moments of
-``decoder.statistic`` as ``CsiFast`` (mode "csi") and ``NoCsi`` (mode
-"nocsi") read it, over a grid of (law, mode, pair, statistic) cells.
-Each law's moments are computed once; each cell draws from its own
+``decoder.statistic`` as each grid mode's verifier (``GRID_MODES``) reads
+it over fast fading, built from each law's one moments computation, in a
+grid of (law, mode, pair, statistic) cells.  Each cell draws from its own
 generator, seeded from its label, so the cells run on every core this
 process may use (``os.sched_getaffinity``) and the rows do not depend
 on how many.  Each thread reuses one chunk of fading buffer and one
@@ -52,11 +55,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import (ChannelModel, FastFading, SlowFading, block_buffers, parse_channel,
-                      transmit)
+from .channel import CHANNELS, ChannelModel, FastFading, block_buffers, parse_channel, transmit
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, resolve
-from .decoder import CsiFast, CsiSlow, NoCsi, impostor_moments, statistic
+from .decoder import GRID_MODES, VERIFIERS, CsiFast, NoCsi, impostor_moments, statistic
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
 from .packing import PROFILES, generate_expurgated, load_csv, parse_spec
@@ -81,9 +83,8 @@ CONFIG_KEYS = {
     "schema": Key(int, "config schema version", choices=(_SCHEMA,)),
     "seed": Key(int, "master seed (drawn and echoed if omitted)", min=0),
     "workers": Key(int, "worker count; partitions trials, never changes results", min=1),
-    "channel.type": Key(str, "channel model", required=True,
-                        choices=("awgn", "slow-fading", "fast-fading")),
-    "channel.sigma2": Key(float, "noise variance per coordinate"),
+    "channel.type": Key(str, "channel model", required=True, choices=tuple(CHANNELS)),
+    "channel.sigma2": Key(float, "noise variance per coordinate", min=0),
     "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
                                 "(fading channels only)", parse=parse_distribution),
     "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
@@ -93,14 +94,16 @@ CONFIG_KEYS = {
     "codebook.spec": Key(dict, "packing spec record: the spec.* keys and defaults of "
                                "`dicode packing` (packing)", parse=parse_spec),
     "codebook.path": Key(str, "CSV path, one vector per row (csv)"),
-    "verifier.mode": Key(str, "ball-threshold verifier", default="csi-fast",
-                         choices=("csi-fast", "csi-slow", "no-csi")),
+    "verifier.mode": Key(str, "ball-threshold verifier", default=CsiFast.MODE,
+                         choices=tuple(VERIFIERS)),
     "verifier.deviation_scale": Key(float, "multiplier on the threshold deviation term"),
     "trials.identities": Key(int, "distinct identities sampled for type-I trials", min=1),
     "trials.per_identity": Key(int, "genuine transmissions per identity", min=1),
     "trials.pairs": Key(int, "impostor pairs sampled (includes the close pairs)", min=0),
     "trials.per_pair": Key(int, "impostor transmissions per pair", min=1),
-    "trials.min_distance_pairs": Key(int, "pairs that differ in one outer symbol", min=0),
+    "trials.min_distance_pairs": Key(int, "pairs of an identity and its close partner: d2 outer "
+                                          "symbols apart (concat), the nearest vector (packing, "
+                                          "csv)", min=0),
     "outage_eta": Key(float, "slow fading only: outage probability budget", default=None),
     "allow_degenerate_outage": Key(bool, "admit laws with P(h=0) > eta by forcing radius 0"),
 }
@@ -220,23 +223,13 @@ class ExperimentConfig:
                    verifier_mode=verifier.pop("mode"), **verifier, **kw.pop("trials", {}), **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": _SCHEMA,
-            "channel": self.channel.to_config(),
-            "codebook": self.codebook,
-            "verifier": {"mode": self.verifier_mode, "deviation_scale": self.deviation_scale},
-            "trials": {
-                "identities": self.identities,
-                "per_identity": self.per_identity,
-                "pairs": self.pairs,
-                "per_pair": self.per_pair,
-                "min_distance_pairs": self.min_distance_pairs,
-            },
-            "seed": self.seed,
-            "workers": self.workers,
-            "outage_eta": self.outage_eta,
-            "allow_degenerate_outage": self.allow_degenerate_outage,
-        }
+        """The record from_dict reads back; the trials keys are those of CONFIG_KEYS."""
+        trials = [key[len("trials."):] for key in CONFIG_KEYS if key.startswith("trials.")]
+        return {"schema": _SCHEMA, "channel": self.channel.to_config(), "codebook": self.codebook,
+                "verifier": {"mode": self.verifier_mode, "deviation_scale": self.deviation_scale},
+                "trials": {name: getattr(self, name) for name in trials},
+                **{name: getattr(self, name) for name in ("seed", "workers", "outage_eta",
+                                                          "allow_degenerate_outage")}}
 
 
 def _codebook_args(kw: dict) -> tuple[str, dict]:
@@ -266,44 +259,41 @@ def build_codebook(cfg: dict):
         vectors, report = generate_expurgated(spec, **kw)
         book = ArrayCodebook(vectors)
         summary = {"type": "packing", "spec": spec.to_json_dict(), "profile": report.profile,
-                   "survivors": report.survivors,
-                   "removed": {"power": report.removed_power,
-                               "fourth": report.removed_fourth,
-                               "band": report.removed_band,
-                               "distance": report.removed_distance}}
+                   "survivors": report.survivors, "removed": report.removed}
         return book, summary
     book = ArrayCodebook(load_csv(kw["path"]))
     return book, {"type": "csv", "path": kw["path"], "size": book.size}
 
 
-def _build_verifier(cfg: ExperimentConfig):
-    """Returns (verifier, outage_threshold, degenerate)."""
-    model = cfg.channel
-    mode = cfg.verifier_mode
-    if mode == "csi-fast":
-        if isinstance(model, SlowFading):
-            raise ValueError("csi-fast expects awgn or fast-fading; use csi-slow")
-        return CsiFast(model.sigma2, cfg.deviation_scale), None, False
-    if mode == "csi-slow":
-        if not isinstance(model, SlowFading):
-            raise ValueError("csi-slow needs a slow-fading channel")
-        if cfg.outage_eta is None:
-            raise ValueError("csi-slow needs outage_eta")
-        degenerate = False
+def _build_verifier(mode: str, channel: ChannelModel, deviation_scale: float = 1.0,
+                    outage_eta=None, allow_degenerate_outage=False, moments=None):
+    """(verifier, outage_threshold, degenerate) of mode over channel: the one place a
+    verifier is built.  Refused unless mode serves channel and outage_eta is set just
+    when the verifier has an outage rule.  Its fields say what else it takes: fading
+    moments (given, else the law's; h = 1 on awgn) or the outage radius of outage_eta."""
+    verifier = VERIFIERS[CONFIG_KEYS["verifier.mode"].check("verifier.mode", mode)]
+    if channel.TYPE not in verifier.SERVES:
+        served = " or ".join(m for m, v in VERIFIERS.items() if channel.TYPE in v.SERVES)
+        raise ValueError(f"verifier.mode {mode} serves {' or '.join(verifier.SERVES)} "
+                         f"channels, not {channel.TYPE}; {channel.TYPE} takes {served}")
+    takes = {f.name for f in fields(verifier)}
+    outage = "outage_threshold" in takes
+    if outage != (outage_eta is not None) or (allow_degenerate_outage and not outage):
+        raise ValueError(f"{mode} needs outage_eta" if outage else f"verifier.mode {mode} has "
+                         "no outage rule; drop outage_eta and allow_degenerate_outage")
+    kw, degenerate = {}, False
+    if "moments" in takes:
+        law = channel.fading if channel.FADING_DIMS else Constant(1.0)
+        kw["moments"] = law.moments() if moments is None else moments
+    if outage:
         try:
-            radius = quantile_abs(model.fading, cfg.outage_eta)
+            kw["outage_threshold"] = quantile_abs(channel.fading, outage_eta)
         except DegenerateFadingError:
-            if not cfg.allow_degenerate_outage:
+            if not allow_degenerate_outage:
                 raise
-            radius = 0.0
-            degenerate = True
-        return CsiSlow(model.sigma2, radius, cfg.deviation_scale), radius, degenerate
-    if mode == "no-csi":
-        if isinstance(model, SlowFading):
-            raise ValueError("the CSI-free verifier targets fast fading (or awgn)")
-        dist = model.fading if isinstance(model, FastFading) else Constant(1.0)
-        return NoCsi(model.sigma2, dist.moments(), cfg.deviation_scale), None, False
-    raise ValueError(f"unknown verifier mode {cfg.verifier_mode!r}")
+            kw["outage_threshold"], degenerate = 0.0, True
+    built = verifier(channel.sigma2, deviation_scale=deviation_scale, **kw)
+    return built, kw.get("outage_threshold"), degenerate
 
 
 @dataclass
@@ -347,24 +337,18 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         raise ValueError("trial counts must be positive")
     if not 0 <= cfg.min_distance_pairs <= cfg.pairs:
         raise ValueError("min_distance_pairs cannot exceed pairs")
+    verifier, radius, degenerate = _build_verifier(  # refuses a mismatch before any build
+        cfg.verifier_mode, cfg.channel, cfg.deviation_scale, cfg.outage_eta,
+        cfg.allow_degenerate_outage)
     book, book_summary = build_codebook(cfg.codebook)
-    verifier, radius, degenerate = _build_verifier(cfg)
-    if cfg.verifier_mode == "no-csi" and cfg.codebook.get("type") == "concat":
-        warnings.warn(
-            "CSI-free thresholds were validated for expurgated random codebooks; "
-            "concatenated codebooks ride on the same formulas but carry no "
-            "norm-concentration guarantee",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    slow = isinstance(cfg.channel, SlowFading)
+    if cfg.verifier_mode == NoCsi.MODE and cfg.codebook.get("type") == "concat":
+        warnings.warn("CSI-free thresholds were validated for expurgated random codebooks; "
+                      "concatenated codebooks ride on the same formulas but carry no "
+                      "norm-concentration guarantee", RuntimeWarning, stacklevel=2)
+    slow = cfg.channel.FADING_DIMS == 1  # one h per trial: h = 0 silences the whole word
 
     rng_ids = _gen(cfg.seed, _TAG_IDENTITIES)
     identity_ids = [_uniform_index(rng_ids, book.size) for _ in range(cfg.identities)]
-    codewords = {}
-    for idx in identity_ids:
-        if idx not in codewords:
-            codewords[idx] = np.asarray(book.encode(idx), dtype=float)
 
     rng_pairs = _gen(cfg.seed, _TAG_PAIRS)
     pair_list: list[tuple[int, int, str]] = []
@@ -381,18 +365,14 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     for k in range(cfg.min_distance_pairs):
         sent = identity_ids[k % len(identity_ids)]
         pair_list.append((sent, book.close_partner(sent), "close"))
-    for sent, ver, _ in pair_list:
-        for idx in (sent, ver):
-            if idx not in codewords:
-                codewords[idx] = np.asarray(book.encode(idx), dtype=float)
 
     # one slot per (sent, verified) pair: the genuine slots (i, i) first
     slots = [(i, i, _TAG_TYPE1, k, cfg.per_identity) for k, i in enumerate(identity_ids)]
     slots += [(a, b, _TAG_TYPE2, k, cfg.per_pair) for k, (a, b, _) in enumerate(pair_list)]
-    taus: dict[int, float] = {}
-    for _, ver, *_ in slots:
-        if ver not in taus:
-            taus[ver] = verifier.threshold(codewords[ver])
+    # each codeword is encoded, and each verified one's threshold computed, once
+    codewords = {i: np.asarray(book.encode(i), dtype=float)
+                 for i in dict.fromkeys(i for s in slots for i in s[:2])}
+    taus = {ver: verifier.threshold(codewords[ver]) for ver in dict.fromkeys(s[1] for s in slots)}
     rows = min(max(1, BLOCK_BYTES // (8 * book.n)), max(s[-1] for s in slots))
     local = threading.local()
 
@@ -501,11 +481,13 @@ def _map_threads(fn, items, threads: int) -> list:
 # ---------------------------------------------------------------------------
 # moment-formula validation
 
+_GRID_MODE = Key(str, "moment-grid mode", choices=tuple(GRID_MODES))
+
 
 @dataclass(frozen=True)
 class MomentGridConfig:
     distributions: tuple[FadingDistribution, ...]
-    modes: tuple[str, ...] = ("csi", "nocsi")
+    modes: tuple[str, ...] = tuple(GRID_MODES)
     n: int = 64
     draws: int = 1_000_000
     sigma2: float = 1.0
@@ -621,14 +603,13 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
     cells = []
     for dist in cfg.distributions:
         m = dist.moments()
-        verifiers = {"csi": CsiFast(cfg.sigma2), "nocsi": NoCsi(cfg.sigma2, m)}
         for mode in cfg.modes:
-            if mode not in verifiers:
-                raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
+            verifier, _, _ = _build_verifier(GRID_MODES[_GRID_MODE.check("modes", mode)],
+                                             FastFading(dist, cfg.sigma2), moments=m)
             for pi, (u_center, u_sent) in enumerate(pairs):
                 label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
-                    cells.append((label, stat_name, dist, verifiers[mode], u_center, sent,
+                    cells.append((label, stat_name, dist, verifier, u_center, sent,
                                   impostor_moments(u_center, sent, cfg.sigma2, m, mode)))
     chunk = min(cfg.chunk, cfg.draws)
     block_rows = min(max(1, BLOCK_BYTES // (8 * cfg.n)), chunk)

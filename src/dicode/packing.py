@@ -119,6 +119,11 @@ class ExpurgationReport:
     survivors: int
     distance_floor: float
 
+    @property
+    def removed(self) -> dict:  # each step's removals, as the reports record them
+        return {"power": self.removed_power, "fourth": self.removed_fourth,
+                "band": self.removed_band, "distance": self.removed_distance}
+
 
 def _distance_survivors(draws: np.ndarray, keep: np.ndarray, floor2: float) -> np.ndarray:
     """Indices of the rows in keep at squared distance >= floor2 from every earlier survivor."""

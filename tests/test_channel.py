@@ -113,6 +113,8 @@ def test_rejects_negative_noise_but_allows_zero():
         Awgn(-0.5)
     with pytest.raises(ValueError):
         FastFading(Rayleigh(1.0), -1.0)
+    with pytest.raises(ValueError):  # the one noise check of the shared base class
+        SlowFading(Rayleigh(1.0), math.nan)
 
 
 @pytest.mark.parametrize("model", [

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, and help/docs sync."""
 
+import itertools
 import json
 import pathlib
 import re
@@ -17,7 +18,9 @@ from dicode.cli import (
     _parse_set,
     main,
 )
+from dicode.channel import CHANNELS
 from dicode.config import resolve
+from dicode.decoder import GRID_MODES, VERIFIERS
 from dicode.harness import CONFIG_KEYS, ExperimentConfig
 
 
@@ -359,6 +362,8 @@ VALID_ARGS = {
     "packing": ["spec.n=32", "spec.target_size=20", "spec.distance_exponent=0.05"],
 }
 
+RAYLEIGH = '{"type": "rayleigh", "scale": 1.0}'
+
 # (subcommand, one bad --set or a tuple of them, what stderr must say);
 # bounds has no counts and only simulate and packing have bools
 BAD_SETTINGS = [
@@ -394,6 +399,14 @@ BAD_SETTINGS = [
                                                 "did you mean 'concat'"]),
     ("simulate", "codebook.profile=fourth", ["codebook.profile must be one of"]),
     ("simulate", "schema=2", ["schema must be one of 1, got 2"]),
+    ("simulate", "channel.sigma2=-1", ["channel.sigma2 must be at least 0, got -1.0"]),
+    # outage keys belong to csi-slow, as channel.fading belongs to a fading channel
+    ("simulate", "outage_eta=0.3", ["verifier.mode csi-fast has no outage rule; drop outage_eta"]),
+    ("simulate", "allow_degenerate_outage=true",
+     ["verifier.mode csi-fast has no outage rule", "allow_degenerate_outage"]),
+    ("simulate", ("channel.type=slow-fading", f"channel.fading={RAYLEIGH}"),
+     ["verifier.mode csi-fast serves awgn or fast-fading channels, not slow-fading; "
+      "slow-fading takes csi-slow"]),
     ("bounds", "sigm2=2", ["'sigm2'", "did you mean 'sigma2'"]),
     ("bounds", "snr=NaN", ["snr must be finite"]),
     ("bounds", "lambda.one=0.1", ["'lambda.one'", "did you mean 'lambda"]),
@@ -494,6 +507,9 @@ REFUSALS = [
     ("simulate", ['codebook.spec={"n": 64.5, "target_size": 20, "distance_exponent": 0.05}']),
     ("simulate", ["codebook.n=20", "codebook.a=0.015"]),
     ("simulate", ["verifier.mode=csi-slow"]),
+    ("simulate", ["channel.sigma2=-1"]),
+    ("simulate", ["outage_eta=0.3", "allow_degenerate_outage=true"]),
+    ("simulate", ["channel.type=slow-fading", f"channel.fading={RAYLEIGH}"]),
     ("bounds", ["sigm2=2"]),
     ("bounds", ['fading={"type": "rayleigh", "scale": Infinity}']),
     ("bounds", ["d_min=0"]),
@@ -515,6 +531,47 @@ def test_refused_runs_create_no_outdir(command, settings, tmp_path, capsys):
     assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the (channel type, verifier mode) pairs a simulate run takes; every other pair exits 2
+SERVED = {("awgn", "csi-fast"), ("awgn", "no-csi"), ("slow-fading", "csi-slow"),
+          ("fast-fading", "csi-fast"), ("fast-fading", "no-csi")}
+
+
+@pytest.mark.parametrize("channel,mode", list(itertools.product(CHANNELS, VERIFIERS)),
+                         ids=[f"{c}/{m}" for c, m in itertools.product(CHANNELS, VERIFIERS)])
+def test_each_channel_runs_the_verifiers_it_serves_and_refuses_the_rest(channel, mode, tmp_path,
+                                                                         capsys):
+    # a small packing book, which no-csi thresholds were validated for
+    sets = [f"channel.type={channel}", f"verifier.mode={mode}", "codebook.type=packing",
+            'codebook.spec={"n": 32, "target_size": 20, "distance_exponent": 0.05}',
+            "trials.identities=2", "trials.per_identity=2", "trials.pairs=2", "trials.per_pair=2",
+            "trials.min_distance_pairs=1"]
+    if channel != "awgn":
+        sets.append(f"channel.fading={RAYLEIGH}")
+    if mode == "csi-slow":
+        sets.append("outage_eta=0.1")  # so only the channel can be wrong
+    out = tmp_path / "out"
+    code = run(["simulate", "--outdir", str(out), "--seed", "1",
+                *[arg for item in sets for arg in ("--set", item)]])
+    err = capsys.readouterr().err
+    if (channel, mode) in SERVED:
+        assert code == 0, err
+        config = json.loads((out / "report.json").read_text())["results"]["config"]
+        assert (config["channel"]["type"], config["verifier"]["mode"]) == (channel, mode)
+    else:
+        assert code == 2 and not out.exists()
+        assert f"verifier.mode {mode} serves" in err and f"channels, not {channel};" in err
+
+
+def test_channel_verifier_and_grid_choices_are_their_tables_keys_in_order():
+    # --help lists the choices in this order; only the tables name them
+    assert CONFIG_KEYS["channel.type"].choices == tuple(CHANNELS) == (
+        "awgn", "slow-fading", "fast-fading")
+    assert CONFIG_KEYS["verifier.mode"].choices == tuple(VERIFIERS) == (
+        "csi-fast", "csi-slow", "no-csi")
+    assert MOMENTS_KEYS["modes"].choices == tuple(GRID_MODES) == ("csi", "nocsi")
+    assert set(GRID_MODES.values()) <= set(VERIFIERS)
 
 
 def test_an_unexpected_key_error_exits_1_with_a_traceback(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from dicode.channel import FastFading
 from dicode.errors import DegenerateFadingError
 from dicode.harness import (
     ArrayCodebook,
@@ -247,6 +248,31 @@ def test_verifier_channel_compatibility_is_enforced():
                                     "mystery_knob": 3})
 
 
+_SLOW_RAYLEIGH = {"type": "slow-fading", "sigma2": 1.0,
+                  "fading": {"type": "rayleigh", "scale": 1.0}}
+
+
+@pytest.mark.parametrize("overrides,says", [
+    ({"channel": _SLOW_RAYLEIGH}, "csi-fast serves awgn or fast-fading channels, not slow-fading"),
+    ({"channel": _SLOW_RAYLEIGH, "verifier": {"mode": "no-csi"}}, "not slow-fading"),
+    ({"verifier": {"mode": "csi-slow"}, "outage_eta": 0.1}, "csi-slow serves slow-fading"),
+    ({"channel": _SLOW_RAYLEIGH, "verifier": {"mode": "csi-slow"}}, "csi-slow needs outage_eta"),
+    ({"outage_eta": 0.3}, "csi-fast has no outage rule"),
+    ({"verifier": {"mode": "no-csi"}, "allow_degenerate_outage": True},
+     "no-csi has no outage rule"),
+], ids=["slow/csi-fast", "slow/no-csi", "awgn/csi-slow", "no-eta", "eta", "degenerate"])
+def test_unserved_modes_are_refused_before_the_codebook_is_built(overrides, says, monkeypatch):
+    import dicode.harness as harness_mod
+
+    def no_build(cfg):
+        raise AssertionError("build_codebook ran")
+
+    monkeypatch.setattr(harness_mod, "build_codebook", no_build)
+    cfg = small_config(**overrides)
+    with pytest.raises(ValueError, match=says):
+        run_experiment(cfg)
+
+
 def test_report_csv_shapes():
     rep = run_experiment(small_config())
     lines = rep.identities_csv().strip().splitlines()
@@ -308,6 +334,25 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(not r.ok for r in mean_rows)
     assert min(r.deviation for r in mean_rows) > 10.0   # not a borderline trip
     assert all(r.ok for r in var_rows)
+
+
+def test_moment_grid_builds_each_verifier_through_the_harness_builder(monkeypatch):
+    # one build per law and mode, over fast fading, from the law's one moments() call
+    import dicode.harness as harness_mod
+
+    calls, build = [], harness_mod._build_verifier
+
+    def spy(mode, channel, *args, **kw):
+        calls.append((mode, channel, kw.get("moments")))
+        return build(mode, channel, *args, **kw)
+
+    monkeypatch.setattr(harness_mod, "_build_verifier", spy)
+    law = Rayleigh(1.0)
+    moment_validation(MomentGridConfig(distributions=(law,), n=16, draws=200, pair_count=2,
+                                       sigma2=0.5))
+    assert [(mode, channel) for mode, channel, _ in calls] == [
+        ("csi-fast", FastFading(law, 0.5)), ("no-csi", FastFading(law, 0.5))]
+    assert all(moments == law.moments() for *_, moments in calls)
 
 
 def test_moment_grid_refuses_an_unknown_mode_before_drawing(monkeypatch):
