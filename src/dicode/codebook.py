@@ -13,12 +13,11 @@ Identities are integers below M = q2^k2.  Encoding walks down the tower:
 Both fields come from one class: the inner GF(q1) extends GF(p) (or is
 it), and the outer GF(q2) extends GF(q1) by degree k1.  Both steps
 are GF(p)-linear (Forney's concatenated structure): an identity's base-p
-digits are the GF(p) coordinates of its k2 outer symbols,
-``RSCode.encode_coords`` evaluates them by subspace evaluation, and each
-outer symbol's coordinates, m at a time, are its k1 inner message
-symbols, which ``RSCode.encode_batch`` encodes for all n2 symbols in one
-product with the inner generator.  The close partner's minimum-weight
-polynomial comes from the same subspace maps.
+digits are the GF(p) coordinates of its k2 outer symbols, and each outer
+symbol's coordinates, m at a time, are its k1 inner message symbols.  One
+encoder, ``RSCode.encode_batch`` (subspace evaluation), runs twice: on the
+one outer message, then on all n2 inner messages in one call.  The close
+partner's minimum-weight polynomial comes from the outer subspace maps.
 
 Distinct identities differ in at least d2 outer symbols, each of which
 forces at least d1 inner coordinates apart by at least one amplitude
@@ -31,6 +30,7 @@ R = k1 k2 log2(q1) / (n log2 n).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -250,7 +250,7 @@ class ConcatCodebook:
 
     def _message_coords(self, index: int) -> np.ndarray:
         """(k2, D) GF(p) coordinates of an identity's outer message symbols."""
-        p = self.params
+        p, index = self.params, operator.index(index)
         if not 0 <= index < self.size:
             raise ValueError("identity index out of range")
         D = self.outer_field.prime_degree
@@ -258,7 +258,7 @@ class ConcatCodebook:
 
     def encode(self, index: int) -> np.ndarray:
         p = self.params
-        coords = self.outer_code.encode_coords(self._message_coords(index))  # (n2, D)
+        coords = self.outer_code.encode_batch(self._message_coords(index)[None])[0]  # (n2, D)
         # an outer symbol's coordinates, m at a time, are its k1 inner message symbols
         inner = self.inner_code.encode_batch(coords.reshape(p.n2, p.k1, p.m))  # (n2, n1, m)
         amps = self.levels[inner @ p.p ** np.arange(p.m)]

@@ -74,9 +74,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     for p in range(2, int(math.isqrt(q)) + 1):
         if q % p:
             continue
-        if not is_prime(p):
-            return None
-        m = 0
+        m = 0  # the smallest divisor of q is prime
         r = q
         while r % p == 0:
             r //= p

@@ -301,9 +301,13 @@ def vectors_csv(vectors: np.ndarray) -> str:
 def load_csv(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"codebook CSV {path} holds no rows")
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"codebook CSV {path} is not rectangular: row {r + 1} has "
+                             f"length {len(row)}, row 1 has length {len(rows[0])}")
     arr = np.array(rows, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("codebook CSV must be rectangular")
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         row, col = bad[0]

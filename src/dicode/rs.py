@@ -6,17 +6,16 @@ elements in canonical index order, starting from the zero element.  All
 codes here are maximum distance separable: d = length - dim + 1.  No
 decoder is provided; identification only ever tests ball membership.
 
-The outer encoder ``encode_coords`` is subspace evaluation (Cantor 1989;
+The vector encoder ``encode_batch`` is subspace evaluation (Cantor 1989;
 Gao & Mateer 2010) in GF(p) linear algebra on ``ExtensionContext``
-coordinates: an index's base-p digits are its coordinates, so the points
-0..p^i - 1 are the span V_i of the first i basis elements, whose
-vanishing polynomial L_i is linearized (sparse, and GF(p)-linear).
-``vanishing_coords`` builds prod (x - e) over the first points from the
-same maps.  The inner encoder, ``encode_batch``, is one float32 product
-of many messages' coordinates with the code's GF(p) generator matrix.
-``encode`` (scalar Horner) is the oracle of both; ``encode_digits``
-(vector Horner on the digit matrices of a tabled base) remains as tested
-reference code, which the benchmark tracer wraps by name.
+coordinates, over a batch of messages at once: an index's base-p digits
+are its coordinates, so the points 0..p^i - 1 are the span V_i of the
+first i basis elements, whose vanishing polynomial L_i is linearized
+(sparse, and GF(p)-linear).  ``vanishing_coords`` builds prod (x - e)
+over the first points from the same maps.  ``encode`` (scalar Horner)
+is its oracle; ``encode_digits`` (vector Horner on the digit matrices of
+a tabled base) remains as tested reference code, which the benchmark
+tracer wraps by name.
 """
 
 from __future__ import annotations
@@ -35,18 +34,20 @@ WORK_BYTES = 1 << 18
 def _divide(v: np.ndarray, lower: np.ndarray, P: int, p: int) -> None:
     """Divide each polynomial of v by L = x^P + sum_{l<i} a_l x^(p^l), in place.
 
-    v: (N, m, D) coordinates, m > P; then v[:, P:] holds the quotients
-    mod p, and v[:, :P] the remainders, unreduced but exact in float32
-    with one more product added.  lower: (D, i D), i >= 1, the M_{a_l}^T.
-    A block of quotient coefficients no wider than P - p^(i-1) touches
-    only coefficients below itself, so it is one product.
+    v: (nodes, m, N, D) coordinates of N messages' polynomials, m > P;
+    then v[:, P:] holds the quotients mod p, and v[:, :P] the remainders,
+    unreduced but exact in float32 with one more product added.  lower:
+    (D, i D), i >= 1, the M_{a_l}^T.  A block of quotient coefficients no
+    wider than P - p^(i-1) touches only coefficients below itself, so it
+    is one product.
     """
-    D, i = v.shape[2], lower.shape[1] // v.shape[2]
-    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * len(v))))
+    nodes, _, N, D = v.shape
+    i = lower.shape[1] // D
+    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * nodes * N)))
     exact = p + (i + 1) * D * (p - 1) ** 2 < FLOAT32_EXACT  # i + 1 products sum exactly
     for hi in range(v.shape[1], P, -width):
         lo = max(P, hi - width)
-        prod = (reduce_mod(v[:, lo:hi], p).reshape(-1, D) @ lower).reshape(len(v), hi - lo, -1)
+        prod = (reduce_mod(v[:, lo:hi], p).reshape(-1, D) @ lower).reshape(nodes, hi - lo, N, -1)
         if not exact:
             reduce_mod(prod, p)
         for l in range(i):
@@ -85,71 +86,44 @@ class RSCode:
         return out
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode many messages at once by one GF(p) product with the generator.
+        """Encode many messages at once by subspace evaluation in GF(p).
 
         messages: (N, dim, D) GF(p) coordinates, one row per coefficient;
         returns (N, length, D) int8 coordinates, one row per point.
-        """
-        F, D = self.field, self.field.prime_degree
-        messages = np.asarray(messages, dtype=np.float32)
-        if messages.shape[1:] != (self.dim, D):
-            raise ValueError("message coordinate array has wrong shape")
-        prod = reduce_mod(messages.reshape(len(messages), -1) @ self._generator, F.p)
-        return prod.astype(np.int8).reshape(len(messages), self.length, D)
-
-    @cached_property
-    def _generator(self) -> np.ndarray:
-        """(dim D, length D) float32 generator, built once per code.
-
-        Block (j, x) is M^T for M the GF(p) matrix of multiplication by
-        x^j, so a row of message coordinates times it is the codeword.
-        Its sums of dim D products must stay exact in float32.
-        """
-        F, p, D, n, k = self.field, self.field.p, self.field.prime_degree, self.length, self.dim
-        if k * D * p * p >= FLOAT32_EXACT:
-            raise ValueError(f"{self!r}: generator sums exceed float32's exact range")
-        mats = [np.broadcast_to(np.eye(D, dtype=np.int64), (n, D, D))]  # M_1 at every point
-        points = F.mul_matrices(F.coordinates(np.arange(n))).astype(np.int64)
-        for _ in range(1, k):
-            mats.append(points @ mats[-1] % p)  # M_{x^j} = M_x M_{x^(j-1)}
-        return np.array(mats).transpose(0, 3, 1, 2).reshape(k * D, n * D).astype(np.float32)
-
-    def encode_coords(self, message: np.ndarray) -> np.ndarray:
-        """Encode one message given as GF(p) coordinates.
-
-        message: (dim, D) coordinates, one row per coefficient; returns
-        (length, D) int8 coordinates, one row per evaluated point.
 
         The coset u p^i + V_i has vanishing polynomial L_i(x) - L_i(u p^i).
-        The walk starts from the message on V_j, p^j >= length, and keeps
+        The walk starts from the messages on V_j, p^j >= length, and keeps
         the cosets that hold a point below ``length``.  At level i a
         node's g (degree < p^(i+1)) is expanded in place as
         sum_{t<p} G_t L_i^t by p - 1 divisions by L_i, and child c gets
         g mod (L_i - gamma) = sum_t gamma^t G_t, gamma = L_i((u p + c) p^i),
-        by Horner.  Products are float32, reduced mod p while exact.
+        by Horner.  The buffer is (p^j, N, D): each coefficient holds all
+        N messages, so a block of nodes is contiguous.  Products are
+        float32, reduced mod p while exact.
         """
-        F, p, D = self.field, self.field.p, self.field.prime_degree
-        if message.shape != (self.dim, D):
-            raise ValueError("message coordinate matrix has wrong shape")
-        levels = self._subspace_maps
-        buf = np.zeros((p ** len(levels), D), dtype=np.float32)
-        buf[: self.dim] = message
+        p, D = self.field.p, self.field.prime_degree
+        messages = np.asarray(messages)
+        if messages.shape[1:] != (self.dim, D):
+            raise ValueError("message coordinate array has wrong shape")
+        N, levels = len(messages), self._subspace_maps
+        buf = np.zeros((p ** len(levels), N, D), dtype=np.float32)
+        buf[: self.dim] = messages.transpose(1, 0, 2)
         for i in range(len(levels) - 1, -1, -1):
             _, lower, child = levels[i]
             P, size = p**i, p ** (i + 1)
-            step = max(1, WORK_BYTES // (4 * p * D * (P + D)))
+            step = max(1, WORK_BYTES // (4 * p * D * (P * N + D)))
             for a in range(0, len(child), step):
                 b = min(a + step, len(child))
-                g = buf[a * size : b * size].reshape(b - a, size, D)
+                g = buf[a * size : b * size].reshape(b - a, size, N, D)
                 for t in range(p - 1 if i else 0):  # g[:, t P:(t+1) P] becomes G_t
                     _divide(g[:, t * P :], lower, P, p)
-                G = g.reshape(b - a, p, P, D)
+                G = g.reshape(b - a, p, P * N, D)
                 mats = child[a:b].astype(np.float32)
                 acc = G[:, p - 1 :]
                 for t in range(p - 2, -1, -1):
                     acc = reduce_mod(acc @ mats + G[:, t : t + 1], p)
                 G[:] = acc  # child c of node u is buf rows (u p + c) P onwards
-        return buf[: self.length].astype(np.int8)
+        return buf[: self.length].astype(np.int8).transpose(1, 0, 2)
 
     def vanishing_coords(self, count: int) -> np.ndarray:
         """(count + 1, D) int8 coordinates of prod_{e<count} (x - e), constant first.
@@ -190,7 +164,7 @@ class RSCode:
         C_i (D, i D) stacks the M_{a_l}^T, l < i.  With Phi the Frobenius
         matrix, A_{i+1} = (Phi - M_mu) A_i, and the coefficient columns
         take the same step with Phi's part shifted up one.  H_i
-        (nodes, p, D, D) int8 is M_gamma^T for each child ``encode_coords``
+        (nodes, p, D, D) int8 is M_gamma^T for each child ``encode_batch``
         visits at level i.
         """
         F, p, D = self.field, self.field.p, self.field.prime_degree

@@ -498,7 +498,10 @@ def test_bad_setting_bases_are_valid(command, tmp_path):
 
 
 # (subcommand, --set items over its VALID_ARGS): a bad key, a bad record and
-# a plan or value the run itself refuses; none may leave --outdir behind
+# a plan or value the run itself refuses; none may leave --outdir behind.
+# An item replaces the VALID_ARGS items at or under its key, and the runs
+# start in a folder that holds the CSV_BOOKS files.
+CSV_BOOKS = {"ragged.csv": "1,2,3\n4,5\n", "empty.csv": ""}
 REFUSALS = [
     ("construct", ["eps=0.5"]),
     ("construct", ["n=20", "a=0.015"]),
@@ -510,6 +513,8 @@ REFUSALS = [
     ("simulate", ["channel.sigma2=-1"]),
     ("simulate", ["outage_eta=0.3", "allow_degenerate_outage=true"]),
     ("simulate", ["channel.type=slow-fading", f"channel.fading={RAYLEIGH}"]),
+    ("simulate", ['codebook={"type": "csv", "path": "ragged.csv"}']),
+    ("simulate", ['codebook={"type": "csv", "path": "empty.csv"}']),
     ("bounds", ["sigm2=2"]),
     ("bounds", ['fading={"type": "rayleigh", "scale": Infinity}']),
     ("bounds", ["d_min=0"]),
@@ -525,8 +530,14 @@ REFUSALS = [
 
 @pytest.mark.parametrize("command,settings", REFUSALS,
                          ids=[f"{c}:{' '.join(s)}" for c, s in REFUSALS])
-def test_refused_runs_create_no_outdir(command, settings, tmp_path, capsys):
-    sets = [arg for item in VALID_ARGS[command] + settings for arg in ("--set", item)]
+def test_refused_runs_create_no_outdir(command, settings, tmp_path, monkeypatch, capsys):
+    for name, text in CSV_BOOKS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    keys = tuple(item.split("=", 1)[0] + "." for item in settings)
+    base = [item for item in VALID_ARGS[command]
+            if not (item.split("=", 1)[0] + ".").startswith(keys)]
+    sets = [arg for item in base + settings for arg in ("--set", item)]
     out = tmp_path / "out"
     assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
     assert "error:" in capsys.readouterr().err

@@ -154,14 +154,14 @@ def test_encoder_matches_the_scalar_tower_on_every_field_shape(shape):
         # scalar oracle: base-q2 digits, then Horner with scalar field ops
         return book.outer_code.encode([(index // p.q2**j) % p.q2 for j in range(p.k2)])
 
-    for index in ids:
+    # the outer encoder on all identities in one call
+    batch = book.outer_code.encode_batch(np.stack([book._message_coords(i) for i in ids]))
+    for index, together in zip(ids, batch):
         symbols = outer(index)
-        # the coordinate encoder, symbol by symbol
-        coords = book.outer_code.encode_coords(book._message_coords(index))
+        # one identity per call, symbol by symbol, and the same rows as in the batch
+        coords = book.outer_code.encode_batch(book._message_coords(index)[None])[0]
         assert [digits_to_int(row, p.p) for row in coords] == symbols
-        # and the generator product
-        batch = book.outer_code.encode_batch(book._message_coords(index)[None])[0]
-        assert [digits_to_int(row, p.p) for row in batch] == symbols
+        assert np.array_equal(together, coords)
         # the whole codeword: scalar inner RS over each symbol's base-q1
         # digits, then the amplitude map and zero padding
         inner = [book.inner_code.encode(ext.to_digits(s)) for s in symbols]
@@ -240,6 +240,21 @@ def test_encode_rejects_out_of_range_identities():
         book.encode(-1)
     with pytest.raises(ValueError):
         book.encode(81)
+
+
+def test_numpy_integer_identities_encode_as_ints():
+    # the n = 3000 book's size is far past int64, so the identity must be
+    # a Python int before it meets the size or the base-p digit split
+    book = ConcatCodebook(plan_params(n=3000, a=0.035))
+    want, partner = book.encode(5), book.close_partner(5)
+    for index in (np.int64(5), np.uint64(5), np.int8(5)):
+        assert np.array_equal(book.encode(index), want)
+        assert book.close_partner(index) == partner
+    for index in (5.0, np.float64(5)):
+        with pytest.raises(TypeError):
+            book.encode(index)
+        with pytest.raises(TypeError):
+            book.close_partner(index)
 
 
 def test_close_partner_sits_at_the_outer_distance_floor():

@@ -421,3 +421,17 @@ def test_load_csv_refuses_non_finite_entries(entry, row, col, tmp_path):
     path.write_text("".join(",".join(r) + "\n" for r in cells))
     with pytest.raises(ValueError, match=f"row {row}, column {col} is {float(entry)}"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("text,says", [
+    ("1,2,3\n4,5\n", "row 2 has length 2, row 1 has length 3"),
+    ("1,2\n\n3,4\n5\n", "row 3 has length 1, row 1 has length 2"),
+    ("", "holds no rows"), ("\n\n", "holds no rows")],
+    ids=["ragged", "ragged-after-a-blank-line", "empty", "blank-lines-only"])
+def test_load_csv_refuses_ragged_and_empty_files(text, says, tmp_path):
+    # blank lines are skipped, so rows count from the first that holds entries
+    path = tmp_path / "book.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_csv(path)
+    assert str(refused.value).startswith(f"codebook CSV {path} ") and says in str(refused.value)

@@ -79,14 +79,16 @@ def test_encoding_is_linear():
 
 
 def _batch_matches_scalar(code, count, seed):
-    # encode_batch on GF(p) coordinates against scalar Horner on indices
-    F, p, D = code.field, code.field.p, code.field.prime_degree
-    msgs = np.random.default_rng(seed).integers(0, F.q, size=(count, code.dim))
-    coords = np.stack([_coords([int(x) for x in msg], p, D) for msg in msgs])
+    # encode_batch on GF(p) coordinates, all messages in one call and one
+    # per call, against scalar Horner on indices
+    p, D = code.field.p, code.field.prime_degree
+    msgs = np.random.default_rng(seed).integers(0, code.field.q, size=(count, code.dim)).tolist()
+    coords = np.stack([_coords(msg, p, D) for msg in msgs])
     batch = code.encode_batch(coords)
     assert batch.shape == (count, code.length, D) and batch.dtype == np.int8
-    for rows, msg in zip(batch, msgs):
-        assert [digits_to_int(row, p) for row in rows] == code.encode([int(x) for x in msg])
+    for msg, rows, one in zip(msgs, batch, coords):
+        assert [digits_to_int(row, p) for row in rows] == code.encode(msg)
+        assert np.array_equal(code.encode_batch(one[None])[0], rows)
 
 
 def test_batch_encode_matches_scalar_encode():
@@ -126,15 +128,10 @@ def _coords(msg, p, D):
     (5, 1, 3, 40, 30), (2, 2, 3, 50, 40), (2, 3, 2, 60, 45), (3, 2, 2, 70, 55)])
 def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, monkeypatch):
     ext = make_extension(make_field(p, m, seed=3), k, seed=3)
-    D = ext.prime_degree
     if SIZES[sizes] is not None:
         monkeypatch.setattr(rs, "WORK_BYTES", SIZES[sizes])
     code = RSCode(ext, length=length, dim=dim)
-    rng = np.random.default_rng(length)
-    for _ in range(4):
-        msg = [int(x) for x in rng.integers(0, ext.q, size=dim)]
-        got = [digits_to_int(row, p) for row in code.encode_coords(_coords(msg, p, D))]
-        assert got == code.encode(msg)
+    _batch_matches_scalar(code, 4, length)
     # one level per base-p digit of the largest point
     assert p ** (len(code._subspace_maps) - 1) < length <= p ** len(code._subspace_maps)
 
@@ -146,9 +143,7 @@ def test_divisions_reduce_every_product_where_sums_could_leave_float32(
     monkeypatch.setattr(rs, "FLOAT32_EXACT", 0)
     ext = make_extension(make_field(p, m, seed=3), k, seed=3)
     code = RSCode(ext, length=length, dim=dim)
-    msg = [int(x) for x in np.random.default_rng(p).integers(0, ext.q, size=dim)]
-    got = code.encode_coords(_coords(msg, p, ext.prime_degree))
-    assert [digits_to_int(row, p) for row in got] == code.encode(msg)
+    _batch_matches_scalar(code, 2, p)
 
 
 # (p, m, k): the degree-k extension of GF(p^m); the prime fields, the
@@ -175,16 +170,10 @@ def test_batch_encode_matches_scalar_encode_on_every_field(name):
 def test_subspace_encode_matches_scalar_encode_on_every_length(name):
     # lengths 1, p, p + 1, q - 1 and q, each at dim 1 and dim = length
     F = _field(*FIELDS[name])
-    p, D = F.p, F.prime_degree
-    rng = np.random.default_rng(F.q)
+    p = F.p
     for length in sorted({n for n in (1, p, p + 1, F.q - 1, F.q) if 1 <= n <= F.q}):
         for dim in sorted({1, length}):
-            code = RSCode(F, length, dim)
-            for _ in range(3):
-                msg = [int(x) for x in rng.integers(0, F.q, size=dim)]
-                got = code.encode_coords(_coords(msg, p, D))
-                assert got.shape == (length, D) and got.dtype == np.int8
-                assert [digits_to_int(row, p) for row in got] == code.encode(msg)
+            _batch_matches_scalar(RSCode(F, length, dim), 3, F.q + length + dim)
 
 
 def _naive_vanishing(F, count):
@@ -232,14 +221,27 @@ def test_batch_encode_matches_scalar_encode_past_the_table_limit():
     assert not {"MUL", "ADD", "INV"} & set(vars(field))
 
 
-def test_batch_encode_refuses_wrong_shapes_and_sums_past_float32():
+def test_batch_encode_refuses_wrong_shapes():
     code = RSCode(make_field(7, 1), length=7, dim=3)
-    with pytest.raises(ValueError, match="shape"):
-        code.encode_batch(np.zeros((1, 3)))
-    # 521 coefficients over GF(127^2): 521 * 2 * 127^2 >= 2^24
-    code = RSCode(make_extension(make_field(127, 1), 2), length=600, dim=521)
-    with pytest.raises(ValueError, match="float32"):
-        code.encode_batch(np.zeros((1, 521, 2)))
+    for shape in [(1, 3), (1, 3, 2), (1, 2, 1), (3,)]:
+        with pytest.raises(ValueError, match="shape"):
+            code.encode_batch(np.zeros(shape))
+
+
+def test_batch_encode_runs_where_a_dense_generator_left_float32():
+    # 521 coefficients over GF(127^2): a generator product's sums of
+    # 521 * 2 products reach 521 * 2 * 127^2 >= 2^24
+    F = make_extension(make_field(127, 1), 2)
+    code = RSCode(F, length=600, dim=521)
+    msgs = np.random.default_rng(127).integers(0, F.q, size=(2, code.dim)).tolist()
+    got = code.encode_batch(np.stack([_coords(msg, F.p, 2) for msg in msgs]))
+    assert got.shape == (2, 600, 2) and got.dtype == np.int8
+    for msg, rows in zip(msgs, got):
+        for point in (0, 1, 126, 127, 128, 599):  # scalar Horner at a few points
+            want = msg[-1]
+            for coeff in reversed(msg[:-1]):
+                want = F.add(F.mul(want, point), coeff)
+            assert digits_to_int(rows[point], F.p) == want
 
 
 def test_tower_code_used_by_the_concatenation():
