@@ -354,7 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:
-        # InfeasibleError, DegenerateFadingError and JSONDecodeError are ValueErrors
+        # InfeasibleError, DegenerateFadingError, QuadratureError and JSONDecodeError
+        # are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:

@@ -13,8 +13,9 @@ class DegenerateFadingError(ValueError):
     """The fading law puts too much mass at zero for the requested outage level."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested relative accuracy."""
+class QuadratureError(ValueError):
+    """Adaptive quadrature failed to reach the requested relative accuracy,
+    or misses the mass of the law it integrates over."""
 
 
 class ValidationFailure(RuntimeError):

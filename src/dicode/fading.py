@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,16 +91,22 @@ class FadingDistribution:
 
     def expect(self, f: Callable[[float], float], rel: float = _MOMENT_REL) -> float:
         """E f(h): exact over the atoms, else one quadrature of f times the pdf
-        over (0, inf), refused unless its error estimate is within rel."""
+        over (0, inf), refused unless its error estimate is within rel and the
+        quadrature of the pdf alone reads 1 within rel (a law it misses, too
+        narrow or too far out, would give a wrong value and a small error)."""
         if self.atoms is not None:
             return float(sum(p * f(v) for v, p in self.atoms))
-        from scipy import integrate
-
-        val, err = integrate.quad(lambda x: f(x) * self.pdf(x), 0, math.inf,
-                                  epsrel=_QUAD_REL, epsabs=0, limit=300)
+        if not abs(self._quadrature_mass - 1) <= rel:
+            raise QuadratureError(f"{self.TYPE} expectations are out of the quadrature's reach: "
+                                  f"it reads the law's mass as {self._quadrature_mass:g}, not 1")
+        val, err = _quad(lambda x: f(x) * self.pdf(x))
         if err > rel * max(abs(val), 1e-300):
             raise QuadratureError(f"{self.TYPE} expectation did not converge (err {err:g})")
         return val
+
+    @cached_property
+    def _quadrature_mass(self) -> float:
+        return _quad(self.pdf)[0]
 
     def raw_moment(self, k: int) -> float:
         return self.expect(lambda h: h**k)
@@ -110,6 +117,13 @@ class FadingDistribution:
     def to_config(self) -> dict:
         """The record parse_distribution builds this law from."""
         return {"type": self.TYPE, **{name: _plain(getattr(self, name)) for name in self.KEYS}}
+
+
+def _quad(g: Callable[[float], float]) -> tuple[float, float]:
+    """The integral of g over (0, inf) and quad's error estimate."""
+    from scipy import integrate
+
+    return integrate.quad(g, 0, math.inf, epsrel=_QUAD_REL, epsabs=0, limit=300)
 
 
 def _blocks(out: np.ndarray):

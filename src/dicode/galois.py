@@ -6,7 +6,8 @@ Every other field is a degree-k extension of the field below it: the
 inner alphabet GF(q1 = p^m) extends the root, and the outer code's
 GF(q1^k1) extends GF(q1).  An element is an integer index whose base-q
 digits, for q the order of the base, are its coefficients over the base
-(constant term first).  Its base-p digits are its coordinates over GF(p).
+(constant term first).  Its base-p digits are its coordinates over GF(p);
+``split_digits``, the one vector splitter, gives the digits of many.
 
 The encoder works over the prime field: addition is coordinate-wise
 mod p, and multiplication by a fixed element is a fixed D x D matrix over
@@ -19,12 +20,12 @@ by name).  No encoder reads them.
 
 Every extension searches its own irreducible modulus, seeded and
 deterministic, so the same (parameters, seed) always yields the same
-field.
+field; Ben-Or's test (no factor of degree <= k/2) picks the first
+irreducible candidate.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Sequence
 
@@ -41,46 +42,26 @@ _SEARCH_CAP = 200_000
 FLOAT32_EXACT = 1 << 24
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Decompose q as p^m with p prime, or return None."""
-    if q < 2:
+    """Decompose q as p^m with p prime, or return None.  By trial division:
+    the package meets only inner alphabets q1 <= n^(1/4) and primes p <= 127."""
+    factors = _prime_factors(q)
+    if not factors or factors.count(factors[0]) != len(factors):
         return None
-    if is_prime(q):
-        return q, 1
-    for p in range(2, int(math.isqrt(q)) + 1):
-        if q % p:
-            continue
-        m = 0  # the smallest divisor of q is prime
-        r = q
-        while r % p == 0:
-            r //= p
-            m += 1
-        return (p, m) if r == 1 else None
-    return None
+    return factors[0], len(factors)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,40 +139,22 @@ def _poly_powmod(F, base: Sequence[int], exp: int, mod: Sequence[int]) -> list[i
 
 
 def is_irreducible(F, poly: Sequence[int]) -> bool:
-    """Rabin's test for a monic polynomial over the field context F.
+    """Ben-Or's test (FOCS 1981) for a monic polynomial over the field context F.
 
-    A monic f of degree k is irreducible over GF(q) iff x^(q^k) = x mod f
-    and gcd(x^(q^(k/r)) - x, f) = 1 for every prime r dividing k.
+    A monic f of degree k is irreducible over GF(q) iff it has no factor
+    of degree d <= k/2, that is iff gcd(x^(q^d) - x, f) = 1 for every
+    such d; each step raises the last power of x to the q-th.
     """
     poly = list(poly)
     k = len(poly) - 1
     if k < 1 or poly[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    if k == 1:
-        return True
-    q = F.q
-    x = [0, 1]
-    for r in sorted({f for f in _prime_factors(k)}):
-        t = _poly_powmod(F, x, q ** (k // r), poly)
-        t = _poly_add(F, t, [F.neg(c) for c in x])
-        if len(_poly_gcd(F, t, poly)) != 1:  # gcd not a nonzero constant
+    t, minus_x = [0, 1], [0, F.neg(1)]
+    for _ in range(k // 2):
+        t = _poly_powmod(F, t, F.q, poly)
+        if len(_poly_gcd(F, _poly_add(F, t, minus_x), poly)) != 1:  # gcd not a nonzero constant
             return False
-    t = _poly_powmod(F, x, q**k, poly)
-    t = _poly_add(F, t, [F.neg(c) for c in x])
-    return not t
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return True
 
 
 def _search_modulus(F, degree: int, seed: int) -> tuple[int, ...]:
@@ -207,19 +170,14 @@ def _search_modulus(F, degree: int, seed: int) -> tuple[int, ...]:
     count = q**degree
     rng = np.random.Generator(np.random.PCG64(seed))
     if count <= ENUM_LIMIT:
-        order = rng.permutation(count)
-        for code in order:
-            coeffs = _digits(int(code), q, degree)
-            cand = (*coeffs, 1)
-            if is_irreducible(F, cand):
-                return cand
-        raise ValueError(f"no irreducible polynomial of degree {degree} found")
-    for _ in range(_SEARCH_CAP):
-        coeffs = tuple(int(v) for v in rng.integers(0, q, size=degree))
-        cand = (*coeffs, 1)
-        if is_irreducible(F, cand):
-            return cand
-    raise ValueError("modulus search exhausted its attempt budget")
+        candidates = (_digits(int(code), q, degree) for code in rng.permutation(count))
+    else:
+        candidates = (tuple(int(v) for v in rng.integers(0, q, size=degree))
+                      for _ in range(_SEARCH_CAP))
+    for coeffs in candidates:
+        if is_irreducible(F, (*coeffs, 1)):
+            return (*coeffs, 1)
+    raise ValueError(f"no irreducible polynomial of degree {degree} found")
 
 
 def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
@@ -237,6 +195,16 @@ def _undigits(digits: Sequence[int], base: int) -> int:
     for d in reversed(digits):
         value = value * base + int(d)
     return value
+
+
+def split_digits(values, base: int, width: int) -> np.ndarray:
+    """(..., width) int64: the low ``width`` base-``base`` digits of each of
+    values, ints below 2^63, little-endian (the vector ``_digits``)."""
+    rest = np.asarray(values, dtype=np.int64)
+    out = np.empty((*rest.shape, width), dtype=np.int64)
+    for d in range(width):
+        rest, out[..., d] = np.divmod(rest, base)
+    return out
 
 
 def _word_digits(base: int) -> int:
@@ -322,7 +290,7 @@ class ExtensionContext:
         if isinstance(base, ExtensionContext):
             self.base, self.p, self.q = base, base.p, base.q**degree
             self.prime_degree = degree * base.prime_degree
-        elif degree == 1 and is_prime(base):
+        elif degree == 1 and prime_power(base) == (base, 1):
             self.base, self.p, self.q, self.prime_degree = None, base, base, 1
         else:
             raise ValueError(f"the root field GF({base}) needs a prime order")
@@ -390,14 +358,6 @@ class ExtensionContext:
 
     # -- GF(p)-linear algebra on coordinate vectors
 
-    def _coords(self, indices) -> np.ndarray:
-        """(N, D) int64 GF(p) coordinates of element indices below 2^63."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((len(idx), self.prime_degree), dtype=np.int64)
-        for d in range(self.prime_degree):
-            idx, out[:, d] = np.divmod(idx, self.p)
-        return out
-
     @cached_property
     def _basis(self) -> np.ndarray:
         """(D, D*D) float32: row l is B_l, the matrix of multiplication by p^l.
@@ -421,7 +381,7 @@ class ExtensionContext:
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         """(N, D) int8 GF(p) coordinates of element indices below 2^63."""
         self._require_int8_coordinates()
-        return self._coords(indices).astype(np.int8)
+        return split_digits(indices, self.p, self.prime_degree).astype(np.int8)
 
     def mul_matrices(self, coords: np.ndarray) -> np.ndarray:
         """(N, D, D) int8: the GF(p) matrix of multiplication by each element.
@@ -441,7 +401,7 @@ class ExtensionContext:
     def _table_coords(self) -> np.ndarray:
         if self.q > TABLE_LIMIT:
             raise ValueError(f"dense tables need order <= {TABLE_LIMIT}, not {self.q}")
-        return self._coords(np.arange(self.q))
+        return split_digits(np.arange(self.q), self.p, self.prime_degree)
 
     @cached_property
     def MUL(self) -> np.ndarray:
@@ -463,9 +423,6 @@ class ExtensionContext:
 
     # -- vector arithmetic on (N, degree) digit matrices over a tabled base
 
-    def digit_rows(self, indices: Sequence[int]) -> np.ndarray:
-        return np.array([self.to_digits(int(i)) for i in indices], dtype=np.int32)
-
     def vadd(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self.base.ADD[A, B]
 
@@ -475,8 +432,7 @@ class ExtensionContext:
         ADD, MUL = F.ADD, F.MUL
         k = self.degree
         tail = [F.neg(c) for c in self.modulus[:-1]]
-        n_rows = A.shape[0]
-        acc = np.zeros((n_rows, 2 * k - 1), dtype=np.int32)
+        acc = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int32)
         for i in range(k):
             Ai = A[:, i]
             for j in range(k):

@@ -173,7 +173,7 @@ class ArrayCodebook:
         self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2 or len(self.vectors) < 2:
             raise ValueError("codebook needs at least two vectors")
-        self._nearest: np.ndarray | None = None
+        self._sq = np.sum(self.vectors**2, axis=1)
 
     @property
     def n(self) -> int:
@@ -187,13 +187,11 @@ class ArrayCodebook:
         return self.vectors[index]
 
     def close_partner(self, index: int) -> int:
-        if self._nearest is None:
-            v = self.vectors
-            sq = np.sum(v**2, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2 * (v @ v.T)
-            np.fill_diagonal(d2, np.inf)
-            self._nearest = np.argmin(d2, axis=1)
-        return int(self._nearest[index])
+        """The nearest other codeword, from one row of squared distances."""
+        v = self.vectors
+        d2 = self._sq + self._sq[index] - 2 * (v @ v[index])
+        d2[index] = np.inf
+        return int(np.argmin(d2))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ SPEC_KEYS = {
     "sampling_power": Key(float, "sampling variance A' < A", default=0.5),
     "distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)", required=True),
     "seed": Key(int, "sampling seed (--seed sets this)", min=0),
-    "fourth_moment_bound": Key(NUMBER, "fourth-power budget per coordinate", default=None),
+    "fourth_moment_bound": Key(NUMBER, "fourth-power budget (fourth-moment profile)", default=None),
 }
 
 
@@ -147,6 +147,15 @@ def _distance_survivors(draws: np.ndarray, keep: np.ndarray, floor2: float) -> n
     return np.flatnonzero(alive)
 
 
+def _check_profile(spec: PackingSpec, profile: str) -> None:
+    """Refuse an unknown profile, and a fourth-power budget it would not read."""
+    if profile not in PROFILES:
+        raise ValueError(f"profile must be one of {PROFILES}")
+    if spec.fourth_moment_bound is not None and profile != "fourth-moment":
+        raise ValueError(f"fourth_moment_bound is read only by profile 'fourth-moment'; "
+                         f"profile {profile!r} would ignore it")
+
+
 def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     """Return (codebook array of shape (S, n), ExpurgationReport).
 
@@ -154,8 +163,7 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     target_size; that is reported, never hidden.  Raises InfeasibleError
     if fewer than two vectors survive.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"profile must be one of {PROFILES}")
+    _check_profile(spec, profile)
     n = spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     draws = rng.normal(0.0, math.sqrt(spec.sampling_power), size=(2 * spec.target_size, n))
@@ -165,7 +173,7 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     removed_power = int(np.sum(~keep))
     removed_fourth = removed_band = 0
     if profile in ("fourth-moment", "norm-concentrated"):
-        bound4 = spec.fourth_bound if profile == "fourth-moment" else 3.0 * spec.power_bound**2
+        bound4 = spec.fourth_bound
         s4 = np.einsum("ij,ij->i", squares, squares)
         close = np.flatnonzero(np.abs(s4 - bound4 * n) <= _SLACK * (n + 4) * bound4 * n)
         s4[close] = np.sum(draws[close] ** 4, axis=1)
@@ -196,8 +204,7 @@ def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list
     is redone with plain reductions, and every pair's distance is taken
     from coordinate differences, never from a Gram product.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"profile must be one of {PROFILES}")
+    _check_profile(spec, profile)
     vectors = np.asarray(vectors, dtype=float)
     n = spec.n
     problems: list[str] = []
@@ -206,9 +213,8 @@ def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list
         if power > spec.power_bound * n * (1 + 1e-12):
             problems.append(f"vector {i}: squared norm {power:.6g} above A n")
         if profile in ("fourth-moment", "norm-concentrated"):
-            bound4 = spec.fourth_bound if profile == "fourth-moment" else 3.0 * spec.power_bound**2
             fourth = float(np.sum((u * u) ** 2))
-            if fourth > bound4 * n * (1 + 1e-12):
+            if fourth > spec.fourth_bound * n * (1 + 1e-12):
                 problems.append(f"vector {i}: fourth-power sum {fourth:.6g} above bound")
         if profile == "norm-concentrated" and (
                 abs(power - spec.sampling_power * n) > math.sqrt(n) * math.log(n) * (1 + 1e-12)):
@@ -298,9 +304,19 @@ def vectors_csv(vectors: np.ndarray) -> str:
     return "\n".join(",".join(f"{x:.17g}" for x in row) for row in np.asarray(vectors)) + "\n"
 
 
+def _csv_number(path, row: int, col: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"codebook CSV {path} entry at row {row}, column {col} is {text!r}, "
+                         "not a number") from None
+
+
 def load_csv(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+        cells = [row for row in csv.reader(fh) if row]
+    rows = [[_csv_number(path, r, c, x) for c, x in enumerate(row, 1)]
+            for r, row in enumerate(cells, 1)]
     if not rows:
         raise ValueError(f"codebook CSV {path} holds no rows")
     for r, row in enumerate(rows):
@@ -311,6 +327,6 @@ def load_csv(path) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         row, col = bad[0]
-        raise ValueError(f"codebook CSV entry at row {row + 1}, column {col + 1} is "
+        raise ValueError(f"codebook CSV {path} entry at row {row + 1}, column {col + 1} is "
                          f"{arr[row, col]}, not a finite number")
     return arr

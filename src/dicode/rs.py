@@ -14,8 +14,8 @@ first i basis elements, whose vanishing polynomial L_i is linearized
 (sparse, and GF(p)-linear).  ``vanishing_coords`` builds prod (x - e)
 over the first points from the same maps.  ``encode`` (scalar Horner)
 is its oracle; ``encode_digits`` (vector Horner on the digit matrices of
-a tabled base) remains as tested reference code, which the benchmark
-tracer wraps by name.
+a tabled base, its points from ``split_digits``) remains as tested
+reference code, which the benchmark tracer wraps by name.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import FLOAT32_EXACT, ExtensionContext, reduce_mod
+from .galois import FLOAT32_EXACT, ExtensionContext, reduce_mod, split_digits
 
 # float32 temporaries of one block of nodes or coefficients stay near this
 WORK_BYTES = 1 << 18
@@ -43,11 +43,11 @@ def _divide(v: np.ndarray, lower: np.ndarray, P: int, p: int) -> None:
     """
     nodes, _, N, D = v.shape
     i = lower.shape[1] // D
-    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * nodes * N)))
+    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * nodes * max(N, 1))))
     exact = p + (i + 1) * D * (p - 1) ** 2 < FLOAT32_EXACT  # i + 1 products sum exactly
     for hi in range(v.shape[1], P, -width):
         lo = max(P, hi - width)
-        prod = (reduce_mod(v[:, lo:hi], p).reshape(-1, D) @ lower).reshape(nodes, hi - lo, N, -1)
+        prod = (reduce_mod(v[:, lo:hi], p).reshape(-1, D) @ lower).reshape(nodes, hi - lo, N, i * D)
         if not exact:
             reduce_mod(prod, p)
         for l in range(i):
@@ -191,31 +191,14 @@ class RSCode:
         return maps
 
     def encode_digits(self, message_digits: np.ndarray) -> np.ndarray:
-        """Encode one message given as digit rows; fields over a tabled base only.
-
-        message_digits: (dim, k) base-field digit rows, one per coefficient.
-        Returns (length, k) digit rows, one per evaluated point.  Vector
-        Horner: the evaluation points are the first ``length`` canonical
-        elements, whose digit rows are just base-q digits of 0..length-1.
-        """
+        """Encode one message of (dim, k) base-field digit rows, one per
+        coefficient, over a tabled base, into (length, k) rows, one per
+        point, by vector Horner; point j's row is the base-q digits of j."""
         F = self.field
         if message_digits.shape != (self.dim, F.degree):
             raise ValueError("message digit matrix has wrong shape")
-        points = self._point_digits()
+        points = split_digits(np.arange(self.length), F.base.q, F.degree)
         vals = np.repeat(message_digits[-1][None, :], self.length, axis=0).astype(np.int32)
         for j in range(self.dim - 2, -1, -1):
             vals = F.vadd(F.vmul(vals, points), message_digits[j][None, :])
         return vals
-
-    def _point_digits(self) -> np.ndarray:
-        F = self.field
-        cached = getattr(self, "_points_cache", None)
-        if cached is None:
-            idx = np.arange(self.length, dtype=np.int64)
-            digs = np.empty((self.length, F.degree), dtype=np.int32)
-            base_q = F.base.q
-            for d in range(F.degree):
-                idx, rem = np.divmod(idx, base_q)
-                digs[:, d] = rem
-            cached = self._points_cache = digs
-        return cached

@@ -471,6 +471,23 @@ BAD_SETTINGS = [
                                              "did you mean 'norm-concentrated'"]),
     ("packing", "projection.mode=exhaustiv", ["projection.mode must be one of",
                                               "did you mean 'exhaustive'"]),
+    # a fourth-power budget is read by the fourth-moment profile alone
+    ("packing", "spec.fourth_moment_bound=0.01",
+     ["fourth_moment_bound is read only by profile 'fourth-moment'; profile 'basic'"]),
+    ("packing", ("profile=norm-concentrated", "spec.fourth_moment_bound=0.01"),
+     ["fourth_moment_bound is read only by profile 'fourth-moment'; "
+      "profile 'norm-concentrated'"]),
+    ("simulate", 'codebook={"type": "packing", "spec": {"n": 32, "target_size": 20, '
+                 '"distance_exponent": 0.05, "fourth_moment_bound": 0.01}}',
+     ["fourth_moment_bound is read only by profile 'fourth-moment'; profile 'basic'"]),
+    # a law whose mass the quadrature misses has no expectations to offer
+    ("bounds", ('fading={"type": "nakagami", "shape": 1e7, "spread": 1.0}', "snr=1"),
+     ["nakagami expectations are out of the quadrature's reach"]),
+    ("simulate", ("channel.type=fast-fading", "verifier.mode=no-csi",
+                  'channel.fading={"type": "rician", "shape": 1e6, "scale": 1.0}'),
+     ["rician expectations are out of the quadrature's reach"]),
+    ("simulate", 'codebook={"type": "csv", "path": "words.csv"}',
+     ["codebook CSV words.csv entry at row 2, column 2 is 'abc', not a number"]),
 ]
 
 
@@ -478,17 +495,35 @@ def _seed(command: str, seed: int) -> list[str]:
     return ["--seed", str(seed)] if "--seed" in TAKES[command] else []
 
 
+# the runs start in a folder that holds these CSV books
+CSV_BOOKS = {"ragged.csv": "1,2,3\n4,5\n", "empty.csv": "", "words.csv": "1,2\n3,abc\n"}
+
+
+def _sets(command: str, items: list[str], folder, monkeypatch) -> list[str]:
+    """--set arguments for items over VALID_ARGS[command], run from folder with
+    the CSV_BOOKS: an item replaces the VALID_ARGS items at or under its key."""
+    for name, text in CSV_BOOKS.items():
+        (folder / name).write_text(text)
+    monkeypatch.chdir(folder)
+    keys = tuple(item.split("=", 1)[0] + "." for item in items)
+    base = [item for item in VALID_ARGS[command]
+            if not (item.split("=", 1)[0] + ".").startswith(keys)]
+    return [arg for item in base + items for arg in ("--set", item)]
+
+
 @pytest.mark.parametrize("command,setting,says", BAD_SETTINGS,
                          ids=[f"{c}:{s if isinstance(s, str) else ' '.join(s)}"
                               for c, s, _ in BAD_SETTINGS])
-def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, capsys):
+def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, monkeypatch,
+                                            capsys):
     items = [setting] if isinstance(setting, str) else list(setting)
-    sets = [arg for item in VALID_ARGS[command] + items for arg in ("--set", item)]
-    assert run([command, "--outdir", str(tmp_path), *_seed(command, 1), *sets]) == 2
+    sets = _sets(command, items, tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
     err = capsys.readouterr().err
     for text in says:
         assert text in err
-    assert list(tmp_path.iterdir()) == []  # refused before writing anything
+    assert not out.exists()  # refused before writing anything
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
@@ -497,11 +532,9 @@ def test_bad_setting_bases_are_valid(command, tmp_path):
     assert run([command, "--outdir", str(tmp_path), *_seed(command, 1), *sets]) == 0
 
 
-# (subcommand, --set items over its VALID_ARGS): a bad key, a bad record and
-# a plan or value the run itself refuses; none may leave --outdir behind.
-# An item replaces the VALID_ARGS items at or under its key, and the runs
-# start in a folder that holds the CSV_BOOKS files.
-CSV_BOOKS = {"ragged.csv": "1,2,3\n4,5\n", "empty.csv": ""}
+# (subcommand, --set items over its VALID_ARGS, as _sets takes them): a bad
+# key, a bad record and a plan or value the run itself refuses; none may
+# leave --outdir behind.
 REFUSALS = [
     ("construct", ["eps=0.5"]),
     ("construct", ["n=20", "a=0.015"]),
@@ -515,6 +548,7 @@ REFUSALS = [
     ("simulate", ["channel.type=slow-fading", f"channel.fading={RAYLEIGH}"]),
     ("simulate", ['codebook={"type": "csv", "path": "ragged.csv"}']),
     ("simulate", ['codebook={"type": "csv", "path": "empty.csv"}']),
+    ("simulate", ['codebook={"type": "csv", "path": "words.csv"}']),
     ("bounds", ["sigm2=2"]),
     ("bounds", ['fading={"type": "rayleigh", "scale": Infinity}']),
     ("bounds", ["d_min=0"]),
@@ -531,13 +565,7 @@ REFUSALS = [
 @pytest.mark.parametrize("command,settings", REFUSALS,
                          ids=[f"{c}:{' '.join(s)}" for c, s in REFUSALS])
 def test_refused_runs_create_no_outdir(command, settings, tmp_path, monkeypatch, capsys):
-    for name, text in CSV_BOOKS.items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.chdir(tmp_path)
-    keys = tuple(item.split("=", 1)[0] + "." for item in settings)
-    base = [item for item in VALID_ARGS[command]
-            if not (item.split("=", 1)[0] + ".").startswith(keys)]
-    sets = [arg for item in base + settings for arg in ("--set", item)]
+    sets = _sets(command, settings, tmp_path, monkeypatch)
     out = tmp_path / "out"
     assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
     assert "error:" in capsys.readouterr().err

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from dicode.errors import DegenerateFadingError
+from dicode.bounds import shannon_ergodic_capacity
+from dicode.errors import DegenerateFadingError, QuadratureError
 from dicode.fading import (
     Constant,
     DiscreteMixture,
@@ -187,6 +188,27 @@ def test_expect_quadrature_matches_closed_form_moments(law):
     # expect() integrates against the pdf; raw_moment() is the gamma closed form
     for k in range(1, 5):
         assert law.expect(lambda h: h**k) == pytest.approx(law.raw_moment(k), rel=1e-9)
+
+
+@pytest.mark.parametrize("law", [Rician(1e6, 1.0), Nakagami(1e7, 1.0)], ids=["rician", "nakagami"])
+def test_expect_refuses_a_law_whose_mass_the_quadrature_misses(law):
+    # both laws sit in a spike near h = 1 that quad's samples step over; E h
+    # and the capacity would read about 0 with a tiny error estimate
+    assert issubclass(QuadratureError, ValueError)  # the CLI exits 2 on it
+    with pytest.raises(QuadratureError, match="reads the law's mass as .*, not 1"):
+        law.expect(lambda h: h)
+    assert law._quadrature_mass < 1e-20
+    with pytest.raises(QuadratureError, match="out of the quadrature's reach"):
+        shannon_ergodic_capacity(law, 1.0)
+
+
+@pytest.mark.parametrize("law,e2", [(Nakagami(1e5, 1.0), 1.0), (Rician(3e5, 1.0), 1.0),
+                                    (Rayleigh(0.01), 2e-4), (Rician(1.5, 2.0), 2.0),
+                                    (Nakagami(0.5, 3.0), 3.0)],
+                         ids=["nakagami-1e5", "rician-3e5", "rayleigh-0.01", "rician", "nakagami"])
+def test_expect_takes_laws_whose_mass_the_quadrature_sees(law, e2):
+    assert law.expect(lambda h: 1.0) == pytest.approx(1.0, abs=5e-10)
+    assert law.expect(lambda h: h * h) == pytest.approx(e2, rel=1e-8)  # Omega, or 2 sigma^2
 
 
 def test_atomic_laws_expect_exactly_over_their_atoms():

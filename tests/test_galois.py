@@ -15,17 +15,19 @@ from dicode import galois
 from dicode.galois import (
     TABLE_LIMIT,
     ExtensionContext,
+    _digits,
     _poly_add,
     _poly_mul,
     _poly_rem,
     _poly_trim,
+    _prime_factors,
     digits_to_int,
     int_to_digits,
     is_irreducible,
-    is_prime,
     make_extension,
     make_field,
     prime_power,
+    split_digits,
 )
 
 
@@ -136,6 +138,23 @@ def test_irreducibility_matches_quadratic_residue_facts():
     assert not is_irreducible(gf3, (1, 2, 1))
 
 
+def _mobius(n):
+    factors = _prime_factors(n)
+    return 0 if len(set(factors)) < len(factors) else (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("p,m,degrees", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3)])
+def test_irreducible_counts_follow_gauss_formula(p, m, degrees):
+    # Ben-Or's test accepts exactly the monic irreducibles: over GF(q) there
+    # are (1/k) sum_{d | k} mu(d) q^(k/d) of degree k
+    F = make_field(p, m)
+    q = F.q
+    for k in range(1, degrees + 1):
+        want = sum(_mobius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        got = sum(is_irreducible(F, (*_digits(code, q, k), 1)) for code in range(q**k))
+        assert got == want, (q, k)
+
+
 def test_digit_encoding_round_trips():
     ctx = make_field(3, 3, seed=0)
     for e in range(27):
@@ -161,8 +180,10 @@ def test_multiplicative_group_is_cyclic():
 
 
 def test_prime_and_prime_power_classifiers():
-    assert is_prime(2) and is_prime(3) and is_prime(97) and is_prime(7919)
-    assert not is_prime(1) and not is_prime(91) and not is_prime(561)  # 561 is Carmichael
+    for prime in (2, 3, 97, 7919):
+        assert prime_power(prime) == (prime, 1)
+    for composite in (1, 91, 561):  # 561 is a Carmichael number
+        assert prime_power(composite) is None
     assert prime_power(8) == (2, 3)
     assert prime_power(81) == (3, 4)
     assert prime_power(5) == (5, 1)
@@ -185,7 +206,7 @@ class TestExtensionTower:
         rng = np.random.default_rng(5)
         a = rng.integers(0, 27, size=40)
         b = rng.integers(0, 27, size=40)
-        da, db = ext.digit_rows(a), ext.digit_rows(b)
+        da, db = split_digits(a, 3, 3), split_digits(b, 3, 3)
         vm = [ext.from_digits(r) for r in ext.vmul(da, db)]
         va = [ext.from_digits(r) for r in ext.vadd(da, db)]
         assert vm == [ext.mul(int(x), int(y)) for x, y in zip(a, b)]
@@ -195,7 +216,7 @@ class TestExtensionTower:
         base = make_field(5, 1, seed=0)
         ext = make_extension(base, 2, seed=0)  # GF(25)
         idx = np.arange(25)
-        rows = ext.digit_rows(idx)
+        rows = split_digits(idx, ext.base.q, ext.degree)
         assert rows.shape == (25, 2)
         back = [ext.from_digits(r) for r in rows]
         assert back == list(range(25))
@@ -323,3 +344,32 @@ def test_int_digits_round_trip(base, width):
         v, r = divmod(v, base)
         low.append(r)
     assert list(digits[: len(low)]) == low
+
+
+def test_split_digits_round_trips_every_table_order():
+    # every order q <= TABLE_LIMIT, split at each base b = p^j with q = b^w
+    for q in range(2, TABLE_LIMIT + 1):
+        if (pm := prime_power(q)) is None:
+            continue
+        p, m = pm
+        for j in (j for j in range(1, m + 1) if m % j == 0):
+            base, width = p**j, m // j
+            rows = split_digits(np.arange(q), base, width)
+            assert rows.shape == (q, width) and rows.dtype == np.int64
+            assert [tuple(row) for row in rows] == [_digits(i, base, width) for i in range(q)]
+            np.testing.assert_array_equal(rows @ base ** np.arange(width), np.arange(q))
+
+
+def test_split_digits_match_python_divmod():
+    rng = np.random.default_rng(63)
+    for _ in range(50):
+        base, width = int(rng.integers(2, 1 << 20)), int(rng.integers(1, 70))
+        values = rng.integers(0, 2**63 - 1, size=(3, 4), dtype=np.int64, endpoint=True)
+        got = split_digits(values, base, width)
+        assert got.shape == (3, 4, width)
+        for value, row in zip(values.ravel().tolist(), got.reshape(-1, width)):
+            want = []
+            for _ in range(width):  # the low digits; a split drops the rest
+                value, r = divmod(value, base)
+                want.append(r)
+            assert row.tolist() == want

@@ -9,6 +9,7 @@ trade-off (conditional error rates on h = 0 trials sum to one).
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dicode.harness import (
     write_text_atomic,
 )
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician
+from dicode.packing import PackingSpec, generate_expurgated
 
 
 def small_config(**overrides):
@@ -197,6 +199,38 @@ def test_array_codebook_close_partner_is_nearest_neighbor():
         d = np.sum((vectors - vectors[i]) ** 2, axis=1)
         d[i] = np.inf
         assert j == int(np.argmin(d))
+
+
+def _full_matrix_partners(vectors):
+    sq = np.sum(vectors**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2 * (vectors @ vectors.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argmin(d2, axis=1).tolist()
+
+
+@pytest.mark.parametrize("book", ["criterion-5", "400x64", "40x8"])
+def test_array_codebook_close_partners_equal_the_full_matrix_oracle(book):
+    if book == "criterion-5":
+        spec = PackingSpec(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
+                           distance_exponent=0.05, seed=9)
+        vectors = generate_expurgated(spec, "norm-concentrated")[0]
+    else:
+        rows, n = map(int, book.split("x"))
+        vectors = np.random.default_rng(rows).normal(0, 1, (rows, n))
+    array_book = ArrayCodebook(vectors)
+    got = [array_book.close_partner(i) for i in range(len(vectors))]
+    assert got == _full_matrix_partners(vectors)
+
+
+def test_array_codebook_close_partner_holds_one_row_of_distances():
+    book = ArrayCodebook(np.random.default_rng(3).normal(0, 1, (4000, 4)))
+    tracemalloc.start()
+    try:
+        book.close_partner(17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 4000 * 8  # a (4000, 4000) matrix would take 128 MB
 
 
 def test_build_codebook_sources(tmp_path):

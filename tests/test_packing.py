@@ -397,6 +397,19 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize("profile", ["basic", "norm-concentrated"])
+def test_a_fourth_power_budget_is_refused_where_the_profile_ignores_it(profile):
+    spec = PackingSpec(fourth_moment_bound=0.01, **COMFY)
+    says = f"fourth_moment_bound is read only by profile 'fourth-moment'; profile {profile!r}"
+    with pytest.raises(ValueError, match=says):
+        generate_expurgated(spec, profile)
+    with pytest.raises(ValueError, match=says):
+        verify_packing(np.zeros((2, spec.n)), spec, profile)
+    # under fourth-moment the same budget is read: every draw breaks it
+    with pytest.raises(InfeasibleError):
+        generate_expurgated(spec, "fourth-moment")
+
+
 def test_csv_round_trip_with_spec_sidecar(tmp_path, capsys):
     spec = PackingSpec(seed=5, **COMFY)
     vectors, _ = generate_expurgated(spec, "basic")
@@ -421,6 +434,17 @@ def test_load_csv_refuses_non_finite_entries(entry, row, col, tmp_path):
     path.write_text("".join(",".join(r) + "\n" for r in cells))
     with pytest.raises(ValueError, match=f"row {row}, column {col} is {float(entry)}"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("text,row,col,cell", [("1,2\n3,abc\n", 2, 2, "abc"),
+                                               ("1,,2\n", 1, 2, ""), ("\n0x1,2\n", 1, 1, "0x1")])
+def test_load_csv_refuses_non_numeric_entries(text, row, col, cell, tmp_path):
+    path = tmp_path / "book.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_csv(path)
+    assert str(refused.value) == (f"codebook CSV {path} entry at row {row}, column {col} is "
+                                  f"{cell!r}, not a number")
 
 
 @pytest.mark.parametrize("text,says", [

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from dicode import rs
-from dicode.galois import TABLE_LIMIT, digits_to_int, int_to_digits, make_extension, make_field
+from dicode.galois import (
+    TABLE_LIMIT,
+    digits_to_int,
+    int_to_digits,
+    make_extension,
+    make_field,
+    split_digits,
+)
 from dicode.rs import RSCode
 
 
@@ -103,7 +110,7 @@ def test_digit_encode_matches_scalar_encode_over_extension():
     for _ in range(10):
         msg = [int(x) for x in rng.integers(0, 9, 3)]
         want = code.encode(msg)
-        digits = ext.digit_rows(np.array(msg))
+        digits = split_digits(msg, 3, 2)
         got_digits = code.encode_digits(digits)
         got = [ext.from_digits(r) for r in got_digits]
         assert got == want
@@ -251,7 +258,14 @@ def test_tower_code_used_by_the_concatenation():
     code = RSCode(ext, length=60, dim=40)
     assert code.min_distance == 21
     msgs = np.arange(64).reshape(-1, 1) * np.ones((1, 40), dtype=int) % 64
-    digits = [code.encode_digits(ext.digit_rows(m)) for m in msgs[:4]]
+    digits = [code.encode_digits(split_digits(m, base.q, 3)) for m in msgs[:4]]
     # distinct messages must give distinct codewords
     flat = {tuple(d.ravel()) for d in digits}
     assert len(flat) == 4
+
+
+def test_batch_encode_of_no_messages_is_empty():
+    # GF(4) over GF(2): four points take two levels, the upper one dividing
+    code = RSCode(make_field(2, 2), length=4, dim=3)
+    got = code.encode_batch(np.zeros((0, 3, 2), dtype=np.int8))
+    assert got.shape == (0, 4, 2) and got.dtype == np.int8
