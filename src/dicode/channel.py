@@ -70,13 +70,16 @@ CHANNELS = {model.TYPE: model for model in (Awgn, SlowFading, FastFading)}
 
 
 def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
-    """Send codeword u once per generator in the sequence ``rngs``.
+    """Send codeword u once per generator that the sized iterable ``rngs`` yields.
 
     Returns the block (Y, H): row r of Y is the word received with
     generator r, and H is None for AWGN, a vector with one coefficient
     per row for slow fading, or a (rows, n) block for fast fading.  Each
     generator draws its fading first and its noise second, so row r does
-    not depend on the other rows; one word is a one-row block.
+    not depend on the other rows; one word is a one-row block.  ``rngs``
+    may yield one reused Generator, reseeded for each row: a row is drawn
+    before the next generator is asked for, and callers must not keep
+    the generators it yields.
 
     ``out``, a (Y, H) pair from ``block_buffers`` with at least one row
     per generator, makes the send write into (and return the leading

@@ -5,7 +5,11 @@ SeedSequence((master_seed, purpose_tag, slot, trial)), so trial t of
 slot k consumes exactly the same randomness no matter how trials are
 partitioned across workers.  Reports therefore depend only on the
 configuration, and the canonical serialization (which excludes timing
-and worker count) is byte-identical across runs.
+and worker count) is byte-identical across runs.  ``_SlotSeeds`` reaches
+a trial's stream without that SeedSequence: numpy's seeding arithmetic,
+one numpy pass per block, sets the state of the worker thread's one
+PCG64.  NumPy may change that seeding (NEP 19); a test compares it with
+``_gen``.
 
 Trials run in one engine.  A slot is one (sent, verified) pair of
 identities with its trial count; a genuine slot is the pair (i, i).
@@ -15,10 +19,10 @@ fading, then the noise, into row t of the block (``channel.transmit``),
 and one ``verify`` call decides the whole block.  A block holds at most
 ``BLOCK_BYTES`` of received words, so memory stays flat in the trial
 count and the block length; the verdicts are the ones a trial-by-trial
-loop gives.  Each worker thread allocates its block buffers once and
-reuses them for every block it sends, so the trial loop makes no
-block-sized allocation: no page-fault or unmap churn, and no thread
-waits on another's memory-map changes.  ``_build_verifier`` builds
+loop gives.  Each worker thread allocates its block buffers and its
+generator once and reuses them for every block it sends, so the trial
+loop makes no block-sized allocation: no page-fault or unmap churn, and
+no thread waits on another's memory-map changes.  ``_build_verifier`` builds
 every verifier from the decoder's tables; a run calls it first, so a
 channel its mode does not serve, or outage keys without an outage rule,
 are refused before the codebook is built.
@@ -43,9 +47,12 @@ sum to one (the verifier sees pure noise either way).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -149,6 +156,93 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
 
 def _gen(*entropy) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# numpy seeds PCG64 from a SeedSequence (numpy/random/bit_generator.pyx, pcg64.c):
+# mix_entropy hashes the uint32 entropy words into a pool of four, generate_state(4,
+# uint64) hashes the pool into a seed and an increment, and PCG64 steps from them
+_M32, _M128, _PCG_MULT = (1 << 32) - 1, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+# generate_state's hash constants, as columns: word i of the state hashes pool word i % 4
+_STATE_HASH = np.array([[_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(j, j + 8)]
+                        for j in (0, 1)], dtype=np.uint32)[:, :, None]
+
+
+def _hash(value, h, h2):  # SeedSequence's hash step, on Python ints or uint32 arrays
+    value = (value ^ h) * h2 & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):  # mix_entropy's mix of pool word x with hashed word y
+    value = (x * 0xCA01F9DD - (y * 0x4973F715 & _M32)) & _M32
+    return value ^ value >> 16
+
+
+class _SlotSeeds:
+    """The streams of SeedSequence((seed, tag, slot, t)) for a slot's trials t, on one
+    reused generator.  The slot's words are hashed once, here, in Python ints: mix_entropy
+    runs in numpy's order with t's word open (None), keeping the hash constants t meets,
+    the constants its pool word takes and the pool words its hashes go into."""
+
+    def __init__(self, rng: np.random.Generator, seed: int, tag: int, slot: int):
+        self.rng, self.prefix, h = rng, (seed, tag, slot), _INIT_A
+        hashes, mixed, into = [], [], []
+
+        def hashmix(value):
+            nonlocal h
+            h, h0 = h * _MULT_A & _M32, h
+            if value is not None:
+                return _hash(value, h0, h)
+            hashes.append((h0, h))  # t's word: keep the constants it meets
+
+        def mix(d, value):
+            if pool[d] is None:
+                mixed.append(value)
+            elif value is None:
+                into.append(pool[d])
+            else:
+                pool[d] = _mix(pool[d], value)
+
+        words = [v >> s & _M32 for v in map(int, self.prefix)
+                 for s in range(0, max(v.bit_length(), 1), 32)]
+        words.append(None)  # t's word, after the three or more of (seed, tag, slot)
+        pool = [hashmix(w) for w in words[:4]]
+        for s, d in itertools.permutations(range(4), 2):
+            mix(d, hashmix(pool[s]))
+        for w, d in itertools.product(words[4:], range(4)):
+            mix(d, hashmix(w))
+        # with a one-word seed t is the pool's fourth word: hashed, mixed with three
+        # constants, then hashed into the other three; else it is hashed into all four
+        self.head, self.mixed = (hashes.pop(0) if mixed else None), mixed
+        self.into = np.array(into, dtype=np.uint32)[:, None]
+        self.hashes = np.array(hashes, dtype=np.uint32).T[:, :, None]
+
+    def block(self, start: int, stop: int):
+        """Trials start .. stop - 1 in one numpy pass, for ``transmit``: this object,
+        whose iterator reseeds and yields its generator for each trial in turn; past
+        t = 2^32 - 1, where t takes a second word, numpy's own generators."""
+        if stop > 1 << 32:
+            return [_gen(*self.prefix, t) for t in range(start, stop)]
+        x = np.arange(start, stop, dtype=np.uint32)
+        if self.head:
+            x = functools.reduce(_mix, self.mixed, _hash(x, *self.head))
+        pool = _mix(self.into, _hash(x, *self.hashes))
+        pool = np.vstack([pool, x] if self.head else [pool])[[0, 1, 2, 3, 0, 1, 2, 3]]
+        w = _hash(pool, *_STATE_HASH).astype(np.uint64)
+        self.words = (w[0::2] | w[1::2] << 32).T.tolist()
+        return self
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):  # PCG64's seeding: state 0, step, add the seed, step
+        rng, bit_generator = self.rng, self.rng.bit_generator
+        for s0, s1, i0, i1 in self.words:
+            inc = (i0 << 65 | i1 << 1 | 1) & _M128
+            state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _M128
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+            yield rng
 
 
 def _uniform_index(rng: np.random.Generator, size: int) -> int:
@@ -379,12 +473,14 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         a type-I error or a type-II accept."""
         sent, ver, tag, slot, trials = slots[k]
         u_sent, u = codewords[sent], codewords[ver]
-        if not hasattr(local, "blocks"):  # this thread's received words, fading, scratch
+        if not hasattr(local, "blocks"):  # this thread's words, fading, scratch, generator
             local.blocks = block_buffers(cfg.channel, rows, book.n)
             local.scratch = np.empty((rows, book.n))
+            local.rng = np.random.Generator(np.random.PCG64(0))
+        seeds = _SlotSeeds(local.rng, cfg.seed, tag, slot)
         out = np.zeros(4, dtype=np.int64)
         for start in range(0, trials, rows):
-            rngs = [_gen(cfg.seed, tag, slot, t) for t in range(start, min(start + rows, trials))]
+            rngs = seeds.block(start, min(start + rows, trials))
             Y, H = transmit(cfg.channel, u_sent, rngs, out=local.blocks)
             accept, outage = verifier.verify(Y, u, H, taus[ver], out=local.scratch[:len(rngs)])
             hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
@@ -393,11 +489,12 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         return [int(c) for c in out]
 
     counts = _map_slots(run_slot, len(slots), cfg.workers)
+    labels = {i: identity_str(i) for i in codewords}  # every identity's decimal string, once
     per_identity, pooled1, zero1 = _tally(
-        [{"slot": k, "identity": identity_str(i)} for k, i in enumerate(identity_ids)],
+        [{"slot": k, "identity": labels[i]} for k, i in enumerate(identity_ids)],
         counts[:cfg.identities], cfg.per_identity, "errors", "error_rate")
     per_pair, pooled2, zero2 = _tally(
-        [{"slot": k, "sent": identity_str(a), "verified": identity_str(b), "kind": kind}
+        [{"slot": k, "sent": labels[a], "verified": labels[b], "kind": kind}
          for k, (a, b, kind) in enumerate(pair_list)],
         counts[cfg.identities:], cfg.per_pair, "accepts", "accept_rate")
     rates = [r["accept_rate"] for r in per_pair if r["accept_rate"] is not None]
@@ -433,6 +530,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     meta = {
         "wall_clock_s": time.perf_counter() - t_start,
         "workers": cfg.workers,
+        "env": _env(),
     }
     return TrialReport(results=results, meta=meta)
 
@@ -521,6 +619,7 @@ class MomentReport:
     draws: int
     elapsed_s: float
     cell_s: list[float]  # seconds of each (law, mode, pair, statistic) cell, in row order
+    env: dict  # the run's Python, numpy and usable cores (``_env``)
 
     @property
     def failures(self) -> list[MomentCheckRow]:
@@ -532,6 +631,7 @@ class MomentReport:
             "draws": self.draws,
             "elapsed_s": self.elapsed_s,
             "cell_s": self.cell_s,
+            "env": self.env,
             "rows": [asdict(r) for r in self.rows],
             "failures": len(self.failures),
         }
@@ -582,6 +682,11 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _env() -> dict:  # what an output's bytes rest on besides its config: numpy's seeding
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "cores": _usable_cores()}
 
 
 def moment_validation(cfg: MomentGridConfig) -> MomentReport:
@@ -635,7 +740,8 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
 
     results = _map_threads(run_cell, cells, _usable_cores())
     return MomentReport(rows=[r for rows, _ in results for r in rows], draws=cfg.draws,
-                        elapsed_s=time.perf_counter() - t0, cell_s=[s for _, s in results])
+                        elapsed_s=time.perf_counter() - t0, cell_s=[s for _, s in results],
+                        env=_env())
 
 
 def hash_label(label: str) -> int:

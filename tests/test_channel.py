@@ -8,7 +8,7 @@ import pytest
 from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_channel, transmit
 from dicode.config import resolve
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
-from dicode.harness import CONFIG_KEYS
+from dicode.harness import CONFIG_KEYS, _gen, _SlotSeeds
 
 
 def send_one(model, x, rng):
@@ -124,24 +124,28 @@ def test_rejects_negative_noise_but_allows_zero():
 ], ids=["awgn", "slow", "fast"])
 def test_block_rows_equal_single_sends_drawn_fading_first(model):
     # row r of a block send is the one-row block of generator r alone, and
-    # each generator draws its fading before its noise
+    # each generator draws its fading before its noise; the harness's block,
+    # one generator reseeded for each row, sends the rows of fresh generators
     x = np.linspace(-1.0, 2.0, 40)
-    Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(5)])
-    assert Y.shape == (5, 40)
-    for r in range(5):
-        rng = np.random.default_rng(r)
-        h = None if isinstance(model, Awgn) else model.fading.sample(
-            rng, 40 if isinstance(model, FastFading) else None)
-        z = math.sqrt(model.sigma2) * rng.standard_normal(40)
-        assert np.array_equal(Y[r], (x if h is None else h * x) + z)
-        Y1, H1 = transmit(model, x, [np.random.default_rng(r)])
-        assert np.array_equal(Y[r], Y1[0])
-        if h is None:
-            assert H is None and H1 is None
-        else:
-            assert np.array_equal(H[r], h) and np.array_equal(H1[0], h)
-    if isinstance(model, SlowFading):
-        assert H.shape == (5,) and H1.shape == (1,)
+    reused = np.random.Generator(np.random.PCG64(0))
+    for block, fresh in (([np.random.default_rng(s) for s in range(5)], np.random.default_rng),
+                         (_SlotSeeds(reused, 3, 1, 2).block(0, 5), lambda r: _gen(3, 1, 2, r))):
+        Y, H = transmit(model, x, block)
+        assert Y.shape == (5, 40)
+        for r in range(5):
+            rng = fresh(r)
+            h = None if isinstance(model, Awgn) else model.fading.sample(
+                rng, 40 if isinstance(model, FastFading) else None)
+            z = math.sqrt(model.sigma2) * rng.standard_normal(40)
+            assert np.array_equal(Y[r], (x if h is None else h * x) + z)
+            Y1, H1 = transmit(model, x, [fresh(r)])
+            assert np.array_equal(Y[r], Y1[0])
+            if h is None:
+                assert H is None and H1 is None
+            else:
+                assert np.array_equal(H[r], h) and np.array_equal(H1[0], h)
+        if isinstance(model, SlowFading):
+            assert H.shape == (5,) and H1.shape == (1,)
 
 
 @pytest.mark.parametrize("model", [

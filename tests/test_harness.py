@@ -6,10 +6,12 @@ denominators, and the degenerate slow-fading regime shows the forced
 trade-off (conditional error rates on h = 0 trials sum to one).
 """
 
+import itertools
 import json
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from dicode.harness import (
     ArrayCodebook,
     ExperimentConfig,
     MomentGridConfig,
+    _gen,
+    _SlotSeeds,
     build_codebook,
     moment_validation,
     run_experiment,
@@ -89,9 +93,60 @@ def test_reports_are_byte_identical_across_worker_counts():
     for workers in (1, 2, 4):
         rep = run_experiment(small_config(workers=workers))
         texts.append(rep.canonical_json())
-    assert texts[0] == texts[1] == texts[2]
+    # threads that switch mid-block: a generator shared between two of them
+    # would hand one thread's draws to the other and change the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        texts.append(run_experiment(small_config(workers=3)).canonical_json())
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts[0] == texts[1] == texts[2] == texts[3]
     # the worker count may only surface in the meta block
     assert '"workers"' not in texts[0]
+
+
+def test_block_streams_equal_numpys_per_trial_seeding():
+    # _SlotSeeds reaches SeedSequence((seed, tag, slot, t))'s stream by numpy's
+    # seeding arithmetic, which NEP 19 does not freeze: a numpy release that
+    # changes it fails here.  Seeds of 1 to 4 uint32 words; t from 2^32 takes a
+    # second word, and one block straddles 2^32
+    picks = np.random.default_rng(21).integers(0, 1 << 32, size=50).tolist()
+    blocks = [(s, min(s + 43, 300)) for s in range(0, 300, 43)] + [(t, t + 1) for t in picks]
+    blocks += [(2**32 - 2, 2**32), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 2)]
+    rng = np.random.Generator(np.random.PCG64(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy scalar uint32 overflow would warn on stderr
+        for seed, tag, slot in itertools.product((0, 2**32 - 1, 2**32, 2**64 + 1, 2**97 + 5),
+                                                 range(4), (0, 2**31)):
+            seeds = _SlotSeeds(rng, seed, tag, slot)
+            for start, stop in blocks:
+                streams = seeds.block(start, stop)
+                assert len(streams) == stop - start
+                for t, g in zip(range(start, stop), streams):
+                    ref = _gen(seed, tag, slot, t)
+                    assert np.array_equal(g.standard_normal(8), ref.standard_normal(8)), \
+                        (seed, tag, slot, t)
+                    assert np.array_equal(g.random(3), ref.random(3))
+                    assert g.bit_generator.state == ref.bit_generator.state
+
+
+def test_outputs_carry_the_run_environment_beside_their_results(monkeypatch):
+    import dicode.harness as harness_mod
+
+    env = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+           "cores": harness_mod._usable_cores()}
+    grid_cfg = MomentGridConfig(distributions=(Rayleigh(1.0),), n=8, draws=2000, pair_count=1)
+    report, grid = run_experiment(small_config()), moment_validation(grid_cfg)
+    meta = json.loads(report.full_json())["meta"]
+    assert set(meta) == {"wall_clock_s", "workers", "env"} and meta["env"] == env
+    assert json.loads(grid.to_json())["env"] == env
+    # another environment moves neither the canonical bytes nor the moment rows
+    monkeypatch.setattr(harness_mod, "_env", lambda: {"python": "0.0.0", "numpy": "0", "cores": 0})
+    other = run_experiment(small_config())
+    assert json.loads(other.full_json())["meta"]["env"]["cores"] == 0
+    assert other.canonical_json() == report.canonical_json()
+    assert moment_validation(grid_cfg).rows == grid.rows
 
 
 def test_reruns_reproduce_and_seeds_differ():
