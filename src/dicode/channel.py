@@ -10,17 +10,19 @@ Each declares its record ``TYPE`` and the shape of its fading draws
 (``FADING_DIMS``).  ``CHANNELS`` lists them by type for ``parse_channel``
 and the simulate key table, so no caller checks a channel's class.
 
-``transmit`` sends one word per supplied Generator, as the rows of one
-(rows, n) block; a single word is a one-row block.  Each Generator draws
-its fading realization first and its noise second; that ordering is part
-of the reproducibility contract.  The law fills its row of the block in
-place, and the row is finished (scaled and shifted by the faded codeword)
-right after, while it is still in cache; a caller that sends many blocks
-can hand ``transmit`` the same buffers from ``block_buffers`` each time.
+``transmit`` fills a (rows, n) block, one received word per row, each
+row with the next Generator of an iterator; a single word is a one-row
+block.  Each Generator draws its fading realization first and its noise
+second; that ordering is part of the reproducibility contract.  The law
+fills its row of the block in place, and the row is finished (scaled and
+shifted by the faded codeword) right after, while it is still in cache;
+a caller that sends many blocks can hand ``transmit`` the leading rows
+of the same ``block_buffers`` each time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +72,8 @@ CHANNELS = {model.TYPE: model for model in (Awgn, SlowFading, FastFading)}
 
 
 def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
-    """Send codeword u once per generator that the sized iterable ``rngs`` yields.
+    """Send codeword u once per row of the block, drawing row r with the r-th
+    generator that the iterable ``rngs`` yields.
 
     Returns the block (Y, H): row r of Y is the word received with
     generator r, and H is None for AWGN, a vector with one coefficient
@@ -81,20 +84,23 @@ def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
     before the next generator is asked for, and callers must not keep
     the generators it yields.
 
-    ``out``, a (Y, H) pair from ``block_buffers`` with at least one row
-    per generator, makes the send write into (and return the leading
-    rows of) those arrays instead of allocating new ones.
+    ``out``, a (Y, H) pair like ``block_buffers`` makes, is the block:
+    every row of it is filled in place and returned, taking just as many
+    generators from ``rngs``, so a caller can send one iterator's trials
+    over many blocks.  An iterator that runs out first is refused.
+    Without ``out`` the block has one row per generator of ``rngs``.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("codeword must be one-dimensional")
-    Y, H = block_buffers(model, len(rngs), u.size) if out is None else out
-    if Y.shape[0] < len(rngs) or Y.shape[1] != u.size:
-        raise ValueError(f"a ({len(rngs)}, {u.size}) block does not fit buffers of shape {Y.shape}")
-    Y = Y[:len(rngs)]
-    H = None if H is None else H[:len(rngs)]
-    scale = math.sqrt(model.sigma2)
-    for r, rng in enumerate(rngs):
+    if out is None:
+        rngs = list(rngs)
+        out = block_buffers(model, len(rngs), u.size)
+    Y, H = out
+    if Y.shape[1] != u.size:
+        raise ValueError(f"a word of length {u.size} does not fit buffers of shape {Y.shape}")
+    scale, r = math.sqrt(model.sigma2), 0
+    for rng in itertools.islice(rngs, len(Y)):
         y = Y[r]
         if H is not None:  # H[r, ...]: a view of the row (fast) or the entry (slow)
             model.fading.sample(rng, out=H[r, ...])
@@ -102,6 +108,9 @@ def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
         # sigma*z + h*u, elementwise as in y = h x + z
         y *= scale
         y += u if H is None else H[r] * u
+        r += 1
+    if r < len(Y):
+        raise ValueError(f"{r} generators for a block of {len(Y)} rows")
     return Y, H
 
 

@@ -239,13 +239,7 @@ def cmd_moments(args) -> int:
     report = moment_validation(grid)
     outputs = {"moments.json": report.to_json() + "\n"}
     if args.format == "csv":
-        head = "case,statistic,quantity,formula,estimate,std_error,deviation,ok"
-        rows = [head] + [
-            f"{r.case},{r.statistic},{r.quantity},{r.formula!r},{r.estimate!r},"
-            f"{r.std_error!r},{r.deviation!r},{r.ok}"
-            for r in report.rows
-        ]
-        outputs["moments.csv"] = "\n".join(rows) + "\n"
+        outputs["moments.csv"] = report.rows_csv()
     _write(args, grid.to_dict(), outputs)  # a failing grid too, for post-mortems
     bad = report.failures
     print(f"checked {len(report.rows)} moments, {len(bad)} outside "

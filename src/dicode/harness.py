@@ -5,11 +5,12 @@ SeedSequence((master_seed, purpose_tag, slot, trial)), so trial t of
 slot k consumes exactly the same randomness no matter how trials are
 partitioned across workers.  Reports therefore depend only on the
 configuration, and the canonical serialization (which excludes timing
-and worker count) is byte-identical across runs.  ``_SlotSeeds`` reaches
-a trial's stream without that SeedSequence: numpy's seeding arithmetic,
-one numpy pass per block, sets the state of the worker thread's one
-PCG64.  NumPy may change that seeding (NEP 19); a test compares it with
-``_gen``.
+and worker count) is byte-identical across runs.  ``_slot_streams``
+reaches a slot's trial streams without those SeedSequences: ``_pool``
+transcribes numpy's seeding arithmetic, hashing up to ``_SEED_CHUNK``
+trial indices per numpy pass, and each trial's state is set on the
+worker thread's one PCG64.  NumPy may change that seeding (NEP 19); a
+test compares it with ``_gen``, which stays numpy's own path.
 
 Trials run in one engine.  A slot is one (sent, verified) pair of
 identities with its trial count; a genuine slot is the pair (i, i).
@@ -20,12 +21,14 @@ and one ``verify`` call decides the whole block.  A block holds at most
 ``BLOCK_BYTES`` of received words, so memory stays flat in the trial
 count and the block length; the verdicts are the ones a trial-by-trial
 loop gives.  Each worker thread allocates its block buffers and its
-generator once and reuses them for every block it sends, so the trial
-loop makes no block-sized allocation: no page-fault or unmap churn, and
-no thread waits on another's memory-map changes.  ``_build_verifier`` builds
-every verifier from the decoder's tables; a run calls it first, so a
-channel its mode does not serve, or outage keys without an outage rule,
-are refused before the codebook is built.
+generator once and reuses them for every block it sends, a short last
+block in the buffers' leading rows, and one iterator of the slot's
+streams feeds all its blocks.  So the trial loop makes no block-sized
+allocation: no page-fault or unmap churn, and no thread waits on
+another's memory-map changes.  ``_build_verifier`` builds every verifier
+from the decoder's tables; a run calls it first, so a channel its mode
+does not serve, or outage keys without an outage rule, are refused
+before the codebook is built.
 
 Moment validation checks, by Monte Carlo, the closed-form moments of
 ``decoder.statistic`` as each grid mode's verifier (``GRID_MODES``) reads
@@ -47,7 +50,6 @@ sum to one (the verifier sees pure noise either way).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -163,9 +165,12 @@ def _gen(*entropy) -> np.random.Generator:
 # uint64) hashes the pool into a seed and an increment, and PCG64 steps from them
 _M32, _M128, _PCG_MULT = (1 << 32) - 1, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-# generate_state's hash constants, as columns: word i of the state hashes pool word i % 4
-_STATE_HASH = np.array([[_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(j, j + 8)]
-                        for j in (0, 1)], dtype=np.uint32)[:, :, None]
+_SEED_CHUNK = 256  # trial indices per numpy pass; a chunk starts at a multiple of it
+
+
+def _consts(h, mult):  # the (h, h2) pairs that successive hash steps take
+    while True:
+        yield h, (h := h * mult & _M32)
 
 
 def _hash(value, h, h2):  # SeedSequence's hash step, on Python ints or uint32 arrays
@@ -173,72 +178,46 @@ def _hash(value, h, h2):  # SeedSequence's hash step, on Python ints or uint32 a
     return value ^ value >> 16
 
 
-def _mix(x, y):  # mix_entropy's mix of pool word x with hashed word y
-    value = (x * 0xCA01F9DD - (y * 0x4973F715 & _M32)) & _M32
+# generate_state's hash constants, as columns: word i of the state hashes pool word i % 4
+_STATE_HASH = np.array(list(itertools.islice(_consts(_INIT_B, _MULT_B), 8)),
+                       dtype=np.uint32).T[:, :, None]
+
+
+def _mix(x, y):  # mix_entropy's mix of pool word x with hashed word y; x or y may be an int
+    value = ((x * 0xCA01F9DD & _M32) - (y * 0x4973F715 & _M32)) & _M32
     return value ^ value >> 16
 
 
-class _SlotSeeds:
-    """The streams of SeedSequence((seed, tag, slot, t)) for a slot's trials t, on one
-    reused generator.  The slot's words are hashed once, here, in Python ints: mix_entropy
-    runs in numpy's order with t's word open (None), keeping the hash constants t meets,
-    the constants its pool word takes and the pool words its hashes go into."""
+def _words(value: int) -> list[int]:  # an entropy int as SeedSequence's uint32 words
+    return [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
 
-    def __init__(self, rng: np.random.Generator, seed: int, tag: int, slot: int):
-        self.rng, self.prefix, h = rng, (seed, tag, slot), _INIT_A
-        hashes, mixed, into = [], [], []
 
-        def hashmix(value):
-            nonlocal h
-            h, h0 = h * _MULT_A & _M32, h
-            if value is not None:
-                return _hash(value, h0, h)
-            hashes.append((h0, h))  # t's word: keep the constants it meets
+def _pool(words) -> list:
+    """numpy's mix_entropy, in numpy's order, over four or more uint32 words, each a Python
+    int or a uint32 array: an array word hashes as many entropies at once as it holds."""
+    consts = _consts(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(consts)) for w in words[:4]]
+    for s, d in itertools.permutations(range(4), 2):
+        pool[d] = _mix(pool[d], _hash(pool[s], *next(consts)))
+    for w in words[4:]:
+        for d in range(4):
+            pool[d] = _mix(pool[d], _hash(w, *next(consts)))
+    return pool
 
-        def mix(d, value):
-            if pool[d] is None:
-                mixed.append(value)
-            elif value is None:
-                into.append(pool[d])
-            else:
-                pool[d] = _mix(pool[d], value)
 
-        words = [v >> s & _M32 for v in map(int, self.prefix)
-                 for s in range(0, max(v.bit_length(), 1), 32)]
-        words.append(None)  # t's word, after the three or more of (seed, tag, slot)
-        pool = [hashmix(w) for w in words[:4]]
-        for s, d in itertools.permutations(range(4), 2):
-            mix(d, hashmix(pool[s]))
-        for w, d in itertools.product(words[4:], range(4)):
-            mix(d, hashmix(w))
-        # with a one-word seed t is the pool's fourth word: hashed, mixed with three
-        # constants, then hashed into the other three; else it is hashed into all four
-        self.head, self.mixed = (hashes.pop(0) if mixed else None), mixed
-        self.into = np.array(into, dtype=np.uint32)[:, None]
-        self.hashes = np.array(hashes, dtype=np.uint32).T[:, :, None]
-
-    def block(self, start: int, stop: int):
-        """Trials start .. stop - 1 in one numpy pass, for ``transmit``: this object,
-        whose iterator reseeds and yields its generator for each trial in turn; past
-        t = 2^32 - 1, where t takes a second word, numpy's own generators."""
-        if stop > 1 << 32:
-            return [_gen(*self.prefix, t) for t in range(start, stop)]
-        x = np.arange(start, stop, dtype=np.uint32)
-        if self.head:
-            x = functools.reduce(_mix, self.mixed, _hash(x, *self.head))
-        pool = _mix(self.into, _hash(x, *self.hashes))
-        pool = np.vstack([pool, x] if self.head else [pool])[[0, 1, 2, 3, 0, 1, 2, 3]]
-        w = _hash(pool, *_STATE_HASH).astype(np.uint64)
-        self.words = (w[0::2] | w[1::2] << 32).T.tolist()
-        return self
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):  # PCG64's seeding: state 0, step, add the seed, step
-        rng, bit_generator = self.rng, self.rng.bit_generator
-        for s0, s1, i0, i1 in self.words:
-            inc = (i0 << 65 | i1 << 1 | 1) & _M128
+def _slot_streams(rng: np.random.Generator, seed: int, tag: int, slot: int, start: int,
+                  stop: int):
+    """Yield rng reseeded to the stream of SeedSequence((seed, tag, slot, t)) for t = start ..
+    stop - 1 in turn, hashing each chunk of t in one numpy pass; no chunk straddles 2^32, so
+    past it t's high word is one more int.  Draw from each before asking for the next."""
+    prefix, bit_generator = _words(seed) + _words(tag) + _words(slot), rng.bit_generator
+    for lo in range(start - start % _SEED_CHUNK, stop, _SEED_CHUNK):
+        a, b = max(lo, start), min(lo + _SEED_CHUNK, stop)
+        low = np.arange(a & _M32, (a & _M32) + b - a, dtype=np.uint32)
+        pool = np.vstack(_pool(prefix + [low] + _words(a)[1:]))[[0, 1, 2, 3, 0, 1, 2, 3]]
+        w = _hash(pool, *_STATE_HASH).astype(np.uint64)  # generate_state(4, uint64)
+        for s0, s1, i0, i1 in zip(*(w[0::2] | w[1::2] << 32).tolist()):
+            inc = (i0 << 65 | i1 << 1 | 1) & _M128  # state 0, step, add the seed, step
             state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _M128
             bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": state, "inc": inc}}
@@ -267,15 +246,8 @@ class ArrayCodebook:
         self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2 or len(self.vectors) < 2:
             raise ValueError("codebook needs at least two vectors")
+        self.size, self.n = self.vectors.shape
         self._sq = np.sum(self.vectors**2, axis=1)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
 
     def encode(self, index: int) -> np.ndarray:
         return self.vectors[index]
@@ -427,6 +399,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     t_start = time.perf_counter()
     if cfg.identities < 1 or cfg.per_identity < 1 or cfg.per_pair < 1:
         raise ValueError("trial counts must be positive")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {cfg.workers!r}")
     if not 0 <= cfg.min_distance_pairs <= cfg.pairs:
         raise ValueError("min_distance_pairs cannot exceed pairs")
     verifier, radius, degenerate = _build_verifier(  # refuses a mismatch before any build
@@ -477,12 +451,13 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
             local.blocks = block_buffers(cfg.channel, rows, book.n)
             local.scratch = np.empty((rows, book.n))
             local.rng = np.random.Generator(np.random.PCG64(0))
-        seeds = _SlotSeeds(local.rng, cfg.seed, tag, slot)
-        out = np.zeros(4, dtype=np.int64)
+        streams = _slot_streams(local.rng, cfg.seed, tag, slot, 0, trials)
+        (Y0, H0), out = local.blocks, np.zeros(4, dtype=np.int64)
         for start in range(0, trials, rows):
-            rngs = seeds.block(start, min(start + rows, trials))
-            Y, H = transmit(cfg.channel, u_sent, rngs, out=local.blocks)
-            accept, outage = verifier.verify(Y, u, H, taus[ver], out=local.scratch[:len(rngs)])
+            m = min(rows, trials - start)  # the block's rows: the buffers' leading m
+            Y, H = transmit(cfg.channel, u_sent, streams,
+                            out=(Y0[:m], None if H0 is None else H0[:m]))
+            accept, outage = verifier.verify(Y, u, H, taus[ver], out=local.scratch[:m])
             hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
             zero = (H == 0.0) & ~outage if slow else np.zeros_like(outage)
             out += (hit.sum(), outage.sum(), zero.sum(), (hit & zero).sum())
@@ -504,7 +479,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
 
     results = {
         "schema": _SCHEMA,
-        "config": _canonical_config(cfg),
+        # workers is an execution detail; it must not affect report bytes
+        "config": {k: v for k, v in cfg.to_dict().items() if k != "workers"},
         "codebook": book_summary,
         "verifier": {
             "mode": cfg.verifier_mode,
@@ -555,12 +531,6 @@ def _tally(labels: list[dict], counts: list, trials: int, hit: str, rate: str):
     return rows, pooled, zero
 
 
-def _canonical_config(cfg: ExperimentConfig) -> dict:
-    out = cfg.to_dict()
-    del out["workers"]  # execution detail; must not affect report bytes
-    return out
-
-
 def _map_slots(fn, count: int, workers: int):
     # the whole trial phase as one call; perfbench/tracer.py times it by name
     return _map_threads(fn, range(count), workers)
@@ -593,6 +563,13 @@ class MomentGridConfig:
     chunk: int = 20_000
     tolerance_sigmas: float = 4.0
 
+    def __post_init__(self):  # a grid that checks nothing, or cannot draw, is refused
+        for name in ("distributions", "modes", "n", "draws", "pair_count", "chunk"):
+            value, many = getattr(self, name), name in ("distributions", "modes")
+            if (len(value) if many else value) < 1:
+                raise ValueError(f"moment grid {name} must be "
+                                 f"{'non-empty' if many else 'at least 1'}, got {value!r}")
+
     def to_dict(self) -> dict:
         """Every field as `dicode moments` reads it; laws as their records."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -624,6 +601,9 @@ class MomentReport:
     @property
     def failures(self) -> list[MomentCheckRow]:
         return [r for r in self.rows if not r.ok]
+
+    def rows_csv(self) -> str:
+        return _csv([asdict(r) for r in self.rows], tuple(f.name for f in fields(MomentCheckRow)))
 
     def to_json(self) -> str:
         payload = {

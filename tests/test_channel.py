@@ -8,7 +8,7 @@ import pytest
 from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_channel, transmit
 from dicode.config import resolve
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
-from dicode.harness import CONFIG_KEYS, _gen, _SlotSeeds
+from dicode.harness import CONFIG_KEYS, _gen, _slot_streams
 
 
 def send_one(model, x, rng):
@@ -124,13 +124,15 @@ def test_rejects_negative_noise_but_allows_zero():
 ], ids=["awgn", "slow", "fast"])
 def test_block_rows_equal_single_sends_drawn_fading_first(model):
     # row r of a block send is the one-row block of generator r alone, and
-    # each generator draws its fading before its noise; the harness's block,
-    # one generator reseeded for each row, sends the rows of fresh generators
+    # each generator draws its fading before its noise; the harness's streams,
+    # one generator reseeded for each row, send the rows of fresh generators
     x = np.linspace(-1.0, 2.0, 40)
     reused = np.random.Generator(np.random.PCG64(0))
-    for block, fresh in (([np.random.default_rng(s) for s in range(5)], np.random.default_rng),
-                         (_SlotSeeds(reused, 3, 1, 2).block(0, 5), lambda r: _gen(3, 1, 2, r))):
-        Y, H = transmit(model, x, block)
+    for block, out, fresh in (
+            ([np.random.default_rng(s) for s in range(5)], None, np.random.default_rng),
+            (_slot_streams(reused, 3, 1, 2, 0, 5), block_buffers(model, 5, 40),
+             lambda r: _gen(3, 1, 2, r))):
+        Y, H = transmit(model, x, block, out=out)
         assert Y.shape == (5, 40)
         for r in range(5):
             rng = fresh(r)
@@ -154,12 +156,16 @@ def test_block_rows_equal_single_sends_drawn_fading_first(model):
     FastFading(Rayleigh(1.0), 0.7),
 ], ids=["awgn", "slow", "fast"])
 def test_block_send_into_reused_buffers_matches_a_fresh_block(model):
-    # a caller's buffers take any block of up to their row count, and
-    # stale rows from an earlier, longer block change nothing
+    # a block in the leading rows of a caller's buffers equals a fresh
+    # block, and stale rows from an earlier, longer block change nothing
     x = np.linspace(-1.0, 2.0, 40)
     bufs = block_buffers(model, 6, 40)
+
+    def lead(rows):  # the leading rows of bufs, as the harness hands a short block
+        return tuple(None if b is None else b[:rows] for b in bufs)
+
     transmit(model, x, [np.random.default_rng(s) for s in range(10, 16)], out=bufs)
-    Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(4)], out=bufs)
+    Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(4)], out=lead(4))
     Y0, H0 = transmit(model, x, [np.random.default_rng(s) for s in range(4)])
     assert Y.shape == (4, 40) and np.shares_memory(Y, bufs[0])
     assert np.array_equal(Y, Y0)
@@ -167,7 +173,25 @@ def test_block_send_into_reused_buffers_matches_a_fresh_block(model):
         assert H is None and bufs[1] is None
     else:
         assert np.shares_memory(H, bufs[1]) and np.array_equal(H, H0)
+    # the buffers fix the row count: one iterator feeds two blocks, and the
+    # generators past them stay in the iterator
+    rngs = iter([np.random.default_rng(s) for s in range(9)])
+    transmit(model, x, rngs, out=bufs)
+    Y, H = transmit(model, x, rngs, out=lead(2))
+    assert np.array_equal(Y, transmit(model, x, [np.random.default_rng(s) for s in (6, 7)])[0])
+    assert next(rngs).random() == np.random.default_rng(8).random()
     with pytest.raises(ValueError, match="does not fit"):
-        transmit(model, x, [np.random.default_rng(s) for s in range(7)], out=bufs)
+        transmit(model, x[:39], [np.random.default_rng(s) for s in range(6)], out=bufs)
     with pytest.raises(TypeError):
         block_buffers("awgn", 2, 40)
+
+
+@pytest.mark.parametrize("model", [Awgn(0.5), FastFading(Rayleigh(1.0), 0.7)], ids=["awgn", "fast"])
+def test_transmit_refuses_an_iterator_shorter_than_its_buffers(model):
+    x = np.linspace(-1.0, 2.0, 40)
+    with pytest.raises(ValueError, match="3 generators for a block of 4 rows"):
+        transmit(model, x, iter([np.random.default_rng(s) for s in range(3)]),
+                 out=block_buffers(model, 4, 40))
+    reused = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(ValueError, match="5 generators for a block of 6 rows"):
+        transmit(model, x, _slot_streams(reused, 3, 1, 2, 0, 5), out=block_buffers(model, 6, 40))

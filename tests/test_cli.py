@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, and help/docs sync."""
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -253,6 +254,24 @@ def test_moments_failure_exits_3(tmp_path, capsys):
     assert "FAIL" in captured.err
     # the report is still written for post-mortems
     assert json.loads((tmp_path / "moments.json").read_text())["failures"] > 0
+
+
+def test_moments_csv_bytes_are_pinned_failing_rows_included(tmp_path):
+    # moments.csv as the per-row f-strings of cmd_moments wrote it before the
+    # CSV moved to the shared writer: floats as repr, the verdict as True/False
+    code = run(["moments", "--outdir", str(tmp_path), "--seed", "0", "--format", "csv",
+                "--set", 'distributions=[{"type": "constant", "value": 1.0}, '
+                         '{"type": "rayleigh", "scale": 1.0}]',
+                "--set", "draws=2000", "--set", "n=8", "--set", "pair_count=1",
+                "--set", "tolerance_sigmas=1.0"])
+    assert code == 3  # four rows fail, so the pin covers a False row
+    text = (tmp_path / "moments.csv").read_text()
+    assert text.splitlines()[0] == "case,statistic,quantity,formula,estimate,std_error,deviation,ok"
+    assert text.splitlines()[8] == (
+        "constant/nocsi/pair0,impostor,variance,84.34684056937559,80.72818289982243,"
+        "2.8692711703003257,1.261176603664963,False")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "86a0c32d0b4b6b9b192215fbaad26abb6d0dcf1f837376029facf79210bf3950"
 
 
 def test_moments_without_distributions_exits_2(tmp_path, capsys):

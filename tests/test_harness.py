@@ -6,6 +6,7 @@ denominators, and the degenerate slow-fading regime shows the forced
 trade-off (conditional error rates on h = 0 trials sum to one).
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from dicode.harness import (
     ExperimentConfig,
     MomentGridConfig,
     _gen,
-    _SlotSeeds,
+    _slot_streams,
     build_codebook,
     moment_validation,
     run_experiment,
@@ -107,28 +108,28 @@ def test_reports_are_byte_identical_across_worker_counts():
 
 
 def test_block_streams_equal_numpys_per_trial_seeding():
-    # _SlotSeeds reaches SeedSequence((seed, tag, slot, t))'s stream by numpy's
+    # _slot_streams reaches SeedSequence((seed, tag, slot, t))'s stream by numpy's
     # seeding arithmetic, which NEP 19 does not freeze: a numpy release that
     # changes it fails here.  Seeds of 1 to 4 uint32 words; t from 2^32 takes a
-    # second word, and one block straddles 2^32
+    # second word, and three ranges straddle 2^32, one by more than a seed chunk
     picks = np.random.default_rng(21).integers(0, 1 << 32, size=50).tolist()
-    blocks = [(s, min(s + 43, 300)) for s in range(0, 300, 43)] + [(t, t + 1) for t in picks]
-    blocks += [(2**32 - 2, 2**32), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 2)]
+    ranges = [(s, min(s + 43, 300)) for s in range(0, 300, 43)] + [(t, t + 1) for t in picks]
+    ranges += [(2**32 - 2, 2**32), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 2),
+               (2**32 - 300, 2**32 + 300)]
     rng = np.random.Generator(np.random.PCG64(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy scalar uint32 overflow would warn on stderr
         for seed, tag, slot in itertools.product((0, 2**32 - 1, 2**32, 2**64 + 1, 2**97 + 5),
                                                  range(4), (0, 2**31)):
-            seeds = _SlotSeeds(rng, seed, tag, slot)
-            for start, stop in blocks:
-                streams = seeds.block(start, stop)
-                assert len(streams) == stop - start
-                for t, g in zip(range(start, stop), streams):
-                    ref = _gen(seed, tag, slot, t)
+            for start, stop in ranges:
+                streams = _slot_streams(rng, seed, tag, slot, start, stop)
+                for t in range(start, stop):
+                    g, ref = next(streams), _gen(seed, tag, slot, t)
                     assert np.array_equal(g.standard_normal(8), ref.standard_normal(8)), \
                         (seed, tag, slot, t)
                     assert np.array_equal(g.random(3), ref.random(3))
                     assert g.bit_generator.state == ref.bit_generator.state
+                assert next(streams, None) is None
 
 
 def test_outputs_carry_the_run_environment_beside_their_results(monkeypatch):
@@ -147,6 +148,12 @@ def test_outputs_carry_the_run_environment_beside_their_results(monkeypatch):
     assert json.loads(other.full_json())["meta"]["env"]["cores"] == 0
     assert other.canonical_json() == report.canonical_json()
     assert moment_validation(grid_cfg).rows == grid.rows
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(dataclasses.replace(small_config(), workers=workers))
 
 
 def test_reruns_reproduce_and_seeds_differ():
@@ -458,6 +465,16 @@ def test_moment_grid_refuses_an_unknown_mode_before_drawing(monkeypatch):
         moment_validation(cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pair_count", 0), ("modes", ()), ("distributions", ()), ("draws", 0), ("chunk", 0),
+    ("n", 0), ("draws", -5)])
+def test_moment_grid_refuses_an_empty_or_impossible_grid(field, value):
+    # an empty grid would pass without checking anything; the rest cannot draw
+    kw = {"distributions": (Constant(1.0),), "n": 16, "draws": 200, "pair_count": 1, field: value}
+    with pytest.raises(ValueError, match=f"moment grid {field} must be"):
+        moment_validation(MomentGridConfig(**kw))
+
+
 class _NanLaw(Constant):
     """Constant fading's closed-form moments, but every draw is NaN."""
 
@@ -638,7 +655,9 @@ _ATOM_AT_ZERO = {"type": "discrete", "atoms": [[0.0, 0.3], [0.2, 0.2], [1.0, 0.5
 # name -> (config overrides, BLOCK_BYTES); 8 bytes per coordinate, so
 # 8 * 64 * 3 gives three-row blocks and a short last block.  Loud noise and
 # a narrow ball make every case reject some genuine and accept some
-# impostor trials.
+# impostor trials.  The long-slot case has a two-word seed and slots of
+# more than two seed chunks (256 trials each) in three-row blocks of the
+# n = 500 book, so blocks straddle the chunks.
 _LOUD = {"sigma2": 10.0}
 _NARROW = {"deviation_scale": 0.3}
 ENGINE_CASES = {
@@ -662,6 +681,11 @@ ENGINE_CASES = {
                               "codebook": _SMALL_PACKING,
                               "verifier": {"mode": "csi-slow", **_NARROW},
                               "outage_eta": 0.5}, 1),
+    "awgn/csi-fast-long-slots": ({"channel": {"type": "awgn", **_LOUD},
+                                  "verifier": {"mode": "csi-fast", **_NARROW}, "seed": 2**32 + 7,
+                                  "trials": {"identities": 2, "per_identity": 600, "pairs": 2,
+                                             "per_pair": 530, "min_distance_pairs": 1}},
+                                 8 * 500 * 3),
 }
 
 
@@ -715,11 +739,11 @@ def test_engine_counts_match_a_trial_by_trial_loop(case, monkeypatch):
     monkeypatch.setattr(harness_mod, "BLOCK_BYTES", block_bytes)
     trials = {"identities": 4, "per_identity": 10, "pairs": 5, "per_pair": 7,
               "min_distance_pairs": 2}
-    reports = [run_experiment(small_config(**overrides, trials=trials, workers=w))
-               for w in (1, 3)]
+    overrides = {"trials": trials, **overrides}
+    reports = [run_experiment(small_config(**overrides, workers=w)) for w in (1, 3)]
     assert reports[0].canonical_json() == reports[1].canonical_json()
     res = reports[0].results
-    type1, type2 = _reference_counts(small_config(**overrides, trials=trials), res)
+    type1, type2 = _reference_counts(small_config(**overrides), res)
     assert [[r["errors"], r["outages"]] for r in res["type1"]["per_identity"]] == \
         [c[:2] for c in type1]
     assert [[r["accepts"], r["outages"]] for r in res["type2"]["per_pair"]] == \
