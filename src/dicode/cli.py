@@ -78,7 +78,7 @@ MOMENTS_KEYS = {
     "vector_power": Key(float, "per-coordinate variance of the synthetic codewords", min=0),
     "seed": Key(int, "master seed", min=0),
     "chunk": Key(int, "draws per batch", min=1),
-    "tolerance_sigmas": Key(float, "allowed deviation in standard errors"),
+    "tolerance_sigmas": Key(float, "allowed deviation in standard errors", min=0),
 }
 
 PACKING_KEYS = {

@@ -133,22 +133,22 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+# the 97.5% normal quantile one ulp low, the bits every frozen report was made
+# with; the digest epoch (ROADMAP item 10) replaces it with NormalDist().inv_cdf(0.975)
+_Z95 = 1.9599639845400538
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
-    from .bounds import inv_norm_cdf
-
-    z = inv_norm_cdf(0.5 + confidence / 2)
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     # the interval always contains phat; snap the boundary cases so
     # roundoff cannot push the endpoint past the point estimate
     lo = 0.0 if successes == 0 else max(0.0, center - half)
@@ -403,6 +403,10 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         raise ValueError(f"workers must be at least 1, got {cfg.workers!r}")
     if not 0 <= cfg.min_distance_pairs <= cfg.pairs:
         raise ValueError("min_distance_pairs cannot exceed pairs")
+    random_pairs = cfg.pairs - cfg.min_distance_pairs
+    if cfg.identities == 1 and random_pairs:
+        raise ValueError("trials.identities must be at least 2 for random pairs, got 1 with "
+                         f"trials.pairs - trials.min_distance_pairs = {random_pairs}")
     verifier, radius, degenerate = _build_verifier(  # refuses a mismatch before any build
         cfg.verifier_mode, cfg.channel, cfg.deviation_scale, cfg.outage_eta,
         cfg.allow_degenerate_outage)
@@ -418,7 +422,6 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
 
     rng_pairs = _gen(cfg.seed, _TAG_PAIRS)
     pair_list: list[tuple[int, int, str]] = []
-    random_pairs = cfg.pairs - cfg.min_distance_pairs
     for _ in range(random_pairs):
         for _attempt in range(200):
             a = identity_ids[_uniform_index(rng_pairs, len(identity_ids))]
@@ -569,6 +572,11 @@ class MomentGridConfig:
             if (len(value) if many else value) < 1:
                 raise ValueError(f"moment grid {name} must be "
                                  f"{'non-empty' if many else 'at least 1'}, got {value!r}")
+        for name in ("vector_power", "tolerance_sigmas"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"moment grid {name} must be finite and at least 0, "
+                                 f"got {value!r}")
 
     def to_dict(self) -> dict:
         """Every field as `dicode moments` reads it; laws as their records."""

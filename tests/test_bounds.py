@@ -1,9 +1,9 @@
-"""Rate bounds, the normal quantile, and reference capacities.
+"""Rate bounds and reference capacities.
 
-inv_norm_cdf is hand-rolled (rational initial guess plus Halley polish),
-so it gets a bisection-on-erf oracle across the whole open interval.
-Capacity checks use closed forms where they exist and a large Monte
-Carlo otherwise.
+The distance forced by error budgets reads the standard library's normal
+quantile off the lower tail; it is checked against a bisection on
+1/2 erfc from 1e-300 to 0.49.  Capacity checks use closed forms where
+they exist and a large Monte Carlo otherwise.
 """
 
 import math
@@ -13,7 +13,6 @@ import pytest
 
 from dicode.bounds import (
     di_rate,
-    inv_norm_cdf,
     min_distance_lower_bound,
     rate_report,
     shannon_ergodic_capacity,
@@ -27,7 +26,8 @@ def norm_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
-def bisect_quantile(p, lo=-40.0, hi=40.0):
+def bisect_lower_tail(p, lo=-40.0, hi=0.0):
+    """The x <= 0 with norm_cdf(x) = p, for p in (1e-300, 1/2)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if norm_cdf(mid) < p:
@@ -37,49 +37,26 @@ def bisect_quantile(p, lo=-40.0, hi=40.0):
     return 0.5 * (lo + hi)
 
 
-def test_normal_quantile_frozen_values():
-    assert inv_norm_cdf(0.5) == 0.0
-    assert inv_norm_cdf(0.95) == pytest.approx(1.6448536269514722, abs=1e-12)
-    assert inv_norm_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
-    assert inv_norm_cdf(0.05) == pytest.approx(-1.6448536269514722, abs=1e-12)
+def test_distance_lower_bound_against_the_lower_tail_oracle():
+    # -2 sigma InvPhi(lambda) from the lower tail, where 1/2 erfc keeps its
+    # relative precision: exact for every budget in (0, 1/2), however small
+    for lam in (1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 1e-3, 0.01, 0.02425, 0.05,
+                0.075, 0.1, 0.3, 0.425, 0.45, 0.49):
+        want = -2.0 * bisect_lower_tail(lam)
+        assert min_distance_lower_bound(lam, 1.0) == pytest.approx(want, rel=1e-14), lam
+        assert min_distance_lower_bound(lam, 2.5) == pytest.approx(2.5 * want, rel=1e-14)
 
 
-def test_normal_quantile_against_bisection_oracle():
-    for p in (1e-12, 1e-6, 0.01, 0.02425, 0.1, 0.3, 0.5, 0.7, 0.9,
-              0.97575, 0.99):
-        want = bisect_quantile(p)
-        assert inv_norm_cdf(p) == pytest.approx(want, abs=1e-9)
-
-
-def test_normal_quantile_deep_upper_tail():
-    # near p = 1 the map p -> x has derivative 1/phi(x) ~ 1e+11, so a
-    # one-ulp wobble in p legitimately moves x by ~1e-5; the oracle runs
-    # through the well-conditioned lower tail and the tolerance follows
-    # the conditioning
-    for q in (1e-6, 1e-9, 1e-12):
-        want = -bisect_quantile(q)
-        phi = math.exp(-want * want / 2) / math.sqrt(2 * math.pi)
-        tol = max(1e-9, 20 * 2.3e-16 / phi)
-        assert inv_norm_cdf(1 - q) == pytest.approx(want, abs=tol)
-
-
-def test_normal_quantile_round_trips_through_the_cdf():
-    for p in np.linspace(0.001, 0.999, 97):
-        assert norm_cdf(inv_norm_cdf(p)) == pytest.approx(p, abs=1e-13)
-
-
-def test_normal_quantile_is_antisymmetric_and_monotone():
-    ps = np.linspace(0.01, 0.99, 49)
-    vals = [inv_norm_cdf(p) for p in ps]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    for p in (0.01, 0.2, 0.37):
-        assert inv_norm_cdf(p) == pytest.approx(-inv_norm_cdf(1 - p), abs=1e-12)
-
-
-def test_normal_quantile_rejects_the_boundary():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            inv_norm_cdf(p)
+def test_distance_lower_bound_is_monotone_and_refuses_the_boundary():
+    lams = np.geomspace(1e-300, 0.49, 200)
+    vals = [min_distance_lower_bound(lam, 1.0) for lam in lams]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    for lam in (0.0, 1.0, -0.1, 1.1):
+        with pytest.raises(ValueError, match="lambda_sum must lie strictly in"):
+            min_distance_lower_bound(lam, 1.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            min_distance_lower_bound(0.05, sigma)
 
 
 def test_distance_lower_bound_from_error_budgets():

@@ -227,6 +227,16 @@ def test_bounds_derives_distance_from_error_budgets(tmp_path):
     assert payload["d_min"] == payload["d_min_from_error_budgets"]
 
 
+def test_bounds_takes_error_budgets_far_below_the_double_spacing_at_one(tmp_path):
+    # 1 - 2e-20 rounds to 1; the lower tail keeps the budget exact
+    code = run(["bounds", "--outdir", str(tmp_path), "--set", "n=1024", "--set", "log2_size=512",
+                "--set", "lambda1=1e-20", "--set", "lambda2=1e-20"])
+    assert code == 0
+    payload = json.loads((tmp_path / "bounds.json").read_text())
+    assert payload["d_min_from_error_budgets"] == pytest.approx(18.37611449900416, rel=1e-14)
+    assert payload["d_min"] == payload["d_min_from_error_budgets"]
+
+
 # -- moments ---------------------------------------------------------------
 
 
@@ -474,6 +484,10 @@ BAD_SETTINGS = [
      ["distributions[0]: type must be one of", "did you mean 'rayleigh'"]),
     ("moments", "sigma2=-1", ["sigma2 must be at least 0, got -1.0"]),
     ("moments", "vector_power=-1", ["vector_power must be at least 0, got -1.0"]),
+    ("moments", "tolerance_sigmas=-1", ["tolerance_sigmas must be at least 0, got -1.0"]),
+    ("simulate", "trials.identities=1",
+     ["trials.identities must be at least 2 for random pairs, got 1 with "
+      "trials.pairs - trials.min_distance_pairs = 1"]),
     ("moments", "draws=0", ["draws must be at least 1"]),
     ("moments", "pair_count=2.7", ["pair_count must be an integer"]),
     ("moments", "mode.csi=true", ["'mode.csi'", "did you mean 'modes'"]),

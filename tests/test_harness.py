@@ -52,22 +52,20 @@ def small_config(**overrides):
 
 
 def test_wilson_frozen_values():
-    lo, hi = wilson_interval(0, 100, 0.95)
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(0.036995, abs=1e-5)
-    lo, hi = wilson_interval(50, 100, 0.95)
-    assert lo == pytest.approx(0.40383, abs=1e-4)
-    assert hi == pytest.approx(0.59617, abs=1e-4)
+    # the exact bits every frozen report hash was made with: z is the 97.5%
+    # quantile 1.9599639845400538, one ulp below the correctly rounded one
+    assert wilson_interval(0, 100) == (0.0, 0.036993498206985664)
+    lo, hi = wilson_interval(50, 100)
+    assert (lo, hi) == (0.4038315303659956, 0.5961684696340044)
     assert lo + hi == pytest.approx(1.0, abs=1e-12)  # symmetry at p = 1/2
+    assert wilson_interval(3, 17) == (0.06191126637620997, 0.41029458568834126)
+    assert wilson_interval(1, 3) == (0.06149194472039626, 0.7923403991979521)
 
 
 def test_wilson_interval_properties():
     for k, n in ((0, 10), (3, 17), (10, 10), (250, 1000)):
         lo, hi = wilson_interval(k, n)
         assert 0.0 <= lo <= k / n <= hi <= 1.0
-    wide = wilson_interval(5, 10, 0.99)
-    narrow = wilson_interval(5, 10, 0.8)
-    assert wide[0] < narrow[0] and narrow[1] < wide[1]
     with pytest.raises(ValueError):
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
@@ -369,6 +367,27 @@ def test_unserved_modes_are_refused_before_the_codebook_is_built(overrides, says
         run_experiment(cfg)
 
 
+def test_random_pairs_of_one_identity_are_refused_before_the_codebook_is_built(monkeypatch):
+    import dicode.harness as harness_mod
+
+    def no_build(cfg):
+        raise AssertionError("build_codebook ran")
+
+    monkeypatch.setattr(harness_mod, "build_codebook", no_build)
+    trials = {"identities": 1, "per_identity": 4, "pairs": 6, "per_pair": 3,
+              "min_distance_pairs": 2}
+    with pytest.raises(ValueError, match="^trials.identities must be at least 2 for random "
+                       "pairs, got 1 with trials.pairs - trials.min_distance_pairs = 4$"):
+        run_experiment(small_config(trials=trials))
+
+
+def test_one_identity_runs_close_pairs_alone():
+    trials = {"identities": 1, "per_identity": 4, "pairs": 2, "per_pair": 3,
+              "min_distance_pairs": 2}
+    rep = run_experiment(small_config(trials=trials))
+    assert rep.results["type2"]["pooled"]["trials"] == 6
+
+
 def test_report_csv_shapes():
     rep = run_experiment(small_config())
     lines = rep.identities_csv().strip().splitlines()
@@ -467,9 +486,12 @@ def test_moment_grid_refuses_an_unknown_mode_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("pair_count", 0), ("modes", ()), ("distributions", ()), ("draws", 0), ("chunk", 0),
-    ("n", 0), ("draws", -5)])
+    ("n", 0), ("draws", -5), ("vector_power", -1.0), ("vector_power", math.nan),
+    ("vector_power", math.inf), ("tolerance_sigmas", -1.0), ("tolerance_sigmas", math.nan),
+    ("tolerance_sigmas", math.inf)])
 def test_moment_grid_refuses_an_empty_or_impossible_grid(field, value):
-    # an empty grid would pass without checking anything; the rest cannot draw
+    # an empty grid would pass without checking anything; the rest cannot
+    # draw, or would fail (or pass) every row whatever the draws
     kw = {"distributions": (Constant(1.0),), "n": 16, "draws": 200, "pair_count": 1, field: value}
     with pytest.raises(ValueError, match=f"moment grid {field} must be"):
         moment_validation(MomentGridConfig(**kw))
