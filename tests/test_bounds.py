@@ -7,6 +7,7 @@ they exist and a large Monte Carlo otherwise.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -37,20 +38,38 @@ def bisect_lower_tail(p, lo=-40.0, hi=0.0):
     return 0.5 * (lo + hi)
 
 
-def test_distance_lower_bound_against_the_lower_tail_oracle():
+def test_normal_quantile_against_bisection_oracle():
     # -2 sigma InvPhi(lambda) from the lower tail, where 1/2 erfc keeps its
-    # relative precision: exact for every budget in (0, 1/2), however small
-    for lam in (1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 1e-3, 0.01, 0.02425, 0.05,
-                0.075, 0.1, 0.3, 0.425, 0.45, 0.49):
+    # relative precision
+    for lam in (1e-6, 1e-3, 0.01, 0.02425, 0.05, 0.075, 0.1, 0.3, 0.425,
+                0.45, 0.49):
         want = -2.0 * bisect_lower_tail(lam)
         assert min_distance_lower_bound(lam, 1.0) == pytest.approx(want, rel=1e-14), lam
         assert min_distance_lower_bound(lam, 2.5) == pytest.approx(2.5 * want, rel=1e-14)
 
 
-def test_distance_lower_bound_is_monotone_and_refuses_the_boundary():
+def test_normal_quantile_deep_upper_tail():
+    # budgets far below the double spacing at one, where 1 - lambda would
+    # round to 1: the lower-tail reading stays exact however small
+    for lam in (1e-300, 1e-100, 1e-20, 1e-16, 1e-12, 1e-9):
+        want = -2.0 * bisect_lower_tail(lam)
+        assert min_distance_lower_bound(lam, 1.0) == pytest.approx(want, rel=1e-14), lam
+
+
+def test_normal_quantile_is_antisymmetric_and_monotone():
     lams = np.geomspace(1e-300, 0.49, 200)
     vals = [min_distance_lower_bound(lam, 1.0) for lam in lams]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+    # the lower-tail reading equals the upper-tail form 2 InvPhi(1 - lambda)
+    # wherever 1 - lambda is well conditioned, and clamps at 0 from 1/2 on
+    for lam in (0.01, 0.2, 0.37, 0.49):
+        upper = 2.0 * NormalDist().inv_cdf(1.0 - lam)
+        assert min_distance_lower_bound(lam, 1.0) == pytest.approx(upper, abs=1e-12)
+    for lam in (0.5, 0.63, 0.99):
+        assert min_distance_lower_bound(lam, 1.0) == 0.0
+
+
+def test_normal_quantile_rejects_the_boundary():
     for lam in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError, match="lambda_sum must lie strictly in"):
             min_distance_lower_bound(lam, 1.0)
