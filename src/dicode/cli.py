@@ -262,7 +262,12 @@ def cmd_packing(args) -> int:
     kw.setdefault("profile", _default(generate_expurgated, "profile"))
     kw["projection"].setdefault("sample_count", _default(check_projection_property,
                                                          "sample_count"))
-    spec = PackingSpec(**kw["spec"])
+    spec, proj = PackingSpec(**kw["spec"]), kw["projection"]
+    if not 0 < proj["mu"] <= 1:
+        raise ValueError(f"projection.mu must lie in (0, 1], got {proj['mu']!r}")
+    if proj["mode"] == "exhaustive" and spec.n > 16:
+        raise ValueError("projection.mode exhaustive scans every subset, so spec.n must be "
+                         f"at most 16, got {spec.n}")
     vectors, report = generate_expurgated(spec, kw["profile"])
     problems = verify_packing(vectors, spec, report.profile)
     if problems:
@@ -277,13 +282,13 @@ def cmd_packing(args) -> int:
     }
     passed = True
     if kw["check_projection"]:
-        proj = check_projection_property(vectors, seed=spec.seed, **kw["projection"])
+        scan = check_projection_property(vectors, seed=spec.seed, **proj)
         payload["projection"] = {
-            "mode": proj.mode, "subset_size": proj.subset_size,
-            "threshold": proj.threshold, "certified": proj.certified,
-            "overall_min": proj.overall_min, "passed": proj.passed,
+            "mode": scan.mode, "subset_size": scan.subset_size,
+            "threshold": scan.threshold, "certified": scan.certified,
+            "overall_min": scan.overall_min, "passed": scan.passed,
         }
-        passed = proj.passed
+        passed = scan.passed
     _write(args, kw, {
         "vectors.csv": vectors_csv(vectors),
         "vectors.csv.spec.json": json.dumps({**spec.to_json_dict(), "profile": report.profile},

@@ -293,15 +293,10 @@ def identity_str(index: int) -> str:
     return str(Decimal(index))
 
 
-def codewords_csv(book: ConcatCodebook, indices) -> str:
-    """One row per identity: index, then n coordinates at 17 significant digits.
-
-    ``indices`` is an iterable of identities, or an int k meaning the
-    first k of them.
-    """
-    if isinstance(indices, int):
-        indices = range(min(indices, book.params.size))
+def codewords_csv(book: ConcatCodebook, count: int) -> str:
+    """One row for each of the first count identities: index, then n
+    coordinates at 17 significant digits."""
     lines = []
-    for idx in map(int, indices):
+    for idx in range(min(count, book.params.size)):
         lines.append(",".join([identity_str(idx)] + [f"{x:.17g}" for x in book.encode(idx)]))
     return "\n".join(lines) + "\n"

@@ -27,6 +27,10 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
   like Y, takes the centers and then the squared differences; a caller that
   reuses one for every block allocates no block-sized array per call.
 
+``CsiFast`` and ``NoCsi`` also give ``statistic_moments(u, u_sent, m)``,
+the closed-form mean and variance of that statistic when u_sent is sent
+over fast fading with moments m; ``impostor_moments`` is its one entry.
+
 One received word y is decided as the block ``y[None]``, with
 ``h[None]`` as its fading.
 
@@ -60,67 +64,15 @@ def threshold_csi(n: int, sigma2: float, deviation_scale: float = 1.0) -> float:
     return n * sigma2 + deviation_scale * sigma2 * math.sqrt(2 * n * math.log(n))
 
 
-def impostor_moments(
-    u: np.ndarray,
-    u_sent: np.ndarray,
-    sigma2: float,
-    m: FadingMoments,
-    mode: str,
-) -> tuple[float, float]:
-    """Mean and variance of the verifier statistic when u_sent was
-    transmitted and identity u is being verified (fast fading).
-
-    With u_sent == u these are exactly the genuine-statistic moments.
-    mode, a key of ``GRID_MODES``: "csi" centers at h*u, "nocsi" at c*u.
-    """
+def impostor_moments(verifier, u, u_sent, m: FadingMoments) -> tuple[float, float]:
+    """Mean and variance of verifier's statistic when u_sent was transmitted
+    and identity u is being verified, over fast fading with moments m
+    (h = 1 on AWGN).  With u_sent == u these are the genuine moments."""
     u = np.asarray(u, dtype=float)
     u_sent = np.asarray(u_sent, dtype=float)
     if u.shape != u_sent.shape:
         raise ValueError("codewords must share one shape")
-    n = u.size
-    diff = u_sent - u
-    d2 = float(np.sum(diff**2))
-    if mode == "csi":
-        d4 = float(np.sum(diff**4))
-        mean = n * sigma2 + m.e2 * d2
-        var = 2 * n * sigma2**2 + 4 * sigma2 * m.e2 * d2 + m.var_sq * d4
-        return mean, var
-    if mode == "nocsi":
-        s2 = float(np.sum(u_sent**2))
-        s4 = float(np.sum(u_sent**4))
-        c = m.c
-        mean = n * sigma2 + m.variance * s2 + c * c * d2
-        var = (
-            2 * n * sigma2**2
-            + 4 * sigma2 * m.variance * s2
-            + 4 * sigma2 * c * c * d2
-            + s4 * m.var_centered_sq
-            + 4 * m.cm3 * c * float(np.sum(u_sent**3 * diff))
-            + 4 * c * c * m.variance * float(np.sum(u_sent**2 * diff**2))
-        )
-        return mean, var
-    raise ValueError(f"mode must be one of {', '.join(map(repr, GRID_MODES))}, got {mode!r}")
-
-
-def nocsi_threshold(
-    u: np.ndarray,
-    sigma2: float,
-    m: FadingMoments,
-    deviation_scale: float = 1.0,
-) -> float:
-    """Threshold for the CSI-free verifier of codeword u.
-
-    Genuine statistic xi = ||y - c u||^2 has
-      E xi   = n sigma^2 + Var h ||u||_2^2
-      Var xi = 2 n sigma^4 + 4 sigma^2 Var h ||u||_2^2
-               + ||u||_4^4 Var((h-c)^2)
-    and tau = E xi + sqrt(Var xi ln n).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.size < 2:
-        raise ValueError("block length must be >= 2 so ln n > 0")
-    mean, var = impostor_moments(u, u, sigma2, m, "nocsi")
-    return mean + deviation_scale * math.sqrt(var * math.log(u.size))
+    return verifier.statistic_moments(u, u_sent, m)
 
 
 def statistic(verifier, Y: np.ndarray, u: np.ndarray, H, out=None) -> np.ndarray:
@@ -144,6 +96,17 @@ class CsiFast:
 
     def center(self, u, H, out=None):
         return u if H is None else np.multiply(H, u, out=out)
+
+    def statistic_moments(self, u, u_sent, m: FadingMoments) -> tuple[float, float]:
+        """With d = u_sent - u: E = n sigma^2 + E h^2 ||d||_2^2 and
+        Var = 2 n sigma^4 + 4 sigma^2 E h^2 ||d||_2^2 + Var h^2 ||d||_4^4."""
+        n, sigma2 = u.size, self.sigma2
+        diff = u_sent - u
+        d2 = float(np.sum(diff**2))
+        d4 = float(np.sum(diff**4))
+        mean = n * sigma2 + m.e2 * d2
+        var = 2 * n * sigma2**2 + 4 * sigma2 * m.e2 * d2 + m.var_sq * d4
+        return mean, var
 
     def verify(self, Y, u, H, tau, out=None):
         accept = statistic(self, Y, u, H, out) <= tau
@@ -197,10 +160,36 @@ class NoCsi:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return nocsi_threshold(u, self.sigma2, self.moments, self.deviation_scale)
+        u = np.asarray(u, dtype=float)
+        if u.size < 2:
+            raise ValueError("block length must be >= 2 so ln n > 0")
+        mean, var = impostor_moments(self, u, u, self.moments)
+        return mean + self.deviation_scale * math.sqrt(var * math.log(u.size))
 
     def center(self, u, H, out=None):
         return self.moments.c * u  # one row, broadcast over the block
+
+    def statistic_moments(self, u, u_sent, m: FadingMoments) -> tuple[float, float]:
+        """The genuine statistic xi = ||y - c u||^2 has
+          E xi   = n sigma^2 + Var h ||u||_2^2
+          Var xi = 2 n sigma^4 + 4 sigma^2 Var h ||u||_2^2 + ||u||_4^4 Var((h-c)^2);
+        an impostor u_sent adds the terms in d = u_sent - u."""
+        n, sigma2 = u.size, self.sigma2
+        diff = u_sent - u
+        d2 = float(np.sum(diff**2))
+        s2 = float(np.sum(u_sent**2))
+        s4 = float(np.sum(u_sent**4))
+        c = m.c
+        mean = n * sigma2 + m.variance * s2 + c * c * d2
+        var = (
+            2 * n * sigma2**2
+            + 4 * sigma2 * m.variance * s2
+            + 4 * sigma2 * c * c * d2
+            + s4 * m.var_centered_sq
+            + 4 * m.cm3 * c * float(np.sum(u_sent**3 * diff))
+            + 4 * c * c * m.variance * float(np.sum(u_sent**2 * diff**2))
+        )
+        return mean, var
 
     def verify(self, Y, u, H, tau, out=None):
         accept = statistic(self, Y, u, H, out) <= tau

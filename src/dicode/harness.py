@@ -30,15 +30,16 @@ from the decoder's tables; a run calls it first, so a channel its mode
 does not serve, or outage keys without an outage rule, are refused
 before the codebook is built.
 
-Moment validation checks, by Monte Carlo, the closed-form moments of
-``decoder.statistic`` as each grid mode's verifier (``GRID_MODES``) reads
-it over fast fading, built from each law's one moments computation, in a
-grid of (law, mode, pair, statistic) cells.  Each cell draws from its own
-generator, seeded from its label, so the cells run on every core this
-process may use (``os.sched_getaffinity``) and the rows do not depend
-on how many.  Each thread reuses one chunk of fading buffer and one
-block buffer for all its cells: the noise goes in row blocks of at most
-``BLOCK_BYTES``, and the rows equal whole-chunk draws bit for bit.
+Moment validation checks, by Monte Carlo, the closed-form moments that
+each grid mode's verifier (``GRID_MODES``) gives for its own
+``decoder.statistic`` over fast fading (``decoder.impostor_moments``),
+built from each law's one moments computation, in a grid of (law, mode,
+pair, statistic) cells.  Each cell draws from its own generator, seeded
+from its label, so the cells run on every core this process may use
+(``os.sched_getaffinity``) and the rows do not depend on how many.
+Each thread reuses one chunk of fading buffer and one block buffer for
+all its cells: the noise goes in row blocks of at most ``BLOCK_BYTES``,
+and the rows equal whole-chunk draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -113,7 +114,7 @@ CONFIG_KEYS = {
     "trials.min_distance_pairs": Key(int, "pairs of an identity and its close partner: d2 outer "
                                           "symbols apart (concat), the nearest vector (packing, "
                                           "csv)", min=0),
-    "outage_eta": Key(float, "slow fading only: outage probability budget", default=None),
+    "outage_eta": Key(float, "slow fading only: outage probability budget in [0, 1)", default=None),
     "allow_degenerate_outage": Key(bool, "admit laws with P(h=0) > eta by forcing radius 0"),
 }
 
@@ -350,6 +351,8 @@ def _build_verifier(mode: str, channel: ChannelModel, deviation_scale: float = 1
         law = channel.fading if channel.FADING_DIMS else Constant(1.0)
         kw["moments"] = law.moments() if moments is None else moments
     if outage:
+        if not 0 <= outage_eta < 1:
+            raise ValueError(f"outage_eta must lie in [0, 1), got {outage_eta!r}")
         try:
             kw["outage_threshold"] = quantile_abs(channel.fading, outage_eta)
         except DegenerateFadingError:
@@ -420,17 +423,17 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     rng_ids = _gen(cfg.seed, _TAG_IDENTITIES)
     identity_ids = [_uniform_index(rng_ids, book.size) for _ in range(cfg.identities)]
 
+    if random_pairs and len(set(identity_ids)) < 2:
+        raise ValueError(f"trials.identities = {cfg.identities} drew one identity only, from a "
+                         f"book of {identity_str(book.size)}; random pairs need two distinct ones")
     rng_pairs = _gen(cfg.seed, _TAG_PAIRS)
     pair_list: list[tuple[int, int, str]] = []
-    for _ in range(random_pairs):
-        for _attempt in range(200):
+    for _ in range(random_pairs):  # redrawn until distinct, which two identities ensure
+        a = b = identity_ids[0]
+        while a == b:
             a = identity_ids[_uniform_index(rng_pairs, len(identity_ids))]
             b = identity_ids[_uniform_index(rng_pairs, len(identity_ids))]
-            if a != b:
-                pair_list.append((a, b, "random"))
-                break
-        else:
-            raise ValueError("could not sample distinct identity pairs")
+        pair_list.append((a, b, "random"))
     for k in range(cfg.min_distance_pairs):
         sent = identity_ids[k % len(identity_ids)]
         pair_list.append((sent, book.close_partner(sent), "close"))
@@ -701,7 +704,7 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
                 label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
                     cells.append((label, stat_name, dist, verifier, u_center, sent,
-                                  impostor_moments(u_center, sent, cfg.sigma2, m, mode)))
+                                  impostor_moments(verifier, u_center, sent, m)))
     chunk = min(cfg.chunk, cfg.draws)
     block_rows = min(max(1, BLOCK_BYTES // (8 * cfg.n)), chunk)
     local = threading.local()

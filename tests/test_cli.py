@@ -521,6 +521,19 @@ BAD_SETTINGS = [
      ["rician expectations are out of the quadrature's reach"]),
     ("simulate", 'codebook={"type": "csv", "path": "words.csv"}',
      ["codebook CSV words.csv entry at row 2, column 2 is 'abc', not a number"]),
+    # seed 1 draws the same one of two identities twice: no random pair can be formed
+    ("simulate", 'codebook={"type": "csv", "path": "two.csv"}',
+     ["trials.identities = 2 drew one identity only, from a book of 2"]),
+    ("simulate", ("channel.type=slow-fading", f"channel.fading={RAYLEIGH}",
+                  "verifier.mode=csi-slow", "outage_eta=1.5"),
+     ["outage_eta must lie in [0, 1), got 1.5"]),
+    ("simulate", ("channel.type=slow-fading", f"channel.fading={RAYLEIGH}",
+                  "verifier.mode=csi-slow", "outage_eta=-0.1"),
+     ["outage_eta must lie in [0, 1), got -0.1"]),
+    ("packing", "projection.mu=1.5", ["projection.mu must lie in (0, 1], got 1.5"]),
+    ("packing", "projection.mu=0", ["projection.mu must lie in (0, 1], got 0.0"]),
+    ("packing", "projection.mode=exhaustive",
+     ["projection.mode exhaustive scans every subset, so spec.n must be at most 16, got 32"]),
 ]
 
 
@@ -529,7 +542,8 @@ def _seed(command: str, seed: int) -> list[str]:
 
 
 # the runs start in a folder that holds these CSV books
-CSV_BOOKS = {"ragged.csv": "1,2,3\n4,5\n", "empty.csv": "", "words.csv": "1,2\n3,abc\n"}
+CSV_BOOKS = {"ragged.csv": "1,2,3\n4,5\n", "empty.csv": "", "words.csv": "1,2\n3,abc\n",
+             "two.csv": "1,2,3\n-1,0.5,2\n"}
 
 
 def _sets(command: str, items: list[str], folder, monkeypatch) -> list[str]:

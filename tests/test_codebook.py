@@ -22,6 +22,7 @@ from dicode.codebook import (
     ConcatParams,
     codewords_csv,
     guaranteed_distance,
+    identity_str,
     plan_params,
 )
 from dicode.errors import InfeasibleError
@@ -347,8 +348,9 @@ def test_records_refuse_inconsistent_inputs(overrides, message):
 def test_codeword_csv_export():
     p = tiny_params()
     book = ConcatCodebook(p)
-    rows = [line.split(",") for line in codewords_csv(book, [0, 5, 80]).strip().splitlines()]
-    assert [r[0] for r in rows] == ["0", "5", "80"]
+    # a count past the book's 81 identities exports them all
+    rows = [line.split(",") for line in codewords_csv(book, 100).strip().splitlines()]
+    assert [r[0] for r in rows] == [str(i) for i in range(81)]
     for r in rows:
         got = np.array([float(x) for x in r[1:]])
         assert np.array_equal(got, book.encode(int(r[0])))
@@ -364,14 +366,15 @@ class _HugeBook:
 
 
 def test_codeword_csv_export_writes_identities_past_the_int_to_str_limit():
+    # the export's first k rows are small; its labels, like the reports', come from
+    # identity_str, which writes the 5000 digits that str() refuses
     book = _HugeBook()
-    text = codewords_csv(book, [book.params.size - 1, 12])
+    assert identity_str(book.params.size - 1) == "9" * 5000
+    text = codewords_csv(book, 13)
     assert text.endswith("\n")
     rows = [line.split(",") for line in text.splitlines()]
-    assert rows[0][0] == "9" * 5000
-    assert rows[1] == ["12", "5", "-0.5"]
-    # an int k: the first k identities
-    assert [line.split(",")[0] for line in codewords_csv(book, 2).splitlines()] == ["0", "1"]
+    assert [r[0] for r in rows] == [str(i) for i in range(13)]
+    assert rows[12] == ["12", "5", "-0.5"]
 
 
 def test_distance_exponent_climbs_along_the_ladder():

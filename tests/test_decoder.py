@@ -25,7 +25,6 @@ from dicode.decoder import (
     CsiSlow,
     NoCsi,
     impostor_moments,
-    nocsi_threshold,
     statistic,
     threshold_csi,
 )
@@ -90,7 +89,7 @@ def test_genuine_moments_with_csi_are_pure_noise_moments():
     rng = np.random.default_rng(1)
     u = rng.normal(0, 2, 50)
     for sigma2 in (0.3, 1.0, 4.0):
-        mean, var = impostor_moments(u, u, sigma2, Rayleigh(1.0).moments(), "csi")
+        mean, var = impostor_moments(CsiFast(sigma2), u, u, Rayleigh(1.0).moments())
         assert mean == pytest.approx(50 * sigma2, rel=1e-12)
         assert var == pytest.approx(2 * 50 * sigma2**2, rel=1e-12)
 
@@ -100,7 +99,7 @@ def test_nocsi_genuine_moments_frozen_rayleigh_example():
     # hand from E h^k = 2^(k/2) Gamma(1 + k/2)
     u = np.ones(100)
     m = Rayleigh(1.0).moments()
-    mean, var = impostor_moments(u, u, 1.0, m, "nocsi")
+    mean, var = impostor_moments(NoCsi(1.0, m), u, u, m)
     assert mean == pytest.approx(142.9203673205103, rel=1e-12)
     assert var == pytest.approx(413.0395598910635, rel=1e-11)
 
@@ -116,8 +115,8 @@ def test_nocsi_threshold_matches_its_own_moments():
     rng = np.random.default_rng(2)
     u = rng.normal(0, 1, 80)
     m = Rayleigh(1.0).moments()
-    mean, var = impostor_moments(u, u, 0.7, m, "nocsi")
-    tau = nocsi_threshold(u, 0.7, m)
+    mean, var = impostor_moments(NoCsi(0.7, m), u, u, m)
+    tau = NoCsi(0.7, m).threshold(u)
     assert tau == pytest.approx(mean + math.sqrt(var * math.log(80)), rel=1e-12)
 
 
@@ -128,19 +127,47 @@ def test_impostor_mean_grows_with_separation():
     for t in (0.0, 0.5, 1.0, 2.0, 4.0):
         other = u.copy()
         other[0] = t
-        mean_csi, _ = impostor_moments(u, other, 1.0, m, "csi")
-        mean_blind, _ = impostor_moments(u, other, 1.0, m, "nocsi")
+        mean_csi, _ = impostor_moments(CsiFast(1.0), u, other, m)
+        mean_blind, _ = impostor_moments(NoCsi(1.0, m), u, other, m)
         assert mean_csi > last_csi
         assert mean_blind > last_blind
         last_csi, last_blind = mean_csi, mean_blind
 
 
-def test_impostor_moments_reject_shape_mismatch_and_bad_mode():
+def test_impostor_moments_reject_a_shape_mismatch():
     m = Constant(1.0).moments()
-    with pytest.raises(ValueError):
-        impostor_moments(np.zeros(4), np.zeros(5), 1.0, m, "csi")
-    with pytest.raises(ValueError):
-        impostor_moments(np.zeros(4), np.zeros(4), 1.0, m, "partial")
+    for verifier in (CsiFast(1.0), NoCsi(1.0, m)):
+        with pytest.raises(ValueError, match="one shape"):
+            impostor_moments(verifier, np.zeros(4), np.zeros(5), m)
+
+
+# (law, CsiFast genuine, CsiFast impostor, NoCsi genuine, NoCsi impostor, NoCsi taus),
+# recorded through the mode-string impostor_moments and nocsi_threshold
+FROZEN_MOMENTS = [
+    (Rayleigh(1.0), (8.399999999999999, 11.759999999999998),
+     (9.399999999999999, 14.684999999999999), (9.908919163611689, 16.680165195815658),
+     (10.747967786159776, 19.875836342031675), (16.346982025579152, 22.960945898418007)),
+    (DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2))),
+     (8.399999999999999, 11.759999999999998), (9.099999999999998, 13.791562499999998),
+     (9.806249999999999, 15.848781738281243), (10.356249999999998, 17.850344238281245),
+     (16.081817156241232, 22.47710329331529)),
+]
+
+
+@pytest.mark.parametrize("law, csi_genuine, csi_impostor, nocsi_genuine, nocsi_impostor, taus",
+                         FROZEN_MOMENTS, ids=["rayleigh", "skewed-mixture"])
+def test_statistic_moments_and_nocsi_thresholds_are_frozen(law, csi_genuine, csi_impostor,
+                                                           nocsi_genuine, nocsi_impostor, taus):
+    # dyadic inputs are exact in binary, so only the formulas set these bits
+    n, sigma2 = 12, 0.7
+    u = (np.arange(n) % 5 - 2) * 0.375
+    other = u + ((np.arange(n) * 7) % 3 - 1) * 0.25
+    m = law.moments()
+    assert impostor_moments(CsiFast(sigma2), u, u, m) == csi_genuine
+    assert impostor_moments(CsiFast(sigma2), u, other, m) == csi_impostor
+    assert impostor_moments(NoCsi(sigma2, m), u, u, m) == nocsi_genuine
+    assert impostor_moments(NoCsi(sigma2, m), u, other, m) == nocsi_impostor
+    assert (NoCsi(sigma2, m).threshold(u), NoCsi(sigma2, m, 2.0).threshold(other)) == taus
 
 
 # -- Monte Carlo oracle for the moment formulas ----------------------------
@@ -164,7 +191,8 @@ def test_formula_moments_match_direct_simulation(law, mode):
     m = law.moments()
     c = m.c
     for sent in (u, u_sent):
-        mean_th, var_th = impostor_moments(u, sent, sigma2, m, mode)
+        verifier = CsiFast(sigma2) if mode == "csi" else NoCsi(sigma2, m)
+        mean_th, var_th = impostor_moments(verifier, u, sent, m)
         h = law.sample(np.random.default_rng(7), (trials, n))
         z = math.sqrt(sigma2) * np.random.default_rng(8).standard_normal((trials, n))
         y = h * sent + z
@@ -236,7 +264,7 @@ def test_deviation_scale_widens_the_ball():
     assert threshold_csi(n, sigma2, 2.0) > threshold_csi(n, sigma2, 1.0)
     u = np.ones(n)
     m = Rayleigh(1.0).moments()
-    assert nocsi_threshold(u, sigma2, m, 2.0) > nocsi_threshold(u, sigma2, m, 1.0)
+    assert NoCsi(sigma2, m, 2.0).threshold(u) > NoCsi(sigma2, m, 1.0).threshold(u)
 
 
 def test_block_verify_decides_every_row_by_its_ball_statistic():
@@ -258,7 +286,7 @@ def test_block_verify_decides_every_row_by_its_ball_statistic():
         (CsiFast(sigma2), Y_awgn, None, threshold_csi(n, sigma2), u, no_outage),
         (CsiSlow(sigma2, 0.1), Y_slow, h_slow, threshold_csi(n, sigma2),
          h_slow[:, None] * u, np.abs(h_slow) < 0.1),
-        (NoCsi(sigma2, m), Y, H, nocsi_threshold(u, sigma2, m), m.c * u, no_outage),  # H ignored
+        (NoCsi(sigma2, m), Y, H, NoCsi(sigma2, m).threshold(u), m.c * u, no_outage),  # H ignored
     ]
     for spec, Yb, Hb, tau, centers, want_outage in cases:
         assert spec.threshold(u) == tau

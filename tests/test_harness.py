@@ -435,8 +435,8 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
 
     true_fn = harness_mod.impostor_moments
 
-    def skewed(u_center, u_sent, sigma2, m, mode):
-        mean, var = true_fn(u_center, u_sent, sigma2, m, mode)
+    def skewed(verifier, u_center, u_sent, m):
+        mean, var = true_fn(verifier, u_center, u_sent, m)
         return 1.05 * mean, var
 
     monkeypatch.setattr(harness_mod, "impostor_moments", skewed)
@@ -515,7 +515,7 @@ def test_moment_rows_with_non_finite_estimates_fail():
 def _reference_grid(cfg: MomentGridConfig) -> list:
     """The grid's rows from the plain whole-chunk expression: per chunk,
     the fading, then the noise, as one (chunk, n) draw each."""
-    from dicode.decoder import impostor_moments
+    from dicode.decoder import CsiFast, NoCsi, impostor_moments
     from dicode.harness import MomentCheckRow, _gen, hash_label
 
     rng_vectors = _gen(cfg.seed, 10)
@@ -525,11 +525,12 @@ def _reference_grid(cfg: MomentGridConfig) -> list:
     for dist in cfg.distributions:
         m = dist.moments()
         for mode in cfg.modes:
+            verifier = CsiFast(cfg.sigma2) if mode == "csi" else NoCsi(cfg.sigma2, m)
             for pi in range(cfg.pair_count):
                 u_center, u_other = vecs[pi % len(vecs)], vecs[(pi + 1) % len(vecs)]
                 label = f"{dist.to_config()['type']}/{mode}/pair{pi}"
                 for stat, u_sent in (("genuine", u_center), ("impostor", u_other)):
-                    th_mean, th_var = impostor_moments(u_center, u_sent, cfg.sigma2, m, mode)
+                    th_mean, th_var = impostor_moments(verifier, u_center, u_sent, m)
                     rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat == "genuine" else 1)
                     s1 = s2 = s3 = s4 = 0.0
                     done = 0
