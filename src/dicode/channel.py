@@ -127,13 +127,13 @@ def parse_channel(cfg: dict) -> ChannelModel:
     kind, fading = cfg.get("type"), cfg.get("fading")
     if kind not in CHANNELS:
         raise ValueError(f"unknown channel type {kind!r}")
-    model, sigma2 = CHANNELS[kind], cfg.get("sigma2", 1.0)
+    model, noise = CHANNELS[kind], {"sigma2": cfg["sigma2"]} if "sigma2" in cfg else {}
     if not model.FADING_DIMS:
         if fading is not None:
             faded = " or ".join(k for k, m in CHANNELS.items() if m.FADING_DIMS)
             raise ValueError(f"channel.fading is set, but an {kind} channel has no fading; "
                              f"use {faded}, or drop channel.fading")
-        return model(sigma2)
+        return model(**noise)
     if fading is None:
         raise ValueError(f"a {kind} channel needs channel.fading, a fading law record")
-    return model(fading, sigma2)
+    return model(fading, **noise)

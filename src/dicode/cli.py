@@ -3,17 +3,18 @@
 Every subcommand reads an optional JSON config file, applies repeatable
 ``--set dotted.path=value`` overrides on top, resolves the seed and
 checks the whole config against its key table, records included, then
-runs.  Only a finished run creates the output directory; it gets the
-resolved configuration and the run's outputs, each written atomically.
-This module writes every file; the library hands it text.  Exit codes: 0
-on success, 2 for config or feasibility problems, 3 when a validation
-run finds formula violations, 1 for anything unexpected.
+runs.  Each key's rules and default are stated once, in its table, which
+--help prints and the `simulate` and `moments` configs check against.
+Only a finished run creates the output directory; it gets the resolved
+configuration and the run's outputs, each written atomically.  This
+module writes every file; the library hands it text.  Exit codes: 0 on
+success, 2 for config or feasibility problems, 3 when a validation run
+finds formula violations, 1 for anything unexpected.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -23,12 +24,12 @@ import traceback
 
 from .bounds import min_distance_lower_bound, rate_report
 from .codebook import PLAN_KEYS, ConcatCodebook, codewords_csv, plan_params
-from .config import Key, epilog, resolve
-from .decoder import GRID_MODES, VERIFIERS
+from .config import Key, epilog, owned_defaults, resolve
 from .errors import ValidationFailure
 from .fading import parse_distribution
 from .harness import (
     CONFIG_KEYS,
+    MOMENTS_KEYS,
     ExperimentConfig,
     MomentGridConfig,
     moment_validation,
@@ -46,7 +47,7 @@ from .packing import (
 )
 
 CONSTRUCT_KEYS = {
-    **PLAN_KEYS,
+    **owned_defaults(plan_params, PLAN_KEYS),
     "export_codewords": Key(int, "write the first k codewords to codewords.csv (0 = skip)",
                             min=0, default=0),
 }
@@ -65,31 +66,18 @@ BOUNDS_KEYS = {
     "outage_eps": Key(float, "outage probability for the outage capacity", default=None),
 }
 
-MOMENTS_KEYS = {
-    "distributions": Key(list, "list of fading law records to sweep", min=1, required=True,
-                         parse=parse_distribution),
-    "modes": Key(list, "verifiers to check: " + ", ".join(
-        f"{grid} {'the' if i else 'is the'} {mode} ball at {VERIFIERS[mode].CENTER}"
-        for i, (grid, mode) in enumerate(GRID_MODES.items())), min=1, choices=tuple(GRID_MODES)),
-    "n": Key(int, "vector length for the synthetic codewords", min=1),
-    "draws": Key(int, "Monte Carlo draws per check", min=1),
-    "sigma2": Key(float, "noise variance", min=0),
-    "pair_count": Key(int, "codeword pairs per law and mode", min=1),
-    "vector_power": Key(float, "per-coordinate variance of the synthetic codewords", min=0),
-    "seed": Key(int, "master seed", min=0),
-    "chunk": Key(int, "draws per batch", min=1),
-    "tolerance_sigmas": Key(float, "allowed deviation in standard errors", min=0),
-}
-
 PACKING_KEYS = {
     **{f"spec.{name}": key for name, key in SPEC_KEYS.items()},
-    "profile": Key(str, "expurgation profile", choices=PROFILES),
-    "check_projection": Key(bool, "also run the projected-distance check", default=False),
+    **owned_defaults(generate_expurgated, {
+        "profile": Key(str, "expurgation profile", choices=PROFILES)}),
+    "check_projection": Key(bool, "also run the projected-distance check, which alone reads "
+                                   "the projection.* keys", default=False),
     "projection.mu": Key(float, "fraction of coordinates that survive projection", default=1.0),
     "projection.alpha": Key(float, "projected distances must reach n^alpha", default=0.25),
     "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
                            default="sampled", choices=("exhaustive", "sampled")),
-    "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1),
+    **owned_defaults(check_projection_property, {
+        "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1)}),
 }
 
 
@@ -156,11 +144,6 @@ def _write(args, cfg: dict, outputs: dict[str, str]) -> None:
         write_text_atomic(os.path.join(args.outdir, name), text)
 
 
-def _default(fn, name: str):
-    """The default of one argument of fn, for keys whose default fn owns."""
-    return inspect.signature(fn).parameters[name].default
-
-
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
     if args.seed is not None:
@@ -169,11 +152,10 @@ def cmd_construct(args) -> int:
     kw = resolve(cfg, CONSTRUCT_KEYS)
     limit = kw.pop("export_codewords")
     params = plan_params(**kw)
-    used = {k: getattr(params, k) for k in PLAN_KEYS}
     outputs = {"params.json": json.dumps(params.to_json_dict(), indent=2, sort_keys=True) + "\n"}
     if limit > 0:
         outputs["codewords.csv"] = codewords_csv(ConcatCodebook(params), limit)
-    _write(args, {**used, "export_codewords": limit}, outputs)
+    _write(args, {**kw, "export_codewords": limit}, outputs)
     print(f"n={params.n} q1={params.q1} (n1,k1)=({params.n1},{params.k1}) "
           f"(n2,k2)=({params.n2},{params.k2}) rate={params.rate:.6g} "
           f"min_distance={params.min_euclidean_distance:.6g} "
@@ -259,12 +241,12 @@ def cmd_packing(args) -> int:
     if isinstance(spec_cfg, dict):  # anything else is refused by resolve
         spec_cfg["seed"] = _seed(args, spec_cfg.get("seed"))
     kw = resolve(cfg, PACKING_KEYS)
-    kw.setdefault("profile", _default(generate_expurgated, "profile"))
-    kw["projection"].setdefault("sample_count", _default(check_projection_property,
-                                                         "sample_count"))
     spec, proj = PackingSpec(**kw["spec"]), kw["projection"]
     if not 0 < proj["mu"] <= 1:
         raise ValueError(f"projection.mu must lie in (0, 1], got {proj['mu']!r}")
+    for name, value in proj.items():  # the run echoes the defaults, so only they pass
+        if not kw["check_projection"] and value != PACKING_KEYS[f"projection.{name}"].default:
+            raise ValueError(f"projection.{name} is read only with check_projection true")
     if proj["mode"] == "exhaustive" and spec.n > 16:
         raise ValueError("projection.mode exhaustive scans every subset, so spec.n must be "
                          f"at most 16, got {spec.n}")

@@ -7,10 +7,11 @@ Anything a table does not describe is refused, never dropped.
 from __future__ import annotations
 
 import difflib
+import inspect
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 NUMBER = (int, float)  # a number, kept as given rather than made a float
 _UNSET = object()
@@ -28,8 +29,8 @@ class Key:
     ``choices`` lists every value a scalar, or each entry of a list, may
     take.  ``parse`` builds the object a record, or each entry of a
     list, stands for; its ValueError is re-raised naming the dotted path.
-    ``default`` is given only where no constructor owns it; a default of
-    None also admits an explicit null.
+    ``default`` fills in an absent key; ``owned_defaults`` reads one that a
+    constructor owns from its signature.  A default of None admits null.
     """
 
     type: type | tuple
@@ -71,6 +72,15 @@ class Key:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
         return built if isinstance(value, list) else built[0]
+
+
+def owned_defaults(fn: Callable, table: dict[str, Key]) -> dict[str, Key]:
+    """table, each key that names an argument of fn (a dotted key by its last
+    part) given that argument's default, where fn has one."""
+    owned = {name: arg.default for name, arg in inspect.signature(fn).parameters.items()
+             if arg.default is not arg.empty}
+    return {path: replace(key, default=owned[path.rsplit(".", 1)[-1]])
+            if path.rsplit(".", 1)[-1] in owned else key for path, key in table.items()}
 
 
 def resolve(cfg: dict, table: dict[str, Key], prefix: str = "") -> dict:

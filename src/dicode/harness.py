@@ -1,5 +1,9 @@
 """Reproducible Monte Carlo experiments over codebooks and channels.
 
+``ExperimentConfig`` and ``MomentGridConfig`` check themselves against
+``CONFIG_KEYS`` and ``MOMENTS_KEYS``, the tables `dicode simulate` and
+`dicode moments` parse with and print in --help, defaults included.
+
 Every random draw comes from a Generator seeded by
 SeedSequence((master_seed, purpose_tag, slot, trial)), so trial t of
 slot k consumes exactly the same randomness no matter how trials are
@@ -67,7 +71,7 @@ import numpy as np
 
 from .channel import CHANNELS, ChannelModel, FastFading, block_buffers, parse_channel, transmit
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
-from .config import Key, resolve
+from .config import Key, owned_defaults, resolve
 from .decoder import GRID_MODES, VERIFIERS, CsiFast, NoCsi, impostor_moments, statistic
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
@@ -88,13 +92,13 @@ _CODEBOOK_KEYS = {"concat": (tuple(k for k, key in PLAN_KEYS.items() if key.requ
                              tuple(k for k, key in PLAN_KEYS.items() if not key.required)),
                   "packing": (("spec",), ("profile",)), "csv": (("path",), ())}
 
-# the key table behind ExperimentConfig.from_dict and the `simulate` help
+# the table of ExperimentConfig and `simulate --help`; channel and verifier classes share defaults
 CONFIG_KEYS = {
     "schema": Key(int, "config schema version", choices=(_SCHEMA,)),
     "seed": Key(int, "master seed (drawn and echoed if omitted)", min=0),
-    "workers": Key(int, "worker count; partitions trials, never changes results", min=1),
+    "workers": Key(int, "worker count; never changes results", min=1, default=1),
     "channel.type": Key(str, "channel model", required=True, choices=tuple(CHANNELS)),
-    "channel.sigma2": Key(float, "noise variance per coordinate", min=0),
+    **owned_defaults(FastFading, {"channel.sigma2": Key(float, "noise variance", min=0)}),
     "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
                                 "(fading channels only)", parse=parse_distribution),
     "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
@@ -106,16 +110,16 @@ CONFIG_KEYS = {
     "codebook.path": Key(str, "CSV path, one vector per row (csv)"),
     "verifier.mode": Key(str, "ball-threshold verifier", default=CsiFast.MODE,
                          choices=tuple(VERIFIERS)),
-    "verifier.deviation_scale": Key(float, "multiplier on the threshold deviation term"),
-    "trials.identities": Key(int, "distinct identities sampled for type-I trials", min=1),
-    "trials.per_identity": Key(int, "genuine transmissions per identity", min=1),
-    "trials.pairs": Key(int, "impostor pairs sampled (includes the close pairs)", min=0),
-    "trials.per_pair": Key(int, "impostor transmissions per pair", min=1),
+    **owned_defaults(CsiFast, {"verifier.deviation_scale": Key(float, "deviation term scale")}),
+    "trials.identities": Key(int, "identities sampled for type-I trials", min=1, default=50),
+    "trials.per_identity": Key(int, "genuine transmissions per identity", min=1, default=20),
+    "trials.pairs": Key(int, "impostor pairs, the close pairs included", min=0, default=100),
+    "trials.per_pair": Key(int, "impostor transmissions per pair", min=1, default=10),
     "trials.min_distance_pairs": Key(int, "pairs of an identity and its close partner: d2 outer "
                                           "symbols apart (concat), the nearest vector (packing, "
-                                          "csv)", min=0),
+                                          "csv); at most trials.pairs", min=0, default=10),
     "outage_eta": Key(float, "slow fading only: outage probability budget in [0, 1)", default=None),
-    "allow_degenerate_outage": Key(bool, "admit laws with P(h=0) > eta by forcing radius 0"),
+    "allow_degenerate_outage": Key(bool, "admit P(h=0) > eta by forcing radius 0", default=False),
 }
 
 
@@ -266,26 +270,34 @@ class ExperimentConfig:
     channel: ChannelModel
     codebook: dict
     verifier_mode: str
-    identities: int = 50
-    per_identity: int = 20
-    pairs: int = 100
-    per_pair: int = 10
-    min_distance_pairs: int = 10
-    seed: int = 0
-    workers: int = 1
-    deviation_scale: float = 1.0
-    outage_eta: float | None = None
-    allow_degenerate_outage: bool = False
+    identities: int
+    per_identity: int
+    pairs: int
+    per_pair: int
+    min_distance_pairs: int
+    workers: int
+    deviation_scale: float
+    outage_eta: float | None
+    allow_degenerate_outage: bool
+    seed: int = 0  # the CLI draws one when the config has none
+
+    def __post_init__(self):
+        _codebook_args(resolve(self.to_dict(), CONFIG_KEYS)["codebook"])
+        pairs, close = self.pairs, self.min_distance_pairs
+        if close > pairs:
+            raise ValueError(f"trials.min_distance_pairs = {close} exceeds trials.pairs = {pairs}")
+        if self.identities == 1 and pairs > close:
+            raise ValueError("trials.identities must be at least 2 for random pairs, got 1 with "
+                             f"trials.pairs - trials.min_distance_pairs = {pairs - close}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """Check cfg against CONFIG_KEYS; the codebook record is kept as given."""
+        """The run cfg asks for, CONFIG_KEYS' defaults filled in; the codebook kept as given."""
         kw = resolve(cfg, CONFIG_KEYS)
         kw.pop("schema", None)  # resolve admits only the current one
-        _codebook_args(kw.pop("codebook"))
-        verifier = kw.pop("verifier")
-        return cls(channel=parse_channel(kw.pop("channel")), codebook=dict(cfg["codebook"]),
-                   verifier_mode=verifier.pop("mode"), **verifier, **kw.pop("trials", {}), **kw)
+        verifier, kw["codebook"] = kw.pop("verifier"), dict(cfg["codebook"])
+        return cls(channel=parse_channel(kw.pop("channel")), verifier_mode=verifier.pop("mode"),
+                   **verifier, **kw.pop("trials"), **kw)
 
     def to_dict(self) -> dict:
         """The record from_dict reads back; the trials keys are those of CONFIG_KEYS."""
@@ -336,7 +348,7 @@ def _build_verifier(mode: str, channel: ChannelModel, deviation_scale: float = 1
     verifier is built.  Refused unless mode serves channel and outage_eta is set just
     when the verifier has an outage rule.  Its fields say what else it takes: fading
     moments (given, else the law's; h = 1 on awgn) or the outage radius of outage_eta."""
-    verifier = VERIFIERS[CONFIG_KEYS["verifier.mode"].check("verifier.mode", mode)]
+    verifier = VERIFIERS[mode]
     if channel.TYPE not in verifier.SERVES:
         served = " or ".join(m for m, v in VERIFIERS.items() if channel.TYPE in v.SERVES)
         raise ValueError(f"verifier.mode {mode} serves {' or '.join(verifier.SERVES)} "
@@ -400,16 +412,7 @@ def _rate(successes: int, trials: int):
 
 def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     t_start = time.perf_counter()
-    if cfg.identities < 1 or cfg.per_identity < 1 or cfg.per_pair < 1:
-        raise ValueError("trial counts must be positive")
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {cfg.workers!r}")
-    if not 0 <= cfg.min_distance_pairs <= cfg.pairs:
-        raise ValueError("min_distance_pairs cannot exceed pairs")
     random_pairs = cfg.pairs - cfg.min_distance_pairs
-    if cfg.identities == 1 and random_pairs:
-        raise ValueError("trials.identities must be at least 2 for random pairs, got 1 with "
-                         f"trials.pairs - trials.min_distance_pairs = {random_pairs}")
     verifier, radius, degenerate = _build_verifier(  # refuses a mismatch before any build
         cfg.verifier_mode, cfg.channel, cfg.deviation_scale, cfg.outage_eta,
         cfg.allow_degenerate_outage)
@@ -553,8 +556,6 @@ def _map_threads(fn, items, threads: int) -> list:
 # ---------------------------------------------------------------------------
 # moment-formula validation
 
-_GRID_MODE = Key(str, "moment-grid mode", choices=tuple(GRID_MODES))
-
 
 @dataclass(frozen=True)
 class MomentGridConfig:
@@ -569,24 +570,32 @@ class MomentGridConfig:
     chunk: int = 20_000
     tolerance_sigmas: float = 4.0
 
-    def __post_init__(self):  # a grid that checks nothing, or cannot draw, is refused
-        for name in ("distributions", "modes", "n", "draws", "pair_count", "chunk"):
-            value, many = getattr(self, name), name in ("distributions", "modes")
-            if (len(value) if many else value) < 1:
-                raise ValueError(f"moment grid {name} must be "
-                                 f"{'non-empty' if many else 'at least 1'}, got {value!r}")
-        for name in ("vector_power", "tolerance_sigmas"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"moment grid {name} must be finite and at least 0, "
-                                 f"got {value!r}")
+    def __post_init__(self):  # refused as `dicode moments` refuses it, after `moment grid`
+        try:
+            resolve(self.to_dict(), MOMENTS_KEYS)
+        except ValueError as exc:
+            raise ValueError(f"moment grid {exc}") from exc
 
     def to_dict(self) -> dict:
         """Every field as `dicode moments` reads it; laws as their records."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["distributions"] = [d.to_config() for d in self.distributions]
-        out["modes"] = list(self.modes)
-        return out
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "modes": list(self.modes),
+                "distributions": [d.to_config() for d in self.distributions]}
+
+
+MOMENTS_KEYS = owned_defaults(MomentGridConfig, {
+    "distributions": Key(list, "list of fading law records to sweep", min=1, required=True,
+                         parse=parse_distribution),
+    "modes": Key(list, "verifiers to check: " + ", ".join(
+        f"{grid} {'the' if i else 'is the'} {mode} ball at {VERIFIERS[mode].CENTER}"
+        for i, (grid, mode) in enumerate(GRID_MODES.items())), min=1, choices=tuple(GRID_MODES)),
+    "n": Key(int, "vector length for the synthetic codewords", min=1),
+    "draws": Key(int, "Monte Carlo draws per check", min=1),
+    "sigma2": Key(float, "noise variance", min=0),
+    "pair_count": Key(int, "codeword pairs per law and mode", min=1),
+    "vector_power": Key(float, "per-coordinate variance of the synthetic codewords", min=0),
+    "chunk": Key(int, "draws per batch", min=1),
+    "tolerance_sigmas": Key(float, "allowed deviation in standard errors", min=0)})
+MOMENTS_KEYS["seed"] = Key(int, "master seed (drawn and echoed if omitted)", min=0)
 
 
 @dataclass(frozen=True)
@@ -689,17 +698,15 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
     """
     t0 = time.perf_counter()
     rng_vectors = _gen(cfg.seed, 10)
-    vecs = [
-        math.sqrt(cfg.vector_power) * rng_vectors.standard_normal(cfg.n)
-        for _ in range(max(3, cfg.pair_count))
-    ]
+    vecs = [math.sqrt(cfg.vector_power) * rng_vectors.standard_normal(cfg.n)
+            for _ in range(max(3, cfg.pair_count))]
     pairs = [(vecs[i % len(vecs)], vecs[(i + 1) % len(vecs)]) for i in range(cfg.pair_count)]
     cells = []
     for dist in cfg.distributions:
         m = dist.moments()
         for mode in cfg.modes:
-            verifier, _, _ = _build_verifier(GRID_MODES[_GRID_MODE.check("modes", mode)],
-                                             FastFading(dist, cfg.sigma2), moments=m)
+            verifier, _, _ = _build_verifier(GRID_MODES[mode], FastFading(dist, cfg.sigma2),
+                                             moments=m)
             for pi, (u_center, u_sent) in enumerate(pairs):
                 label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):

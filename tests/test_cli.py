@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, and help/docs sync."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,9 +21,10 @@ from dicode.cli import (
     main,
 )
 from dicode.channel import CHANNELS
-from dicode.config import resolve
+from dicode.config import _UNSET, resolve
 from dicode.decoder import GRID_MODES, VERIFIERS
-from dicode.harness import CONFIG_KEYS, ExperimentConfig
+from dicode.fading import Constant
+from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig
 
 
 def run(argv):
@@ -365,6 +367,46 @@ def test_help_lists_every_config_key(command, keys, capsys):
         assert flag in text
     for flag in {"--seed", "--format"} - TAKES[command]:
         assert flag not in text, f"{command} --help offers {flag}, which it does not read"
+    lines = _help_lines(text, keys)
+    for key in keys:
+        if keys[key].default is not _UNSET:
+            assert f"default {json.dumps(keys[key].default)}]" in lines[key], lines[key]
+
+
+def _help_lines(text: str, keys: dict) -> dict:
+    """The --help line of each key of a table."""
+    lines = {}
+    for line in text.splitlines():
+        words = line.split()
+        if line.startswith("  ") and words and words[0] in keys:
+            lines[words[0]] = line
+    return lines
+
+
+# every key a run fills in when it is absent, but the seeds the CLI draws and
+# the codebook.* keys, whose defaults depend on codebook.type
+FILLED_IN = {
+    "simulate": ("workers", "channel.sigma2", "verifier.deviation_scale", "trials.identities",
+                 "trials.per_identity", "trials.pairs", "trials.per_pair",
+                 "trials.min_distance_pairs", "allow_degenerate_outage"),
+    "moments": ("modes", "n", "draws", "sigma2", "pair_count", "vector_power", "chunk",
+                "tolerance_sigmas"),
+    "packing": ("profile", "projection.sample_count"),
+    "construct": ("power_bound", "eps1", "eps2", "field_seed"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILLED_IN))
+def test_help_prints_the_default_of_every_key_a_run_fills_in(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    lines = _help_lines(capsys.readouterr().out, COMMANDS[command][2])
+    for key in FILLED_IN[command]:
+        assert "default " in lines[key], f"{command} --help prints no default for {key}"
+    pins = {"simulate": ("trials.identities", "default 50"), "moments": ("n", "default 64"),
+            "packing": ("profile", 'default "basic"'), "construct": ("eps1", "default 0.1")}
+    key, says = pins[command]
+    assert lines[key].endswith(f", {says}]"), lines[key]
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--seed", "5"], ["construct", "--format", "csv"],
@@ -532,8 +574,15 @@ BAD_SETTINGS = [
      ["outage_eta must lie in [0, 1), got -0.1"]),
     ("packing", "projection.mu=1.5", ["projection.mu must lie in (0, 1], got 1.5"]),
     ("packing", "projection.mu=0", ["projection.mu must lie in (0, 1], got 0.0"]),
+    # the projection.* keys belong to check_projection, as fourth_moment_bound to its profile
+    ("packing", "projection.alpha=5",
+     ["projection.alpha is read only with check_projection true"]),
     ("packing", "projection.mode=exhaustive",
+     ["projection.mode is read only with check_projection true"]),
+    ("packing", ("check_projection=true", "projection.mode=exhaustive"),
      ["projection.mode exhaustive scans every subset, so spec.n must be at most 16, got 32"]),
+    ("simulate", "trials.min_distance_pairs=5",
+     ["trials.min_distance_pairs = 5 exceeds trials.pairs = 2"]),
 ]
 
 
@@ -571,6 +620,57 @@ def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, mo
     for text in says:
         assert text in err
     assert not out.exists()  # refused before writing anything
+
+
+def test_projection_keys_without_the_check_are_refused_before_sampling(tmp_path, monkeypatch,
+                                                                       capsys):
+    def no_sampling(*args):
+        raise AssertionError("the packing was sampled")
+
+    monkeypatch.setattr("dicode.cli.generate_expurgated", no_sampling)
+    sets = _sets("packing", ["projection.alpha=5"], tmp_path, monkeypatch)
+    assert run(["packing", "--outdir", str(tmp_path / "out"), "--seed", "1", *sets]) == 2
+    err = capsys.readouterr().err
+    assert "projection.alpha" in err and "check_projection" in err
+    assert not (tmp_path / "out").exists()
+
+
+# (field, value) for the library, and the --set item that asks the CLI for the same
+GRID_DRIFT = [("n", 8.5, "n=8.5"), ("draws", True, "draws=true"), ("seed", -1, "seed=-1"),
+              ("sigma2", -1.0, "sigma2=-1.0"), ("modes", ("csi-fast",), 'modes=["csi-fast"]')]
+SIMULATE_DRIFT = [("workers", 0, "workers=0"), ("identities", 0, "trials.identities=0"),
+                  ("min_distance_pairs", 5, "trials.min_distance_pairs=5")]
+
+
+def _cli_refusal(command, setting, folder, monkeypatch, capsys) -> str:
+    """What `dicode <command>` says, after its prefix, refusing setting over VALID_ARGS."""
+    sets = _sets(command, ["seed=1", setting], folder, monkeypatch)  # setting may set the seed
+    assert run([command, "--outdir", str(folder / "out"), *sets]) == 2
+    assert not (folder / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):].strip()
+
+
+@pytest.mark.parametrize("field,value,setting", GRID_DRIFT, ids=[s for *_, s in GRID_DRIFT])
+def test_the_moment_grid_refuses_what_dicode_moments_refuses(field, value, setting, tmp_path,
+                                                             monkeypatch, capsys):
+    said = _cli_refusal("moments", setting, tmp_path, monkeypatch, capsys)
+    kw = {"distributions": (Constant(1.0),), "n": 16, "draws": 1000, "pair_count": 1}
+    with pytest.raises(ValueError) as exc:
+        MomentGridConfig(**{**kw, field: value})
+    assert str(exc.value) == f"moment grid {said}"
+
+
+@pytest.mark.parametrize("field,value,setting", SIMULATE_DRIFT,
+                         ids=[s for *_, s in SIMULATE_DRIFT])
+def test_experiment_configs_refuse_what_dicode_simulate_refuses(field, value, setting, tmp_path,
+                                                                monkeypatch, capsys):
+    said = _cli_refusal("simulate", setting, tmp_path, monkeypatch, capsys)
+    exp = ExperimentConfig.from_dict(_parse_set(VALID_ARGS["simulate"]))
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(exp, **{field: value})
+    assert str(exc.value) == said
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))

@@ -10,11 +10,12 @@ import math
 
 import pytest
 
-from dicode.channel import Awgn, FastFading, SlowFading
+from dicode.channel import CHANNELS, Awgn, FastFading, SlowFading, parse_channel
 from dicode.codebook import plan_params
-from dicode.config import NUMBER, Key, resolve
+from dicode.config import NUMBER, Key, owned_defaults, resolve
+from dicode.decoder import VERIFIERS
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, parse_distribution
-from dicode.harness import ExperimentConfig, build_codebook
+from dicode.harness import CONFIG_KEYS, ExperimentConfig, build_codebook
 from dicode.packing import PackingSpec, parse_spec
 
 TABLE = {
@@ -85,6 +86,28 @@ def test_resolve_under_a_prefix_sees_only_that_group():
     assert resolve({"mode": "slow"}, TABLE, "group.") == {"mode": "slow", "limit": None}
     with pytest.raises(ValueError, match="'group.count'"):
         resolve({"count": 1}, TABLE, "group.")
+
+
+def test_owned_defaults_reads_each_default_from_the_constructor_that_owns_it():
+    def build(n, size=3, mode="sampled"):
+        pass
+
+    table = {"n": Key(int, "count"), "group.size": Key(int, "size"),
+             "mode": Key(str, "mode", default="exhaustive"), "other": Key(int, "no argument")}
+    owned = owned_defaults(build, table)
+    assert [owned[k].default for k in ("group.size", "mode")] == [3, "sampled"]
+    assert owned["n"] == table["n"] and owned["other"] == table["other"]  # nothing to read
+    assert resolve({"n": 1}, owned) == {"n": 1, "group": {"size": 3}, "mode": "sampled"}
+
+
+def test_simulate_defaults_read_from_one_class_are_every_class_default():
+    # CONFIG_KEYS reads sigma2 from FastFading and deviation_scale from CsiFast
+    sigma2 = CONFIG_KEYS["channel.sigma2"].default
+    scale = CONFIG_KEYS["verifier.deviation_scale"].default
+    assert [parse_channel({"type": kind, "fading": Constant(1.0)} if model.FADING_DIMS else
+                          {"type": kind}).sigma2 for kind, model in CHANNELS.items()] == [sigma2] * 3
+    for verifier in VERIFIERS.values():
+        assert {f.name: f.default for f in dataclasses.fields(verifier)}["deviation_scale"] == scale
 
 
 # each builder takes the one non-finite value under test
