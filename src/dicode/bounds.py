@@ -42,21 +42,21 @@ def sphere_packing_rate(n: float, power_bound: float, d_min: float) -> float:
     M <= ((sqrt(A n) + r)^n / r^n) with r = d_min / 2, so
     R <= log2((sqrt(A n) + r) / r) / log2 n, which tends to 1/2.
     """
-    if n < 2:
+    if not n >= 2:
         raise ValueError("n must be >= 2")
-    if power_bound <= 0:
-        raise ValueError("power bound must be positive")
-    if d_min <= 0:
-        raise ValueError("minimum distance must be positive")
+    if not power_bound > 0:  # NaN too
+        raise ValueError(f"power_bound: must be positive, got {power_bound!r}")
+    if not d_min > 0:
+        raise ValueError(f"d_min: must be positive, got {d_min!r}")
     r = d_min / 2.0
     return math.log2((math.sqrt(power_bound * n) + r) / r) / math.log2(n)
 
 
 def di_rate(log2_size: float, n: float) -> float:
     """Achieved DI rate: log2(M) / (n log2 n)."""
-    if n < 2:
+    if not n >= 2:
         raise ValueError("n must be >= 2")
-    if log2_size < 0:
+    if not log2_size >= 0:
         raise ValueError("log2 codebook size must be nonnegative")
     return log2_size / (n * math.log2(n))
 
@@ -68,8 +68,8 @@ def shannon_outage_capacity(dist: FadingDistribution, snr: float, eps: float) ->
     the largest T with P(|h| < T) <= eps.  When P(h = 0) > eps no positive
     T qualifies and the capacity is 0.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not snr > 0:
+        raise ValueError(f"snr: must be positive, got {snr!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly in (0, 1)")
     try:
@@ -81,8 +81,8 @@ def shannon_outage_capacity(dist: FadingDistribution, snr: float, eps: float) ->
 
 def shannon_ergodic_capacity(dist: FadingDistribution, snr: float) -> float:
     """E log2(1 + h^2 snr); exact for atomic laws, quadrature otherwise."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not snr > 0:
+        raise ValueError(f"snr: must be positive, got {snr!r}")
     return dist.expect(lambda h: math.log2(1 + h * h * snr), rel=1e-6)
 
 
@@ -110,6 +110,7 @@ def rate_report(
     snr: float | None = None,
     outage_eps: float | None = None,
 ) -> RateReport:
+    rate, upper_bound = di_rate(log2_size, n), sphere_packing_rate(n, power_bound, d_min)
     request = {"fading": dist, "snr": snr, "outage_eps": outage_eps}
     given = [k for k, v in request.items() if v is not None]
     missing = [k for k in ("fading", "snr") if request[k] is None]
@@ -125,8 +126,8 @@ def rate_report(
     return RateReport(
         n=n,
         log2_size=log2_size,
-        rate=di_rate(log2_size, n),
-        upper_bound=sphere_packing_rate(n, power_bound, d_min),
+        rate=rate,
+        upper_bound=upper_bound,
         power_bound=power_bound,
         d_min=d_min,
         outage_capacity=c_out,

@@ -30,6 +30,8 @@ import numpy as np
 
 from .fading import FadingDistribution
 
+SIGMA2 = 1.0  # every channel's default noise variance
+
 
 class ChannelModel:
     """A channel: its record is a ``TYPE``, ``sigma2`` and any ``fading`` law.  Its
@@ -39,6 +41,8 @@ class ChannelModel:
     def __post_init__(self):
         if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
             raise ValueError("noise variance must be nonnegative and finite")
+        if self.FADING_DIMS and not isinstance(self.fading, FadingDistribution):
+            raise ValueError(f"a {self.TYPE} channel needs channel.fading, a fading law record")
 
     def to_config(self):
         record = {"type": self.TYPE, "sigma2": self.sigma2}
@@ -50,21 +54,21 @@ class ChannelModel:
 @dataclass(frozen=True)
 class Awgn(ChannelModel):
     TYPE, FADING_DIMS = "awgn", 0
-    sigma2: float = 1.0
+    sigma2: float = SIGMA2
 
 
 @dataclass(frozen=True)
 class SlowFading(ChannelModel):
     TYPE, FADING_DIMS = "slow-fading", 1
     fading: FadingDistribution
-    sigma2: float = 1.0
+    sigma2: float = SIGMA2
 
 
 @dataclass(frozen=True)
 class FastFading(ChannelModel):
     TYPE, FADING_DIMS = "fast-fading", 2
     fading: FadingDistribution
-    sigma2: float = 1.0
+    sigma2: float = SIGMA2
 
 
 # the channel types a `channel` record may name, in --help order
@@ -128,12 +132,10 @@ def parse_channel(cfg: dict) -> ChannelModel:
     if kind not in CHANNELS:
         raise ValueError(f"unknown channel type {kind!r}")
     model, noise = CHANNELS[kind], {"sigma2": cfg["sigma2"]} if "sigma2" in cfg else {}
-    if not model.FADING_DIMS:
-        if fading is not None:
-            faded = " or ".join(k for k, m in CHANNELS.items() if m.FADING_DIMS)
-            raise ValueError(f"channel.fading is set, but an {kind} channel has no fading; "
-                             f"use {faded}, or drop channel.fading")
-        return model(**noise)
-    if fading is None:
-        raise ValueError(f"a {kind} channel needs channel.fading, a fading law record")
-    return model(fading, **noise)
+    if model.FADING_DIMS:
+        return model(fading, **noise)  # which refuses a missing law
+    if fading is not None:
+        faded = " or ".join(k for k, m in CHANNELS.items() if m.FADING_DIMS)
+        raise ValueError(f"channel.fading is set, but an {kind} channel has no fading; "
+                         f"use {faded}, or drop channel.fading")
+    return model(**noise)

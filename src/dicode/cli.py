@@ -4,7 +4,8 @@ Every subcommand reads an optional JSON config file, applies repeatable
 ``--set dotted.path=value`` overrides on top, resolves the seed and
 checks the whole config against its key table, records included, then
 runs.  Each key's rules and default are stated once, in its table, which
---help prints and the `simulate` and `moments` configs check against.
+--help prints and the library's configs, planner and packing spec check
+against.
 Only a finished run creates the output directory; it gets the resolved
 configuration and the run's outputs, each written atomically.  This
 module writes every file; the library hands it text.  Exit codes: 0 on
@@ -72,11 +73,11 @@ PACKING_KEYS = {
         "profile": Key(str, "expurgation profile", choices=PROFILES)}),
     "check_projection": Key(bool, "also run the projected-distance check, which alone reads "
                                    "the projection.* keys", default=False),
-    "projection.mu": Key(float, "fraction of coordinates that survive projection", default=1.0),
-    "projection.alpha": Key(float, "projected distances must reach n^alpha", default=0.25),
-    "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
-                           default="sampled", choices=("exhaustive", "sampled")),
     **owned_defaults(check_projection_property, {
+        "projection.mu": Key(float, "fraction of coordinates that survive projection"),
+        "projection.alpha": Key(float, "projected distances must reach n^alpha"),
+        "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
+                               choices=("exhaustive", "sampled")),
         "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1)}),
 }
 
@@ -189,9 +190,6 @@ def cmd_bounds(args) -> int:
     except ValueError as exc:
         raise ValueError(f"lambda1/lambda2/sigma2: {exc}") from exc
     kw.setdefault("d_min", derived_d)
-    for key in ("power_bound", "d_min", "snr"):
-        if kw[key] is not None and not kw[key] > 0:
-            raise ValueError(f"{key}: must be positive, got {kw[key]!r}")
     dist = kw["fading"]
     report = rate_report(kw["n"], kw["log2_size"], kw["power_bound"], kw["d_min"], dist,
                          kw["snr"], kw["outage_eps"])

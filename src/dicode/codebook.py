@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import di_rate
-from .config import Key
+from .config import Key, resolve
 from .errors import InfeasibleError
 from .galois import (
     digits_to_int,
@@ -181,11 +181,10 @@ def plan_params(
     the dimensions are pushed as high as the distance fractions allow,
     subject to the outer length bound n2 <= q2 (enforced here even
     though it only binds at moderate n; violating it would silently
-    break injectivity).  Raises InfeasibleError when the search space
-    is empty.
+    break injectivity).  Refuses what `dicode construct` refuses (PLAN_KEYS),
+    and raises InfeasibleError when the search space is empty.
     """
-    if n < 4:
-        raise ValueError("block length too small")
+    resolve(locals(), PLAN_KEYS)  # locals() holds just the arguments here
     if not 0 < a < 0.125:
         raise ValueError("a must lie in (0, 1/8)")
     if not (0 < eps1 < 1 and 0 < eps2 < 1):

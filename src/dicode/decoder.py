@@ -49,8 +49,10 @@ import numpy as np
 
 from .fading import FadingMoments
 
+DEVIATION_SCALE = 1.0  # the default scale of every threshold's deviation term
 
-def threshold_csi(n: int, sigma2: float, deviation_scale: float = 1.0) -> float:
+
+def threshold_csi(n: int, sigma2: float, deviation_scale: float = DEVIATION_SCALE) -> float:
     """Ball threshold with CSI: n sigma^2 + sqrt(2 n sigma^4 ln n).
 
     The genuine statistic is ||z||^2 with E = n sigma^2 and
@@ -89,7 +91,7 @@ class CsiFast:
 
     MODE, SERVES, CENTER = "csi-fast", ("awgn", "fast-fading"), "h*u"
     sigma2: float
-    deviation_scale: float = 1.0
+    deviation_scale: float = DEVIATION_SCALE
 
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
@@ -125,7 +127,7 @@ class CsiSlow:
     MODE, SERVES, CENTER = "csi-slow", ("slow-fading",), "h*u"
     sigma2: float
     outage_threshold: float
-    deviation_scale: float = 1.0
+    deviation_scale: float = DEVIATION_SCALE
 
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
@@ -150,7 +152,7 @@ class NoCsi:
     MODE, SERVES, CENTER = "no-csi", ("awgn", "fast-fading"), "E[h]*u"
     sigma2: float
     moments: FadingMoments
-    deviation_scale: float = 1.0
+    deviation_scale: float = DEVIATION_SCALE
 
     def threshold(self, u) -> float:
         if self.moments.c == 0.0:

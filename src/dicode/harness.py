@@ -72,7 +72,8 @@ import numpy as np
 from .channel import CHANNELS, ChannelModel, FastFading, block_buffers, parse_channel, transmit
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, owned_defaults, resolve
-from .decoder import GRID_MODES, VERIFIERS, CsiFast, NoCsi, impostor_moments, statistic
+from .decoder import (DEVIATION_SCALE, GRID_MODES, VERIFIERS, CsiFast, NoCsi, impostor_moments,
+                      statistic)
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
 from .packing import PROFILES, generate_expurgated, load_csv, parse_spec
@@ -139,7 +140,7 @@ def write_text_atomic(path, text: str) -> None:
 
 
 # the 97.5% normal quantile one ulp low, the bits every frozen report was made
-# with; the digest epoch (ROADMAP item 10) replaces it with NormalDist().inv_cdf(0.975)
+# with; the digest epoch (ROADMAP item 5) replaces it with NormalDist().inv_cdf(0.975)
 _Z95 = 1.9599639845400538
 
 
@@ -342,7 +343,7 @@ def build_codebook(cfg: dict):
     return book, {"type": "csv", "path": kw["path"], "size": book.size}
 
 
-def _build_verifier(mode: str, channel: ChannelModel, deviation_scale: float = 1.0,
+def _build_verifier(mode: str, channel: ChannelModel, deviation_scale: float = DEVIATION_SCALE,
                     outage_eta=None, allow_degenerate_outage=False, moments=None):
     """(verifier, outage_threshold, degenerate) of mode over channel: the one place a
     verifier is built.  Refused unless mode serves channel and outage_eta is set just

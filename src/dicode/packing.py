@@ -31,55 +31,37 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import NUMBER, Key, resolve
+from .config import NUMBER, Key, owned_defaults, resolve
 from .errors import InfeasibleError
 
 PROFILES = ("basic", "fourth-moment", "norm-concentrated")
 _SCHEMA = 1
 _SLACK = 4 * np.finfo(float).eps  # times n + 4: over twice what two n-term float64 sums differ by
 
-# the fields of a spec record: `dicode packing` reads them under `spec.`,
-# and `dicode simulate` as its `codebook.spec` record
-SPEC_KEYS = {
-    "n": Key(int, "dimension", min=2, required=True),
-    "target_size": Key(int, "how many vectors to aim for", min=1, required=True),
-    "power_bound": Key(float, "hard energy cap A (power n*A)", default=1.0),
-    "sampling_power": Key(float, "sampling variance A' < A", default=0.5),
-    "distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)", required=True),
-    "seed": Key(int, "sampling seed (--seed sets this)", min=0),
-    "fourth_moment_bound": Key(NUMBER, "fourth-power budget (fourth-moment profile)", default=None),
-}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PackingSpec:
     n: int
     target_size: int
-    power_bound: float          # A
-    sampling_power: float       # A', the actual coordinate variance
-    distance_exponent: float    # a: pairwise floor n^(1/4 + a)
+    power_bound: float = 1.0        # A
+    sampling_power: float = 0.5     # A', the actual coordinate variance
+    distance_exponent: float        # a: pairwise floor n^(1/4 + a)
     seed: int = 0
     fourth_moment_bound: float | None = None   # B; None means 3 A^2
 
-    def __post_init__(self):
-        for f in fields(self):
-            value, integral = getattr(self, f.name), f.type == "int"
-            if value is None and f.default is None:
-                continue  # an optional bound left unset
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
-                    or not (integral or math.isfinite(value))):
-                kind = "an integer" if integral else "a finite number"
-                raise ValueError(f"packing spec {f.name} must be {kind}, got {value!r}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.target_size < 1:
-            raise ValueError("target size must be positive")
+    def __post_init__(self):  # refused as `dicode packing` refuses it, after `packing spec`
+        record = asdict(self)
+        try:
+            resolve(record, SPEC_KEYS)
+        except ValueError as exc:
+            raise ValueError(f"packing spec {exc}") from exc
+        for name, value in record.items():  # resolve takes 32.0 as a count; a spec keeps it
+            if SPEC_KEYS[name].type is int and isinstance(value, float):
+                raise ValueError(f"packing spec {name} must be an integer, got {value!r}")
         if not 0 < self.sampling_power < self.power_bound:
             raise ValueError("need 0 < sampling power < power bound")
         if not 0 < self.distance_exponent < 0.25:
@@ -99,6 +81,20 @@ class PackingSpec:
         # schema 1 records still carry the two projection fields, never set
         return {**asdict(self), "projection_fraction": None, "projection_exponent": None,
                 "schema": _SCHEMA}
+
+
+# the fields of a spec record: `dicode packing` reads them under `spec.`, and
+# `dicode simulate` as its `codebook.spec` record; packing draws the seed, so no default
+_SEED = Key(int, "sampling seed (--seed sets this)", min=0)
+SPEC_KEYS = {**owned_defaults(PackingSpec, {
+    "n": Key(int, "dimension", min=2, required=True),
+    "target_size": Key(int, "how many vectors to aim for", min=1, required=True),
+    "power_bound": Key(float, "hard energy cap A (power n*A)"),
+    "sampling_power": Key(float, "sampling variance A' < A"),
+    "distance_exponent": Key(float, "margin a; distance floor is n^(1/4 + a)", required=True),
+    "seed": _SEED,
+    "fourth_moment_bound": Key(NUMBER, "fourth-power budget (fourth-moment profile)")}),
+    "seed": _SEED}
 
 
 def parse_spec(record: dict) -> PackingSpec:
@@ -244,9 +240,9 @@ class ProjectionReport:
 
 def check_projection_property(
     vectors: np.ndarray,
-    mu: float,
-    alpha: float,
-    mode: str = "exhaustive",
+    mu: float = 1.0,
+    alpha: float = 0.25,
+    mode: str = "sampled",
     sample_count: int = 200,
     seed: int = 0,
 ) -> ProjectionReport:

@@ -189,6 +189,28 @@ def test_rate_report_assembly():
     assert rep2.outage_capacity < rep2.ergodic_capacity
 
 
+@pytest.mark.parametrize("key,call", [
+    ("power_bound", lambda x: sphere_packing_rate(100, x, 1.0)),
+    ("d_min", lambda x: sphere_packing_rate(100, 1.0, x)),
+    ("snr", lambda x: shannon_ergodic_capacity(Constant(1.0), x)),
+    ("snr", lambda x: shannon_outage_capacity(Constant(1.0), x, 0.1)),
+], ids=["power_bound", "d_min", "ergodic-snr", "outage-snr"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_bounds_refuse_what_is_not_positive_naming_the_key(key, call, value):
+    # the text `dicode bounds` prints; NaN fails every comparison, so it is refused too
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{key}: must be positive, got {value!r}"
+
+
+def test_rates_refuse_a_nan_length_or_size():
+    for call in (lambda: sphere_packing_rate(math.nan, 1.0, 1.0), lambda: di_rate(1.0, math.nan)):
+        with pytest.raises(ValueError, match="^n must be >= 2$"):
+            call()
+    with pytest.raises(ValueError, match="^log2 codebook size must be nonnegative$"):
+        di_rate(math.nan, 1024)
+
+
 @pytest.mark.parametrize("dist,snr,eps,says", [
     (Rayleigh(1.0), None, 0.1, "snr: required with fading/outage_eps"),
     (Rayleigh(1.0), None, None, "snr: required with fading"),

@@ -107,6 +107,14 @@ def test_parse_round_trips():
             parse_channel({"type": kind, "sigma2": 1.0})
 
 
+@pytest.mark.parametrize("model", [SlowFading, FastFading])
+def test_a_fading_channel_without_a_law_is_refused_when_built(model):
+    # not later, when transmit reaches for the law's sample
+    for law in (None, {"type": "rayleigh", "scale": 1.0}):
+        with pytest.raises(ValueError, match=f"^a {model.TYPE} channel needs channel.fading"):
+            model(law, 1.0)
+
+
 def test_rejects_negative_noise_but_allows_zero():
     Awgn(0.0)  # exact zero is allowed for noiseless sanity runs
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -21,10 +22,12 @@ from dicode.cli import (
     main,
 )
 from dicode.channel import CHANNELS
+from dicode.codebook import plan_params
 from dicode.config import _UNSET, resolve
 from dicode.decoder import GRID_MODES, VERIFIERS
 from dicode.fading import Constant
 from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig
+from dicode.packing import PackingSpec
 
 
 def run(argv):
@@ -391,7 +394,8 @@ FILLED_IN = {
                  "trials.min_distance_pairs", "allow_degenerate_outage"),
     "moments": ("modes", "n", "draws", "sigma2", "pair_count", "vector_power", "chunk",
                 "tolerance_sigmas"),
-    "packing": ("profile", "projection.sample_count"),
+    "packing": ("profile", "projection.mu", "projection.alpha", "projection.mode",
+                "projection.sample_count"),
     "construct": ("power_bound", "eps1", "eps2", "field_seed"),
 }
 
@@ -640,11 +644,22 @@ GRID_DRIFT = [("n", 8.5, "n=8.5"), ("draws", True, "draws=true"), ("seed", -1, "
               ("sigma2", -1.0, "sigma2=-1.0"), ("modes", ("csi-fast",), 'modes=["csi-fast"]')]
 SIMULATE_DRIFT = [("workers", 0, "workers=0"), ("identities", 0, "trials.identities=0"),
                   ("min_distance_pairs", 5, "trials.min_distance_pairs=5")]
+PLAN_DRIFT = [("field_seed", -1, "field_seed=-1"), ("n", 3, "n=3"), ("n", True, "n=true"),
+              ("power_bound", "1", 'power_bound="1"'), ("eps1", math.nan, "eps1=NaN")]
+SPEC_DRIFT = [("seed", -1, "spec.seed=-1"), ("n", 1, "spec.n=1"),
+              ("target_size", 0, "spec.target_size=0"),
+              ("power_bound", True, "spec.power_bound=true"),
+              ("distance_exponent", "0.05", 'spec.distance_exponent="0.05"'),
+              ("fourth_moment_bound", math.inf, "spec.fourth_moment_bound=Infinity")]
+
+# the --set item that fixes the seed a subcommand would otherwise draw
+SEEDED = {"simulate": "seed=1", "moments": "seed=1", "packing": "spec.seed=1"}
 
 
 def _cli_refusal(command, setting, folder, monkeypatch, capsys) -> str:
     """What `dicode <command>` says, after its prefix, refusing setting over VALID_ARGS."""
-    sets = _sets(command, ["seed=1", setting], folder, monkeypatch)  # setting may set the seed
+    seeded = [SEEDED[command]] if command in SEEDED else []
+    sets = _sets(command, [*seeded, setting], folder, monkeypatch)  # setting may set the seed
     assert run([command, "--outdir", str(folder / "out"), *sets]) == 2
     assert not (folder / "out").exists()
     err = capsys.readouterr().err
@@ -671,6 +686,25 @@ def test_experiment_configs_refuse_what_dicode_simulate_refuses(field, value, se
     with pytest.raises(ValueError) as exc:
         dataclasses.replace(exp, **{field: value})
     assert str(exc.value) == said
+
+
+@pytest.mark.parametrize("field,value,setting", PLAN_DRIFT, ids=[s for *_, s in PLAN_DRIFT])
+def test_the_planner_refuses_what_dicode_construct_refuses(field, value, setting, tmp_path,
+                                                           monkeypatch, capsys):
+    said = _cli_refusal("construct", setting, tmp_path, monkeypatch, capsys)
+    with pytest.raises(ValueError) as exc:
+        plan_params(**{"n": 500, "a": 0.02, field: value})
+    assert str(exc.value) == said
+
+
+@pytest.mark.parametrize("field,value,setting", SPEC_DRIFT, ids=[s for *_, s in SPEC_DRIFT])
+def test_packing_specs_refuse_what_dicode_packing_refuses(field, value, setting, tmp_path,
+                                                          monkeypatch, capsys):
+    said = _cli_refusal("packing", setting, tmp_path, monkeypatch, capsys)
+    assert said.startswith("spec.")
+    with pytest.raises(ValueError) as exc:  # the spec's defaults are the table's
+        PackingSpec(**{"n": 32, "target_size": 20, "distance_exponent": 0.05, field: value})
+    assert str(exc.value) == f"packing spec {said[len('spec.'):]}"
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
