@@ -214,8 +214,7 @@ def cmd_bounds(args) -> int:
 def cmd_moments(args) -> int:
     cfg = _load_config(args)
     cfg["seed"] = _seed(args, cfg.get("seed"))
-    kw = resolve(cfg, MOMENTS_KEYS)  # the grid holds its lists (laws, modes) as tuples
-    grid = MomentGridConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()})
+    grid = MomentGridConfig(**resolve(cfg, MOMENTS_KEYS))
     report = moment_validation(grid)
     outputs = {"moments.json": report.to_json() + "\n"}
     if args.format == "csv":

@@ -118,6 +118,7 @@ class ConcatParams:
         return self.q2**self.k2
 
     def __post_init__(self):
+        PLAN_KEYS["field_seed"].check("field_seed", self.field_seed)  # as plan_params refuses it
         if not 0 < self.a < 0.125:
             raise ValueError("a must lie in (0, 1/8)")
         if not (self.power_bound > 0 and math.isfinite(self.power_bound)):
@@ -181,10 +182,12 @@ def plan_params(
     the dimensions are pushed as high as the distance fractions allow,
     subject to the outer length bound n2 <= q2 (enforced here even
     though it only binds at moderate n; violating it would silently
-    break injectivity).  Refuses what `dicode construct` refuses (PLAN_KEYS),
-    and raises InfeasibleError when the search space is empty.
+    break injectivity).  Refuses what `dicode construct` refuses (PLAN_KEYS)
+    and plans with the values it resolves (n=500.0 as 500, as the CLI does);
+    raises InfeasibleError when the search space is empty.
     """
-    resolve(locals(), PLAN_KEYS)  # locals() holds just the arguments here
+    kw = resolve(locals(), PLAN_KEYS)  # locals() holds just the arguments here
+    n, a, eps1, eps2 = kw["n"], kw["a"], kw["eps1"], kw["eps2"]
     if not 0 < a < 0.125:
         raise ValueError("a must lie in (0, 1/8)")
     if not (0 < eps1 < 1 and 0 < eps2 < 1):
@@ -210,8 +213,7 @@ def plan_params(
             k2 = n2 + 1 - _ceil_at_least(eps2 * n2)
             if k2 < 1:
                 continue
-            plan = ConcatParams(n=n, a=a, power_bound=power_bound, eps1=eps1, eps2=eps2,
-                                field_seed=field_seed, q1=q1, n1=n1, k1=k1, n2=n2, k2=k2)
+            plan = ConcatParams(**kw, q1=q1, n1=n1, k1=k1, n2=n2, k2=k2)
             if best is None or plan.rate > best.rate:
                 best = plan
     if best is None:

@@ -64,7 +64,6 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -76,7 +75,7 @@ from .decoder import (DEVIATION_SCALE, GRID_MODES, VERIFIERS, CsiFast, NoCsi, im
                       statistic)
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingDistribution, parse_distribution, quantile_abs
-from .packing import PROFILES, generate_expurgated, load_csv, parse_spec
+from .packing import PROFILES, generate_expurgated, load_csv, parse_spec, square_sums
 
 _SCHEMA = 1
 _TAG_IDENTITIES = 0
@@ -246,14 +245,19 @@ def _uniform_index(rng: np.random.Generator, size: int) -> int:
 
 
 class ArrayCodebook:
-    """Explicit list of codewords (packing output or external CSV)."""
+    """Explicit list of codewords (packing output or external CSV).
+
+    The book keeps the array it is given, without a copy when it is
+    float64, and its squared norms come from ``packing.square_sums`` a
+    row block at a time: beside the codewords it holds one float per row.
+    """
 
     def __init__(self, vectors: np.ndarray):
         self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2 or len(self.vectors) < 2:
             raise ValueError("codebook needs at least two vectors")
         self.size, self.n = self.vectors.shape
-        self._sq = np.sum(self.vectors**2, axis=1)
+        self._sq, _ = square_sums(self.vectors)
 
     def encode(self, index: int) -> np.ndarray:
         return self.vectors[index]
@@ -550,6 +554,7 @@ def _map_threads(fn, items, threads: int) -> list:
     """[fn(x) for x in items] on up to `threads` threads, in item order."""
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # a one-thread run never loads it
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
         return list(ex.map(fn, items))
 
@@ -573,9 +578,12 @@ class MomentGridConfig:
 
     def __post_init__(self):  # refused as `dicode moments` refuses it, after `moment grid`
         try:
-            resolve(self.to_dict(), MOMENTS_KEYS)
+            kw = resolve(self.to_dict(), MOMENTS_KEYS)
         except ValueError as exc:
             raise ValueError(f"moment grid {exc}") from exc
+        kw["distributions"] = self.distributions  # the laws as given, not rebuilt from records
+        for name, value in kw.items():  # draws=2000.0 as 2000, lists as tuples: as the CLI runs
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     def to_dict(self) -> dict:
         """Every field as `dicode moments` reads it; laws as their records."""

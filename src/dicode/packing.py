@@ -21,6 +21,10 @@ than the Gram and the direct sum of a pair can differ, the direct sum
 ``np.sum((survivors - row) ** 2, axis=1)`` decides, so every decision is
 the direct sum's.  The fourth-power sums do likewise against ``draws ** 4``.
 
+The norms are taken a row block at a time (``square_sums``), and the
+survivors are moved into the leading rows of the draws in place, so
+building a book peaks at about one candidate matrix plus one block.
+
 ``verify_packing`` re-checks a finished codebook through an independent
 code path, and ``check_projection_property`` tests whether pairs stay
 separated even after restriction to coordinate subsets.
@@ -41,6 +45,7 @@ from .errors import InfeasibleError
 PROFILES = ("basic", "fourth-moment", "norm-concentrated")
 _SCHEMA = 1
 _SLACK = 4 * np.finfo(float).eps  # times n + 4: over twice what two n-term float64 sums differ by
+NORM_BLOCK_BYTES = 1 << 20  # square_sums squares about this much of a matrix at a time
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -121,6 +126,25 @@ class ExpurgationReport:
                 "band": self.removed_band, "distance": self.removed_distance}
 
 
+def square_sums(rows: np.ndarray, fourth: bool = False):
+    """(s2, s4): each row's sum of squares and, if fourth, of fourth powers (else None).
+
+    Bit for bit ``np.sum(rows**2, axis=1)`` and ``np.einsum("ij,ij->i", rows**2,
+    rows**2)``: every row meets the same reduction, but the squares are made
+    ``NORM_BLOCK_BYTES`` of rows at a time in one reused buffer.
+    """
+    m, n = rows.shape
+    step = max(1, NORM_BLOCK_BYTES // (8 * max(n, 1)))
+    squares = np.empty((min(step, m), n))
+    s2, s4 = np.empty(m), np.empty(m) if fourth else None
+    for r0 in range(0, m, step):
+        block = np.square(rows[r0:r0 + step], out=squares[:min(step, m - r0)])
+        np.sum(block, axis=1, out=s2[r0:r0 + step])
+        if fourth:
+            np.einsum("ij,ij->i", block, block, out=s4[r0:r0 + step])
+    return s2, s4
+
+
 def _distance_survivors(draws: np.ndarray, keep: np.ndarray, floor2: float) -> np.ndarray:
     """Indices of the rows in keep at squared distance >= floor2 from every earlier survivor."""
     m, n = draws.shape
@@ -157,26 +181,24 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
 
     Deterministic in spec.seed.  The survivor count S may fall short of
     target_size; that is reported, never hidden.  Raises InfeasibleError
-    if fewer than two vectors survive.
+    if fewer than two vectors survive.  The codebook is the leading S rows
+    of the (2 target_size, n) draws, a view: no second matrix is made.
     """
     _check_profile(spec, profile)
     n = spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     draws = rng.normal(0.0, math.sqrt(spec.sampling_power), size=(2 * spec.target_size, n))
-    squares = np.square(draws)
-    s2 = np.sum(squares, axis=1)
+    s2, s4 = square_sums(draws, fourth=profile in ("fourth-moment", "norm-concentrated"))
     keep = s2 <= spec.power_bound * n
     removed_power = int(np.sum(~keep))
     removed_fourth = removed_band = 0
-    if profile in ("fourth-moment", "norm-concentrated"):
+    if s4 is not None:
         bound4 = spec.fourth_bound
-        s4 = np.einsum("ij,ij->i", squares, squares)
         close = np.flatnonzero(np.abs(s4 - bound4 * n) <= _SLACK * (n + 4) * bound4 * n)
         s4[close] = np.sum(draws[close] ** 4, axis=1)
         bad4 = (s4 > bound4 * n) & keep
         removed_fourth = int(np.sum(bad4))
         keep &= ~bad4
-    del squares  # the greedy blocks and the book take its place beside the draws
     if profile == "norm-concentrated":
         band = math.sqrt(n) * math.log(n)
         off = (np.abs(s2 - spec.sampling_power * n) > band) & keep
@@ -190,7 +212,10 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
         removed_power=removed_power, removed_fourth=removed_fourth, removed_band=removed_band,
         removed_distance=int(np.sum(keep)) - count, survivors=count,
         distance_floor=spec.distance_floor)
-    return draws[survivors], report
+    for row, i in enumerate(survivors):  # i >= row: each row is read before it is overwritten
+        if i != row:
+            draws[row] = draws[i]
+    return draws[:count], report
 
 
 def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list[str]:
@@ -308,18 +333,35 @@ def _csv_number(path, row: int, col: int, text: str) -> float:
                          "not a number") from None
 
 
-def load_csv(path) -> np.ndarray:
+def _csv_rows(path):
+    """The rows of a CSV file that hold entries, as csv.reader gives them."""
     with open(path, newline="", encoding="utf-8") as fh:
-        cells = [row for row in csv.reader(fh) if row]
-    rows = [[_csv_number(path, r, c, x) for c, x in enumerate(row, 1)]
-            for r, row in enumerate(cells, 1)]
-    if not rows:
+        yield from filter(None, csv.reader(fh))
+
+
+def load_csv(path) -> np.ndarray:
+    """One codeword per non-blank row, parsed straight into one float64 array
+    sized by a first pass.  Refused, in this order: the first entry that is not
+    a number, the first row whose length differs from row 1's, the first
+    non-finite entry."""
+    count = sum(1 for _ in _csv_rows(path))
+    if not count:
         raise ValueError(f"codebook CSV {path} holds no rows")
-    for r, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"codebook CSV {path} is not rectangular: row {r + 1} has "
-                             f"length {len(row)}, row 1 has length {len(rows[0])}")
-    arr = np.array(rows, dtype=float)
+    arr = ragged = None
+    for r, row in enumerate(_csv_rows(path)):
+        try:
+            values = list(map(float, row))
+        except ValueError:  # raises, naming the first entry that is not a number
+            values = [_csv_number(path, r + 1, c, x) for c, x in enumerate(row, 1)]
+        if arr is None:
+            arr = np.empty((count, len(values)))
+        if len(values) != arr.shape[1]:
+            ragged = ragged or (r + 1, len(values))
+        elif not ragged:  # a non-number after a ragged row still comes first
+            arr[r] = values
+    if ragged:
+        raise ValueError(f"codebook CSV {path} is not rectangular: row {ragged[0]} has "
+                         f"length {ragged[1]}, row 1 has length {arr.shape[1]}")
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         row, col = bad[0]

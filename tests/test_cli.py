@@ -22,11 +22,11 @@ from dicode.cli import (
     main,
 )
 from dicode.channel import CHANNELS
-from dicode.codebook import plan_params
+from dicode.codebook import ConcatCodebook, ConcatParams, plan_params
 from dicode.config import _UNSET, resolve
 from dicode.decoder import GRID_MODES, VERIFIERS
 from dicode.fading import Constant
-from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig
+from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig, moment_validation
 from dicode.packing import PackingSpec
 
 
@@ -705,6 +705,43 @@ def test_packing_specs_refuse_what_dicode_packing_refuses(field, value, setting,
     with pytest.raises(ValueError) as exc:  # the spec's defaults are the table's
         PackingSpec(**{"n": 32, "target_size": 20, "distance_exponent": 0.05, field: value})
     assert str(exc.value) == f"packing spec {said[len('spec.'):]}"
+
+
+def test_hand_built_plan_records_refuse_the_field_seed_dicode_construct_refuses(
+        tmp_path, monkeypatch, capsys):
+    said = _cli_refusal("construct", "field_seed=-1", tmp_path, monkeypatch, capsys)
+    plan = plan_params(n=500, a=0.02)
+    stored = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+    with pytest.raises(ValueError) as exc:
+        ConcatParams(**{**stored, "field_seed": -1})
+    assert str(exc.value) == said
+
+
+def test_the_planner_plans_an_integral_float_as_dicode_construct_does(tmp_path, monkeypatch,
+                                                                      capsys):
+    sets = _sets("construct", ["n=500.0", "a=0.02"], tmp_path, monkeypatch)
+    assert run(["construct", "--outdir", str(tmp_path / "out"), *sets]) == 0
+    capsys.readouterr()
+    plan = plan_params(n=500.0, a=0.02)
+    assert (plan.n, plan.n2, plan.k2) == (500, 125, 113)
+    written = (tmp_path / "out" / "params.json").read_text()
+    assert json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n" == written
+    assert len(ConcatCodebook(plan).encode(0)) == 500
+
+
+def test_the_moment_grid_holds_the_values_dicode_moments_runs(tmp_path, monkeypatch, capsys):
+    sets = _sets("moments", ["draws=2000.0", "sigma2=1", "seed=1"], tmp_path, monkeypatch)
+    assert run(["moments", "--outdir", str(tmp_path / "out"), *sets]) == 0
+    capsys.readouterr()
+    grid = MomentGridConfig(distributions=[Constant(1.0)], n=16, draws=2000.0, pair_count=1,
+                            sigma2=1, modes=list(GRID_MODES), seed=1)
+    assert (grid.draws, grid.sigma2, grid.modes) == (2000, 1.0, tuple(GRID_MODES))
+    assert type(grid.draws) is int and type(grid.sigma2) is float
+    assert isinstance(grid.distributions, tuple)
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    assert json.dumps(grid.to_dict(), sort_keys=True) == json.dumps(resolved, sort_keys=True)
+    ran = json.loads((tmp_path / "out" / "moments.json").read_text())
+    assert [dataclasses.asdict(r) for r in moment_validation(grid).rows] == ran["rows"]
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))

@@ -293,6 +293,23 @@ def test_array_codebook_close_partner_holds_one_row_of_distances():
     assert peak < 4 * 4000 * 8  # a (4000, 4000) matrix would take 128 MB
 
 
+def test_building_a_packing_book_peaks_near_its_draws():
+    # the criterion-5 record of the fading-nocsi benchmark: the book is the
+    # compacted draws, its norms one float per row
+    record = {"type": "packing", "profile": "norm-concentrated",
+              "spec": {"n": 4096, "target_size": 120, "power_bound": 4.0,
+                       "sampling_power": 2.0, "distance_exponent": 0.05, "seed": 9}}
+    draw_bytes = 2 * 120 * 4096 * 8
+    tracemalloc.start()
+    try:
+        book, summary = build_codebook(record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["survivors"] == book.size == 239
+    assert peak <= 1.5 * draw_bytes, peak / draw_bytes
+
+
 def test_build_codebook_sources(tmp_path):
     book, summary = build_codebook({"type": "concat", "n": 500, "a": 0.02})
     assert summary["type"] == "concat"

@@ -88,3 +88,28 @@ def test_benchmark_tracer_installs_and_sees_one_call_per_block():
     assert calls["harness.trials"] == 1
     assert calls["channel.transmit"] == calls["decoder.verify"] == 7
     assert 1 <= calls["decoder.impostor_moments"] <= 4
+
+
+ONE_RUN = """
+import sys
+from dicode.harness import ExperimentConfig, run_experiment
+
+run_experiment(ExperimentConfig.from_dict({
+    "channel": {"type": "awgn"},
+    "codebook": {"type": "packing",
+                 "spec": {"n": 32, "target_size": 20, "distance_exponent": 0.05, "seed": 1}},
+    "verifier": {"mode": "csi-fast"},
+    "trials": {"identities": 3, "per_identity": 5, "pairs": 4, "per_pair": 5,
+               "min_distance_pairs": 1},
+    "workers": %d,
+}))
+print("concurrent.futures" in sys.modules, "logging" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("workers,loaded", [(1, False), (2, True)])
+def test_only_a_run_on_threads_loads_the_thread_pool(workers, loaded):
+    # a one-worker run has no use for concurrent.futures, or for the logging
+    # it imports, and so loads neither
+    out = _python(ONE_RUN % workers, "src")
+    assert out.strip() == f"{loaded} {loaded}"

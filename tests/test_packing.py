@@ -19,9 +19,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from dicode import packing
 from dicode.cli import main
 from dicode.errors import InfeasibleError
-from dicode.harness import wilson_interval
+from dicode.harness import ArrayCodebook, wilson_interval
 from dicode.packing import (
     PROFILES,
     SPEC_KEYS,
@@ -248,10 +249,10 @@ def test_distance_guard_keeps_every_decision_across_blocks():
             assert len(got) + removed == keep.sum()
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_fourth_power_guard_decides_as_draws_to_the_fourth(offset):
-    # B n set to within one ulp of a row's draws**4 sum, on a row where the
-    # squared-squares sum differs from it; n = 64 keeps B n = (s4 / n) n exact
+def _fourth_guard_spec(offset):
+    """A fourth-moment spec whose B n lies within one ulp of a row's draws**4
+    sum, on a row where the squared-squares sum differs from it: that row is
+    one of the guard's close rows.  n = 64 keeps B n = (s4 / n) n exact."""
     n = 64
     for seed in range(200):
         spec = PackingSpec(n=n, target_size=10, power_bound=4.0, sampling_power=2.0,
@@ -266,21 +267,28 @@ def test_fourth_power_guard_decides_as_draws_to_the_fourth(offset):
         pytest.fail("no seed where the two fourth-power sums differ")
     limit = s4[top] if offset == 0 else np.nextafter(s4[top], offset * np.inf)
     assert (limit / n) * n == limit
-    spec = replace(spec, fourth_moment_bound=float(limit / n))
+    return replace(spec, fourth_moment_bound=float(limit / n))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fourth_power_guard_decides_as_draws_to_the_fourth(offset):
+    spec = _fourth_guard_spec(offset)
     want = _outcome(reference_generate, spec, "fourth-moment")
     assert want[2][5] == (1 if offset < 0 else 0)  # removed_fourth: the top row alone
     assert _outcome(generate_expurgated, spec, "fourth-moment") == want
 
 
-@pytest.mark.parametrize("spec", [
-    # the criterion-5 book
-    dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
-         distance_exponent=0.05, seed=9),
-    # 4000 rows of 64: a whole (m, m) Gram product would be 62 times the draws
-    dict(n=64, target_size=2000, power_bound=4.0, sampling_power=2.0,
-         distance_exponent=0.05, seed=1),
+@pytest.mark.parametrize("spec,limit", [
+    # the criterion-5 book: the draws, one block of squares and the survivors
+    # compacted in place
+    (dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
+          distance_exponent=0.05, seed=9), 1.5),
+    # 4000 rows of 64: a whole (m, m) Gram product would be 62 times the draws;
+    # here the peak is the greedy step's (n, m) Gram block
+    (dict(n=64, target_size=2000, power_bound=4.0, sampling_power=2.0,
+          distance_exponent=0.05, seed=1), 2.5),
 ], ids=["criterion-5", "tall"])
-def test_expurgation_peak_memory_stays_near_the_draws(spec):
+def test_expurgation_peak_memory_stays_near_the_draws(spec, limit):
     spec = PackingSpec(**spec)
     draw_bytes = 2 * spec.target_size * spec.n * 8
     tracemalloc.start()
@@ -289,7 +297,33 @@ def test_expurgation_peak_memory_stays_near_the_draws(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * draw_bytes, peak / draw_bytes
+    assert peak <= limit * draw_bytes, peak / draw_bytes
+
+
+# (spec, profile): the criterion-5 shape at a few rows, an odd n, and the
+# fourth-power guard's close row
+BLOCKED = [(dict(n=4096, target_size=6, power_bound=4.0, sampling_power=2.0,
+                 distance_exponent=0.05, seed=9), profile) for profile in PROFILES] + [
+    (dict(n=257, target_size=40, power_bound=1.0, sampling_power=0.5,
+          distance_exponent=0.24, seed=2), profile) for profile in PROFILES]
+
+
+@pytest.mark.parametrize("spec,profile", BLOCKED + [(None, "fourth-moment")],
+                         ids=[f"n{s['n']}-{p}" for s, p in BLOCKED] + ["fourth-guard"])
+def test_norms_by_row_block_equal_the_whole_matrix(spec, profile, monkeypatch):
+    # one row at a time, all rows but one, and the default block: the same
+    # book, report and ArrayCodebook norms as the whole-matrix reductions
+    spec = _fourth_guard_spec(0) if spec is None else PackingSpec(**spec)
+    want = _outcome(reference_generate, spec, profile)
+    rows = 2 * spec.target_size
+    for block_rows in (1, rows - 1, None):
+        if block_rows:
+            monkeypatch.setattr(packing, "NORM_BLOCK_BYTES", 8 * spec.n * block_rows)
+        assert _outcome(generate_expurgated, spec, profile) == want, block_rows
+        vectors, _ = generate_expurgated(spec, profile)
+        sq = ArrayCodebook(vectors)._sq
+        assert sq.tobytes() == np.sum(vectors**2, axis=1).tobytes(), block_rows
+        monkeypatch.undo()
 
 
 def brute_force_projected_min(a, b, keep):
@@ -424,6 +458,20 @@ def test_csv_round_trip_with_spec_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "run" / "vectors.csv.spec.json").read_text())
     assert sidecar == {**spec.to_json_dict(), "profile": "basic"}
     assert parse_spec({k: v for k, v in sidecar.items() if k in SPEC_KEYS}) == spec
+
+
+def test_load_csv_peak_memory_stays_near_the_array(tmp_path):
+    vectors = np.random.default_rng(4).normal(0.0, 2.0, size=(100, 1024))
+    path = tmp_path / "book.csv"
+    path.write_text(vectors_csv(vectors))
+    tracemalloc.start()
+    try:
+        book = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert book.tobytes() == vectors.tobytes()
+    assert peak <= 2.5 * vectors.nbytes, peak / vectors.nbytes
 
 
 @pytest.mark.parametrize("entry,row,col", [("nan", 2, 3), ("inf", 3, 1), ("-inf", 1, 2)])
