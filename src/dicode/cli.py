@@ -135,7 +135,7 @@ def _seed(args, seed):
     return seed
 
 
-def _write(args, cfg: dict, outputs: dict[str, str]) -> None:
+def _write(args, cfg: dict, outputs: dict) -> None:
     """Create --outdir and write a finished run into it: ``resolved_config.json``,
     the values the run used, defaults included, as a config that re-runs it,
     then each output file."""

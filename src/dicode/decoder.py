@@ -17,22 +17,23 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
 * ``threshold(u)`` is tau for codeword u.  It depends on n and sigma^2
   with CSI and on ||u||_2^2 and ||u||_4^4 without, never on the received
   word, so a caller computes it once per codeword.
-* ``center(u, H)`` is the ball center: h*u, the block's h times u, or c*u.
-* ``verify(Y, u, H, tau, out=None)`` takes a (rows, n) block of received
-  words with the matching fading block H (None on AWGN, one coefficient
-  per row for slow fading, a (rows, n) block for fast fading) and
-  returns the accept and outage masks.  Each row is decided by
-  ``statistic``, sum_j (Y_j - center_j)^2, the one definition that the
-  moment grid (``harness.moment_validation``) reads too.  ``out``, shaped
-  like Y, takes the centers and then the squared differences; a caller that
-  reuses one for every block allocates no block-sized array per call.
+* ``center(u, H)`` is the ball center: h*u, formed in a fast-fading H
+  (u on AWGN), the rows h_r*u for slow-fading coefficients h_r, or c*u.
+* ``verify(Y, u, H, tau)`` takes a (rows, n) block of received words
+  with the matching fading block H (None on AWGN, one coefficient per
+  row for slow fading, a (rows, n) block for fast fading) and returns
+  the accept and outage masks.  Each row is decided by ``statistic``,
+  sum_j (Y_j - center_j)^2, the one definition that the moment grid
+  (``harness.moment_validation``) reads too.  It is taken in the block's
+  own memory: Y is overwritten with the squared differences, and a
+  fast-fading H with h*u, so a call allocates no block-sized array.
 
 ``CsiFast`` and ``NoCsi`` also give ``statistic_moments(u, u_sent, m)``,
 the closed-form mean and variance of that statistic when u_sent is sent
 over fast fading with moments m; ``impostor_moments`` is its one entry.
 
 One received word y is decided as the block ``y[None]``, with
-``h[None]`` as its fading.
+``h[None]`` as its fading; y, and a fast-fading h, are overwritten too.
 
 Each verifier declares its ``simulate`` ``MODE``, the channel types it
 ``SERVES`` and its ball ``CENTER``; ``VERIFIERS`` lists them by mode and
@@ -50,6 +51,7 @@ import numpy as np
 from .fading import FadingMoments
 
 DEVIATION_SCALE = 1.0  # the default scale of every threshold's deviation term
+CENTER_BYTES = 1 << 16  # cap on a slow-fading block's centers made at once
 
 
 def threshold_csi(n: int, sigma2: float, deviation_scale: float = DEVIATION_SCALE) -> float:
@@ -77,12 +79,15 @@ def impostor_moments(verifier, u, u_sent, m: FadingMoments) -> tuple[float, floa
     return verifier.statistic_moments(u, u_sent, m)
 
 
-def statistic(verifier, Y: np.ndarray, u: np.ndarray, H, out=None) -> np.ndarray:
+def statistic(verifier, Y: np.ndarray, u: np.ndarray, H) -> np.ndarray:
     """Ball statistic of each row of Y: sum_j (Y_j - verifier.center(u, H)_j)^2.
-    out, shaped like Y, takes the center and then the squared differences."""
-    d = np.subtract(Y, verifier.center(u, H, out), out=out)
-    np.square(d, out=d)
-    return d.sum(axis=-1)
+    Y ends as the squared differences, and a fast-fading H as h*u; with one
+    coefficient per row, the centers h_r*u go CENTER_BYTES of rows at a time."""
+    step = max(1, CENTER_BYTES // (8 * Y.shape[-1])) if np.ndim(H) == 1 else max(1, len(Y))
+    for r in range(0, len(Y), step):
+        Y[r:r + step] -= verifier.center(u, None if H is None else H[r:r + step])
+    np.square(Y, out=Y)
+    return Y.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,8 @@ class CsiFast:
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
 
-    def center(self, u, H, out=None):
-        return u if H is None else np.multiply(H, u, out=out)
+    def center(self, u, H):
+        return u if H is None else np.multiply(H, u, out=H)
 
     def statistic_moments(self, u, u_sent, m: FadingMoments) -> tuple[float, float]:
         """With d = u_sent - u: E = n sigma^2 + E h^2 ||d||_2^2 and
@@ -110,8 +115,8 @@ class CsiFast:
         var = 2 * n * sigma2**2 + 4 * sigma2 * m.e2 * d2 + m.var_sq * d4
         return mean, var
 
-    def verify(self, Y, u, H, tau, out=None):
-        accept = statistic(self, Y, u, H, out) <= tau
+    def verify(self, Y, u, H, tau):
+        accept = statistic(self, Y, u, H) <= tau
         return accept, np.zeros_like(accept)
 
 
@@ -132,12 +137,12 @@ class CsiSlow:
     def threshold(self, u) -> float:
         return threshold_csi(np.size(u), self.sigma2, self.deviation_scale)
 
-    def center(self, u, H, out=None):
-        return np.multiply.outer(H, u, out=out)
+    def center(self, u, H):
+        return np.multiply.outer(H, u)
 
-    def verify(self, Y, u, H, tau, out=None):
+    def verify(self, Y, u, H, tau):
         outage = np.abs(H) < self.outage_threshold
-        return (statistic(self, Y, u, H, out) <= tau) & ~outage, outage
+        return (statistic(self, Y, u, H) <= tau) & ~outage, outage
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class NoCsi:
         mean, var = impostor_moments(self, u, u, self.moments)
         return mean + self.deviation_scale * math.sqrt(var * math.log(u.size))
 
-    def center(self, u, H, out=None):
+    def center(self, u, H):
         return self.moments.c * u  # one row, broadcast over the block
 
     def statistic_moments(self, u, u_sent, m: FadingMoments) -> tuple[float, float]:
@@ -193,8 +198,8 @@ class NoCsi:
         )
         return mean, var
 
-    def verify(self, Y, u, H, tau, out=None):
-        accept = statistic(self, Y, u, H, out) <= tau
+    def verify(self, Y, u, H, tau):
+        accept = statistic(self, Y, u, H) <= tau
         return accept, np.zeros_like(accept)
 
 

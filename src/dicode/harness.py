@@ -21,18 +21,18 @@ identities with its trial count; a genuine slot is the pair (i, i).
 Each verified codeword's threshold is computed once per run.  A slot
 sends its trials in blocks of rows: trial t's generator draws the
 fading, then the noise, into row t of the block (``channel.transmit``),
-and one ``verify`` call decides the whole block.  A block holds at most
-``BLOCK_BYTES`` of received words, so memory stays flat in the trial
-count and the block length; the verdicts are the ones a trial-by-trial
-loop gives.  Each worker thread allocates its block buffers and its
-generator once and reuses them for every block it sends, a short last
-block in the buffers' leading rows, and one iterator of the slot's
-streams feeds all its blocks.  So the trial loop makes no block-sized
-allocation: no page-fault or unmap churn, and no thread waits on
-another's memory-map changes.  ``_build_verifier`` builds every verifier
-from the decoder's tables; a run calls it first, so a channel its mode
-does not serve, or outage keys without an outage rule, are refused
-before the codebook is built.
+and one ``verify`` call decides the whole block in its own memory.  A
+block holds at most ``BLOCK_BYTES`` of received words, so memory stays
+flat in the trial count and the block length; the verdicts are the ones
+a trial-by-trial loop gives.  Each worker thread allocates one (Y, H)
+block pair and its generator once and reuses them for every block it
+sends, a short last block in the leading rows, and one iterator of the
+slot's streams feeds all its blocks.  So the trial loop makes no
+block-sized allocation, for any channel: no page-fault or unmap churn,
+and no thread waits on another's memory-map changes.
+``_build_verifier`` builds every verifier from the decoder's tables; a
+run calls it first, so a channel its mode does not serve, or outage keys
+without an outage rule, are refused before the codebook is built.
 
 Moment validation checks, by Monte Carlo, the closed-form moments that
 each grid mode's verifier (``GRID_MODES``) gives for its own
@@ -41,9 +41,10 @@ built from each law's one moments computation, in a grid of (law, mode,
 pair, statistic) cells.  Each cell draws from its own generator, seeded
 from its label, so the cells run on every core this process may use
 (``os.sched_getaffinity``) and the rows do not depend on how many.
-Each thread reuses one chunk of fading buffer and one block buffer for
-all its cells: the noise goes in row blocks of at most ``BLOCK_BYTES``,
-and the rows equal whole-chunk draws bit for bit.
+Each thread reuses one chunk of fading buffer and two block buffers, the
+received words and h * u_sent, for all its cells: the noise goes in row
+blocks of at most ``BLOCK_BYTES``, and the rows equal whole-chunk draws
+bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -123,14 +124,15 @@ CONFIG_KEYS = {
 }
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+def write_text_atomic(path, text) -> None:
+    """Write text, a string or an iterable of strings, via a sibling temp file
+    and rename, so readers never see halves."""
     path = str(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -461,9 +463,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         a type-I error or a type-II accept."""
         sent, ver, tag, slot, trials = slots[k]
         u_sent, u = codewords[sent], codewords[ver]
-        if not hasattr(local, "blocks"):  # this thread's words, fading, scratch, generator
+        if not hasattr(local, "blocks"):  # this thread's words, fading and generator
             local.blocks = block_buffers(cfg.channel, rows, book.n)
-            local.scratch = np.empty((rows, book.n))
             local.rng = np.random.Generator(np.random.PCG64(0))
         streams = _slot_streams(local.rng, cfg.seed, tag, slot, 0, trials)
         (Y0, H0), out = local.blocks, np.zeros(4, dtype=np.int64)
@@ -471,7 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
             m = min(rows, trials - start)  # the block's rows: the buffers' leading m
             Y, H = transmit(cfg.channel, u_sent, streams,
                             out=(Y0[:m], None if H0 is None else H0[:m]))
-            accept, outage = verifier.verify(Y, u, H, taus[ver], out=local.scratch[:m])
+            accept, outage = verifier.verify(Y, u, H, taus[ver])  # in Y's (and H's) memory
             hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
             zero = (H == 0.0) & ~outage if slow else np.zeros_like(outage)
             out += (hit.sum(), outage.sum(), zero.sum(), (hit & zero).sum())
@@ -657,7 +658,7 @@ def _cell_moments(dist, verifier, u_center, u_sent, sigma2, th_mean, draws, rng,
     whole-chunk draws bit for bit.  The sums are centered on the closed-form
     mean th_mean so the fourth powers stay small; it is added back at the end.
     """
-    fading, block, scratch = buffers  # scratch: h * u_sent, then the statistic's out
+    fading, block, faded = buffers  # faded: h * u_sent
     (chunk, n), rows = fading.shape, len(block)
     sigma = math.sqrt(sigma2)
     s1 = s2 = s3 = s4 = 0.0
@@ -667,11 +668,11 @@ def _cell_moments(dist, verifier, u_center, u_sent, sigma2, th_mean, draws, rng,
         w = np.empty(b)
         for r0 in range(0, b, rows):
             r1 = min(r0 + rows, b)
-            y, hb, tmp = block[:r1 - r0], h[r0:r1], scratch[:r1 - r0]
+            y, hb = block[:r1 - r0], h[r0:r1]
             rng.standard_normal(out=y)
             y *= sigma
-            y += np.multiply(hb, u_sent, out=tmp)
-            w[r0:r1] = statistic(verifier, y, u_center, hb, tmp)
+            y += np.multiply(hb, u_sent, out=faded[:r1 - r0])
+            w[r0:r1] = statistic(verifier, y, u_center, hb)
         w -= th_mean
         s1 += float(w.sum())
         s2 += float((w * w).sum())
@@ -728,7 +729,7 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
     def run_cell(cell) -> tuple[list[MomentCheckRow], float]:
         t_cell = time.perf_counter()
         label, stat_name, dist, verifier, u_center, sent, (th_mean, th_var) = cell
-        if not hasattr(local, "buffers"):  # this thread's fading, block, scratch
+        if not hasattr(local, "buffers"):  # this thread's fading, block, h * u_sent
             local.buffers = tuple(np.empty((r, cfg.n)) for r in (chunk, block_rows, block_rows))
         rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
         est_mean, est_var, se_mean, se_var = _cell_moments(

@@ -181,8 +181,8 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
 
     Deterministic in spec.seed.  The survivor count S may fall short of
     target_size; that is reported, never hidden.  Raises InfeasibleError
-    if fewer than two vectors survive.  The codebook is the leading S rows
-    of the (2 target_size, n) draws, a view: no second matrix is made.
+    if fewer than two vectors survive.  The codebook is the draws, compacted
+    and shrunk in place to their leading S rows: no second matrix, no view.
     """
     _check_profile(spec, profile)
     n = spec.n
@@ -215,7 +215,8 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     for row, i in enumerate(survivors):  # i >= row: each row is read before it is overwritten
         if i != row:
             draws[row] = draws[i]
-    return draws[:count], report
+    draws.resize((count, n))  # refuses, rather than corrupts, should a view of draws exist
+    return draws, report
 
 
 def verify_packing(vectors: np.ndarray, spec: PackingSpec, profile: str) -> list[str]:
@@ -320,9 +321,9 @@ def check_projection_property(
     )
 
 
-def vectors_csv(vectors: np.ndarray) -> str:
-    """One vector per row, at 17 significant digits."""
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in np.asarray(vectors)) + "\n"
+def vectors_csv(vectors: np.ndarray):
+    """The lines of a CSV file of one vector per row, at 17 significant digits."""
+    return (",".join(f"{x:.17g}" for x in row) + "\n" for row in np.asarray(vectors))
 
 
 def _csv_number(path, row: int, col: int, text: str) -> float:

@@ -10,7 +10,8 @@ they get two independent oracles here:
    tolerances.
 
 Verdicts are checked the same way: ``statistic`` and the block
-``verify`` against sum_j (y_j - center_j)^2 coded inline, compared with
+``verify`` against sum_j (y_j - center_j)^2 coded inline before the call
+(the call takes the statistic in the block's own memory), compared with
 the threshold, and against |h| < radius for slow-fading outage.
 """
 
@@ -20,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dicode import decoder
 from dicode.decoder import (
     CsiFast,
     CsiSlow,
@@ -57,9 +59,9 @@ def test_boundary_point_accepts():
     y[0, 0] = math.sqrt(threshold_csi(n, sigma2))
     stat = float(np.sum((y - h * u) ** 2))  # one nonzero term, so exact
     assert stat == pytest.approx(spec.threshold(u), rel=1e-12)
-    accept, outage = spec.verify(y, u, h, stat)
+    accept, outage = spec.verify(y.copy(), u, h.copy(), stat)  # verify overwrites its block
     assert accept[0] and not outage[0]
-    accept, _ = spec.verify(y, u, h, np.nextafter(stat, -np.inf))
+    accept, _ = spec.verify(y.copy(), u, h.copy(), np.nextafter(stat, -np.inf))
     assert not accept[0]
 
 
@@ -73,15 +75,15 @@ def test_unit_constant_fading_collapses_all_three_verifiers():
     specs = [(CsiFast(sigma2), np.ones((1, n))),
              (CsiSlow(sigma2, outage_threshold=0.5), np.ones(1)),
              (NoCsi(sigma2, m), None)]
-    # every ball is centered at u itself
+    # every ball is centered at u itself (CsiFast forms it in H, so on a copy)
     for spec, H in specs:
-        assert np.array_equal(np.ravel(spec.center(u, H)), u)
+        assert np.array_equal(np.ravel(spec.center(u, None if H is None else H.copy())), u)
     # Var h = 0 kills the fading terms, so the thresholds agree too
     taus = [spec.threshold(u) for spec, _ in specs]
     assert taus[1] == pytest.approx(taus[0], rel=1e-12)
     assert taus[2] == pytest.approx(taus[0], rel=1e-12)
     for (spec, H), tau in zip(specs, taus):
-        accept, outage = spec.verify(y[None], u, H, tau)
+        accept, outage = spec.verify(y[None].copy(), u, None if H is None else H.copy(), tau)
         assert accept[0] == (stat <= tau) and not outage[0]
 
 
@@ -215,8 +217,9 @@ def test_genuine_acceptance_beats_the_chebyshev_floor():
     u = np.ones(n)
     tau = spec.threshold(u)
     Y = u + math.sqrt(sigma2) * np.random.default_rng(11).standard_normal((trials, n))
+    want = np.sum((Y - u) ** 2, axis=1) <= tau  # before verify overwrites Y
     accept, _ = spec.verify(Y, u, np.ones((trials, n)), tau)
-    assert np.array_equal(accept, np.sum((Y - u) ** 2, axis=1) <= tau)
+    assert np.array_equal(accept, want)
     accepts = int(accept.sum())
     assert accepts / trials >= 0.9
     assert accepts / trials >= 1 - 1 / math.log(n)
@@ -229,8 +232,8 @@ def test_far_impostors_are_rejected():
     far = np.full(n, 0.8)           # distance^2 = 163.8 >> threshold slack 33.9
     tau = spec.threshold(u)
     Y = far + math.sqrt(sigma2) * np.random.default_rng(12).standard_normal((trials, n))
+    assert (np.sum((Y - u) ** 2, axis=1) > tau).all()  # before verify overwrites Y
     accept, _ = spec.verify(Y, u, np.ones((trials, n)), tau)
-    assert (np.sum((Y - u) ** 2, axis=1) > tau).all()
     assert not accept.any()
 
 
@@ -267,43 +270,65 @@ def test_deviation_scale_widens_the_ball():
     assert NoCsi(sigma2, m, 2.0).threshold(u) > NoCsi(sigma2, m, 1.0).threshold(u)
 
 
-def test_block_verify_decides_every_row_by_its_ball_statistic():
-    # each row: outage iff |h| < radius, else accept iff the inline
-    # statistic against that row's center is within the threshold
-    rng = np.random.default_rng(3)
-    rows, n, sigma2 = 8, 32, 1.0
+def _block_cases(rows, n, sigma2, rng):
+    """(spec, Y, H, centers, outage) for every verifier and channel it serves,
+    each row of Y genuine or an impostor in turn."""
     u = rng.normal(0, 1, n)
-    sent = np.where(np.arange(rows)[:, None] % 2 == 0, u, u + 1.5)  # genuine and impostor rows
+    sent = np.where(np.arange(rows)[:, None] % 2 == 0, u, u + 1.5)
     H = rng.rayleigh(1.0, (rows, n))
     Y = H * sent + rng.normal(0, 1, (rows, n))
     Y_awgn = sent + rng.normal(0, 1, (rows, n))
-    h_slow = np.array([0.05, 1.0, -1.0, 2.0, 0.0, 0.7, 1.2, -0.05])
+    h_slow = np.array([0.05, 1.0, -1.0, 2.0, 0.0, 0.7, 1.2, -0.05])[:rows]
     Y_slow = h_slow[:, None] * sent + rng.normal(0, 1, (rows, n))
     m = Rayleigh(1.0).moments()
     no_outage = np.zeros(rows, dtype=bool)
-    cases = [  # spec, Y, H, tau, centers, outage
-        (CsiFast(sigma2), Y, H, threshold_csi(n, sigma2), H * u, no_outage),
-        (CsiFast(sigma2), Y_awgn, None, threshold_csi(n, sigma2), u, no_outage),
-        (CsiSlow(sigma2, 0.1), Y_slow, h_slow, threshold_csi(n, sigma2),
-         h_slow[:, None] * u, np.abs(h_slow) < 0.1),
-        (NoCsi(sigma2, m), Y, H, NoCsi(sigma2, m).threshold(u), m.c * u, no_outage),  # H ignored
+    return u, [
+        (CsiFast(sigma2), Y, H, H * u, no_outage),
+        (CsiFast(sigma2), Y_awgn, None, u, no_outage),
+        (CsiSlow(sigma2, 0.1), Y_slow, h_slow, h_slow[:, None] * u, np.abs(h_slow) < 0.1),
+        (NoCsi(sigma2, m), Y, H, m.c * u, no_outage),  # H is ignored
+        (NoCsi(sigma2, m), Y_awgn, None, m.c * u, no_outage),
     ]
-    for spec, Yb, Hb, tau, centers, want_outage in cases:
-        assert spec.threshold(u) == tau
-        accept, outage = spec.verify(Yb, u, Hb, tau)
+
+
+def test_block_verify_decides_every_row_by_its_ball_statistic():
+    # each row: outage iff |h| < radius, else accept iff the inline
+    # statistic against that row's center is within the threshold
+    rows, n, sigma2 = 8, 32, 1.0
+    u, cases = _block_cases(rows, n, sigma2, np.random.default_rng(3))
+    for spec, Y, H, centers, want_outage in cases:
+        stats = np.sum((Y - centers) ** 2, axis=1)
+        tau = spec.threshold(u)
+        assert isinstance(spec, NoCsi) or tau == threshold_csi(n, sigma2)
+        accept, outage = spec.verify(Y.copy(), u, None if H is None else H.copy(), tau)
         assert accept.shape == outage.shape == (rows,)
         assert accept.any() and not accept.all()
         assert outage.sum() == (3 if isinstance(spec, CsiSlow) else 0)  # |h| < 0.1 thrice
-        stats = np.sum((Yb - centers) ** 2, axis=1)
-        assert np.array_equal(statistic(spec, Yb, u, Hb), stats)
-        reused = np.full((rows, n), np.nan)
-        for _ in range(2):  # a reused out leaves nothing behind for the next call
-            assert np.array_equal(statistic(spec, Yb, u, Hb, reused), stats)
         assert np.array_equal(outage, want_outage)
         assert np.array_equal(accept, (stats <= tau) & ~want_outage)
-        # a scratch block changes no verdict and leaves Y and H as they were
-        Y0, H0 = Yb.copy(), None if Hb is None else Hb.copy()
-        scratch = np.full((rows, n), np.nan)
-        accept2, outage2 = spec.verify(Yb, u, Hb, tau, out=scratch)
-        assert np.array_equal(accept2, accept) and np.array_equal(outage2, outage)
-        assert np.array_equal(Yb, Y0) and (Hb is None or np.array_equal(Hb, H0))
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_verify_takes_the_statistic_in_the_blocks_own_memory(rows, monkeypatch):
+    # Y ends as the squared differences from the center, and a fast-fading H
+    # as h*u; a slow-fading H, read again for the outage, is left as it was.
+    # Slow-fading centers go two rows at a time here, so 5 rows take three goes
+    monkeypatch.setattr(decoder, "CENTER_BYTES", 2 * 8 * 32)
+    n, sigma2 = 32, 1.0
+    u, cases = _block_cases(rows, n, sigma2, np.random.default_rng(4))
+    for spec, Y, H, centers, want_outage in cases:
+        squares = (Y - centers) ** 2
+        stats = np.sum(squares, axis=1)
+        tau = spec.threshold(u)
+        Yb, Hb = Y.copy(), None if H is None else H.copy()
+        accept, outage = spec.verify(Yb, u, Hb, tau)
+        assert np.array_equal(Yb, squares)
+        if isinstance(spec, CsiFast) and H is not None:
+            assert np.array_equal(Hb, H * u)
+        elif H is not None:
+            assert np.array_equal(Hb, H)
+        assert np.array_equal(outage, want_outage)
+        assert np.array_equal(accept, (stats <= tau) & ~want_outage)
+        Yb, Hb = Y.copy(), None if H is None else H.copy()
+        assert np.array_equal(statistic(spec, Yb, u, Hb), stats)
+        assert np.array_equal(Yb, squares)

@@ -423,6 +423,8 @@ def test_atomic_write(tmp_path):
     assert path.read_text() == "hello\n"
     write_text_atomic(path, "replaced\n")
     assert path.read_text() == "replaced\n"
+    write_text_atomic(path, (f"line {i}\n" for i in range(3)))  # an iterable of strings
+    assert path.read_text() == "line 0\nline 1\nline 2\n"
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
 
 
@@ -800,6 +802,30 @@ def test_engine_counts_match_a_trial_by_trial_loop(case, monkeypatch):
     assert res["type1"]["pooled"]["errors"] > 0 and res["type2"]["pooled"]["accepts"] > 0
     assert (zero is not None) == case.endswith("degenerate")
     assert (res["outage"]["outages"] > 0) == case.endswith("outage")
+
+
+def test_trial_engine_holds_one_block_of_words_per_worker():
+    # 2 workers, AWGN, 8 slots of 2048 trials at n = 64: each worker's block
+    # of received words is BLOCK_BYTES, and verify decides it in its own memory
+    from dicode.harness import BLOCK_BYTES
+
+    def config(per_identity):
+        return small_config(
+            codebook={"type": "packing", "spec": {"n": 64, "target_size": 40,
+                                                  "distance_exponent": 0.05}},
+            trials={"identities": 8, "per_identity": per_identity, "pairs": 0,
+                    "min_distance_pairs": 0}, workers=2)
+
+    run_experiment(config(1))  # the lazy imports and caches of a first run
+    tracemalloc.start()
+    try:
+        run_experiment(config(BLOCK_BYTES // (8 * 64)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 2.3 blocks: the two words blocks and each thread's seeding; a
+    # scratch block per worker besides would make it 4.3
+    assert peak <= 2.75 * BLOCK_BYTES, peak / BLOCK_BYTES
 
 
 def test_zero_mean_law_warns_on_the_batched_path():

@@ -300,6 +300,43 @@ def test_expurgation_peak_memory_stays_near_the_draws(spec, limit):
     assert peak <= limit * draw_bytes, peak / draw_bytes
 
 
+CRITERION_5 = dict(n=4096, target_size=120, power_bound=4.0, sampling_power=2.0,
+                   distance_exponent=0.05, seed=9)
+
+
+def test_the_book_owns_its_rows_and_no_discarded_draw():
+    # a crowded spec keeps 14 of 80 draws: a view of them would keep all 80 alive
+    spec = PackingSpec(n=64, target_size=40, power_bound=1.0, sampling_power=0.5,
+                       distance_exponent=0.24, seed=0)
+    vectors, report = generate_expurgated(spec)
+    assert report.survivors == len(vectors) == 14 < report.sampled
+    assert vectors.base is None and vectors.flags.owndata and vectors.flags.c_contiguous
+    assert vectors.nbytes == report.survivors * spec.n * 8
+    # the criterion-5 book is the same, bit for bit, as when it was a view
+    book, _ = generate_expurgated(PackingSpec(**CRITERION_5), "norm-concentrated")
+    assert book.base is None and book.shape == (239, 4096)
+    assert hashlib.sha256(book.tobytes()).hexdigest() == (
+        "3dc2967cb6395dbe90a0e1d39c84aef701f23bb62034d1c2b7c899b81eeaaa3f")
+
+
+def test_dicode_packing_writes_its_csv_a_row_at_a_time(tmp_path, capsys):
+    # the whole CSV text would be about 6 times the draws; the rows go one at a time
+    sets = [arg for k, v in CRITERION_5.items() for arg in ("--set", f"spec.{k}={v}")]
+    argv = ["packing", *sets, "--set", "profile=norm-concentrated"]
+    main([*argv, "--outdir", str(tmp_path / "warm")])  # the lazy imports of a first run
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--outdir", str(tmp_path / "run")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    draw_bytes = 2 * 120 * 4096 * 8
+    assert peak <= 1.5 * draw_bytes, peak / draw_bytes
+    assert hashlib.sha256((tmp_path / "run" / "vectors.csv").read_bytes()).hexdigest() == (
+        "2506c0fa8f772c2bdf7112c2662d8d3f972700eaae40da899c297b4db36b44d2")
+
+
 # (spec, profile): the criterion-5 shape at a few rows, an odd n, and the
 # fourth-power guard's close row
 BLOCKED = [(dict(n=4096, target_size=6, power_bound=4.0, sampling_power=2.0,
@@ -448,7 +485,7 @@ def test_csv_round_trip_with_spec_sidecar(tmp_path, capsys):
     spec = PackingSpec(seed=5, **COMFY)
     vectors, _ = generate_expurgated(spec, "basic")
     path = tmp_path / "vectors.csv"
-    path.write_text(vectors_csv(vectors))
+    path.write_text("".join(vectors_csv(vectors)))
     assert np.array_equal(load_csv(path), vectors)
     # `dicode packing` writes the same rows, and a sidecar of the spec and profile
     sets = [arg for k, v in COMFY.items() for arg in ("--set", f"spec.{k}={v}")]
@@ -463,7 +500,7 @@ def test_csv_round_trip_with_spec_sidecar(tmp_path, capsys):
 def test_load_csv_peak_memory_stays_near_the_array(tmp_path):
     vectors = np.random.default_rng(4).normal(0.0, 2.0, size=(100, 1024))
     path = tmp_path / "book.csv"
-    path.write_text(vectors_csv(vectors))
+    path.write_text("".join(vectors_csv(vectors)))
     tracemalloc.start()
     try:
         book = load_csv(path)
