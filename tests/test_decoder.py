@@ -15,6 +15,7 @@ Verdicts are checked the same way: ``statistic`` and the block
 the threshold, and against |h| < radius for slow-fading outage.
 """
 
+import itertools
 import math
 import warnings
 
@@ -28,25 +29,54 @@ from dicode.decoder import (
     NoCsi,
     impostor_moments,
     statistic,
-    threshold_csi,
 )
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
 
 
 def test_threshold_frozen_value():
     # n sigma^2 + sigma^2 sqrt(2 n ln n) at n=1024, sigma^2=1
-    assert threshold_csi(1024, 1.0) == pytest.approx(1143.1455171538892, rel=1e-12)
+    assert CsiFast(1.0).threshold(np.zeros(1024)) == pytest.approx(1143.1455171538892, rel=1e-12)
 
 
 def test_threshold_scales_linearly_in_noise_power():
-    base = threshold_csi(500, 1.0)
+    u = np.zeros(500)
+    base = CsiFast(1.0).threshold(u)
     for c in (0.25, 2.0, 7.5):
-        assert threshold_csi(500, c) == pytest.approx(c * base, rel=1e-12)
+        assert CsiFast(c).threshold(u) == pytest.approx(c * base, rel=1e-12)
+        assert CsiSlow(c, 0.1).threshold(u) == pytest.approx(c * base, rel=1e-12)
 
 
 def test_threshold_needs_two_coordinates():
-    with pytest.raises(ValueError):
-        threshold_csi(1, 1.0)
+    m = Rayleigh(1.0).moments()
+    for verifier in (CsiFast(1.0), CsiSlow(1.0, 0.1), NoCsi(1.0, m)):
+        with pytest.raises(ValueError, match="block length must be >= 2"):
+            verifier.threshold(np.ones(1))
+
+
+def test_every_threshold_is_its_verifiers_genuine_mean_plus_scaled_deviation():
+    # tau = E xi + s sqrt(Var xi ln n), the moments read off the verifier's own
+    # statistic; the CSI tau lies within one ulp of the closed form
+    # n sigma^2 + s sigma^2 sqrt(2 n ln n), and csi-slow's equals csi-fast's
+    rng = np.random.default_rng(14)
+    m = Rayleigh(1.3).moments()
+    for n, sigma2, s in itertools.product((2, 12, 500, 1000, 1024, 3000, 15625),
+                                          (0.0, 0.01, 0.25, 0.7, 1.0, 7.5), (0.3, 1.0, 2.0)):
+        u = rng.normal(0, 1, n)
+        fast, slow, blind = CsiFast(sigma2, s), CsiSlow(sigma2, 0.1, s), NoCsi(sigma2, m, s)
+        for verifier in (fast, blind):
+            mean, var = impostor_moments(verifier, u, u, m)
+            assert verifier.threshold(u) == mean + s * math.sqrt(var * math.log(n))
+        closed = n * sigma2 + s * sigma2 * math.sqrt(2 * n * math.log(n))
+        assert abs(fast.threshold(u) - closed) <= np.spacing(closed)
+        assert slow.threshold(u) == fast.threshold(u)
+    assert CsiFast(1.0).threshold(np.zeros(1024)) == 1143.1455171538892
+
+
+def test_a_negative_noise_variance_is_refused():
+    m = Rayleigh(1.0).moments()
+    for verifier in (CsiFast(-1.0), CsiSlow(-1.0, 0.1), NoCsi(-1.0, m)):
+        with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+            verifier.threshold(np.ones(8))
 
 
 def test_boundary_point_accepts():
@@ -56,7 +86,7 @@ def test_boundary_point_accepts():
     u = np.zeros(n)
     h = np.ones((1, n))
     y = np.zeros((1, n))
-    y[0, 0] = math.sqrt(threshold_csi(n, sigma2))
+    y[0, 0] = math.sqrt(spec.threshold(u))
     stat = float(np.sum((y - h * u) ** 2))  # one nonzero term, so exact
     assert stat == pytest.approx(spec.threshold(u), rel=1e-12)
     accept, outage = spec.verify(y.copy(), u, h.copy(), stat)  # verify overwrites its block
@@ -264,8 +294,9 @@ def test_zero_mean_law_warns_on_blind_verification():
 
 def test_deviation_scale_widens_the_ball():
     n, sigma2 = 128, 1.0
-    assert threshold_csi(n, sigma2, 2.0) > threshold_csi(n, sigma2, 1.0)
     u = np.ones(n)
+    assert CsiFast(sigma2, 2.0).threshold(u) > CsiFast(sigma2, 1.0).threshold(u)
+    assert CsiSlow(sigma2, 0.1, 2.0).threshold(u) > CsiSlow(sigma2, 0.1, 1.0).threshold(u)
     m = Rayleigh(1.0).moments()
     assert NoCsi(sigma2, m, 2.0).threshold(u) > NoCsi(sigma2, m, 1.0).threshold(u)
 
@@ -299,7 +330,9 @@ def test_block_verify_decides_every_row_by_its_ball_statistic():
     for spec, Y, H, centers, want_outage in cases:
         stats = np.sum((Y - centers) ** 2, axis=1)
         tau = spec.threshold(u)
-        assert isinstance(spec, NoCsi) or tau == threshold_csi(n, sigma2)
+        # with CSI, n sigma^2 + sigma^2 sqrt(2 n ln n) to within one ulp
+        closed = n * sigma2 + sigma2 * math.sqrt(2 * n * math.log(n))
+        assert isinstance(spec, NoCsi) or abs(tau - closed) <= np.spacing(closed)
         accept, outage = spec.verify(Y.copy(), u, None if H is None else H.copy(), tau)
         assert accept.shape == outage.shape == (rows,)
         assert accept.any() and not accept.all()

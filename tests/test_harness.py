@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -398,6 +399,17 @@ def test_random_pairs_of_one_identity_are_refused_before_the_codebook_is_built(m
         run_experiment(small_config(trials=trials))
 
 
+@pytest.mark.parametrize("name", ["identities", "per_identity", "pairs", "per_pair",
+                                  "min_distance_pairs"])
+def test_a_hand_built_config_keeps_each_count_as_its_table_resolves_it(name):
+    # an integral float count runs as the int `dicode simulate` reads
+    cfg = small_config()
+    value = getattr(cfg, name)
+    got = dataclasses.replace(cfg, **{name: float(value)})
+    assert type(getattr(got, name)) is int and got == cfg
+    assert run_experiment(got).canonical_json() == run_experiment(cfg).canonical_json()
+
+
 def test_one_identity_runs_close_pairs_alone():
     trials = {"identities": 1, "per_identity": 4, "pairs": 2, "per_pair": 3,
               "min_distance_pairs": 2}
@@ -426,6 +438,20 @@ def test_atomic_write(tmp_path):
     write_text_atomic(path, (f"line {i}\n" for i in range(3)))  # an iterable of strings
     assert path.read_text() == "line 0\nline 1\nline 2\n"
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("plain\n")
+        write_text_atomic(tmp_path / "atomic.txt", "atomic\n")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "plain.txt").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert (tmp_path / "atomic.txt").stat().st_mode & 0o777 == mode
 
 
 # -- moment validation grid ------------------------------------------------
@@ -470,17 +496,17 @@ def test_moment_grid_flags_a_wrong_formula(monkeypatch):
     assert all(r.ok for r in var_rows)
 
 
-def test_moment_grid_builds_each_verifier_through_the_harness_builder(monkeypatch):
+def test_moment_grid_builds_each_verifier_through_the_decoder_builder(monkeypatch):
     # one build per law and mode, over fast fading, from the law's one moments() call
     import dicode.harness as harness_mod
 
-    calls, build = [], harness_mod._build_verifier
+    calls, build = [], harness_mod.build_verifier
 
     def spy(mode, channel, *args, **kw):
         calls.append((mode, channel, kw.get("moments")))
         return build(mode, channel, *args, **kw)
 
-    monkeypatch.setattr(harness_mod, "_build_verifier", spy)
+    monkeypatch.setattr(harness_mod, "build_verifier", spy)
     law = Rayleigh(1.0)
     moment_validation(MomentGridConfig(distributions=(law,), n=16, draws=200, pair_count=2,
                                        sigma2=0.5))
