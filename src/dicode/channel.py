@@ -28,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Key
 from .fading import FadingDistribution
 
-SIGMA2 = 1.0  # every channel's default noise variance
+# every channel's noise variance and default, also in the simulate and moments tables
+SIGMA2 = Key(float, "noise variance", min=0, default=1.0)
 
 
 class ChannelModel:
@@ -38,9 +40,8 @@ class ChannelModel:
     fading draws H span the first ``FADING_DIMS`` axes of a (rows, n) block: none
     (h = 1), one draw per row, or one per coordinate."""
 
-    def __post_init__(self):
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise ValueError("noise variance must be nonnegative and finite")
+    def __post_init__(self):  # kept as SIGMA2 resolves it: Awgn(1) holds 1.0
+        object.__setattr__(self, "sigma2", SIGMA2.check("sigma2", self.sigma2))
         if self.FADING_DIMS and not isinstance(self.fading, FadingDistribution):
             raise ValueError(f"a {self.TYPE} channel needs channel.fading, a fading law record")
 
@@ -54,21 +55,21 @@ class ChannelModel:
 @dataclass(frozen=True)
 class Awgn(ChannelModel):
     TYPE, FADING_DIMS = "awgn", 0
-    sigma2: float = SIGMA2
+    sigma2: float = SIGMA2.default
 
 
 @dataclass(frozen=True)
 class SlowFading(ChannelModel):
     TYPE, FADING_DIMS = "slow-fading", 1
     fading: FadingDistribution
-    sigma2: float = SIGMA2
+    sigma2: float = SIGMA2.default
 
 
 @dataclass(frozen=True)
 class FastFading(ChannelModel):
     TYPE, FADING_DIMS = "fast-fading", 2
     fading: FadingDistribution
-    sigma2: float = SIGMA2
+    sigma2: float = SIGMA2.default
 
 
 # the channel types a `channel` record may name, in --help order

@@ -22,9 +22,9 @@ partner's minimum-weight polynomial comes from the outer subspace maps.
 Distinct identities differ in at least d2 outer symbols, each of which
 forces at least d1 inner coordinates apart by at least one amplitude
 step, so the Euclidean distance is at least
-sqrt(d1 d2 * 4A / (q1-1)^2).  The planner searches feasible (q1, n1,
-k1, k2) for a requested block length and maximizes the DI rate
-R = k1 k2 log2(q1) / (n log2 n).
+sqrt(d1 d2 * 4A / (q1-1)^2).  The planner ranks feasible (q1, n1, k1,
+k2) for a requested block length by the DI rate R = k1 k2 log2(q1) /
+(n log2 n), then builds the record of the best one alone.
 """
 
 from __future__ import annotations
@@ -60,6 +60,16 @@ PLAN_KEYS = {
     "eps2": Key(float, "outer code distance fraction"),
     "field_seed": Key(int, "seed for the field modulus searches", min=0),
 }
+# a record's inputs: PLAN_KEYS, then the planner's choice (ConcatParams checks its ranges)
+_RECORD_KEYS = {**PLAN_KEYS, **dict.fromkeys(("q1", "n1", "k1", "n2", "k2"),
+                                             Key(int, "planned code shape"))}
+
+
+def _check_margins(a: float, eps1: float, eps2: float) -> None:
+    if not 0 < a < 0.125:
+        raise ValueError("a must lie in (0, 1/8)")
+    if not (0 < eps1 < 1 and 0 < eps2 < 1):
+        raise ValueError("distance fractions must lie in (0, 1)")
 
 
 def _ceil_at_least(x: float) -> int:
@@ -117,14 +127,13 @@ class ConcatParams:
     def size(self) -> int:
         return self.q2**self.k2
 
-    def __post_init__(self):
-        PLAN_KEYS["field_seed"].check("field_seed", self.field_seed)  # as plan_params refuses it
-        if not 0 < self.a < 0.125:
-            raise ValueError("a must lie in (0, 1/8)")
-        if not (self.power_bound > 0 and math.isfinite(self.power_bound)):
+    def __post_init__(self):  # kept as plan_params resolves them: n=500.0 as 500
+        kw = resolve({name: getattr(self, name) for name in _RECORD_KEYS}, _RECORD_KEYS)
+        for name, value in kw.items():
+            object.__setattr__(self, name, value)  # the record is frozen
+        _check_margins(self.a, self.eps1, self.eps2)
+        if not self.power_bound > 0:
             raise ValueError("power bound must be positive and finite")
-        if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
-            raise ValueError("distance fractions must lie in (0, 1)")
         pp = prime_power(self.q1)
         if pp is None:
             raise ValueError(f"q1 = {self.q1} is not a prime power")
@@ -150,14 +159,10 @@ class ConcatParams:
             min_euclidean_distance=guaranteed_distance(self.d1, self.d2, self.power_bound, self.q1),
             meets_asymptotic_rate=rate >= 0.25 - 2 * self.a)
         for name, value in derived.items():
-            object.__setattr__(self, name, value)  # the record is frozen
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["schema"] = _SCHEMA
-        out["d1"] = self.d1
-        out["d2"] = self.d2
-        return out
+        return {**asdict(self), "schema": _SCHEMA, "d1": self.d1, "d2": self.d2}
 
 
 def guaranteed_distance(d1: int, d2: int, power_bound: float, q1: int) -> float:
@@ -182,18 +187,16 @@ def plan_params(
     the dimensions are pushed as high as the distance fractions allow,
     subject to the outer length bound n2 <= q2 (enforced here even
     though it only binds at moderate n; violating it would silently
-    break injectivity).  Refuses what `dicode construct` refuses (PLAN_KEYS)
-    and plans with the values it resolves (n=500.0 as 500, as the CLI does);
-    raises InfeasibleError when the search space is empty.
+    break injectivity); the first of the highest rate alone becomes a record.
+    Refuses what `dicode construct` refuses (PLAN_KEYS) and plans with the
+    values it resolves (n=500.0 as 500, as the CLI does); raises
+    InfeasibleError when the search space is empty.
     """
     kw = resolve(locals(), PLAN_KEYS)  # locals() holds just the arguments here
     n, a, eps1, eps2 = kw["n"], kw["a"], kw["eps1"], kw["eps2"]
-    if not 0 < a < 0.125:
-        raise ValueError("a must lie in (0, 1/8)")
-    if not (0 < eps1 < 1 and 0 < eps2 < 1):
-        raise ValueError("distance fractions must lie in (0, 1)")
+    _check_margins(a, eps1, eps2)
     log_n = math.log(n)
-    best: ConcatParams | None = None
+    best: tuple | None = None  # (rate, the planner's choice)
     q_hi = int(math.floor(n ** (0.25 - a))) + 1
     for q1 in range(2, max(q_hi + 1, 3)):
         if prime_power(q1) is None:
@@ -203,26 +206,20 @@ def plan_params(
             continue
         for n1 in range(min(q1, n), 0, -1):
             n2 = n // n1
-            if n2 < 1:
-                continue
             k1 = n1 + 1 - _ceil_at_least(eps1 * n1)
-            if k1 < 1:
-                continue
             if q1**k1 < n2:
                 continue  # outer field too small for the outer length
             k2 = n2 + 1 - _ceil_at_least(eps2 * n2)
-            if k2 < 1:
-                continue
-            plan = ConcatParams(**kw, q1=q1, n1=n1, k1=k1, n2=n2, k2=k2)
-            if best is None or plan.rate > best.rate:
-                best = plan
+            rate = di_rate(k1 * k2 * math.log2(q1), n)  # as ConcatParams derives it
+            if best is None or rate > best[0]:
+                best = (rate, dict(q1=q1, n1=n1, k1=k1, n2=n2, k2=k2))
     if best is None:
         raise InfeasibleError(
             f"no concatenated construction for n={n}, a={a}, eps1={eps1}, eps2={eps2}: "
             "no prime power lands in the allowed alphabet window with a large "
             "enough outer field"
         )
-    return best
+    return ConcatParams(**kw, **best[1])
 
 
 class ConcatCodebook:

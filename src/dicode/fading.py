@@ -68,11 +68,16 @@ def _clamp_nonneg(value: float, scale: float) -> float:
 
 
 class FadingDistribution:
-    """A law of h: its record is a ``TYPE`` name and the ``KEYS`` of its
-    parameters.  An atomic law lists ``atoms``, ((value, probability), ...);
+    """A law of h, checked against its record: a ``TYPE`` name and the ``KEYS``
+    of its parameters.  An atomic law lists ``atoms``, ((value, probability), ...);
     a continuous law leaves them None and defines ``pdf`` and ``cdf`` on [0, inf)."""
 
     atoms = None
+
+    def __post_init__(self):  # kept as KEYS resolves them: Rayleigh(2) holds 2.0
+        kw = resolve({name: _plain(getattr(self, name)) for name in self.KEYS}, self.KEYS)
+        for name, value in kw.items():
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
         """Draws of h: a float64 scalar (size None) or an array of shape size;
@@ -90,19 +95,22 @@ class FadingDistribution:
         return 0.0 if self.atoms is None else float(sum(p for v, p in self.atoms if v == 0.0))
 
     def expect(self, f: Callable[[float], float], rel: float = _MOMENT_REL) -> float:
-        """E f(h): exact over the atoms, else one quadrature of f times the pdf
-        over (0, inf), refused unless its error estimate is within rel and the
-        quadrature of the pdf alone reads 1 within rel (a law it misses, too
-        narrow or too far out, would give a wrong value and a small error)."""
+        """E f(h): exact over the atoms, else a quadrature of f times the pdf over
+        (0, inf), redone in units s = scale_hint, as s int f(st) pdf(st) dt, where
+        the raw one's error estimate misses rel; refused unless an estimate is within
+        rel and the quadrature of the pdf alone reads 1 within rel (a law it misses,
+        too narrow or too far out, would give a wrong value and a small error)."""
         if self.atoms is not None:
             return float(sum(p * f(v) for v, p in self.atoms))
         if not abs(self._quadrature_mass - 1) <= rel:
             raise QuadratureError(f"{self.TYPE} expectations are out of the quadrature's reach: "
                                   f"it reads the law's mass as {self._quadrature_mass:g}, not 1")
-        val, err = _quad(lambda x: f(x) * self.pdf(x))
-        if err > rel * max(abs(val), 1e-300):
-            raise QuadratureError(f"{self.TYPE} expectation did not converge (err {err:g})")
-        return val
+        s = self.scale_hint
+        for g in (lambda x: f(x) * self.pdf(x), lambda t: s * f(s * t) * self.pdf(s * t)):
+            val, err = _quad(g)
+            if err <= rel * max(abs(val), 1e-300):
+                return val
+        raise QuadratureError(f"{self.TYPE} expectation did not converge (err {err:g})")
 
     @cached_property
     def _quadrature_mass(self) -> float:
@@ -120,10 +128,12 @@ class FadingDistribution:
 
 
 def _quad(g: Callable[[float], float]) -> tuple[float, float]:
-    """The integral of g over (0, inf) and quad's error estimate."""
+    """The integral of g over (0, inf) and quad's error estimate, judged by
+    ``expect``: full_output keeps quad's own warning quiet."""
     from scipy import integrate
 
-    return integrate.quad(g, 0, math.inf, epsrel=_QUAD_REL, epsabs=0, limit=300)
+    return integrate.quad(g, 0, math.inf, epsrel=_QUAD_REL, epsabs=0, limit=300,
+                          full_output=1)[:2]
 
 
 def _blocks(out: np.ndarray):
@@ -135,7 +145,7 @@ def _blocks(out: np.ndarray):
 
 
 def _plain(value):  # a parameter as its record holds it: tuples become lists
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
 
 
 @dataclass(frozen=True)
@@ -143,10 +153,6 @@ class Constant(FadingDistribution):
     TYPE = "constant"
     KEYS = {"value": Key(float, "the coefficient h", required=True)}
     value: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("constant fading value must be finite")
 
     @property
     def atoms(self):
@@ -168,7 +174,8 @@ class Rayleigh(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
+        super().__post_init__()
+        if not self.scale > 0:
             raise ValueError("Rayleigh scale must be positive and finite")
 
     def _fill(self, rng, out):
@@ -210,8 +217,8 @@ class Rician(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape >= 0 and self.scale > 0
-                and math.isfinite(self.shape) and math.isfinite(self.scale)):
+        super().__post_init__()
+        if not (self.shape >= 0 and self.scale > 0):
             raise ValueError("Rician needs finite shape >= 0 and scale > 0")
 
     def _nu_s(self):
@@ -261,8 +268,8 @@ class Nakagami(FadingDistribution):
     spread: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape >= 0.5 and self.spread > 0
-                and math.isfinite(self.shape) and math.isfinite(self.spread)):
+        super().__post_init__()
+        if not (self.shape >= 0.5 and self.spread > 0):
             raise ValueError("Nakagami needs finite shape >= 1/2 and spread > 0")
 
     def _fill(self, rng, out):
@@ -304,7 +311,8 @@ class Nakagami(FadingDistribution):
 def _atom(pair) -> tuple[float, float]:
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError(f"an atom is a [value, probability] pair, got {pair!r}")
-    return tuple(Key(float, name).check(name, x) for name, x in zip(("value", "probability"), pair))
+    return (Key(float, "atom value").check("value", pair[0]),
+            Key(float, "its weight", min=0).check("probability", pair[1]))
 
 
 @dataclass(frozen=True)
@@ -320,16 +328,8 @@ class DiscreteMixture(FadingDistribution):
     atoms: tuple[tuple[float, float], ...] = field()
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple((v, p) for v, p in self.atoms))
-        if not self.atoms:
-            raise ValueError("mixture needs at least one atom")
-        total = 0.0
-        for value, prob in self.atoms:
-            if not math.isfinite(value):
-                raise ValueError("atom values must be finite")
-            if not prob >= 0:
-                raise ValueError("atom probabilities must be nonnegative")
-            total += prob
+        super().__post_init__()
+        total = sum(p for _, p in self.atoms)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
         # the sampling table, built once: atom values and the normalized cdf

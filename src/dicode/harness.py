@@ -68,7 +68,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import CHANNELS, ChannelModel, FastFading, block_buffers, parse_channel, transmit
+from .channel import (CHANNELS, SIGMA2, ChannelModel, FastFading, block_buffers, parse_channel,
+                      transmit)
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, owned_defaults, resolve
 from .decoder import (GRID_MODES, VERIFIERS, CsiFast, NoCsi, build_verifier, impostor_moments,
@@ -97,7 +98,7 @@ CONFIG_KEYS = {
     "seed": Key(int, "master seed (drawn and echoed if omitted)", min=0),
     "workers": Key(int, "worker count; never changes results", min=1, default=1),
     "channel.type": Key(str, "channel model", required=True, choices=tuple(CHANNELS)),
-    **owned_defaults(FastFading, {"channel.sigma2": Key(float, "noise variance", min=0)}),
+    "channel.sigma2": SIGMA2,
     "channel.fading": Key(dict, "fading law record, e.g. {\"type\": \"rayleigh\", \"scale\": 1.0} "
                                 "(fading channels only)", parse=parse_distribution),
     "codebook.type": Key(str, "codebook source", required=True, choices=tuple(_CODEBOOK_KEYS)),
@@ -540,7 +541,7 @@ class MomentGridConfig:
     modes: tuple[str, ...] = tuple(GRID_MODES)
     n: int = 64
     draws: int = 1_000_000
-    sigma2: float = 1.0
+    sigma2: float = SIGMA2.default
     pair_count: int = 3
     vector_power: float = 1.0
     seed: int = 0
@@ -570,7 +571,7 @@ MOMENTS_KEYS = owned_defaults(MomentGridConfig, {
         for i, (grid, mode) in enumerate(GRID_MODES.items())), min=1, choices=tuple(GRID_MODES)),
     "n": Key(int, "vector length for the synthetic codewords", min=1),
     "draws": Key(int, "Monte Carlo draws per check", min=1),
-    "sigma2": Key(float, "noise variance", min=0),
+    "sigma2": SIGMA2,
     "pair_count": Key(int, "codeword pairs per law and mode", min=1),
     "vector_power": Key(float, "per-coordinate variance of the synthetic codewords", min=0),
     "chunk": Key(int, "draws per batch", min=1),

@@ -21,11 +21,11 @@ from dicode.cli import (
     _parse_set,
     main,
 )
-from dicode.channel import CHANNELS
+from dicode.channel import CHANNELS, Awgn, FastFading, SlowFading
 from dicode.codebook import ConcatCodebook, ConcatParams, plan_params
 from dicode.config import _UNSET, resolve
 from dicode.decoder import GRID_MODES, VERIFIERS
-from dicode.fading import Constant
+from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician
 from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig, moment_validation
 from dicode.packing import PackingSpec
 
@@ -645,7 +645,8 @@ GRID_DRIFT = [("n", 8.5, "n=8.5"), ("draws", True, "draws=true"), ("seed", -1, "
 SIMULATE_DRIFT = [("workers", 0, "workers=0"), ("identities", 0, "trials.identities=0"),
                   ("min_distance_pairs", 5, "trials.min_distance_pairs=5")]
 PLAN_DRIFT = [("field_seed", -1, "field_seed=-1"), ("n", 3, "n=3"), ("n", True, "n=true"),
-              ("power_bound", "1", 'power_bound="1"'), ("eps1", math.nan, "eps1=NaN")]
+              ("power_bound", "1", 'power_bound="1"'), ("eps1", math.nan, "eps1=NaN"),
+              ("power_bound", True, "power_bound=true"), ("a", "0.02", 'a="0.02"')]
 SPEC_DRIFT = [("seed", -1, "spec.seed=-1"), ("n", 1, "spec.n=1"),
               ("target_size", 0, "spec.target_size=0"),
               ("power_bound", True, "spec.power_bound=true"),
@@ -695,6 +696,11 @@ def test_the_planner_refuses_what_dicode_construct_refuses(field, value, setting
     with pytest.raises(ValueError) as exc:
         plan_params(**{"n": 500, "a": 0.02, field: value})
     assert str(exc.value) == said
+    plan = plan_params(n=500, a=0.02)  # and a record built by hand from its stored values
+    stored = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+    with pytest.raises(ValueError) as exc:
+        ConcatParams(**{**stored, field: value})
+    assert str(exc.value) == said
 
 
 @pytest.mark.parametrize("field,value,setting", SPEC_DRIFT, ids=[s for *_, s in SPEC_DRIFT])
@@ -717,6 +723,35 @@ def test_hand_built_plan_records_refuse_the_field_seed_dicode_construct_refuses(
     assert str(exc.value) == said
 
 
+# a law or channel built by hand, and the --set item that asks `dicode moments`
+# (a law) or `dicode simulate` (a channel) for the same
+RECORD_DRIFT = {
+    "rayleigh-bool": (lambda: Rayleigh(True), '[{"type": "rayleigh", "scale": true}]'),
+    "nakagami-string": (lambda: Nakagami("2", 1.0),
+                        '[{"type": "nakagami", "shape": "2", "spread": 1.0}]'),
+    "rician-inf": (lambda: Rician(1.0, math.inf),
+                   '[{"type": "rician", "shape": 1.0, "scale": Infinity}]'),
+    "constant-nan": (lambda: Constant(math.nan), '[{"type": "constant", "value": NaN}]'),
+    "discrete-no-atom": (lambda: DiscreteMixture(()), '[{"type": "discrete", "atoms": []}]'),
+    "awgn-bool": (lambda: Awgn(True), "channel.sigma2=true"),
+    "fast-string": (lambda: FastFading(Constant(1.0), "1"), 'channel.sigma2="1"'),
+    "slow-negative": (lambda: SlowFading(Constant(1.0), -1.0), "channel.sigma2=-1.0"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_DRIFT)
+def test_hand_built_laws_and_channels_refuse_what_the_cli_refuses(name, tmp_path, monkeypatch,
+                                                                  capsys):
+    build, setting = RECORD_DRIFT[name]
+    law = setting.startswith("[")
+    said = _cli_refusal("moments" if law else "simulate",
+                        f"distributions={setting}" if law else setting, tmp_path, monkeypatch,
+                        capsys)
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert said == ("distributions[0]: " if law else "channel.") + str(exc.value)
+
+
 def test_the_planner_plans_an_integral_float_as_dicode_construct_does(tmp_path, monkeypatch,
                                                                       capsys):
     sets = _sets("construct", ["n=500.0", "a=0.02"], tmp_path, monkeypatch)
@@ -724,9 +759,15 @@ def test_the_planner_plans_an_integral_float_as_dicode_construct_does(tmp_path, 
     capsys.readouterr()
     plan = plan_params(n=500.0, a=0.02)
     assert (plan.n, plan.n2, plan.k2) == (500, 125, 113)
+    # a record built by hand with its counts as floats and power_bound as an int, too
+    stored = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+    swapped = {name: float(v) if isinstance(v, int) else int(v) if v.is_integer() else v
+               for name, v in stored.items()}
+    assert (swapped["n"], swapped["q1"], swapped["power_bound"]) == (500.0, 4.0, 1)
     written = (tmp_path / "out" / "params.json").read_text()
-    assert json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n" == written
-    assert len(ConcatCodebook(plan).encode(0)) == 500
+    for record in (plan, ConcatParams(**swapped)):
+        assert json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n" == written
+        assert len(ConcatCodebook(record).encode(0)) == 500
 
 
 def test_the_moment_grid_holds_the_values_dicode_moments_runs(tmp_path, monkeypatch, capsys):

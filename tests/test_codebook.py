@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dicode import codebook
 from dicode.bounds import di_rate
 from dicode.cli import main
 from dicode.codebook import (
@@ -63,6 +64,22 @@ def test_planner_matches_brute_force_search():
         got = plan_params(n=n, a=a, power_bound=1.0)
         assert got.rate == pytest.approx(want[0], rel=1e-12)
         assert (got.q1, got.n1, got.k1, got.n2, got.k2) == want[1:]
+
+
+@pytest.mark.parametrize("n,a,shape", [(15625, 0.03, (8, 5, 5, 3125, 2813)),
+                                       (10**6, 0.02, (23, 10, 10, 100000, 90001))])
+def test_the_planner_ranks_candidates_and_builds_one_record(n, a, shape, monkeypatch):
+    # 8 and 35 candidates are feasible here; only the first of the highest rate is built
+    built = []
+
+    def counting(**kw):
+        built.append(kw)
+        return ConcatParams(**kw)
+
+    monkeypatch.setattr(codebook, "ConcatParams", counting)
+    plan = plan_params(n=n, a=a)
+    assert len(built) == 1
+    assert (plan.q1, plan.n1, plan.k1, plan.n2, plan.k2) == shape
 
 
 def test_planner_detects_infeasible_regimes():
@@ -338,7 +355,7 @@ def test_hand_built_records_derive_their_own_values():
     (dict(n2=10), "outer length exceeds"),
     (dict(k2=4), "outer distance misses"),
     (dict(eps1=0.9), "inner distance misses"),
-    (dict(power_bound=math.inf), "power bound"),
+    (dict(power_bound=0.0), "power bound"),  # inf: the table's text, in test_config
 ])
 def test_records_refuse_inconsistent_inputs(overrides, message):
     with pytest.raises(ValueError, match=message):

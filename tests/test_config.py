@@ -6,16 +6,18 @@ directly.
 """
 
 import dataclasses
+import json
 import math
+import re
 
 import pytest
 
-from dicode.channel import CHANNELS, Awgn, FastFading, SlowFading, parse_channel
-from dicode.codebook import plan_params
+from dicode.channel import CHANNELS, SIGMA2, Awgn, FastFading, SlowFading, parse_channel
+from dicode.codebook import ConcatParams, plan_params
 from dicode.config import NUMBER, Key, owned_defaults, resolve
 from dicode.decoder import VERIFIERS
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician, parse_distribution
-from dicode.harness import CONFIG_KEYS, ExperimentConfig, build_codebook
+from dicode.harness import CONFIG_KEYS, MOMENTS_KEYS, ExperimentConfig, build_codebook
 from dicode.packing import PackingSpec, parse_spec
 
 TABLE = {
@@ -101,7 +103,9 @@ def test_owned_defaults_reads_each_default_from_the_constructor_that_owns_it():
 
 
 def test_simulate_defaults_read_from_one_class_are_every_class_default():
-    # CONFIG_KEYS reads sigma2 from FastFading and deviation_scale from CsiFast
+    # both tables hold channel.SIGMA2, which every channel checks against;
+    # CONFIG_KEYS reads deviation_scale from CsiFast
+    assert CONFIG_KEYS["channel.sigma2"] == MOMENTS_KEYS["sigma2"] == SIGMA2
     sigma2 = CONFIG_KEYS["channel.sigma2"].default
     scale = CONFIG_KEYS["verifier.deviation_scale"].default
     assert [parse_channel({"type": kind, "fading": Constant(1.0)} if model.FADING_DIMS else
@@ -110,24 +114,30 @@ def test_simulate_defaults_read_from_one_class_are_every_class_default():
         assert {f.name: f.default for f in dataclasses.fields(verifier)}["deviation_scale"] == scale
 
 
-# each builder takes the one non-finite value under test
+# each builder takes the one value under test, as the field its refusals name
 BUILDERS = {
-    "awgn": lambda x: Awgn(x),
-    "slow": lambda x: SlowFading(Constant(1.0), x),
-    "fast": lambda x: FastFading(Constant(1.0), x),
-    "constant": lambda x: Constant(x),
-    "rayleigh": lambda x: Rayleigh(x),
-    "rician-shape": lambda x: Rician(x, 1.0),
-    "rician-scale": lambda x: Rician(1.0, x),
-    "nakagami-shape": lambda x: Nakagami(x, 1.0),
-    "nakagami-spread": lambda x: Nakagami(1.0, x),
-    "discrete": lambda x: DiscreteMixture(((1.0, x),)),
-    "concat-params": lambda x: _concat_params(x),
+    "awgn": ("sigma2", lambda x: Awgn(x)),
+    "slow": ("sigma2", lambda x: SlowFading(Constant(1.0), x)),
+    "fast": ("sigma2", lambda x: FastFading(Constant(1.0), x)),
+    "constant": ("value", lambda x: Constant(x)),
+    "rayleigh": ("scale", lambda x: Rayleigh(x)),
+    "rician-shape": ("shape", lambda x: Rician(x, 1.0)),
+    "rician-scale": ("scale", lambda x: Rician(1.0, x)),
+    "nakagami-shape": ("shape", lambda x: Nakagami(x, 1.0)),
+    "nakagami-spread": ("spread", lambda x: Nakagami(1.0, x)),
+    "discrete": ("atoms[0]: probability", lambda x: DiscreteMixture(((1.0, x),))),
+    "concat-params": ("power_bound", lambda x: _concat_params(x)),
 }
 
 
 def _concat_params(power_bound):
     return dataclasses.replace(plan_params(n=500, a=0.02), power_bound=power_bound)
+
+
+def _echo(record) -> str:
+    """The record as a run writes it: params.json for a plan, else its config."""
+    is_plan = isinstance(record, ConcatParams)
+    return json.dumps(record.to_json_dict() if is_plan else record.to_config(), sort_keys=True)
 
 
 NON_FINITE = [(name, x) for x in (math.nan, math.inf, -math.inf) for name in BUILDERS]
@@ -136,8 +146,25 @@ NON_FINITE = [(name, x) for x in (math.nan, math.inf, -math.inf) for name in BUI
 @pytest.mark.parametrize("name,value", NON_FINITE,  # ids: "awgn" (NaN), "awgn-inf", "awgn--inf"
                          ids=[n if math.isnan(x) else f"{n}-{x}" for n, x in NON_FINITE])
 def test_constructors_refuse_nan(name, value):
-    with pytest.raises(ValueError):
-        BUILDERS[name](value)
+    field, build = BUILDERS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "string"])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_constructors_refuse_what_is_not_a_number_with_the_table_text(name, value):
+    # as `dicode simulate` or `moments` refuses the field, after its record's path
+    field, build = BUILDERS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be a number, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_constructors_keep_an_int_as_the_float_their_table_resolves(name):
+    # Rayleigh(1) holds and writes 1.0, as `--set` of a 1 does
+    build = BUILDERS[name][1]
+    assert _echo(build(1)) == _echo(build(1.0))
 
 
 @pytest.mark.parametrize("record", [

@@ -7,6 +7,7 @@ with explicit standard-error budgets.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_expect_refuses_a_law_whose_mass_the_quadrature_misses(law):
 def test_expect_takes_laws_whose_mass_the_quadrature_sees(law, e2):
     assert law.expect(lambda h: 1.0) == pytest.approx(1.0, abs=5e-10)
     assert law.expect(lambda h: h * h) == pytest.approx(e2, rel=1e-8)  # Omega, or 2 sigma^2
+
+
+def test_a_law_too_wide_for_raw_units_integrates_in_its_own():
+    # Rayleigh(1e6): raw-unit quadrature of log2(1 + h^2) errs by 0.08 and warns;
+    # h^2 is exponential with mean mu = 2e12, so E ln(1 + h^2) = e^(1/mu) E1(1/mu)
+    from scipy import special
+
+    mu = 2e12
+    want = math.exp(1 / mu) * special.exp1(1 / mu) / math.log(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and quad's own warning stays quiet
+        got = shannon_ergodic_capacity(Rayleigh(1e6), 1.0)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert want == pytest.approx(40.0304, abs=1e-4)
 
 
 def test_atomic_laws_expect_exactly_over_their_atoms():
