@@ -22,8 +22,10 @@ import os
 import secrets
 import sys
 import traceback
+from dataclasses import replace
 
 from .bounds import min_distance_lower_bound, rate_report
+from .channel import SIGMA2
 from .codebook import PLAN_KEYS, ConcatCodebook, codewords_csv, plan_params
 from .config import Key, epilog, owned_defaults, resolve
 from .errors import ValidationFailure
@@ -57,7 +59,7 @@ BOUNDS_KEYS = {
     "n": Key(float, "block length", min=2, required=True),
     "log2_size": Key(float, "log2 of the codebook size", min=0, required=True),
     "power_bound": Key(float, "energy budget A", default=1.0),
-    "sigma2": Key(float, "noise variance (used for the distance lower bound)", min=0, default=1.0),
+    "sigma2": replace(SIGMA2, help="noise variance (used for the distance lower bound)"),
     "lambda1": Key(float, "type-I error budget", min=0, default=0.0),
     "lambda2": Key(float, "type-II error budget", min=0, default=0.0),
     "d_min": Key(float, "minimum distance; derived from the error budgets if omitted"),

@@ -2,6 +2,11 @@
 
 A table maps each dotted key (``trials.identities``) to a ``Key``.
 Anything a table does not describe is refused, never dropped.
+
+``WORK_BYTES`` is the one size every layer's bulk step works in: a block
+of trials or of moment-grid noise, a block of fading draws, a block of
+packing squares, a GF(p) product of the encoder.  Each layer reads it
+through ``work_count`` when it runs, and no output depends on it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+WORK_BYTES = 1 << 18  # 256 KiB: about what one step of a bulk loop makes at once
 NUMBER = (int, float)  # a number, kept as given rather than made a float
 _UNSET = object()
 _NAMES = {int: "an integer", float: "a number", NUMBER: "a number", bool: "true or false",
@@ -72,6 +78,11 @@ class Key:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
         return built if isinstance(value, list) else built[0]
+
+
+def work_count(item_bytes: int) -> int:
+    """How many items of item_bytes fit in WORK_BYTES; at least one."""
+    return max(1, WORK_BYTES // item_bytes)
 
 
 def owned_defaults(fn: Callable, table: dict[str, Key]) -> dict[str, Key]:

@@ -53,11 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import work_count
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingMoments, quantile_abs
 
 DEVIATION_SCALE = 1.0  # the default scale of every threshold's deviation term
-CENTER_BYTES = 1 << 16  # cap on a slow-fading block's centers made at once
 
 
 def noise_moments(n: int, sigma2: float) -> tuple[float, float]:
@@ -81,8 +81,9 @@ def impostor_moments(verifier, u, u_sent, m: FadingMoments) -> tuple[float, floa
 def statistic(verifier, Y: np.ndarray, u: np.ndarray, H) -> np.ndarray:
     """Ball statistic of each row of Y: sum_j (Y_j - verifier.center(u, H)_j)^2.
     Y ends as the squared differences, and a fast-fading H as h*u; with one
-    coefficient per row, the centers h_r*u go CENTER_BYTES of rows at a time."""
-    step = max(1, CENTER_BYTES // (8 * Y.shape[-1])) if np.ndim(H) == 1 else max(1, len(Y))
+    coefficient per row, the centers h_r*u go a quarter of ``config.WORK_BYTES``
+    (64 KiB) of rows at a time."""
+    step = work_count(4 * 8 * Y.shape[-1]) if np.ndim(H) == 1 else max(1, len(Y))
     for r in range(0, len(Y), step):
         Y[r:r + step] -= verifier.center(u, None if H is None else H[r:r + step])
     np.square(Y, out=Y)

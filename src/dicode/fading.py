@@ -24,12 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Key, resolve
+from .config import Key, resolve, work_count
 from .errors import DegenerateFadingError, QuadratureError
 
 _QUAD_REL = 1e-10  # target passed to quad; contract is 1e-8 relative
 _MOMENT_REL = 1e-8
-_SAMPLE_BLOCK = 1 << 16  # entries per block of a law that draws in blocks (_blocks)
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,11 @@ def _quad(g: Callable[[float], float]) -> tuple[float, float]:
 
 
 def _blocks(out: np.ndarray):
-    """C-contiguous flat views of out, _SAMPLE_BLOCK entries each, in order."""
+    """C-contiguous flat views of out, ``config.WORK_BYTES`` (256 KiB) each, in order."""
     if not out.flags.c_contiguous:  # reshape would copy, losing the draws
         raise ValueError("a law that draws in blocks fills only C-contiguous arrays")
-    flat = out.reshape(-1)
-    return (flat[i:i + _SAMPLE_BLOCK] for i in range(0, flat.size, _SAMPLE_BLOCK))
+    flat, step = out.reshape(-1), work_count(out.itemsize)
+    return (flat[i:i + step] for i in range(0, flat.size, step))
 
 
 def _plain(value):  # a parameter as its record holds it: tuples become lists
@@ -342,13 +341,17 @@ class DiscreteMixture(FadingDistribution):
     def _fill(self, rng, out):
         # Generator.choice(len(atoms), size, p=probs) without its checks of p:
         # the same uniforms, and the count of cdf entries <= u (searchsorted
-        # right), block by block so the temporaries stay small
+        # right), block by block so the temporaries stay small.  Every u is
+        # below the last entry, 1.0, so only the others are counted; a one-atom
+        # law keeps its 1.0, which counts 0 for every u
+        first, *rest = self._cdf[:-1] if len(self._cdf) > 1 else self._cdf
+        dtype = np.min_scalar_type(len(self._cdf) - 1)
         for u in _blocks(out):
             rng.random(out=u)
-            idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(self._cdf)))
-            for c in self._cdf:
+            idx = np.greater_equal(u, first, out=np.empty(u.shape, dtype))
+            for c in rest:
                 idx += u >= c
-            u[...] = self._values[idx]
+            np.take(self._values, idx, out=u, mode="clip")  # unbuffered; idx is in range
 
 
 _LAWS = {law.TYPE: law for law in (Constant, Rayleigh, Rician, Nakagami, DiscreteMixture)}

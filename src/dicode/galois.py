@@ -369,9 +369,11 @@ class ExtensionContext:
         if self.base is None:
             return np.ones((1, 1), dtype=np.float32)
         unit = [p**j for j in range(D)]
-        cols = [[int_to_digits(self._poly_product(b, c), p, D) for c in unit] for b in unit]
-        return np.ascontiguousarray(
-            np.array(cols, dtype=np.float32).transpose(0, 2, 1).reshape(D, D * D))
+        basis = np.empty((D, D, D), dtype=np.float32)  # [l, :, j]: coordinates of p^l * p^j
+        for l, b in enumerate(unit):
+            for j, c in enumerate(unit):
+                basis[l, :, j] = _digits(self._poly_product(b, c), p, D)
+        return basis.reshape(D, D * D)
 
     def _require_int8_coordinates(self) -> None:
         D, p = self.prime_degree, self.p

@@ -22,14 +22,14 @@ Each verified codeword's threshold is computed once per run.  A slot
 sends its trials in blocks of rows: trial t's generator draws the
 fading, then the noise, into row t of the block (``channel.transmit``),
 and one ``verify`` call decides the whole block in its own memory.  A
-block holds at most ``BLOCK_BYTES`` of received words, so memory stays
-flat in the trial count and the block length; the verdicts are the ones
-a trial-by-trial loop gives.  Each worker thread allocates one (Y, H)
-block pair and its generator once and reuses them for every block it
-sends, a short last block in the leading rows, and one iterator of the
-slot's streams feeds all its blocks.  So the trial loop makes no
-block-sized allocation, for any channel: no page-fault or unmap churn,
-and no thread waits on another's memory-map changes.
+block holds at most ``config.WORK_BYTES`` (256 KiB) of received words,
+so memory stays flat in the trial count and the block length; the
+verdicts are the ones a trial-by-trial loop gives.  Each worker thread
+allocates one (Y, H) block pair and its generator once and reuses them
+for every block it sends, a short last block in the leading rows, and
+one iterator of the slot's streams feeds all its blocks.  So the trial
+loop makes no block-sized allocation, for any channel: no page-fault or
+unmap churn, and no thread waits on another's memory-map changes.
 A run builds its verifier first, through ``decoder.build_verifier``, so
 a channel its mode does not serve, or outage keys without an outage
 rule, are refused before the codebook is built.
@@ -43,8 +43,8 @@ from its label, so the cells run on every core this process may use
 (``os.sched_getaffinity``) and the rows do not depend on how many.
 Each thread reuses one chunk of fading buffer and two block buffers, the
 received words and h * u_sent, for all its cells: the noise goes in row
-blocks of at most ``BLOCK_BYTES``, and the rows equal whole-chunk draws
-bit for bit.
+blocks of at most ``config.WORK_BYTES``, and the rows equal whole-chunk
+draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Outage verdicts are excluded
@@ -71,7 +71,7 @@ import numpy as np
 from .channel import (CHANNELS, SIGMA2, ChannelModel, FastFading, block_buffers, parse_channel,
                       transmit)
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
-from .config import Key, owned_defaults, resolve
+from .config import Key, owned_defaults, resolve, work_count
 from .decoder import (GRID_MODES, VERIFIERS, CsiFast, NoCsi, build_verifier, impostor_moments,
                       statistic)
 from .fading import FadingDistribution, parse_distribution
@@ -82,10 +82,6 @@ _TAG_IDENTITIES = 0
 _TAG_TYPE1 = 1
 _TAG_TYPE2 = 2
 _TAG_PAIRS = 3
-
-# cap on the float64 rows of one block: a trial slot sends, and a
-# moment-grid cell draws noise for, max(1, BLOCK_BYTES // (8 n)) rows at a time
-BLOCK_BYTES = 1 << 20
 
 # (required, optional) keys of each codebook type, below `codebook.`
 _CODEBOOK_KEYS = {"concat": (tuple(k for k, key in PLAN_KEYS.items() if key.required),
@@ -426,7 +422,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     codewords = {i: np.asarray(book.encode(i), dtype=float)
                  for i in dict.fromkeys(i for s in slots for i in s[:2])}
     taus = {ver: verifier.threshold(codewords[ver]) for ver in dict.fromkeys(s[1] for s in slots)}
-    rows = min(max(1, BLOCK_BYTES // (8 * book.n)), max(s[-1] for s in slots))
+    rows = min(work_count(8 * book.n), max(s[-1] for s in slots))
     local = threading.local()
 
     def run_slot(k: int):
@@ -445,8 +441,10 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
                             out=(Y0[:m], None if H0 is None else H0[:m]))
             accept, outage = verifier.verify(Y, u, H, taus[ver])  # in Y's (and H's) memory
             hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
-            zero = (H == 0.0) & ~outage if slow else np.zeros_like(outage)
-            out += (hit.sum(), outage.sum(), zero.sum(), (hit & zero).sum())
+            out[:2] += hit.sum(), outage.sum()
+            if slow:
+                zero = (H == 0.0) & ~outage
+                out[2:] += zero.sum(), (hit & zero).sum()
         return [int(c) for c in out]
 
     counts = _map_slots(run_slot, len(slots), cfg.workers)
@@ -694,7 +692,7 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
                     cells.append((label, stat_name, dist, verifier, u_center, sent,
                                   impostor_moments(verifier, u_center, sent, m)))
     chunk = min(cfg.chunk, cfg.draws)
-    block_rows = min(max(1, BLOCK_BYTES // (8 * cfg.n)), chunk)
+    block_rows = min(work_count(8 * cfg.n), chunk)
     local = threading.local()
 
     def run_cell(cell) -> tuple[list[MomentCheckRow], float]:

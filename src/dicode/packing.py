@@ -39,13 +39,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import NUMBER, Key, owned_defaults, resolve
+from .config import NUMBER, Key, owned_defaults, resolve, work_count
 from .errors import InfeasibleError
 
 PROFILES = ("basic", "fourth-moment", "norm-concentrated")
 _SCHEMA = 1
 _SLACK = 4 * np.finfo(float).eps  # times n + 4: over twice what two n-term float64 sums differ by
-NORM_BLOCK_BYTES = 1 << 20  # square_sums squares about this much of a matrix at a time
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,10 +130,10 @@ def square_sums(rows: np.ndarray, fourth: bool = False):
 
     Bit for bit ``np.sum(rows**2, axis=1)`` and ``np.einsum("ij,ij->i", rows**2,
     rows**2)``: every row meets the same reduction, but the squares are made
-    ``NORM_BLOCK_BYTES`` of rows at a time in one reused buffer.
+    ``config.WORK_BYTES`` (256 KiB) of rows at a time in one reused buffer.
     """
     m, n = rows.shape
-    step = max(1, NORM_BLOCK_BYTES // (8 * max(n, 1)))
+    step = work_count(8 * max(n, 1))
     squares = np.empty((min(step, m), n))
     s2, s4 = np.empty(m), np.empty(m) if fourth else None
     for r0 in range(0, m, step):

@@ -15,7 +15,9 @@ first i basis elements, whose vanishing polynomial L_i is linearized
 over the first points from the same maps.  ``encode`` (scalar Horner)
 is its oracle; ``encode_digits`` (vector Horner on the digit matrices of
 a tabled base, its points from ``split_digits``) remains as tested
-reference code, which the benchmark tracer wraps by name.
+reference code, which the benchmark tracer wraps by name.  Each product
+takes a block of nodes or coefficients whose float32 temporaries stay
+near ``config.WORK_BYTES`` (256 KiB).
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import work_count
 from .galois import FLOAT32_EXACT, ExtensionContext, reduce_mod, split_digits
-
-# float32 temporaries of one block of nodes or coefficients stay near this
-WORK_BYTES = 1 << 18
 
 
 def _divide(v: np.ndarray, lower: np.ndarray, P: int, p: int) -> None:
@@ -43,7 +43,7 @@ def _divide(v: np.ndarray, lower: np.ndarray, P: int, p: int) -> None:
     """
     nodes, _, N, D = v.shape
     i = lower.shape[1] // D
-    width = max(1, min(P - P // p, WORK_BYTES // (4 * lower.shape[1] * nodes * max(N, 1))))
+    width = min(P - P // p, work_count(4 * lower.shape[1] * nodes * max(N, 1)))
     exact = p + (i + 1) * D * (p - 1) ** 2 < FLOAT32_EXACT  # i + 1 products sum exactly
     for hi in range(v.shape[1], P, -width):
         lo = max(P, hi - width)
@@ -111,7 +111,7 @@ class RSCode:
         for i in range(len(levels) - 1, -1, -1):
             _, lower, child = levels[i]
             P, size = p**i, p ** (i + 1)
-            step = max(1, WORK_BYTES // (4 * p * D * (P * N + D)))
+            step = work_count(4 * p * D * (P * N + D))
             for a in range(0, len(child), step):
                 b = min(a + step, len(child))
                 g = buf[a * size : b * size].reshape(b - a, size, N, D)
@@ -146,7 +146,7 @@ class RSCode:
                 terms = np.hstack([-F.mul_matrices(gamma)[0].T.astype(np.float32), lower])
                 new = np.zeros((deg + P + 1, D), dtype=np.float32)
                 new[P:] = poly[: deg + 1]  # the monic x^P term
-                rows = max(1, WORK_BYTES // (4 * terms.shape[1]))
+                rows = work_count(4 * terms.shape[1])
                 for a in range(0, deg + 1, rows):
                     b = min(a + rows, deg + 1)
                     prod = reduce_mod(poly[a:b] @ terms, p)
@@ -178,7 +178,7 @@ class RSCode:
         A, coef, maps = np.eye(D, dtype=np.int64), np.eye(D, 1, dtype=np.int64), []
         while p ** len(maps) < self.length:
             i = len(maps)
-            count, step = -(-self.length // p ** (i + 1)) * p, max(1, WORK_BYTES // (4 * D * D))
+            count, step = -(-self.length // p ** (i + 1)) * p, work_count(4 * D * D)
             child = np.empty((count, D, D), dtype=np.int8)
             for a in range(0, count, step):
                 gamma = F.coordinates(np.arange(a, min(a + step, count)) * p**i) @ A.T % p

@@ -114,6 +114,15 @@ def test_simulate_defaults_read_from_one_class_are_every_class_default():
         assert {f.name: f.default for f in dataclasses.fields(verifier)}["deviation_scale"] == scale
 
 
+def test_bounds_reads_sigma2_from_the_one_noise_variance_key():
+    # `dicode bounds` keeps its own help text only
+    from dicode.cli import BOUNDS_KEYS
+
+    key = BOUNDS_KEYS["sigma2"]
+    assert (key.type, key.min, key.default) == (SIGMA2.type, SIGMA2.min, SIGMA2.default)
+    assert key == dataclasses.replace(SIGMA2, help=key.help) and key.help != SIGMA2.help
+
+
 # each builder takes the one value under test, as the field its refusals name
 BUILDERS = {
     "awgn": ("sigma2", lambda x: Awgn(x)),

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dicode import decoder
+from dicode import config
 from dicode.decoder import (
     CsiFast,
     CsiSlow,
@@ -345,8 +345,9 @@ def test_block_verify_decides_every_row_by_its_ball_statistic():
 def test_verify_takes_the_statistic_in_the_blocks_own_memory(rows, monkeypatch):
     # Y ends as the squared differences from the center, and a fast-fading H
     # as h*u; a slow-fading H, read again for the outage, is left as it was.
-    # Slow-fading centers go two rows at a time here, so 5 rows take three goes
-    monkeypatch.setattr(decoder, "CENTER_BYTES", 2 * 8 * 32)
+    # Slow-fading centers go two rows at a time here (a quarter of WORK_BYTES),
+    # so 5 rows take three goes
+    monkeypatch.setattr(config, "WORK_BYTES", 4 * 2 * 8 * 32)
     n, sigma2 = 32, 1.0
     u, cases = _block_cases(rows, n, sigma2, np.random.default_rng(4))
     for spec, Y, H, centers, want_outage in cases:

@@ -277,14 +277,17 @@ def test_discrete_sampler_lookup_equals_searchsorted(name):
     for x in u:
         got = law.sample(_Uniforms(float(x)))
         assert type(got) is np.float64 and got == values[cdf.searchsorted(x, side="right")]
-    # both count every entry, the last one included, so u = 1 runs past the last atom
-    with pytest.raises(IndexError):
-        law.sample(_Uniforms(np.array([1.0])), 1)
+    # the last entry is exactly 1.0, above every draw, so the sampler leaves it
+    # out: a u of 1, which Generator.random never draws, reads the last atom
+    # where a count of every entry would run past it
+    assert cdf[-1] == 1.0
+    assert law.sample(_Uniforms(np.array([1.0])), 1)[0] == values[-1]
     with pytest.raises(IndexError):
         values[cdf.searchsorted(np.array([1.0]), side="right")]
 
 
-# (3, 50_000): more than two sampling blocks of 2^16 uniforms, not a multiple of one
+# (3, 50_000): more than four sampling blocks of 2^15 uniforms, the 256 KiB of
+# WORK_BYTES, and not a multiple of one
 @pytest.mark.parametrize("size", [None, 1, 1000, (40, 7), (3, 50_000)], ids=repr)
 @pytest.mark.parametrize("name", sorted(MIXTURES))
 def test_discrete_sampler_draws_what_numpy_choice_draws(name, size):
@@ -315,7 +318,7 @@ LAWS = {
 @pytest.mark.parametrize("shape", [(), (1,), (40, 7), (3, 50_000)], ids=repr)
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_filling_a_buffer_draws_what_sampling_a_size_draws(name, shape):
-    # (3, 50_000) fills a discrete or Rician law's buffer in three blocks, the last partial
+    # (3, 50_000) fills a discrete or Rician law's buffer in five blocks, the last partial
     law = LAWS[name]
     sized, filled = np.random.default_rng(12), np.random.default_rng(12)
     buf = np.full(shape, np.nan)

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dicode import config as config_mod
 from dicode.channel import FastFading
 from dicode.errors import DegenerateFadingError
 from dicode.harness import (
@@ -617,7 +618,7 @@ def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
     cfg = MomentGridConfig(distributions=laws, n=16, draws=17, chunk=7, seed=8, pair_count=2,
                            sigma2=0.7)
     want = _reference_grid(cfg)
-    monkeypatch.setattr(harness_mod, "BLOCK_BYTES", 8 * 16 * 3)
+    monkeypatch.setattr(config_mod, "WORK_BYTES", 8 * 16 * 3)
     calls = Counter()
     for cls in (FadingDistribution, Constant):  # every law's moments() is one of these
         def counted(self, _moments=cls.moments):
@@ -660,7 +661,7 @@ def test_moment_grid_peak_memory_is_one_chunk_buffer_per_thread(monkeypatch, law
 
     monkeypatch.setattr(harness_mod, "_usable_cores", lambda: threads)
     cfg = MomentGridConfig(distributions=(law,), n=64, draws=20_000, pair_count=1)
-    per_thread = cfg.chunk * cfg.n * 8 + 2 * harness_mod.BLOCK_BYTES
+    per_thread = cfg.chunk * cfg.n * 8 + 2 * config_mod.WORK_BYTES
     tracemalloc.start()
     try:
         report = moment_validation(cfg)
@@ -720,7 +721,7 @@ _SMALL_PACKING = {"type": "packing", "profile": "norm-concentrated",
 _SKEWED = {"type": "discrete", "atoms": [[0.5, 0.6], [1.5, 0.2], [2.0, 0.2]]}
 _ATOM_AT_ZERO = {"type": "discrete", "atoms": [[0.0, 0.3], [0.2, 0.2], [1.0, 0.5]]}
 
-# name -> (config overrides, BLOCK_BYTES); 8 bytes per coordinate, so
+# name -> (config overrides, WORK_BYTES); 8 bytes per coordinate, so
 # 8 * 64 * 3 gives three-row blocks and a short last block.  Loud noise and
 # a narrow ball make every case reject some genuine and accept some
 # impostor trials.  The long-slot case has a two-word seed and slots of
@@ -804,7 +805,7 @@ def test_engine_counts_match_a_trial_by_trial_loop(case, monkeypatch):
     import dicode.harness as harness_mod
 
     overrides, block_bytes = ENGINE_CASES[case]
-    monkeypatch.setattr(harness_mod, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(config_mod, "WORK_BYTES", block_bytes)
     trials = {"identities": 4, "per_identity": 10, "pairs": 5, "per_pair": 7,
               "min_distance_pairs": 2}
     overrides = {"trials": trials, **overrides}
@@ -830,10 +831,13 @@ def test_engine_counts_match_a_trial_by_trial_loop(case, monkeypatch):
     assert (res["outage"]["outages"] > 0) == case.endswith("outage")
 
 
-def test_trial_engine_holds_one_block_of_words_per_worker():
+def test_trial_engine_holds_one_block_of_words_per_worker(monkeypatch):
     # 2 workers, AWGN, 8 slots of 2048 trials at n = 64: each worker's block
-    # of received words is BLOCK_BYTES, and verify decides it in its own memory
-    from dicode.harness import BLOCK_BYTES
+    # of received words is WORK_BYTES, and verify decides it in its own memory.
+    # The block is pinned at 1 MiB: the seeding's fixed 0.3 MB would be over a
+    # block at the 256 KiB default, and the bound tells blocks, not seeding
+    block = 1 << 20
+    monkeypatch.setattr(config_mod, "WORK_BYTES", block)
 
     def config(per_identity):
         return small_config(
@@ -845,13 +849,63 @@ def test_trial_engine_holds_one_block_of_words_per_worker():
     run_experiment(config(1))  # the lazy imports and caches of a first run
     tracemalloc.start()
     try:
-        run_experiment(config(BLOCK_BYTES // (8 * 64)))
+        run_experiment(config(block // (8 * 64)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # about 2.3 blocks: the two words blocks and each thread's seeding; a
     # scratch block per worker besides would make it 4.3
-    assert peak <= 2.75 * BLOCK_BYTES, peak / BLOCK_BYTES
+    assert peak <= 2.75 * block, peak / block
+
+
+# name -> a run whose outputs must not depend on WORK_BYTES.  At the 256 KiB
+# default each one cuts some step into several work blocks that 1 MiB takes
+# whole: trial blocks (rows of n = 500 and 512 words), slow-fading center
+# rows, moment-grid fill and noise blocks (a 100 x 512 chunk), and the
+# encoder's coefficient widths at n = 3000
+_WIDE_PACKING = {"type": "packing", "profile": "norm-concentrated",
+                 "spec": {"n": 512, "target_size": 8, "power_bound": 4.0,
+                          "sampling_power": 2.0, "distance_exponent": 0.05, "seed": 3}}
+_WIDE_TRIALS = {"identities": 3, "per_identity": 100, "pairs": 2, "per_pair": 100,
+                "min_distance_pairs": 1}
+
+
+def _simulate(**overrides):
+    return run_experiment(small_config(trials=_WIDE_TRIALS, **overrides)).canonical_json()
+
+
+def _concat_words():
+    from dicode.codebook import ConcatCodebook, plan_params
+
+    book = ConcatCodebook(plan_params(n=3000, a=0.035, power_bound=1.0))
+    return [book.encode(i).tobytes() for i in (12345, book.close_partner(12345))]
+
+
+WORK_CASES = {
+    "concat/awgn/csi-fast": _simulate,
+    "packing/fast/no-csi": lambda: _simulate(
+        channel={"type": "fast-fading", "sigma2": 4.0, "fading": _SKEWED},
+        codebook=_WIDE_PACKING, verifier={"mode": "no-csi"}),
+    "packing/slow/csi-slow": lambda: _simulate(
+        channel={"type": "slow-fading", "sigma2": 4.0, "fading": _ATOM_AT_ZERO},
+        codebook=_WIDE_PACKING, verifier={"mode": "csi-slow"}, outage_eta=0.1,
+        allow_degenerate_outage=True),
+    "moments/two-laws": lambda: moment_validation(MomentGridConfig(
+        distributions=(Rician(1.5, 2.0), DiscreteMixture(((0.5, 0.6), (1.5, 0.2), (2.0, 0.2)))),
+        modes=("nocsi",), n=512, draws=100, seed=4, pair_count=1)).rows,
+    "concat/encode": _concat_words,
+}
+
+
+@pytest.mark.parametrize("work_bytes", [1 << 20, 1], ids=["1MiB", "1B"])
+@pytest.mark.parametrize("case", sorted(WORK_CASES))
+def test_outputs_do_not_depend_on_work_bytes(case, work_bytes, monkeypatch):
+    # the same report bytes, moment rows and codewords as at the default;
+    # at one byte every count derived from WORK_BYTES (rows, fill entries,
+    # coefficient widths, center rows) is one, not zero
+    want = WORK_CASES[case]()
+    monkeypatch.setattr(config_mod, "WORK_BYTES", work_bytes)
+    assert WORK_CASES[case]() == want
 
 
 def test_zero_mean_law_warns_on_the_batched_path():

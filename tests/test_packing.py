@@ -19,7 +19,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from dicode import packing
+from dicode import config
 from dicode.cli import main
 from dicode.errors import InfeasibleError
 from dicode.harness import ArrayCodebook, wilson_interval
@@ -355,7 +355,7 @@ def test_norms_by_row_block_equal_the_whole_matrix(spec, profile, monkeypatch):
     rows = 2 * spec.target_size
     for block_rows in (1, rows - 1, None):
         if block_rows:
-            monkeypatch.setattr(packing, "NORM_BLOCK_BYTES", 8 * spec.n * block_rows)
+            monkeypatch.setattr(config, "WORK_BYTES", 8 * spec.n * block_rows)
         assert _outcome(generate_expurgated, spec, profile) == want, block_rows
         vectors, _ = generate_expurgated(spec, profile)
         sq = ArrayCodebook(vectors)._sq

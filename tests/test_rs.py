@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dicode import rs
+from dicode import config, rs
 from dicode.galois import (
     TABLE_LIMIT,
     digits_to_int,
@@ -136,7 +136,7 @@ def _coords(msg, p, D):
 def test_coordinate_encode_matches_scalar_encode(p, m, k, length, dim, sizes, monkeypatch):
     ext = make_extension(make_field(p, m, seed=3), k, seed=3)
     if SIZES[sizes] is not None:
-        monkeypatch.setattr(rs, "WORK_BYTES", SIZES[sizes])
+        monkeypatch.setattr(config, "WORK_BYTES", SIZES[sizes])
     code = RSCode(ext, length=length, dim=dim)
     _batch_matches_scalar(code, 4, length)
     # one level per base-p digit of the largest point
@@ -197,7 +197,7 @@ def _naive_vanishing(F, count):
 def test_vanishing_polynomial_matches_the_naive_product(name, sizes, monkeypatch):
     # counts 0, 1, p^i - 1, p^i and p^i + 1: whole cosets, and one point on either side
     if SIZES[sizes] is not None:
-        monkeypatch.setattr(rs, "WORK_BYTES", SIZES[sizes])
+        monkeypatch.setattr(config, "WORK_BYTES", SIZES[sizes])
     F = _field(*FIELDS[name])
     p = F.p
     code = RSCode(F, F.q, 1)
