@@ -41,10 +41,12 @@ from .harness import (
 )
 from .packing import (
     PROFILES,
+    PROJECTION_KEYS,
     SPEC_KEYS,
     PackingSpec,
     check_projection_property,
     generate_expurgated,
+    projection_subset,
     vectors_csv,
     verify_packing,
 )
@@ -75,12 +77,7 @@ PACKING_KEYS = {
         "profile": Key(str, "expurgation profile", choices=PROFILES)}),
     "check_projection": Key(bool, "also run the projected-distance check, which alone reads "
                                    "the projection.* keys", default=False),
-    **owned_defaults(check_projection_property, {
-        "projection.mu": Key(float, "fraction of coordinates that survive projection"),
-        "projection.alpha": Key(float, "projected distances must reach n^alpha"),
-        "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
-                               choices=("exhaustive", "sampled")),
-        "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1)}),
+    **PROJECTION_KEYS,
 }
 
 
@@ -241,14 +238,11 @@ def cmd_packing(args) -> int:
         spec_cfg["seed"] = _seed(args, spec_cfg.get("seed"))
     kw = resolve(cfg, PACKING_KEYS)
     spec, proj = PackingSpec(**kw["spec"]), kw["projection"]
-    if not 0 < proj["mu"] <= 1:
-        raise ValueError(f"projection.mu must lie in (0, 1], got {proj['mu']!r}")
+    # before sampling; the loop below refuses the mode of a scan that will not run
+    projection_subset(spec.n, proj["mu"], proj["mode"] if kw["check_projection"] else "sampled")
     for name, value in proj.items():  # the run echoes the defaults, so only they pass
         if not kw["check_projection"] and value != PACKING_KEYS[f"projection.{name}"].default:
             raise ValueError(f"projection.{name} is read only with check_projection true")
-    if proj["mode"] == "exhaustive" and spec.n > 16:
-        raise ValueError("projection.mode exhaustive scans every subset, so spec.n must be "
-                         f"at most 16, got {spec.n}")
     vectors, report = generate_expurgated(spec, kw["profile"])
     problems = verify_packing(vectors, spec, report.profile)
     if problems:

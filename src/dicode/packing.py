@@ -263,14 +263,19 @@ class ProjectionReport:
     subsets_per_pair: int
 
 
-def check_projection_property(
-    vectors: np.ndarray,
-    mu: float = 1.0,
-    alpha: float = 0.25,
-    mode: str = "sampled",
-    sample_count: int = 200,
-    seed: int = 0,
-) -> ProjectionReport:
+def projection_subset(n: int, mu: float, mode: str) -> int:
+    """ceil(mu n), the coordinates a projection keeps: mu in (0, 1], and n <= 16 if exhaustive."""
+    if not 0 < mu <= 1:
+        raise ValueError(f"projection.mu must lie in (0, 1], got {mu!r}")
+    if mode == "exhaustive" and n > 16:
+        raise ValueError("projection.mode exhaustive scans every subset, so spec.n must be "
+                         f"at most 16, got {n}")
+    return max(1, math.ceil(mu * n - 1e-9))
+
+
+def check_projection_property(vectors: np.ndarray, mu: float = 1.0, alpha: float = 0.25,
+                              mode: str = "sampled", sample_count: int = 200,
+                              seed: int = 0) -> ProjectionReport:
     """Distance between projections onto coordinate subsets of size >= mu n.
 
     Exhaustive mode scans all subsets of size ceil(mu n) (projections
@@ -278,28 +283,23 @@ def check_projection_property(
     binding one) and certifies the minimum; it is restricted to n <= 16.
     Sampled mode draws random subsets and reports the smallest projected
     distance seen, which upper-bounds the truth but certifies nothing.
-    The pass criterion compares against n^alpha.
+    The pass criterion compares against n^alpha.  Refuses, with its text,
+    what `dicode packing` refuses of its projection.* keys (PROJECTION_KEYS).
     """
+    kw = resolve({"mu": mu, "alpha": alpha, "mode": mode, "sample_count": sample_count},
+                 PROJECTION_KEYS, "projection.")
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) < 2:
         raise ValueError("need at least two vectors")
-    n = vectors.shape[1]
-    if not 0 < mu <= 1:
-        raise ValueError("mu must lie in (0, 1]")
-    subset = max(1, math.ceil(mu * n - 1e-9))
-    threshold = n**alpha
+    n, mode = vectors.shape[1], kw["mode"]
+    subset = projection_subset(n, kw["mu"], mode)
+    threshold = n ** kw["alpha"]
     if mode == "exhaustive":
-        if n > 16:
-            raise ValueError("exhaustive projection scan is limited to n <= 16")
         sel = np.array(list(itertools.combinations(range(n), subset)))
         per_pair = len(sel)
-    elif mode == "sampled":
-        if sample_count < 1:
-            raise ValueError("sampled mode needs sample_count >= 1")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        per_pair = sample_count
     else:
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        per_pair = kw["sample_count"]
     pair_minima = []
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -309,15 +309,17 @@ def check_projection_property(
             pair_minima.append((i, j, float(np.sqrt(gaps[sel].sum(axis=1).min()))))
     overall = min(best for _, _, best in pair_minima)
     return ProjectionReport(
-        mode=mode,
-        subset_size=subset,
-        threshold=threshold,
-        certified=mode == "exhaustive",
-        overall_min=overall,
-        passed=overall >= threshold,
-        pair_minima=tuple(pair_minima),
-        subsets_per_pair=per_pair,
-    )
+        mode=mode, subset_size=subset, threshold=threshold, certified=mode == "exhaustive",
+        overall_min=overall, passed=overall >= threshold, pair_minima=tuple(pair_minima),
+        subsets_per_pair=per_pair)
+
+
+PROJECTION_KEYS = owned_defaults(check_projection_property, {
+    "projection.mu": Key(float, "fraction of coordinates that survive projection"),
+    "projection.alpha": Key(float, "projected distances must reach n^alpha"),
+    "projection.mode": Key(str, "scan every subset (n <= 16) or sample them",
+                           choices=("exhaustive", "sampled")),
+    "projection.sample_count": Key(int, "subsets per pair in sampled mode", min=1)})
 
 
 def vectors_csv(vectors: np.ndarray):

@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 import shlex
+import warnings
 
 import pytest
 
@@ -27,7 +28,7 @@ from dicode.config import _UNSET, resolve
 from dicode.decoder import GRID_MODES, VERIFIERS
 from dicode.fading import Constant, DiscreteMixture, Nakagami, Rayleigh, Rician
 from dicode.harness import CONFIG_KEYS, ExperimentConfig, MomentGridConfig, moment_validation
-from dicode.packing import PackingSpec
+from dicode.packing import PackingSpec, check_projection_property
 
 
 def run(argv):
@@ -242,6 +243,18 @@ def test_bounds_takes_error_budgets_far_below_the_double_spacing_at_one(tmp_path
     assert payload["d_min"] == payload["d_min_from_error_budgets"]
 
 
+def test_bounds_integrates_a_wide_law_without_a_word_on_stderr(tmp_path, capsys):
+    # Rayleigh(1e6) is too wide for the raw-unit quadrature: integrated again in units
+    # of its scale, the run exits 0 with nothing on stderr, not even quad's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["bounds", "--outdir", str(tmp_path), "--set", "n=1024",
+                    "--set", "log2_size=512", "--set", "d_min=4.0",
+                    "--set", 'fading={"type": "rayleigh", "scale": 1e6}', "--set", "snr=1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- moments ---------------------------------------------------------------
 
 
@@ -332,6 +345,22 @@ def test_packing_projection_failure_exits_3_after_writing_its_report(tmp_path, c
     assert (tmp_path / "vectors.csv").exists() and (tmp_path / "resolved_config.json").exists()
 
 
+def test_a_packing_book_simulates_from_its_csv_with_every_survivor(tmp_path, capsys):
+    book, sim = tmp_path / "book", tmp_path / "simulate"
+    spec = ["spec.n=64", "spec.target_size=40", "spec.power_bound=4.0", "spec.sampling_power=2.0",
+            "spec.distance_exponent=0.05", "profile=norm-concentrated"]
+    assert run(["packing", "--outdir", str(book), "--seed", "3",
+                *[arg for item in spec for arg in ("--set", item)]]) == 0
+    sets = ["channel.type=awgn", "codebook.type=csv", f"codebook.path={book / 'vectors.csv'}",
+            *SIM_TRIALS]
+    assert run(["simulate", "--outdir", str(sim), "--seed", "0",
+                *[arg for item in sets for arg in ("--set", item)]]) == 0
+    capsys.readouterr()
+    survivors = json.loads((book / "report.json").read_text())["survivors"]
+    size = json.loads((sim / "report.json").read_text())["results"]["codebook"]["size"]
+    assert size == survivors >= 2
+
+
 def test_packing_infeasible_exits_2(tmp_path, capsys):
     code = run(["packing", "--outdir", str(tmp_path), "--seed", "2",
                 "--set", "spec.n=16", "--set", "spec.target_size=40",
@@ -407,10 +436,11 @@ def test_help_prints_the_default_of_every_key_a_run_fills_in(command, capsys):
     lines = _help_lines(capsys.readouterr().out, COMMANDS[command][2])
     for key in FILLED_IN[command]:
         assert "default " in lines[key], f"{command} --help prints no default for {key}"
-    pins = {"simulate": ("trials.identities", "default 50"), "moments": ("n", "default 64"),
-            "packing": ("profile", 'default "basic"'), "construct": ("eps1", "default 0.1")}
-    key, says = pins[command]
-    assert lines[key].endswith(f", {says}]"), lines[key]
+    pins = {"simulate": [("trials.identities", "default 50")], "moments": [("n", "default 64")],
+            "packing": [("profile", 'default "basic"'), ("projection.mode", 'default "sampled"')],
+            "construct": [("eps1", "default 0.1")]}
+    for key, says in pins[command]:
+        assert lines[key].endswith(f", {says}]"), lines[key]
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--seed", "5"], ["construct", "--format", "csv"],
@@ -567,6 +597,8 @@ BAD_SETTINGS = [
      ["rician expectations are out of the quadrature's reach"]),
     ("simulate", 'codebook={"type": "csv", "path": "words.csv"}',
      ["codebook CSV words.csv entry at row 2, column 2 is 'abc', not a number"]),
+    ("simulate", 'codebook={"type": "csv", "path": "ragged.csv"}',
+     ["codebook CSV ragged.csv is not rectangular: row 2 has length 2, row 1 has length 3"]),
     # seed 1 draws the same one of two identities twice: no random pair can be formed
     ("simulate", 'codebook={"type": "csv", "path": "two.csv"}',
      ["trials.identities = 2 drew one identity only, from a book of 2"]),
@@ -623,6 +655,7 @@ def test_bad_settings_exit_2_naming_the_key(command, setting, says, tmp_path, mo
     err = capsys.readouterr().err
     for text in says:
         assert text in err
+    assert "Traceback" not in err
     assert not out.exists()  # refused before writing anything
 
 
@@ -658,9 +691,11 @@ SEEDED = {"simulate": "seed=1", "moments": "seed=1", "packing": "spec.seed=1"}
 
 
 def _cli_refusal(command, setting, folder, monkeypatch, capsys) -> str:
-    """What `dicode <command>` says, after its prefix, refusing setting over VALID_ARGS."""
+    """What `dicode <command>` says, after its prefix, refusing setting (one --set item
+    or a tuple of them) over VALID_ARGS."""
     seeded = [SEEDED[command]] if command in SEEDED else []
-    sets = _sets(command, [*seeded, setting], folder, monkeypatch)  # setting may set the seed
+    items = [setting] if isinstance(setting, str) else list(setting)
+    sets = _sets(command, [*seeded, *items], folder, monkeypatch)  # setting may set the seed
     assert run([command, "--outdir", str(folder / "out"), *sets]) == 2
     assert not (folder / "out").exists()
     err = capsys.readouterr().err
@@ -711,6 +746,27 @@ def test_packing_specs_refuse_what_dicode_packing_refuses(field, value, setting,
     with pytest.raises(ValueError) as exc:  # the spec's defaults are the table's
         PackingSpec(**{"n": 32, "target_size": 20, "distance_exponent": 0.05, field: value})
     assert str(exc.value) == f"packing spec {said[len('spec.'):]}"
+
+
+# (argument, value) for check_projection_property, and the --set items that ask
+# `dicode packing` for the same scan
+PROJECTION_DRIFT = [("mu", 1.5, "projection.mu=1.5"), ("mu", 0, "projection.mu=0"),
+                    ("alpha", math.nan, "projection.alpha=NaN"),
+                    ("mode", "exhaustiv", "projection.mode=exhaustiv"),
+                    ("mode", "exhaustive", "projection.mode=exhaustive"),
+                    ("sample_count", 0, "projection.sample_count=0"),
+                    ("sample_count", 2.7, "projection.sample_count=2.7")]
+
+
+@pytest.mark.parametrize("field,value,setting", PROJECTION_DRIFT,
+                         ids=[s for *_, s in PROJECTION_DRIFT])
+def test_the_projection_scan_refuses_what_dicode_packing_refuses(field, value, setting, tmp_path,
+                                                                 monkeypatch, capsys):
+    said = _cli_refusal("packing", ("check_projection=true", setting), tmp_path, monkeypatch,
+                        capsys)
+    with pytest.raises(ValueError) as exc:  # vectors of dimension 32, as the run's spec.n
+        check_projection_property([[0.0] * 32, [1.0] * 32], **{field: value})
+    assert str(exc.value) == said
 
 
 def test_hand_built_plan_records_refuse_the_field_seed_dicode_construct_refuses(
@@ -827,7 +883,8 @@ def test_refused_runs_create_no_outdir(command, settings, tmp_path, monkeypatch,
     sets = _sets(command, settings, tmp_path, monkeypatch)
     out = tmp_path / "out"
     assert run([command, "--outdir", str(out), *_seed(command, 1), *sets]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert not out.exists()
 
 
