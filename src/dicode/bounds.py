@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateFadingError
-from .fading import FadingDistribution, quantile_abs
+# FadingDistribution, of dicode.fading, is named here only in annotations
 
 
 def min_distance_lower_bound(lambda_sum: float, sigma: float) -> float:
@@ -72,6 +72,7 @@ def shannon_outage_capacity(dist: FadingDistribution, snr: float, eps: float) ->
         raise ValueError(f"snr: must be positive, got {snr!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly in (0, 1)")
+    from .fading import quantile_abs  # lazily: codebook, for di_rate, loads no fading law
     try:
         radius = quantile_abs(dist, eps)
     except DegenerateFadingError:

@@ -226,7 +226,7 @@ def cmd_moments(args) -> int:
         for r in bad[:10]:
             print(f"  FAIL {r.case} {r.statistic} {r.quantity}: "
                   f"formula {r.formula:.6g} vs estimate {r.estimate:.6g} "
-                  f"({r.deviation:.2f} SE)", file=sys.stderr)
+                  f"({r.deviation:.3g} SE)", file=sys.stderr)
         raise ValidationFailure(f"{len(bad)} moment checks failed")
     return 0
 

@@ -24,13 +24,13 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
 * ``verify(Y, u, H, tau)`` takes a (rows, n) block of received words
   with the matching fading block H (None on AWGN, one coefficient per
   row for slow fading, a (rows, n) block for fast fading) and returns
-  the accept and outage masks.  One body serves all three; only a
-  verifier with an outage rule (``OUTAGE``) forms the outage mask.  Each
-  row is decided by ``statistic``, sum_j (Y_j - center_j)^2, the one
-  definition that the moment grid (``harness.moment_validation``) reads
-  too.  It is taken in the block's own memory: Y is overwritten with the
-  squared differences, and a fast-fading H with h*u, so a call allocates
-  no block-sized array.
+  (accept, outage): outage is the |h| < radius mask of ``CsiSlow``, the
+  one verifier with an outage rule (``OUTAGE``), and None for the others.
+  One body serves all three.  Each row is decided by ``statistic``,
+  sum_j (Y_j - center_j)^2, the one definition that the moment grid
+  (``harness.moment_validation``) reads too.  It is taken in the block's
+  own memory: Y is overwritten with the squared differences, and a
+  fast-fading H with h*u, so a call allocates no block-sized array.
 
 ``CsiFast`` and ``NoCsi`` also give ``statistic_moments(u, u_sent, m)``,
 the closed-form mean and variance of that statistic when u_sent is sent
@@ -110,11 +110,10 @@ class _Ball:
 
 
 def _verify(self, Y, u, H, tau):
-    """(accept, outage) masks of the block Y, decided in its own memory.  Each
-    class binds it as its own ``verify``, the entry perfbench/tracer.py wraps."""
+    """(accept, outage) of block Y; each class binds it as ``verify``, which perfbench wraps."""
     accept = statistic(self, Y, u, H) <= tau
     if not self.OUTAGE:
-        return accept, np.zeros_like(accept)
+        return accept, None
     outage = np.abs(H) < self.outage_threshold  # one coefficient per row, left unchanged
     return accept & ~outage, outage
 

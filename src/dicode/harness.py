@@ -47,11 +47,10 @@ blocks of at most ``config.WORK_BYTES``, and the rows equal whole-chunk
 draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
-type-II error is an accepted impostor.  Outage verdicts are excluded
-from both denominators and reported separately.  On slow-fading trials
-whose realized coefficient is exactly zero the two error kinds are also
-tallied separately, because in that regime their conditional rates must
-sum to one (the verifier sees pure noise either way).
+type-II error is an accepted impostor.  Only csi-slow's ``verify`` returns
+an outage mask: outages leave both denominators and are reported apart, as
+are its trials with h exactly 0, whose two conditional error rates must sum
+to one (the verifier sees pure noise either way).
 """
 
 from __future__ import annotations
@@ -395,7 +394,6 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         warnings.warn("no-csi holds on packing books but not on concatenated ones, whose "
                       "constant-word pair (q1 - 2 sent, q1 - 1 verified) is accepted in "
                       "0.99-1.000 of trials at n >= 15625", RuntimeWarning, stacklevel=2)
-    slow = cfg.channel.FADING_DIMS == 1  # one h per trial: h = 0 silences the whole word
 
     rng_ids = _gen(cfg.seed, _TAG_IDENTITIES)
     identity_ids = [_uniform_index(rng_ids, book.size) for _ in range(cfg.identities)]
@@ -440,11 +438,12 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
             Y, H = transmit(cfg.channel, u_sent, streams,
                             out=(Y0[:m], None if H0 is None else H0[:m]))
             accept, outage = verifier.verify(Y, u, H, taus[ver])  # in Y's (and H's) memory
-            hit = accept if tag == _TAG_TYPE2 else ~(accept | outage)
-            out[:2] += hit.sum(), outage.sum()
-            if slow:
-                zero = (H == 0.0) & ~outage
-                out[2:] += zero.sum(), (hit & zero).sum()
+            hit = accept if tag == _TAG_TYPE2 else ~accept
+            if outage is not None:  # csi-slow: an outage row gives no verdict
+                hit &= ~outage
+                zero = (H == 0.0) & ~outage  # h = 0 silences the whole word
+                out[1:] += outage.sum(), zero.sum(), (hit & zero).sum()
+            out[0] += hit.sum()
         return [int(c) for c in out]
 
     counts = _map_slots(run_slot, len(slots), cfg.workers)
@@ -478,11 +477,10 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         "outage": {"trials": all_trials, "outages": all_outages,
                    "fraction": out_rate, "ci_lo": out_lo, "ci_hi": out_hi},
     }
-    if slow and (zero1["trials"] or zero2["trials"]):
+    if zero1["trials"] or zero2["trials"]:  # only csi-slow reports h = 0 rows
         z1, z2 = zero1["error_rate"], zero2["accept_rate"]
-        # conditioned on h = 0 the verifier sees pure noise either way:
-        # accept probability p gives error rates 1-p (type I) and p
-        # (type II), so their sum must straddle one
+        # given h = 0 the verifier sees pure noise: accepting with probability p
+        # errs 1 - p (type I) and p (type II), so their sum must straddle one
         results["zero_fading"] = {
             "type1": zero1, "type2": zero2,
             "error_sum": (z1 + z2) if (z1 is not None and z2 is not None) else None,

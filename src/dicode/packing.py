@@ -214,7 +214,9 @@ def generate_expurgated(spec: PackingSpec, profile: str = "basic"):
     for row, i in enumerate(survivors):  # i >= row: each row is read before it is overwritten
         if i != row:
             draws[row] = draws[i]
-    draws.resize((count, n))  # refuses, rather than corrupts, should a view of draws exist
+    # no view of draws outlives the call that took it (the row blocks of square_sums and
+    # _distance_survivors), so only a tracer's bound method would trip resize's refcheck
+    draws.resize((count, n), refcheck=False)
     return draws, report
 
 

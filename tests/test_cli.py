@@ -280,6 +280,10 @@ def test_moments_failure_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "validation failed" in captured.err
     assert "FAIL" in captured.err
+    # each FAIL line shows the deviation it failed on, never a rounded 0.00
+    deviations = [float(line.rsplit("(", 1)[1].split()[0])
+                  for line in captured.err.splitlines() if "FAIL" in line]
+    assert deviations and all(d > 0.001 for d in deviations), deviations
     # the report is still written for post-mortems
     assert json.loads((tmp_path / "moments.json").read_text())["failures"] > 0
 

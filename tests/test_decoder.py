@@ -90,7 +90,7 @@ def test_boundary_point_accepts():
     stat = float(np.sum((y - h * u) ** 2))  # one nonzero term, so exact
     assert stat == pytest.approx(spec.threshold(u), rel=1e-12)
     accept, outage = spec.verify(y.copy(), u, h.copy(), stat)  # verify overwrites its block
-    assert accept[0] and not outage[0]
+    assert accept[0] and outage is None  # only csi-slow has an outage rule
     accept, _ = spec.verify(y.copy(), u, h.copy(), np.nextafter(stat, -np.inf))
     assert not accept[0]
 
@@ -114,7 +114,8 @@ def test_unit_constant_fading_collapses_all_three_verifiers():
     assert taus[2] == pytest.approx(taus[0], rel=1e-12)
     for (spec, H), tau in zip(specs, taus):
         accept, outage = spec.verify(y[None].copy(), u, None if H is None else H.copy(), tau)
-        assert accept[0] == (stat <= tau) and not outage[0]
+        assert accept[0] == (stat <= tau)
+        assert not outage[0] if isinstance(spec, CsiSlow) else outage is None
 
 
 def test_genuine_moments_with_csi_are_pure_noise_moments():
@@ -303,7 +304,8 @@ def test_deviation_scale_widens_the_ball():
 
 def _block_cases(rows, n, sigma2, rng):
     """(spec, Y, H, centers, outage) for every verifier and channel it serves,
-    each row of Y genuine or an impostor in turn."""
+    each row of Y genuine or an impostor in turn; outage is the mask verify
+    must return, None without an outage rule."""
     u = rng.normal(0, 1, n)
     sent = np.where(np.arange(rows)[:, None] % 2 == 0, u, u + 1.5)
     H = rng.rayleigh(1.0, (rows, n))
@@ -312,13 +314,12 @@ def _block_cases(rows, n, sigma2, rng):
     h_slow = np.array([0.05, 1.0, -1.0, 2.0, 0.0, 0.7, 1.2, -0.05])[:rows]
     Y_slow = h_slow[:, None] * sent + rng.normal(0, 1, (rows, n))
     m = Rayleigh(1.0).moments()
-    no_outage = np.zeros(rows, dtype=bool)
-    return u, [
-        (CsiFast(sigma2), Y, H, H * u, no_outage),
-        (CsiFast(sigma2), Y_awgn, None, u, no_outage),
+    return u, [  # only csi-slow has an outage rule, so the others return no mask
+        (CsiFast(sigma2), Y, H, H * u, None),
+        (CsiFast(sigma2), Y_awgn, None, u, None),
         (CsiSlow(sigma2, 0.1), Y_slow, h_slow, h_slow[:, None] * u, np.abs(h_slow) < 0.1),
-        (NoCsi(sigma2, m), Y, H, m.c * u, no_outage),  # H is ignored
-        (NoCsi(sigma2, m), Y_awgn, None, m.c * u, no_outage),
+        (NoCsi(sigma2, m), Y, H, m.c * u, None),  # H is ignored
+        (NoCsi(sigma2, m), Y_awgn, None, m.c * u, None),
     ]
 
 
@@ -334,11 +335,15 @@ def test_block_verify_decides_every_row_by_its_ball_statistic():
         closed = n * sigma2 + sigma2 * math.sqrt(2 * n * math.log(n))
         assert isinstance(spec, NoCsi) or abs(tau - closed) <= np.spacing(closed)
         accept, outage = spec.verify(Y.copy(), u, None if H is None else H.copy(), tau)
-        assert accept.shape == outage.shape == (rows,)
+        assert accept.shape == (rows,)
         assert accept.any() and not accept.all()
-        assert outage.sum() == (3 if isinstance(spec, CsiSlow) else 0)  # |h| < 0.1 thrice
-        assert np.array_equal(outage, want_outage)
-        assert np.array_equal(accept, (stats <= tau) & ~want_outage)
+        if isinstance(spec, CsiSlow):
+            assert outage.shape == (rows,) and outage.sum() == 3  # |h| < 0.1 thrice
+            assert np.array_equal(outage, want_outage)
+            assert np.array_equal(accept, (stats <= tau) & ~want_outage)
+        else:
+            assert outage is None and want_outage is None
+            assert np.array_equal(accept, stats <= tau)
 
 
 @pytest.mark.parametrize("rows", [1, 5])
@@ -361,8 +366,11 @@ def test_verify_takes_the_statistic_in_the_blocks_own_memory(rows, monkeypatch):
             assert np.array_equal(Hb, H * u)
         elif H is not None:
             assert np.array_equal(Hb, H)
-        assert np.array_equal(outage, want_outage)
-        assert np.array_equal(accept, (stats <= tau) & ~want_outage)
+        if want_outage is None:
+            assert outage is None and np.array_equal(accept, stats <= tau)
+        else:
+            assert np.array_equal(outage, want_outage)
+            assert np.array_equal(accept, (stats <= tau) & ~want_outage)
         Yb, Hb = Y.copy(), None if H is None else H.copy()
         assert np.array_equal(statistic(spec, Yb, u, Hb), stats)
         assert np.array_equal(Yb, squares)

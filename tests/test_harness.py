@@ -783,7 +783,7 @@ def _reference_counts(cfg, results):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag, k, t))))
             y, h = transmit(cfg.channel, u_sent, [rng])  # a one-row block
             accept, outage = spec.verify(y, u, h, spec.threshold(u))
-            if outage[0]:
+            if outage is not None and outage[0]:
                 out[1] += 1
                 continue
             hit = bool(accept[0]) if tag == 2 else not accept[0]

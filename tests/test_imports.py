@@ -30,6 +30,12 @@ def test_importing_dicode_leaves_scipy_unloaded(module):
     assert out.strip() == "False"
 
 
+def test_building_a_code_loads_no_fading_law():
+    # codebook reaches bounds only for di_rate; the laws load where a capacity needs one
+    out = _python("import sys, dicode.codebook; print('dicode.fading' in sys.modules)", "src")
+    assert out.strip() == "False"
+
+
 def test_importing_dicode_loads_neither_numpy_nor_a_submodule():
     # the package root re-exports nothing: names come from the submodules
     out = _python("import sys, dicode; print(sorted(m for m in sys.modules "

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -317,6 +318,28 @@ def test_the_book_owns_its_rows_and_no_discarded_draw():
     assert book.base is None and book.shape == (239, 4096)
     assert hashlib.sha256(book.tobytes()).hexdigest() == (
         "3dc2967cb6395dbe90a0e1d39c84aef701f23bb62034d1c2b7c899b81eeaaa3f")
+
+
+def test_a_crowded_book_builds_under_a_trace_function(tmp_path, capsys):
+    # coverage, pdb and cProfile set a trace or profile function, and CPython then
+    # makes a bound method for each C call; a resize that checks references counts
+    # it. 14 of 80 draws survive, so the compaction does change the shape
+    argv = ["packing", "--seed", "0", "--set", "spec.n=64", "--set", "spec.target_size=40",
+            "--set", "spec.power_bound=1.0", "--set", "spec.sampling_power=0.5",
+            "--set", "spec.distance_exponent=0.24", "--outdir", str(tmp_path)]
+    spec = PackingSpec(n=64, target_size=40, power_bound=1.0, sampling_power=0.5,
+                       distance_exponent=0.24, seed=0)
+    untraced, _ = generate_expurgated(spec)
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        vectors, report = generate_expurgated(spec)
+        code = main(argv)
+    finally:
+        sys.settrace(previous)
+    assert report.survivors == len(vectors) == 14 < report.sampled
+    assert np.array_equal(vectors, untraced)
+    assert code == 0 and "kept 14 of 80" in capsys.readouterr().out
 
 
 def test_dicode_packing_writes_its_csv_a_row_at_a_time(tmp_path, capsys):
