@@ -10,14 +10,12 @@ Each declares its record ``TYPE`` and the shape of its fading draws
 (``FADING_DIMS``).  ``CHANNELS`` lists them by type for ``parse_channel``
 and the simulate key table, so no caller checks a channel's class.
 
-``transmit`` fills a (rows, n) block, one received word per row, each
-row with the next Generator of an iterator; a single word is a one-row
-block.  Each Generator draws its fading realization first and its noise
-second; that ordering is part of the reproducibility contract.  The law
-fills its row of the block in place, and the row is finished (scaled and
-shifted by the faded codeword) right after, while it is still in cache;
-a caller that sends many blocks can hand ``transmit`` the leading rows
-of the same ``block_buffers`` each time.
+``transmit`` fills a (rows, n) block of ``block_buffers``, one received
+word per row, each row with the next Generator of an iterator; a single
+word is a one-row block.  Each Generator draws its fading realization
+first and its noise second; that ordering is part of the reproducibility
+contract.  ``receive``, the one statement of y = h x + z, then makes the
+whole block's words from those draws, in place.
 """
 
 from __future__ import annotations
@@ -76,47 +74,46 @@ class FastFading(ChannelModel):
 CHANNELS = {model.TYPE: model for model in (Awgn, SlowFading, FastFading)}
 
 
-def transmit(model: ChannelModel, u: np.ndarray, rngs, out=None):
-    """Send codeword u once per row of the block, drawing row r with the r-th
-    generator that the iterable ``rngs`` yields.
+def receive(model: ChannelModel, u: np.ndarray, Y: np.ndarray, H) -> np.ndarray:
+    """The block y = h x + z for codeword u, in place: Y holds standard normals
+    and ends as sigma*Y + h*u, where H is the block's fading as ``block_buffers``
+    lays it (None on AWGN) and is left unchanged.  On a fading channel h*u is
+    one block-sized temporary; AWGN makes none."""
+    Y *= math.sqrt(model.sigma2)
+    Y += u if H is None else np.multiply.outer(H, u) if model.FADING_DIMS == 1 else H * u
+    return Y
 
-    Returns the block (Y, H): row r of Y is the word received with
-    generator r, and H is None for AWGN, a vector with one coefficient
-    per row for slow fading, or a (rows, n) block for fast fading.  Each
-    generator draws its fading first and its noise second, so row r does
-    not depend on the other rows; one word is a one-row block.  ``rngs``
-    may yield one reused Generator, reseeded for each row: a row is drawn
-    before the next generator is asked for, and callers must not keep
-    the generators it yields.
 
-    ``out``, a (Y, H) pair like ``block_buffers`` makes, is the block:
-    every row of it is filled in place and returned, taking just as many
-    generators from ``rngs``, so a caller can send one iterator's trials
-    over many blocks.  An iterator that runs out first is refused.
-    Without ``out`` the block has one row per generator of ``rngs``.
+def transmit(model: ChannelModel, u: np.ndarray, rngs, out):
+    """Send codeword u once per row of ``out``, a (Y, H) pair like ``block_buffers``
+    makes, drawing row r with the r-th generator of the iterable ``rngs``, and
+    return the pair, filled in place.
+
+    Row r of Y is the word received with generator r, and H is None for
+    AWGN, one coefficient per row for slow fading, or a (rows, n) block
+    for fast fading.  Each generator draws its fading first and its
+    noise second, so row r does not depend on the other rows.  A block
+    takes as many generators as it has rows, so one iterator can feed
+    many blocks; one that runs out first is refused.  ``rngs`` may yield
+    one reused Generator, reseeded for each row: a row is drawn before
+    the next generator is asked for, and callers must not keep the
+    generators it yields.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("codeword must be one-dimensional")
-    if out is None:
-        rngs = list(rngs)
-        out = block_buffers(model, len(rngs), u.size)
     Y, H = out
     if Y.shape[1] != u.size:
         raise ValueError(f"a word of length {u.size} does not fit buffers of shape {Y.shape}")
-    scale, r = math.sqrt(model.sigma2), 0
+    r = 0
     for rng in itertools.islice(rngs, len(Y)):
-        y = Y[r]
         if H is not None:  # H[r, ...]: a view of the row (fast) or the entry (slow)
             model.fading.sample(rng, out=H[r, ...])
-        rng.standard_normal(out=y)
-        # sigma*z + h*u, elementwise as in y = h x + z
-        y *= scale
-        y += u if H is None else H[r] * u
+        rng.standard_normal(out=Y[r])
         r += 1
     if r < len(Y):
         raise ValueError(f"{r} generators for a block of {len(Y)} rows")
-    return Y, H
+    return receive(model, u, Y, H), H
 
 
 def block_buffers(model: ChannelModel, rows: int, n: int):

@@ -30,7 +30,8 @@ The verifiers ``CsiFast``, ``CsiSlow`` and ``NoCsi`` share one shape:
   sum_j (Y_j - center_j)^2, the one definition that the moment grid
   (``harness.moment_validation``) reads too.  It is taken in the block's
   own memory: Y is overwritten with the squared differences, and a
-  fast-fading H with h*u, so a call allocates no block-sized array.
+  fast-fading H with h*u.  Only ``CsiSlow``'s centers, the rows h_r*u,
+  are a block-sized temporary; the other verifiers allocate none.
 
 ``CsiFast`` and ``NoCsi`` also give ``statistic_moments(u, u_sent, m)``,
 the closed-form mean and variance of that statistic when u_sent is sent
@@ -53,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import work_count
 from .errors import DegenerateFadingError
 from .fading import Constant, FadingMoments, quantile_abs
 
@@ -80,12 +80,8 @@ def impostor_moments(verifier, u, u_sent, m: FadingMoments) -> tuple[float, floa
 
 def statistic(verifier, Y: np.ndarray, u: np.ndarray, H) -> np.ndarray:
     """Ball statistic of each row of Y: sum_j (Y_j - verifier.center(u, H)_j)^2.
-    Y ends as the squared differences, and a fast-fading H as h*u; with one
-    coefficient per row, the centers h_r*u go a quarter of ``config.WORK_BYTES``
-    (64 KiB) of rows at a time."""
-    step = work_count(4 * 8 * Y.shape[-1]) if np.ndim(H) == 1 else max(1, len(Y))
-    for r in range(0, len(Y), step):
-        Y[r:r + step] -= verifier.center(u, None if H is None else H[r:r + step])
+    Y ends as the squared differences, and a fast-fading H as h*u."""
+    Y -= verifier.center(u, H)
     np.square(Y, out=Y)
     return Y.sum(axis=-1)
 

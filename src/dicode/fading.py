@@ -331,24 +331,26 @@ class DiscreteMixture(FadingDistribution):
         total = sum(p for _, p in self.atoms)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-        # the sampling table, built once: atom values and the normalized cdf
+        # the sampling table, built once: atom values, the thresholds of the
+        # normalized cdf that _fill counts, and the dtype of an atom index.
+        # Every uniform is below the cdf's last entry, 1.0, so only the others
+        # are counted; a one-atom law keeps its 1.0, which counts 0 for every u
         probs = np.array([p for _, p in self.atoms])
         cdf = np.cumsum(probs / probs.sum())
         cdf /= cdf[-1]
         object.__setattr__(self, "_values", np.array([v for v, _ in self.atoms]))
         object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cuts", tuple(cdf[:-1] if len(cdf) > 1 else cdf))
+        object.__setattr__(self, "_index", np.min_scalar_type(len(cdf) - 1))
 
     def _fill(self, rng, out):
         # Generator.choice(len(atoms), size, p=probs) without its checks of p:
         # the same uniforms, and the count of cdf entries <= u (searchsorted
-        # right), block by block so the temporaries stay small.  Every u is
-        # below the last entry, 1.0, so only the others are counted; a one-atom
-        # law keeps its 1.0, which counts 0 for every u
-        first, *rest = self._cdf[:-1] if len(self._cdf) > 1 else self._cdf
-        dtype = np.min_scalar_type(len(self._cdf) - 1)
+        # right), block by block so the temporaries stay small
+        first, *rest = self._cuts
         for u in _blocks(out):
             rng.random(out=u)
-            idx = np.greater_equal(u, first, out=np.empty(u.shape, dtype))
+            idx = np.greater_equal(u, first, out=np.empty(u.shape, self._index))
             for c in rest:
                 idx += u >= c
             np.take(self._values, idx, out=u, mode="clip")  # unbuffered; idx is in range

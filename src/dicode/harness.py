@@ -28,8 +28,8 @@ verdicts are the ones a trial-by-trial loop gives.  Each worker thread
 allocates one (Y, H) block pair and its generator once and reuses them
 for every block it sends, a short last block in the leading rows, and
 one iterator of the slot's streams feeds all its blocks.  So the trial
-loop makes no block-sized allocation, for any channel: no page-fault or
-unmap churn, and no thread waits on another's memory-map changes.
+loop's one block-sized temporary is the h * u that ``receive`` adds on a
+fading channel (and ``CsiSlow``'s centers after it); AWGN makes none.
 A run builds its verifier first, through ``decoder.build_verifier``, so
 a channel its mode does not serve, or outage keys without an outage
 rule, are refused before the codebook is built.
@@ -41,10 +41,10 @@ built from each law's one moments computation, in a grid of (law, mode,
 pair, statistic) cells.  Each cell draws from its own generator, seeded
 from its label, so the cells run on every core this process may use
 (``os.sched_getaffinity``) and the rows do not depend on how many.
-Each thread reuses one chunk of fading buffer and two block buffers, the
-received words and h * u_sent, for all its cells: the noise goes in row
-blocks of at most ``config.WORK_BYTES``, and the rows equal whole-chunk
-draws bit for bit.
+Each thread reuses one chunk of fading buffer and one block of received
+words for all its cells: the noise goes in row blocks of at most
+``config.WORK_BYTES``, which ``channel.receive`` makes into words as in
+``transmit``, and the rows equal whole-chunk draws bit for bit.
 
 Error accounting: a type-I error is a rejected genuine transmission, a
 type-II error is an accepted impostor.  Only csi-slow's ``verify`` returns
@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .channel import (CHANNELS, SIGMA2, ChannelModel, FastFading, block_buffers, parse_channel,
-                      transmit)
+                      receive, transmit)
 from .codebook import PLAN_KEYS, ConcatCodebook, identity_str, plan_params
 from .config import Key, owned_defaults, resolve, work_count
 from .decoder import (GRID_MODES, VERIFIERS, CsiFast, NoCsi, build_verifier, impostor_moments,
@@ -615,31 +615,29 @@ class MomentReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _cell_moments(dist, verifier, u_center, u_sent, sigma2, th_mean, draws, rng, buffers):
+def _cell_moments(model, verifier, u_center, u_sent, th_mean, draws, rng, buffers):
     """Empirical (mean, var, se_mean, se_var) of the verifier's statistic.
 
-    The law fills the calling thread's (chunk, n) fading buffer a chunk at
-    a time; the chunk's noise goes block by block into its (rows, n) block
-    buffer, and each block goes through ``decoder.statistic``, as in
+    The fast-fading ``model``'s law fills the calling thread's (chunk, n)
+    fading buffer a chunk at a time; the chunk's noise goes block by block
+    into its (rows, n) block buffer, ``channel.receive`` makes each block's
+    received words, and each goes through ``decoder.statistic``, as in
     ``verify``.  Normals fill the buffer in stream order, so the rows equal
     whole-chunk draws bit for bit.  The sums are centered on the closed-form
     mean th_mean so the fourth powers stay small; it is added back at the end.
     """
-    fading, block, faded = buffers  # faded: h * u_sent
+    fading, block = buffers
     (chunk, n), rows = fading.shape, len(block)
-    sigma = math.sqrt(sigma2)
     s1 = s2 = s3 = s4 = 0.0
     for done in range(0, draws, chunk):
         b = min(chunk, draws - done)
-        h = dist.sample(rng, out=fading[:b])
+        h = model.fading.sample(rng, out=fading[:b])
         w = np.empty(b)
         for r0 in range(0, b, rows):
             r1 = min(r0 + rows, b)
             y, hb = block[:r1 - r0], h[r0:r1]
             rng.standard_normal(out=y)
-            y *= sigma
-            y += np.multiply(hb, u_sent, out=faded[:r1 - r0])
-            w[r0:r1] = statistic(verifier, y, u_center, hb)
+            w[r0:r1] = statistic(verifier, receive(model, u_sent, y, hb), u_center, hb)
         w -= th_mean
         s1 += float(w.sum())
         s2 += float((w * w).sum())
@@ -682,12 +680,12 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
     for dist in cfg.distributions:
         m = dist.moments()
         for mode in cfg.modes:
-            verifier, _, _ = build_verifier(GRID_MODES[mode], FastFading(dist, cfg.sigma2),
-                                            moments=m)
+            model = FastFading(dist, cfg.sigma2)
+            verifier, _, _ = build_verifier(GRID_MODES[mode], model, moments=m)
             for pi, (u_center, u_sent) in enumerate(pairs):
                 label = f"{dist.TYPE}/{mode}/pair{pi}"
                 for stat_name, sent in (("genuine", u_center), ("impostor", u_sent)):
-                    cells.append((label, stat_name, dist, verifier, u_center, sent,
+                    cells.append((label, stat_name, model, verifier, u_center, sent,
                                   impostor_moments(verifier, u_center, sent, m)))
     chunk = min(cfg.chunk, cfg.draws)
     block_rows = min(work_count(8 * cfg.n), chunk)
@@ -695,12 +693,12 @@ def moment_validation(cfg: MomentGridConfig) -> MomentReport:
 
     def run_cell(cell) -> tuple[list[MomentCheckRow], float]:
         t_cell = time.perf_counter()
-        label, stat_name, dist, verifier, u_center, sent, (th_mean, th_var) = cell
-        if not hasattr(local, "buffers"):  # this thread's fading, block, h * u_sent
-            local.buffers = tuple(np.empty((r, cfg.n)) for r in (chunk, block_rows, block_rows))
+        label, stat_name, model, verifier, u_center, sent, (th_mean, th_var) = cell
+        if not hasattr(local, "buffers"):  # this thread's fading and block
+            local.buffers = tuple(np.empty((r, cfg.n)) for r in (chunk, block_rows))
         rng = _gen(cfg.seed, 11, hash_label(label), 0 if stat_name == "genuine" else 1)
         est_mean, est_var, se_mean, se_var = _cell_moments(
-            dist, verifier, u_center, sent, cfg.sigma2, th_mean, cfg.draws, rng, local.buffers)
+            model, verifier, u_center, sent, th_mean, cfg.draws, rng, local.buffers)
         rows = []
         for quantity, formula, est, se in (("mean", th_mean, est_mean, se_mean),
                                            ("variance", th_var, est_var, se_var)):

@@ -57,15 +57,13 @@ class PackingSpec:
     seed: int = 0
     fourth_moment_bound: float | None = None   # B; None means 3 A^2
 
-    def __post_init__(self):  # refused as `dicode packing` refuses it, after `packing spec`
-        record = asdict(self)
-        try:
-            resolve(record, SPEC_KEYS)
+    def __post_init__(self):  # kept as SPEC_KEYS resolves them: n=32.0 as 32
+        try:  # refused as `dicode packing` refuses it, after `packing spec`
+            kw = resolve(asdict(self), SPEC_KEYS)
         except ValueError as exc:
             raise ValueError(f"packing spec {exc}") from exc
-        for name, value in record.items():  # resolve takes 32.0 as a count; a spec keeps it
-            if SPEC_KEYS[name].type is int and isinstance(value, float):
-                raise ValueError(f"packing spec {name} must be an integer, got {value!r}")
+        for name, value in kw.items():
+            object.__setattr__(self, name, value)  # the record is frozen
         if not 0 < self.sampling_power < self.power_bound:
             raise ValueError("need 0 < sampling power < power bound")
         if not 0 < self.distance_exponent < 0.25:

@@ -5,15 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from dicode.channel import Awgn, FastFading, SlowFading, block_buffers, parse_channel, transmit
+from dicode.channel import (Awgn, FastFading, SlowFading, block_buffers, parse_channel, receive,
+                            transmit)
 from dicode.config import resolve
 from dicode.fading import Constant, DiscreteMixture, Rayleigh
 from dicode.harness import CONFIG_KEYS, _gen, _slot_streams
 
 
+def send(model, x, rngs):
+    """The block of one row per generator in the list rngs, in fresh buffers."""
+    return transmit(model, x, rngs, out=block_buffers(model, len(rngs), len(x)))
+
+
 def send_one(model, x, rng):
     """One word as a one-row block: (y, h) of row 0."""
-    Y, H = transmit(model, x, [rng])
+    Y, H = send(model, x, [rng])
     return Y[0], None if H is None else H[0]
 
 
@@ -136,11 +142,10 @@ def test_block_rows_equal_single_sends_drawn_fading_first(model):
     # one generator reseeded for each row, send the rows of fresh generators
     x = np.linspace(-1.0, 2.0, 40)
     reused = np.random.Generator(np.random.PCG64(0))
-    for block, out, fresh in (
-            ([np.random.default_rng(s) for s in range(5)], None, np.random.default_rng),
-            (_slot_streams(reused, 3, 1, 2, 0, 5), block_buffers(model, 5, 40),
-             lambda r: _gen(3, 1, 2, r))):
-        Y, H = transmit(model, x, block, out=out)
+    for block, fresh in (
+            ([np.random.default_rng(s) for s in range(5)], np.random.default_rng),
+            (_slot_streams(reused, 3, 1, 2, 0, 5), lambda r: _gen(3, 1, 2, r))):
+        Y, H = transmit(model, x, block, out=block_buffers(model, 5, 40))
         assert Y.shape == (5, 40)
         for r in range(5):
             rng = fresh(r)
@@ -148,7 +153,7 @@ def test_block_rows_equal_single_sends_drawn_fading_first(model):
                 rng, 40 if isinstance(model, FastFading) else None)
             z = math.sqrt(model.sigma2) * rng.standard_normal(40)
             assert np.array_equal(Y[r], (x if h is None else h * x) + z)
-            Y1, H1 = transmit(model, x, [fresh(r)])
+            Y1, H1 = send(model, x, [fresh(r)])
             assert np.array_equal(Y[r], Y1[0])
             if h is None:
                 assert H is None and H1 is None
@@ -174,7 +179,7 @@ def test_block_send_into_reused_buffers_matches_a_fresh_block(model):
 
     transmit(model, x, [np.random.default_rng(s) for s in range(10, 16)], out=bufs)
     Y, H = transmit(model, x, [np.random.default_rng(s) for s in range(4)], out=lead(4))
-    Y0, H0 = transmit(model, x, [np.random.default_rng(s) for s in range(4)])
+    Y0, H0 = send(model, x, [np.random.default_rng(s) for s in range(4)])
     assert Y.shape == (4, 40) and np.shares_memory(Y, bufs[0])
     assert np.array_equal(Y, Y0)
     if H0 is None:
@@ -186,7 +191,7 @@ def test_block_send_into_reused_buffers_matches_a_fresh_block(model):
     rngs = iter([np.random.default_rng(s) for s in range(9)])
     transmit(model, x, rngs, out=bufs)
     Y, H = transmit(model, x, rngs, out=lead(2))
-    assert np.array_equal(Y, transmit(model, x, [np.random.default_rng(s) for s in (6, 7)])[0])
+    assert np.array_equal(Y, send(model, x, [np.random.default_rng(s) for s in (6, 7)])[0])
     assert next(rngs).random() == np.random.default_rng(8).random()
     with pytest.raises(ValueError, match="does not fit"):
         transmit(model, x[:39], [np.random.default_rng(s) for s in range(6)], out=bufs)
@@ -203,3 +208,27 @@ def test_transmit_refuses_an_iterator_shorter_than_its_buffers(model):
     reused = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError, match="5 generators for a block of 6 rows"):
         transmit(model, x, _slot_streams(reused, 3, 1, 2, 0, 5), out=block_buffers(model, 6, 40))
+
+
+@pytest.mark.parametrize("model", [
+    Awgn(0.5),
+    SlowFading(Rayleigh(1.0), 2.0),
+    FastFading(Rayleigh(1.0), 0.7),
+], ids=["awgn", "slow", "fast"])
+def test_receive_turns_normals_into_h_x_plus_z_a_block_as_its_rows(model):
+    # Y = sigma z + h u in place, H unchanged, and a block equals its rows
+    # received one at a time, bit for bit
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=40)
+    Z, H = block_buffers(model, 5, 40)
+    Z[...] = rng.standard_normal(Z.shape)
+    if H is not None:
+        H[...] = rng.normal(size=H.shape)
+    Y, H0 = Z.copy(), None if H is None else H.copy()
+    assert receive(model, u, Y, H) is Y
+    h = np.ones((5, 1)) if H is None else H.reshape(5, -1)
+    assert np.array_equal(Y, h * u + math.sqrt(model.sigma2) * Z)
+    assert H is None or np.array_equal(H, H0)
+    for r in range(5):
+        y = receive(model, u, Z[r:r + 1].copy(), None if H is None else H[r:r + 1])
+        assert np.array_equal(y[0], Y[r])

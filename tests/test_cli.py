@@ -830,6 +830,19 @@ def test_the_planner_plans_an_integral_float_as_dicode_construct_does(tmp_path, 
         assert len(ConcatCodebook(record).encode(0)) == 500
 
 
+def test_a_packing_spec_holds_the_values_dicode_packing_runs(tmp_path, monkeypatch, capsys):
+    # spec.n=32.0 runs as n = 32, and the library builds that spec, not a refusal
+    sets = _sets("packing", ["spec.n=32.0", "spec.seed=1"], tmp_path, monkeypatch)
+    assert run(["packing", "--outdir", str(tmp_path / "out"), *sets]) == 0
+    capsys.readouterr()
+    spec = PackingSpec(n=32.0, target_size=20, distance_exponent=0.05, seed=1)
+    assert type(spec.n) is int and spec.n == 32
+    record = PackingSpec(n=32, target_size=20, distance_exponent=0.05, seed=1).to_json_dict()
+    assert json.dumps(spec.to_json_dict()) == json.dumps(record)
+    written = (tmp_path / "out" / "vectors.csv.spec.json").read_text()
+    assert json.loads(written) == {**record, "profile": "basic"}
+
+
 def test_the_moment_grid_holds_the_values_dicode_moments_runs(tmp_path, monkeypatch, capsys):
     sets = _sets("moments", ["draws=2000.0", "sigma2=1", "seed=1"], tmp_path, monkeypatch)
     assert run(["moments", "--outdir", str(tmp_path / "out"), *sets]) == 0

@@ -213,13 +213,15 @@ def test_packing_spec_records_refuse_unknown_fields():
     ("power_bound", math.inf), ("sampling_power", math.nan), ("distance_exponent", "0.05"),
     ("fourth_moment_bound", -math.inf)])
 def test_packing_spec_refuses_non_integer_counts_and_non_finite_reals(field, value):
-    with pytest.raises(ValueError, match=f"packing spec {field} must be"):
-        PackingSpec(**{**SPEC, field: value})
     cfg = {"channel": {"type": "awgn"}, "codebook": {
         "type": "packing", "spec": {**SPEC, field: value}}}
     if isinstance(value, float) and value.is_integer():  # counts take integral floats
+        held = getattr(PackingSpec(**{**SPEC, field: value}), field)
+        assert type(held) is int and held == int(value)
         assert build_codebook(cfg["codebook"])[1]["spec"][field] == int(value)
         return
+    with pytest.raises(ValueError, match=f"packing spec {field} must be"):
+        PackingSpec(**{**SPEC, field: value})
     with pytest.raises(ValueError, match=f"^codebook.spec: {field} must be"):
         ExperimentConfig.from_dict(cfg)
 

@@ -648,7 +648,8 @@ def test_moment_grid_rows_match_the_whole_chunk_expression(monkeypatch):
 ], ids=["constant", "rayleigh", "rician", "nakagami", "atom-at-zero", "skewed"])
 def test_moment_grid_peak_memory_is_one_chunk_buffer_per_thread(monkeypatch, law, threads):
     # the benchmark's laws and shape: each thread holds one (chunk, n) fading
-    # buffer and two row blocks, and the law's own temporaries stay small
+    # buffer, one row block and the block of h * u that receive makes, and the
+    # law's own temporaries stay small
     import tracemalloc
 
     # Rician moments run a quadrature that imports scipy on first use; its
@@ -761,7 +762,7 @@ ENGINE_CASES = {
 def _reference_counts(cfg, results):
     """Per-slot (hits, outages, h = 0 trials, h = 0 hits) from a plain loop:
     one transmit and one one-row verify with a fresh threshold per trial."""
-    from dicode.channel import FastFading, SlowFading, transmit
+    from dicode.channel import FastFading, SlowFading, block_buffers, transmit
     from dicode.decoder import CsiFast, CsiSlow, NoCsi
     from dicode.harness import build_codebook
 
@@ -781,7 +782,8 @@ def _reference_counts(cfg, results):
         out = [0, 0, 0, 0]
         for t in range(trials):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag, k, t))))
-            y, h = transmit(cfg.channel, u_sent, [rng])  # a one-row block
+            y, h = transmit(cfg.channel, u_sent, [rng],  # a one-row block
+                            out=block_buffers(cfg.channel, 1, len(u_sent)))
             accept, outage = spec.verify(y, u, h, spec.threshold(u))
             if outage is not None and outage[0]:
                 out[1] += 1
@@ -860,9 +862,9 @@ def test_trial_engine_holds_one_block_of_words_per_worker(monkeypatch):
 
 # name -> a run whose outputs must not depend on WORK_BYTES.  At the 256 KiB
 # default each one cuts some step into several work blocks that 1 MiB takes
-# whole: trial blocks (rows of n = 500 and 512 words), slow-fading center
-# rows, moment-grid fill and noise blocks (a 100 x 512 chunk), and the
-# encoder's coefficient widths at n = 3000
+# whole: trial blocks (rows of n = 500 and 512 words), moment-grid fill and
+# noise blocks (a 100 x 512 chunk), and the encoder's coefficient widths at
+# n = 3000
 _WIDE_PACKING = {"type": "packing", "profile": "norm-concentrated",
                  "spec": {"n": 512, "target_size": 8, "power_bound": 4.0,
                           "sampling_power": 2.0, "distance_exponent": 0.05, "seed": 3}}
